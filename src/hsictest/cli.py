@@ -19,7 +19,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .datagen import GeneratorKind, GeneratorSpec, enumerate_discrete, theta
+from .datagen import DEPENDENCE_TOL, GeneratorKind, GeneratorSpec, enumerate_discrete, theta
 from .hsic import Dataset, DiscreteJointDistribution, population_hsic
 from .kernels import KernelFamily, KernelSpec, median_heuristic, parse_kernel, resolve_bandwidth
 from .testing import PermutationConfig, permutation_test, power_experiment
@@ -238,7 +238,7 @@ def cmd_oracle_sweep(args) -> dict:
     for dist in _chain_one(first, distributions):
         value = population_hsic(dist, kx_res, ky_res).value
         total += 1
-        if np.abs(theta(dist)).max() >= 1e-12:
+        if np.abs(theta(dist)).max() >= DEPENDENCE_TOL:
             dependent += 1
             if min_dependent is None or value < min_dependent:
                 min_dependent = value

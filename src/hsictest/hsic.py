@@ -68,8 +68,9 @@ class Dataset:
     y_points: np.ndarray
 
     def __post_init__(self):
-        xs = as_points(self.x_points)
-        ys = as_points(self.y_points)
+        # Copies, so freezing them leaves the caller's arrays writable.
+        xs = as_points(self.x_points).copy()
+        ys = as_points(self.y_points).copy()
         if xs.shape[0] != ys.shape[0]:
             raise ValueError(
                 f"x and y must pair up: {xs.shape[0]} x rows vs {ys.shape[0]} y rows"
@@ -98,8 +99,8 @@ class DiscreteJointDistribution:
     pmf: np.ndarray
 
     def __post_init__(self):
-        xs = as_points(self.x_support)
-        ys = as_points(self.y_support)
+        xs = as_points(self.x_support).copy()
+        ys = as_points(self.y_support).copy()
         pmf = np.asarray(self.pmf, dtype=float)
         if pmf.ndim != 2 or pmf.shape != (xs.shape[0], ys.shape[0]):
             raise ValueError(

@@ -20,7 +20,6 @@ import enum
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist
 
 MEDIAN_BANDWIDTH = "median"
 
@@ -108,6 +107,8 @@ def as_points(points) -> np.ndarray:
         raise ValueError("points must all share one dimension")
     if arr.shape[0] == 0:
         raise ValueError("need at least one point")
+    if not np.isfinite(arr).all():
+        raise ValueError("points must be finite (no NaN or inf)")
     return arr
 
 
@@ -128,6 +129,27 @@ def kernel_eval(spec: KernelSpec, x, y) -> float:
     return float(np.dot(xv, yv))
 
 
+def _pairwise(pts: np.ndarray, squared: bool) -> np.ndarray:
+    """Full matrix of pairwise squared-Euclidean (or cityblock) distances.
+
+    Coordinates are accumulated one column at a time, in order, which is the
+    summation order of scipy's ``pdist``/``cdist``; the results agree bitwise
+    (a single ``einsum`` over the coordinate axis does not, from d = 3 on).
+    Entry (i, j) and entry (j, i) are computed from the same terms, so the
+    matrix is exactly symmetric.
+    """
+    n = pts.shape[0]
+    out = np.zeros((n, n))
+    for col in pts.T:
+        diff = col[:, None] - col[None, :]
+        if squared:
+            diff *= diff
+        else:
+            np.abs(diff, out=diff)
+        out += diff
+    return out
+
+
 def median_heuristic(points) -> float:
     """Median of the n(n-1)/2 pairwise Euclidean distances.
 
@@ -135,9 +157,10 @@ def median_heuristic(points) -> float:
     (every pair coincident) raises :class:`AllPointsIdenticalError`.
     """
     pts = as_points(points)
-    if pts.shape[0] < 2:
+    n = pts.shape[0]
+    if n < 2:
         raise ValueError("median heuristic needs at least 2 points")
-    dists = pdist(pts)
+    dists = np.sqrt(_pairwise(pts, squared=True)[~np.tri(n, dtype=bool)])
     if not np.any(dists > 0.0):
         raise AllPointsIdenticalError("all pairwise distances are zero")
     return float(np.median(dists))
@@ -160,10 +183,10 @@ def gram_entries(spec: KernelSpec, points) -> np.ndarray:
         raise ValueError("bandwidth sentinel is unresolved; call resolve_bandwidth first")
     pts = as_points(points)
     if spec.family is KernelFamily.GAUSSIAN:
-        entries = cdist(pts, pts, "sqeuclidean")
+        entries = _pairwise(pts, squared=True)
         np.exp(entries / (-2.0 * spec.bandwidth**2), out=entries)
     elif spec.family is KernelFamily.LAPLACE:
-        entries = cdist(pts, pts, "cityblock")
+        entries = _pairwise(pts, squared=False)
         np.exp(entries / -spec.bandwidth, out=entries)
     else:
         entries = np.einsum("id,jd->ij", pts, pts)

@@ -2,8 +2,10 @@
 
 Every random draw in the package comes from a Philox generator keyed by the
 user seed plus a (stream, index) tag, so replicates are reproducible and
-schedule-independent: permutation b of a test, or trial t of an experiment,
-gets the same bits no matter what ran before it or in parallel with it.
+schedule-independent: trial t of an experiment gets the same bits no matter
+what ran before it or in parallel with it.  Permutation replicates share one
+cell and are addressed by word offset inside it (see ``RNG_SCHEME``); Philox
+is counter-based, so any offset is reachable without drawing what precedes it.
 """
 
 from __future__ import annotations
@@ -19,7 +21,10 @@ STREAM_TRIAL_TEST = 4
 
 # Recorded in result metadata; the reproducibility contract is this scheme,
 # not a particular consumer of it.
-RNG_SCHEME = "numpy.random.Philox(key=[seed, (stream << 48) | index])"
+RNG_SCHEME = (
+    "numpy.random.Philox(key=[seed, (stream << 48) | index]); "
+    "permutation b = stable argsort of raw words [b*n, (b+1)*n) of (seed, 2, 0)"
+)
 
 _MASK64 = (1 << 64) - 1
 _MASK48 = (1 << 48) - 1

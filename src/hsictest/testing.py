@@ -8,6 +8,14 @@ reindexing HLH equals recomputing H L_pi H.
 
 p-values use the add-one estimator (1 + #{T_b >= T_0}) / (B + 1), counting
 ties as exceedances; it never returns 0 and stays valid under exchangeability.
+
+Monte Carlo replicates come from one counter-based Philox stream per test, the
+cell (seed, STREAM_PERMUTATION, 0) of :mod:`hsictest.rng`: replicate b is the
+stable argsort of the stream's raw 64-bit words b*n .. b*n + n - 1.  Replicate b
+therefore depends on (seed, n, b) alone, the replicates of a B-permutation test
+are a prefix of those of any larger B, and each one is reachable on its own by
+``Philox.advance``.  A non-finite observed or null statistic raises
+``ArithmeticError`` rather than yielding a p-value.
 """
 
 from __future__ import annotations
@@ -73,11 +81,18 @@ def p_value_from_null(observed: float, null_statistics: np.ndarray) -> float:
 
 
 def _draw_permutations(seed: int, num: int, n: int) -> np.ndarray:
-    """num permutations of range(n), row b reproducible from (seed, b) alone."""
-    perms = np.empty((num, n), dtype=np.intp)
-    for b in range(num):
-        perms[b] = rng_for(seed, STREAM_PERMUTATION, b).permutation(n)
-    return perms
+    """num permutations of range(n) drawn from one Philox stream.
+
+    Row b is the stable argsort of raw 64-bit words b*n .. b*n + n - 1 of the
+    (seed, STREAM_PERMUTATION, 0) Philox stream, so it depends on (seed, n, b)
+    alone: the rows for ``num`` are a prefix of the rows for any larger
+    ``num``, and row b can be drawn by itself after ``advance((b * n) // 4)``
+    (Philox yields four words per counter step).  Uniform 64-bit keys give a
+    uniform permutation; a tie (probability about n^2 / 2^65 per row) keeps
+    index order, so it stays deterministic.
+    """
+    bits = rng_for(seed, STREAM_PERMUTATION, 0).bit_generator.random_raw((num, n))
+    return np.argsort(bits, axis=1, kind="stable")
 
 
 def _permuted_statistics(kc: np.ndarray, lc: np.ndarray, perms: np.ndarray) -> np.ndarray:
@@ -91,6 +106,15 @@ def _permuted_statistics(kc: np.ndarray, lc: np.ndarray, perms: np.ndarray) -> n
         out[start : start + batch] = np.einsum("ij,bij->b", kc, gathered)
     out /= n * n
     return out
+
+
+def _check_finite(observed: HsicValue, null: np.ndarray) -> None:
+    # A NaN or inf statistic would otherwise count as an exceedance-free
+    # observation and come out as p = 1/(B+1), a confident wrong rejection.
+    if not (math.isfinite(observed.raw) and np.isfinite(null).all()):
+        raise ArithmeticError(
+            "non-finite HSIC statistic: the kernel values overflowed or are undefined"
+        )
 
 
 def _resolved_kernels(data: Dataset, kx: KernelSpec, ky: KernelSpec):
@@ -114,6 +138,7 @@ def permutation_test(
     lc = centered_gram_entries(ky, data.y_points)
     perms = _draw_permutations(cfg.seed, cfg.num_permutations, data.n)
     null = _permuted_statistics(kc, lc, perms)
+    _check_finite(observed, null)
     p = p_value_from_null(observed.raw, null)
     return TestResult(
         statistic=observed,
@@ -150,6 +175,7 @@ def exhaustive_permutation_test(
     lc = centered_gram_entries(ky, data.y_points)
     perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
     null = _permuted_statistics(kc, lc, perms)
+    _check_finite(observed, null)
     p = int(np.count_nonzero(null >= observed.raw)) / math.factorial(n)
     return TestResult(
         statistic=observed,

@@ -284,6 +284,29 @@ class TestExitCodes:
         assert report is None
         assert "numerical failure" in err
 
+    def test_overflowing_statistic_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "huge.csv"
+        path.write_text("x,y\n1e200,1e200\n-1e200,2e200\n3e200,-1e200\n")
+        code, report, err = run_cli(
+            ["test", str(path), "--x-columns", "x", "--y-columns", "y",
+             "--kernel-x", "linear", "--kernel-y", "linear"],
+            capsys,
+        )
+        assert code == 3
+        assert report is None
+        assert "non-finite" in err
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, hsictest.cli; print('scipy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
 
 def test_module_entry_point_runs():
     proc = subprocess.run(

@@ -101,6 +101,19 @@ class TestDataset:
         with pytest.raises(ValueError):
             d.x_points[0, 0] = 7.0
 
+    def test_caller_arrays_stay_writable(self):
+        x, y = np.zeros((3, 2)), np.ones((3, 1))
+        d = Dataset(x, y)
+        x[0, 0] = 5.0
+        y[1, 0] = 6.0
+        assert d.x_points[0, 0] == 0.0 and d.y_points[1, 0] == 1.0
+        support = np.array([[0.0], [1.0]])
+        pmf = np.full((2, 2), 0.25)
+        dist = DiscreteJointDistribution(support, support, pmf)
+        support[0, 0] = -1.0
+        pmf[0, 0] = 0.5
+        assert dist.x_support[0, 0] == 0.0 and dist.pmf[0, 0] == 0.25
+
 
 class TestDiscreteJointDistribution:
     def test_shape_mismatch(self):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist, pdist
 
 import oracles
 from hsictest import (
@@ -19,7 +20,7 @@ from hsictest import (
     resolve_bandwidth,
     strict_pd_witness,
 )
-from hsictest.kernels import gram_entries, psd_tolerance, spd_tolerance
+from hsictest.kernels import _pairwise, as_points, gram_entries, psd_tolerance, spd_tolerance
 
 coords = st.floats(-20.0, 20.0, allow_nan=False, allow_infinity=False)
 bandwidths = st.floats(0.1, 10.0, allow_nan=False, allow_infinity=False)
@@ -133,6 +134,26 @@ class TestKernelEval:
         spec = KernelSpec(KernelFamily.LINEAR)
         with pytest.raises(ValueError, match="dimension mismatch"):
             kernel_eval(spec, [1.0, 2.0], [1.0])
+
+
+class TestAsPoints:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            as_points([[0.0, 1.0], [bad, 2.0]])
+
+
+class TestPairwiseDistances:
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_bitwise_equal_to_scipy(self, d):
+        # The column-by-column sum reproduces scipy's summation order exactly,
+        # so bandwidths and Grams are unchanged from the scipy-backed code.
+        pts = np.random.default_rng(d).normal(scale=3.0, size=(40, d))
+        assert np.array_equal(_pairwise(pts, squared=True), cdist(pts, pts, "sqeuclidean"))
+        assert np.array_equal(_pairwise(pts, squared=False), cdist(pts, pts, "cityblock"))
+        upper = _pairwise(pts, squared=True)[np.triu_indices(len(pts), 1)]
+        assert np.array_equal(np.sqrt(upper), pdist(pts))
+        assert median_heuristic(pts) == float(np.median(pdist(pts)))
 
 
 class TestMedianHeuristic:

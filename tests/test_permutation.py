@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import chisquare
 
 import oracles
 from hsictest import (
@@ -21,6 +22,7 @@ from hsictest import (
     sample,
 )
 from hsictest.hsic import centered_gram_entries
+from hsictest.rng import STREAM_PERMUTATION, rng_for
 from hsictest.testing import EXHAUSTIVE_MAX_N, _draw_permutations, _permuted_statistics
 
 GAUSS_MEDIAN = KernelSpec("gaussian")
@@ -90,6 +92,38 @@ class TestDrawPermutations:
         b = _draw_permutations(seed=4, num=10, n=6)
         assert not np.array_equal(a, b)
 
+    def test_uniform_over_s4(self):
+        # Fixed seed, so the outcome is deterministic; a biased draw (say,
+        # argsort of keys with frequent ties) lands far below the threshold.
+        perms = _draw_permutations(seed=0, num=240_000, n=4)
+        codes = perms @ np.array([64, 16, 4, 1])
+        _, counts = np.unique(codes, return_counts=True)
+        assert counts.size == 24
+        assert chisquare(counts).pvalue > 1e-3
+
+    @given(
+        st.integers(0, 2**63 - 1),
+        st.integers(1, 12),
+        st.integers(1, 40),
+        st.integers(1, 40),
+    )
+    @settings(max_examples=60)
+    def test_rows_are_permutations_and_prefixes(self, seed, n, num, extra):
+        perms = _draw_permutations(seed, num, n)
+        assert np.array_equal(np.sort(perms, axis=1), np.broadcast_to(np.arange(n), (num, n)))
+        assert np.array_equal(_draw_permutations(seed, num + extra, n)[:num], perms)
+
+    @given(st.integers(0, 2**63 - 1), st.integers(1, 12), st.integers(0, 200))
+    @settings(max_examples=40)
+    def test_row_reachable_by_advance(self, seed, n, b):
+        # Philox yields 4 words per counter step: skip to word b*n directly.
+        bit_generator = rng_for(seed, STREAM_PERMUTATION, 0).bit_generator
+        steps, offset = divmod(b * n, 4)
+        bit_generator.advance(steps)
+        words = bit_generator.random_raw(offset + n)[offset:]
+        row = np.argsort(words, kind="stable")
+        assert np.array_equal(row, _draw_permutations(seed, b + 1, n)[b])
+
 
 class TestPermutedStatistics:
     def test_identity_row_reproduces_observed_bitwise(self):
@@ -157,6 +191,14 @@ class TestPermutationTest:
                 PermutationConfig(10, 0.05, 0),
             )
 
+    def test_overflowing_statistic_raises(self):
+        # A linear kernel on 1e200 overflows to inf and the statistic to NaN;
+        # that must not come out as p = 1/(B+1) and a rejection.
+        d = Dataset([1e200, -1e200, 3e200], [1e200, 2e200, -1e200])
+        linear = KernelSpec("linear")
+        with pytest.raises(ArithmeticError, match="non-finite"):
+            permutation_test(d, linear, linear, PermutationConfig(20, 0.05, 0))
+
     def test_detects_strong_dependence(self):
         d = sample(GeneratorSpec(GeneratorKind.RING_UNIFORM, seed=0), 150)
         res = permutation_test(
@@ -187,6 +229,12 @@ class TestExhaustive:
         assert res.method == "exhaustive"
         assert res.num_permutations == 120
         assert res.p_value >= 1.0 / 120
+
+    def test_overflowing_statistic_raises(self):
+        d = Dataset([1e200, -1e200, 3e200], [1e200, 2e200, -1e200])
+        linear = KernelSpec("linear")
+        with pytest.raises(ArithmeticError, match="non-finite"):
+            exhaustive_permutation_test(d, linear, linear, 0.05)
 
     def test_size_limit(self):
         d = _random_dataset(0, EXHAUSTIVE_MAX_N + 1)
