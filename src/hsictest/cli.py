@@ -126,7 +126,7 @@ def cmd_test(args) -> dict:
     kx = resolve_bandwidth(_parse_kernel_flag(args.kernel_x), data.x_points)
     ky = resolve_bandwidth(_parse_kernel_flag(args.kernel_y), data.y_points)
     cfg = PermutationConfig(args.permutations, args.alpha, args.seed)
-    result = permutation_test(data, kx, ky, cfg)
+    result = permutation_test(data, kx, ky, cfg, threads=args.threads)
     _say(
         f"n={data.n} statistic={result.statistic.value:.6g} "
         f"p={result.p_value:.4g} reject={result.reject}"
@@ -325,8 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--alpha", type=float, default=0.05)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (default: machine parallelism); "
-                            "results do not depend on it")
+                       help="worker threads, at most one per CPU (default: machine "
+                            "parallelism); results do not depend on it")
 
     t = sub.add_parser("test", help="independence test on CSV columns")
     t.add_argument("csv")
@@ -365,6 +365,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.threads is None:
         args.threads = os.cpu_count() or 1
+    if args.threads < 1:
+        _say("error: --threads must be at least 1")
+        return 2
     try:
         report = args.handler(args)
     except CliInputError as exc:

@@ -23,6 +23,10 @@ TWO_PI = 2.0 * math.pi
 # A distribution counts as dependent when theta has an entry above this.
 DEPENDENCE_TOL = 1e-12
 
+# enumerate_discrete refuses grids with more pmfs than this: at a few thousand
+# pmfs per second the oracle sweep of a million already takes minutes.
+ENUMERATE_MAX_PMFS = 1_000_000
+
 
 class GeneratorKind(str, enum.Enum):
     RING_UNIFORM = "ring_uniform"
@@ -148,12 +152,20 @@ def enumerate_discrete(
 
     Yields one distribution per composition of R = ``grid_resolution`` into
     m_x * m_y parts; with ``include_dependent_only``, product distributions
-    (max |theta| below ``DEPENDENCE_TOL``) are skipped.
+    (max |theta| below ``DEPENDENCE_TOL``) are skipped.  A grid of more than
+    ``ENUMERATE_MAX_PMFS`` compositions, C(R + m_x*m_y - 1, m_x*m_y - 1),
+    raises ``ValueError`` before any pmf is built.
     """
     if not (1 <= m_x <= 4 and 1 <= m_y <= 4):
         raise ValueError("support sizes are limited to 1..4")
     if grid_resolution < 2:
         raise ValueError("grid_resolution must be at least 2")
+    count = math.comb(grid_resolution + m_x * m_y - 1, m_x * m_y - 1)
+    if count > ENUMERATE_MAX_PMFS:
+        raise ValueError(
+            f"a {m_x}x{m_y} grid at resolution {grid_resolution} has {count} pmfs, "
+            f"more than the {ENUMERATE_MAX_PMFS} enumerate_discrete allows"
+        )
     x_support, y_support = integer_supports(m_x, m_y, centered_supports)
     for counts in _compositions(grid_resolution, m_x * m_y):
         pmf = np.asarray(counts, dtype=float).reshape(m_x, m_y) / grid_resolution

@@ -20,6 +20,7 @@ zero, and :mod:`hsictest.datagen` ships the canonical one.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +45,9 @@ class HsicValue:
 
     ``value`` clamps tiny negative roundoff (within ``1e-12 * scale``) to
     zero so downstream p-values and reports see a squared norm; ``raw`` keeps
-    the unclamped number for diagnostics and for null-distribution ties.
+    the unclamped number for diagnostics and for null-distribution ties.  A
+    non-finite raw value (an overflowing or undefined kernel) raises
+    ``ArithmeticError``: it is never a statistic.
     """
 
     value: float
@@ -55,6 +58,10 @@ class HsicValue:
     @classmethod
     def from_raw(cls, raw: float, estimator: Estimator, scale: float = 1.0) -> "HsicValue":
         raw = float(raw)
+        if not math.isfinite(raw):
+            raise ArithmeticError(
+                "non-finite HSIC statistic: the kernel values overflowed or are undefined"
+            )
         scale = max(float(scale), 1.0)
         value = 0.0 if -1e-12 * scale <= raw < 0.0 else raw
         return cls(value=value, raw=raw, scale=scale, estimator=estimator)
@@ -175,6 +182,23 @@ def centered_gram_entries(spec: KernelSpec, points) -> np.ndarray:
     return _double_center(gram_entries(spec, points))
 
 
+def centered_product(kc: np.ndarray, lc: np.ndarray) -> float:
+    """``sum(kc * lc) / n^2`` for two centered n x n Grams.
+
+    The one reduction behind ``hsic_biased``, the observed statistic of the
+    permutation tests and each replicate of their per-replicate null path,
+    so there the identity relabeling reproduces the observed value bitwise.
+    """
+    n = kc.shape[0]
+    return float(np.einsum("ij,ij->", kc, lc)) / (n * n)
+
+
+def biased_value(kc: np.ndarray, lc: np.ndarray) -> HsicValue:
+    """The biased V-statistic of two centered Grams, with its roundoff scale."""
+    scale = float(np.abs(kc).max() * np.abs(lc).max())
+    return HsicValue.from_raw(centered_product(kc, lc), Estimator.BIASED_V, scale)
+
+
 def hsic_biased(data: Dataset, kx: KernelSpec, ky: KernelSpec) -> HsicValue:
     """Biased V-statistic estimate of HSIC: ``tr(K H L H) / n^2``.
 
@@ -183,11 +207,8 @@ def hsic_biased(data: Dataset, kx: KernelSpec, ky: KernelSpec) -> HsicValue:
     equals the trace form exactly and keeps the degenerate constant-side case
     an exact zero.
     """
-    n = data.n
-    if n < 2:
+    if data.n < 2:
         raise ValueError("hsic_biased needs at least 2 paired samples")
     kc = centered_gram_entries(resolve_bandwidth(kx, data.x_points), data.x_points)
     lc = centered_gram_entries(resolve_bandwidth(ky, data.y_points), data.y_points)
-    raw = float(np.einsum("ij,ij->", kc, lc)) / (n * n)
-    scale = float(np.abs(kc).max() * np.abs(lc).max())
-    return HsicValue.from_raw(raw, Estimator.BIASED_V, scale)
+    return biased_value(kc, lc)

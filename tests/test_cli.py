@@ -171,6 +171,7 @@ class TestTestCommand:
             ["--permutations", "0"],
             ["--alpha", "1.5"],
             ["--x-columns", " , "],
+            ["--threads", "0"],
         ],
     )
     def test_bad_flags_exit_2(self, ring_csv, capsys, extra):
@@ -261,7 +262,14 @@ class TestOracleSweepCommand:
 
     @pytest.mark.parametrize(
         "extra",
-        [["--mx", "5"], ["--resolution", "1"], ["--kernel-x", "sigmoid"]],
+        [
+            ["--mx", "5"],
+            ["--resolution", "1"],
+            ["--kernel-x", "sigmoid"],
+            # About 3.2e9 pmfs: refused up front instead of running for hours.
+            ["--mx", "4", "--my", "4", "--resolution", "20"],
+            ["--threads", "-1"],
+        ],
     )
     def test_bad_flags_exit_2(self, capsys, extra):
         code, report, _ = run_cli(["oracle-sweep"] + extra, capsys)

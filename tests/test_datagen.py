@@ -20,6 +20,7 @@ from hsictest import (
     sample,
     theta,
 )
+from hsictest import datagen
 from hsictest.datagen import DEPENDENCE_TOL
 
 
@@ -219,3 +220,14 @@ class TestEnumerateDiscrete:
     def test_resolution_bound(self):
         with pytest.raises(ValueError, match="grid_resolution"):
             next(enumerate_discrete(2, 2, 1))
+
+    def test_pmf_count_cap(self, monkeypatch):
+        # C(35, 15) ~ 3.2e9 pmfs: refused before the first one is built.
+        with pytest.raises(ValueError, match="pmfs"):
+            next(enumerate_discrete(4, 4, 20))
+        # The cap is inclusive: a 2x2 grid at resolution 4 has C(7, 3) = 35.
+        monkeypatch.setattr(datagen, "ENUMERATE_MAX_PMFS", 35)
+        assert sum(1 for _ in enumerate_discrete(2, 2, 4)) == 35
+        monkeypatch.setattr(datagen, "ENUMERATE_MAX_PMFS", 34)
+        with pytest.raises(ValueError, match="35 pmfs"):
+            next(enumerate_discrete(2, 2, 4))

@@ -85,6 +85,11 @@ class TestHsicValue:
     def test_scale_floor_is_one(self):
         assert HsicValue.from_raw(1.0, Estimator.BIASED_V, scale=1e-6).scale == 1.0
 
+    @pytest.mark.parametrize("raw", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_raises(self, raw):
+        with pytest.raises(ArithmeticError, match="non-finite"):
+            HsicValue.from_raw(raw, Estimator.BIASED_V)
+
 
 class TestDataset:
     def test_pairing_enforced(self):
@@ -195,6 +200,13 @@ class TestPopulationHsic:
         with pytest.raises(ValueError, match="unresolved"):
             population_hsic(discrete_ring(), KernelSpec("gaussian"), GAUSS1)
 
+    def test_overflow_raises(self):
+        # The linear Gram of 1e200 overflows to inf and the quadruple sum to NaN.
+        points = [1e200, -1e200, 3e200]
+        dist = DiscreteJointDistribution(points, points, np.eye(3) / 3.0)
+        with pytest.raises(ArithmeticError, match="non-finite"):
+            population_hsic(dist, LINEAR, LINEAR)
+
     def test_estimator_tag(self):
         value = population_hsic(discrete_ring(), GAUSS1, GAUSS1)
         assert value.estimator is Estimator.POPULATION_EXACT
@@ -245,6 +257,12 @@ class TestBiasedEstimator:
     def test_nontrivial_value_positive(self):
         d = Dataset([0.0, 1.0, 2.0], [0.0, 1.5, 0.5])
         assert hsic_biased(d, GAUSS1, GAUSS1).value > 0.0
+
+    def test_overflow_raises(self):
+        # The linear Gram of 1e200 overflows and the centered sum is NaN.
+        points = [1e200, -1e200, 3e200]
+        with pytest.raises(ArithmeticError, match="non-finite"):
+            hsic_biased(Dataset(points, points), LINEAR, LINEAR)
 
     def test_needs_two_samples(self):
         with pytest.raises(ValueError, match="at least 2"):

@@ -1,5 +1,7 @@
 """Permutation-test machinery: p-values, null replicates, power experiments."""
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,9 +23,15 @@ from hsictest import (
     resolve_bandwidth,
     sample,
 )
+from hsictest import testing
 from hsictest.hsic import centered_gram_entries
 from hsictest.rng import STREAM_PERMUTATION, rng_for
-from hsictest.testing import EXHAUSTIVE_MAX_N, _draw_permutations, _permuted_statistics
+from hsictest.testing import (
+    EXHAUSTIVE_MAX_N,
+    TAKE_MIN_N,
+    _draw_permutations,
+    _permuted_statistics,
+)
 
 GAUSS_MEDIAN = KernelSpec("gaussian")
 LAPLACE_MEDIAN = KernelSpec("laplace")
@@ -137,18 +145,36 @@ class TestPermutedStatistics:
         assert _permuted_statistics(kc, lc, identity)[0] == observed.raw
 
     def test_matches_reindexed_datasets(self):
-        # Relabeling y and recomputing from scratch is the slow route; the
-        # centered-gram gather must agree with it for every permutation.
-        d = _random_dataset(8, 10)
+        # Relabeling y and recomputing from scratch is the slow route; both
+        # null paths, on either side of the cutoff, must agree with it.
+        for seed, n in ((8, 10), (10, TAKE_MIN_N - 1), (11, TAKE_MIN_N)):
+            d = _random_dataset(seed, n)
+            kx = resolve_bandwidth(GAUSS_MEDIAN, d.x_points)
+            ky = resolve_bandwidth(LAPLACE_MEDIAN, d.y_points)
+            kc = centered_gram_entries(kx, d.x_points)
+            lc = centered_gram_entries(ky, d.y_points)
+            perms = _draw_permutations(seed=1, num=30, n=d.n)
+            fast = _permuted_statistics(kc, lc, perms, threads=2)
+            for row, value in zip(perms, fast):
+                slow = hsic_biased(Dataset(d.x_points, d.y_points[row]), kx, ky)
+                assert value == pytest.approx(slow.raw, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [5, TAKE_MIN_N - 1, TAKE_MIN_N, 64])
+    def test_identity_mid_batch_and_mid_chunk_is_observed(self, n, monkeypatch):
+        # Nine rows make one gather batch below the cutoff and, on three
+        # threads, chunks 0-2, 3-5, 6-8 above it: rows 1 and 4 sit inside.
+        monkeypatch.setattr(testing.os, "cpu_count", lambda: 8)
+        d = _random_dataset(n, n)
         kx = resolve_bandwidth(GAUSS_MEDIAN, d.x_points)
         ky = resolve_bandwidth(LAPLACE_MEDIAN, d.y_points)
+        observed = hsic_biased(d, kx, ky)
         kc = centered_gram_entries(kx, d.x_points)
         lc = centered_gram_entries(ky, d.y_points)
-        perms = _draw_permutations(seed=1, num=30, n=d.n)
-        fast = _permuted_statistics(kc, lc, perms)
-        for row, value in zip(perms, fast):
-            slow = hsic_biased(Dataset(d.x_points, d.y_points[row]), kx, ky)
-            assert value == pytest.approx(slow.raw, abs=1e-12)
+        perms = _draw_permutations(seed=5, num=9, n=n)
+        perms[[1, 4]] = np.arange(n)
+        null = _permuted_statistics(kc, lc, perms, threads=3)
+        assert null[1] == observed.raw
+        assert null[4] == observed.raw
 
     def test_batches_join_seamlessly(self):
         # Chunked evaluation must not depend on the batch boundary.
@@ -161,6 +187,68 @@ class TestPermutedStatistics:
             [_permuted_statistics(kc, lc, perms[:5]), _permuted_statistics(kc, lc, perms[5:])]
         )
         assert np.array_equal(whole, parts)
+
+
+class TestThreads:
+    @pytest.fixture
+    def many_cpus(self, monkeypatch):
+        # Thread counts above the real CPU count would be capped away.
+        monkeypatch.setattr(testing.os, "cpu_count", lambda: 8)
+
+    def test_null_identical_for_1_2_3_threads(self, many_cpus):
+        d = _random_dataset(6, TAKE_MIN_N + 3)
+        kc = centered_gram_entries(KernelSpec("gaussian", 1.0), d.x_points)
+        lc = centered_gram_entries(KernelSpec("laplace", 1.0), d.y_points)
+        perms = _draw_permutations(seed=3, num=50, n=d.n)
+        lone = _permuted_statistics(kc, lc, perms, threads=1)
+        for threads in (2, 3):
+            assert np.array_equal(_permuted_statistics(kc, lc, perms, threads=threads), lone)
+        cfg = PermutationConfig(50, 0.05, 3)
+        results = [
+            permutation_test(d, GAUSS_MEDIAN, LAPLACE_MEDIAN, cfg, threads=t) for t in (1, 2, 3)
+        ]
+        assert results[0] == results[1] == results[2]
+
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        sizes = []
+
+        class Recording(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(testing, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(testing.os, "cpu_count", lambda: 4)
+        return sizes
+
+    def test_pools_capped_by_tasks_and_cpus(self, pool_sizes):
+        d = _random_dataset(2, TAKE_MIN_N)
+        permutation_test(d, GAUSS_MEDIAN, GAUSS_MEDIAN, PermutationConfig(3, 0.05, 0), threads=10_000)
+        permutation_test(d, GAUSS_MEDIAN, GAUSS_MEDIAN, PermutationConfig(20, 0.05, 0), threads=10_000)
+        spec = GeneratorSpec(GeneratorKind.RING_UNIFORM, seed=0)
+        power_experiment(
+            spec, GAUSS_MEDIAN, GAUSS_MEDIAN, PermutationConfig(10, 0.05, 0),
+            num_trials=3, n=8, threads=10_000,
+        )
+        assert pool_sizes == [3, 4, 3]
+
+    def test_small_null_starts_no_pool(self, pool_sizes):
+        d = _random_dataset(2, TAKE_MIN_N - 1)
+        permutation_test(d, GAUSS_MEDIAN, GAUSS_MEDIAN, PermutationConfig(20, 0.05, 0), threads=4)
+        assert pool_sizes == []
+
+    def test_threads_below_one_refused(self):
+        d = _random_dataset(2, 10)
+        cfg = PermutationConfig(20, 0.05, 0)
+        with pytest.raises(ValueError, match="threads"):
+            permutation_test(d, GAUSS_MEDIAN, GAUSS_MEDIAN, cfg, threads=0)
+        spec = GeneratorSpec(GeneratorKind.RING_UNIFORM, seed=0)
+        for threads in (0, -1):
+            with pytest.raises(ValueError, match="threads"):
+                power_experiment(
+                    spec, GAUSS_MEDIAN, GAUSS_MEDIAN, cfg, num_trials=2, n=8, threads=threads
+                )
 
 
 class TestPermutationTest:
