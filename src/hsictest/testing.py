@@ -137,17 +137,25 @@ def _permuted_statistics(
         out /= n * n
         return out
 
-    def run(chunk: np.ndarray) -> None:
+    # Each chunk reuses two n x n buffers allocated here, on the calling
+    # thread: taking into fresh arrays on the pool threads made peak memory
+    # depend on how the threads' allocations happened to interleave.  The
+    # indices are a permutation, so mode="clip" changes no value; it only
+    # lets ``take`` write into ``out`` without an extra buffered copy.
+    def run(chunk: np.ndarray, rows: np.ndarray, both: np.ndarray) -> None:
         for b in chunk:
             p = perms[b]
-            out[b] = centered_product(kc, lc.take(p, axis=0).take(p, axis=1))
+            lc.take(p, axis=0, out=rows, mode="clip")
+            rows.take(p, axis=1, out=both, mode="clip")
+            out[b] = centered_product(kc, both)
 
     chunks = np.array_split(np.arange(num), workers)
+    buffers = [(np.empty((n, n)), np.empty((n, n))) for _ in chunks]
     if workers == 1:
-        run(chunks[0])
+        run(chunks[0], *buffers[0])
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, chunks))
+            list(pool.map(run, chunks, *zip(*buffers)))
     return out
 
 
