@@ -185,18 +185,11 @@ def centered_gram_entries(spec: KernelSpec, points) -> np.ndarray:
 def centered_product(kc: np.ndarray, lc: np.ndarray) -> float:
     """``sum(kc * lc) / n^2`` for two centered n x n Grams.
 
-    The one reduction behind ``hsic_biased``, the observed statistic of the
-    permutation tests and each replicate of their per-replicate null path,
-    so there the identity relabeling reproduces the observed value bitwise.
+    The reduction behind ``hsic_biased`` and each replicate of the
+    permutation tests' dense per-replicate null path.
     """
     n = kc.shape[0]
     return float(np.einsum("ij,ij->", kc, lc)) / (n * n)
-
-
-def biased_value(kc: np.ndarray, lc: np.ndarray) -> HsicValue:
-    """The biased V-statistic of two centered Grams, with its roundoff scale."""
-    scale = float(np.abs(kc).max() * np.abs(lc).max())
-    return HsicValue.from_raw(centered_product(kc, lc), Estimator.BIASED_V, scale)
 
 
 def hsic_biased(data: Dataset, kx: KernelSpec, ky: KernelSpec) -> HsicValue:
@@ -211,4 +204,5 @@ def hsic_biased(data: Dataset, kx: KernelSpec, ky: KernelSpec) -> HsicValue:
         raise ValueError("hsic_biased needs at least 2 paired samples")
     kc = centered_gram_entries(resolve_bandwidth(kx, data.x_points), data.x_points)
     lc = centered_gram_entries(resolve_bandwidth(ky, data.y_points), data.y_points)
-    return biased_value(kc, lc)
+    scale = float(np.abs(kc).max() * np.abs(lc).max())
+    return HsicValue.from_raw(centered_product(kc, lc), Estimator.BIASED_V, scale)

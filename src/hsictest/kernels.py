@@ -176,8 +176,9 @@ def resolve_bandwidth(spec: KernelSpec, points) -> KernelSpec:
 def gram_entries(spec: KernelSpec, points) -> np.ndarray:
     """Raw (writable) Gram matrix entries; see :func:`gram` for the checked type.
 
-    Entries are computed for i <= j and mirrored, so exact symmetry holds by
-    construction.
+    Exactly symmetric by construction: :func:`_pairwise` is, and so are the
+    elementwise ``exp`` of it and the linear ``einsum``, whose entries (i, j)
+    and (j, i) sum the same products in the same order.
     """
     if not spec.is_resolved:
         raise ValueError("bandwidth sentinel is unresolved; call resolve_bandwidth first")
@@ -190,9 +191,6 @@ def gram_entries(spec: KernelSpec, points) -> np.ndarray:
         np.exp(entries / -spec.bandwidth, out=entries)
     else:
         entries = np.einsum("id,jd->ij", pts, pts)
-    # Mirror the upper triangle row by row: O(1) extra memory, exact symmetry.
-    for i in range(1, entries.shape[0]):
-        entries[i, :i] = entries[:i, i]
     return entries
 
 

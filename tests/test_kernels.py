@@ -206,6 +206,19 @@ class TestGram:
         entries = gram_entries(KernelSpec(family, bw), pts)
         assert np.array_equal(entries, entries.T)
 
+    @pytest.mark.parametrize("family", ["gaussian", "laplace", "linear"])
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 17])
+    def test_symmetric_without_mirroring(self, family, d):
+        # Earlier versions mirrored the upper triangle into the lower one;
+        # on an exactly symmetric Gram that copy changes no bit, so the
+        # entries equal those versions' output as well as their transpose.
+        for n in (37, 200):
+            pts = np.random.default_rng(n + d).normal(size=(n, d)) * 3.0 + 1.0
+            entries = gram_entries(KernelSpec(family, 1.3), pts)
+            assert np.array_equal(entries, entries.T)
+            mirrored = np.triu(entries) + np.triu(entries, 1).T
+            assert np.array_equal(mirrored, entries)
+
     @given(point_clouds(max_points=15), st.sampled_from(["gaussian", "laplace"]), bandwidths)
     def test_unit_diagonal_exact(self, pts, family, bw):
         entries = gram_entries(KernelSpec(family, bw), pts)

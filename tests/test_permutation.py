@@ -1,6 +1,11 @@
 """Permutation-test machinery: p-values, null replicates, power experiments."""
 
+import contextlib
+import io
+import json
+import math
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 import pytest
@@ -23,23 +28,37 @@ from hsictest import (
     resolve_bandwidth,
     sample,
 )
-from hsictest import testing
+from hsictest import cli, testing
 from hsictest.hsic import centered_gram_entries
 from hsictest.rng import STREAM_PERMUTATION, rng_for
 from hsictest.testing import (
     EXHAUSTIVE_MAX_N,
     TAKE_MIN_N,
     _draw_permutations,
+    _factored_statistics,
     _permuted_statistics,
 )
 
 GAUSS_MEDIAN = KernelSpec("gaussian")
 LAPLACE_MEDIAN = KernelSpec("laplace")
+LINEAR = KernelSpec("linear")
+EPS = np.finfo(float).eps
 
 
 def _random_dataset(seed, n, dx=1, dy=2):
     rng = np.random.default_rng(seed)
     return Dataset(rng.normal(size=(n, dx)), rng.normal(size=(n, dy)))
+
+
+def _ring(seed, n):
+    return sample(GeneratorSpec(GeneratorKind.RING_UNIFORM, seed=seed), n)
+
+
+def _grams(d, kx, ky):
+    """Centered Grams, their scale max|Kc| * max|Lc|, and the null function a test picks."""
+    kc, lc = testing._centered_grams(d, kx, ky)
+    kc_max, lc_max = float(np.abs(kc).max()), float(np.abs(lc).max())
+    return kc, lc, kc_max * lc_max, testing._null_function(kc, lc, kc_max, lc_max)
 
 
 class TestPermutationConfig:
@@ -176,6 +195,23 @@ class TestPermutedStatistics:
         assert null[1] == observed.raw
         assert null[4] == observed.raw
 
+    @pytest.mark.parametrize("n", [TAKE_MIN_N, 64, 200])
+    def test_identity_mid_chunk_is_observed_low_rank(self, n, monkeypatch):
+        # The low-rank twin of the test above: gaussian/linear on the ring
+        # takes the factored path, whose identity replicates, at rows 1 and
+        # 4 of chunks 0-2, 3-5, 6-8, must reproduce the reported statistic.
+        monkeypatch.setattr(testing.os, "cpu_count", lambda: 8)
+        d = _ring(n, n)
+        kx = resolve_bandwidth(GAUSS_MEDIAN, d.x_points)
+        *_, statistics = _grams(d, kx, LINEAR)
+        assert statistics.func is _factored_statistics
+        perms = _draw_permutations(seed=5, num=9, n=n)
+        perms[[1, 4]] = np.arange(n)
+        null = statistics(perms, threads=3)
+        observed = permutation_test(d, kx, LINEAR, PermutationConfig(9, 0.05, 5), threads=3)
+        assert null[1] == observed.statistic.raw
+        assert null[4] == observed.statistic.raw
+
     def test_batches_join_seamlessly(self):
         # Chunked evaluation must not depend on the batch boundary.
         d = _random_dataset(9, 12)
@@ -187,6 +223,165 @@ class TestPermutedStatistics:
             [_permuted_statistics(kc, lc, perms[:5]), _permuted_statistics(kc, lc, perms[5:])]
         )
         assert np.array_equal(whole, parts)
+
+
+class TestFactoredNull:
+    # The fixed corpus: the ring, gaussian x against a gaussian or linear y.
+    CORPUS = [
+        (n, seed, ky)
+        for n in (TAKE_MIN_N, 200, 1000)
+        for seed in range(6)
+        for ky in ("gaussian", "linear")
+    ]
+
+    @pytest.mark.parametrize("n,seed,ky", CORPUS)
+    def test_matches_dense_null_on_corpus(self, n, seed, ky):
+        d = _ring(seed, n)
+        kx = resolve_bandwidth(GAUSS_MEDIAN, d.x_points)
+        ky = resolve_bandwidth(KernelSpec(ky), d.y_points)
+        kc, lc, scale, statistics = _grams(d, kx, ky)
+        assert statistics.func is _factored_statistics
+        perms = _draw_permutations(seed, 99, n)
+        identity = np.arange(n)[None, :]
+        factored = statistics(perms, threads=2)
+        dense = _permuted_statistics(kc, lc, perms, threads=2)
+        obs_factored = statistics(identity)[0]
+        obs_dense = _permuted_statistics(kc, lc, identity)[0]
+        # Each side's truncation moves a replicate by at most n * eps * scale.
+        bound = 2 * n * EPS * scale
+        assert np.abs(factored - dense).max() <= bound
+        assert abs(obs_factored - obs_dense) <= bound
+        p_factored = p_value_from_null(obs_factored, factored)
+        p_dense = p_value_from_null(obs_dense, dense)
+        assert p_factored == p_dense
+        assert (p_factored <= 0.05) == (p_dense <= 0.05)
+
+    def test_null_identical_for_1_2_3_threads(self, monkeypatch):
+        monkeypatch.setattr(testing.os, "cpu_count", lambda: 8)
+        # A small block makes every chunk span several gather blocks.
+        monkeypatch.setattr(testing, "_FACTOR_BLOCK_FLOATS", 1000)
+        d = _ring(4, 200)
+        *_, statistics = _grams(d, resolve_bandwidth(GAUSS_MEDIAN, d.x_points), LINEAR)
+        assert statistics.func is _factored_statistics
+        perms = _draw_permutations(seed=3, num=50, n=d.n)
+        lone = statistics(perms, threads=1)
+        for threads in (2, 3):
+            assert np.array_equal(statistics(perms, threads=threads), lone)
+        cfg = PermutationConfig(50, 0.05, 3)
+        results = [permutation_test(d, GAUSS_MEDIAN, LINEAR, cfg, threads=t) for t in (1, 2, 3)]
+        assert results[0] == results[1] == results[2]
+
+    @pytest.mark.parametrize("n", [TAKE_MIN_N, 200])
+    def test_high_rank_stays_dense_and_unchanged(self, n):
+        # Laplace Grams on the ring are full rank: the test must report what
+        # the dense null and hsic_biased give, bit for bit.
+        d = _ring(1, n)
+        kx = resolve_bandwidth(GAUSS_MEDIAN, d.x_points)
+        ky = resolve_bandwidth(LAPLACE_MEDIAN, d.y_points)
+        kc, lc, _, statistics = _grams(d, kx, ky)
+        assert statistics.func is _permuted_statistics
+        cfg = PermutationConfig(99, 0.05, 2)
+        null = _permuted_statistics(kc, lc, _draw_permutations(cfg.seed, 99, n), threads=2)
+        res = permutation_test(d, kx, ky, cfg, threads=2)
+        assert res.statistic == hsic_biased(d, kx, ky)
+        assert res.p_value == p_value_from_null(res.statistic.raw, null)
+        assert res.null_quantile == float(np.quantile(null, 0.95))
+
+    @pytest.mark.parametrize("x_kernel", [KernelSpec("gaussian", 1.0), LINEAR])
+    def test_constant_side_has_rank_zero(self, x_kernel):
+        d = Dataset(np.full(200, 2.0), _ring(0, 200).y_points)
+        ky = resolve_bandwidth(GAUSS_MEDIAN, d.y_points)
+        kc, lc, _, statistics = _grams(d, x_kernel, ky)
+        assert statistics.func is _factored_statistics
+        assert statistics.args[0].shape == (0, 200)
+        perms = _draw_permutations(0, 99, 200)
+        for fn in (statistics, partial(_permuted_statistics, kc, lc)):
+            observed = fn(np.arange(200)[None, :])[0]
+            assert p_value_from_null(observed, fn(perms)) == 1.0
+        assert permutation_test(d, x_kernel, ky, PermutationConfig(99, 0.05, 0)).p_value == 1.0
+
+    def test_tiny_scale_keeps_its_rank(self):
+        # The floor is relative to the largest entry, so a linear Gram of
+        # entries near 1e-300 is still rank 1, not rank 0.
+        d = _ring(0, 200)
+        tiny = Dataset(d.x_points * 1e-150, d.y_points * 1e-150)
+        kc, *_ = _grams(tiny, LINEAR, LINEAR)
+        fx = testing._pivoted_cholesky(kc, float(np.abs(kc).max()), cap=200)
+        assert fx.shape == (1, 200)
+
+    def test_repeated_points_keep_exact_ties(self):
+        # Equal rows of a centered Gram get bitwise-equal factor columns, so
+        # swapping two repeated y points reproduces the observed value.  The
+        # copies sit 61 apart in 103 points, off any 4- or 8-wide SIMD lane.
+        n, shift = 103, 61
+        d = _ring(2, n)
+        y = d.y_points.copy()
+        y[shift:] = y[: n - shift]
+        d = Dataset(d.x_points, y)
+        kx = resolve_bandwidth(GAUSS_MEDIAN, d.x_points)
+        ky = resolve_bandwidth(GAUSS_MEDIAN, d.y_points)
+        *_, statistics = _grams(d, kx, ky)
+        assert statistics.func is _factored_statistics
+        fy = statistics.args[1]
+        assert np.array_equal(fy[:, shift:], fy[:, : n - shift])
+        swaps = np.tile(np.arange(n), (3, 1))
+        for row, i in zip(swaps, (0, 17, n - shift - 1)):
+            row[[i, i + shift]] = row[[i + shift, i]]
+        identity = np.arange(n)[None, :]
+        assert np.all(statistics(swaps) == statistics(identity)[0])
+
+    SCALES = st.sampled_from([1e-150, 1.0, 1e150])
+    KERNELS = st.sampled_from(["gaussian:median", "gaussian:1.0", "laplace:median", "linear"])
+    LAYOUTS = st.sampled_from(["ring", "constant_x", "constant_y", "duplicated"])
+
+    @given(
+        n=st.sampled_from([8, TAKE_MIN_N, 64]),
+        scale=SCALES,
+        layout=LAYOUTS,
+        kernel_x=KERNELS,
+        kernel_y=KERNELS,
+        dense=st.booleans(),
+        seed=st.integers(0, 1000),
+    )
+    @settings(max_examples=80)
+    def test_adversarial_scales_give_p_or_documented_exit(
+        self, n, scale, layout, kernel_x, kernel_y, dense, seed, tmp_path_factory
+    ):
+        d = _ring(seed, n)
+        x, y = d.x_points[:, 0] * scale, d.y_points[:, 0] * scale
+        if layout == "constant_x":
+            x = np.full(n, x[0])
+        elif layout == "constant_y":
+            y = np.full(n, y[0])
+        elif layout == "duplicated":
+            x, y = np.resize(x[: n // 2], n), np.resize(y[: n // 2], n)
+        path = tmp_path_factory.mktemp("adversarial") / "data.csv"
+        path.write_text(
+            "x,y\n" + "".join(f"{float(a)!r},{float(b)!r}\n" for a, b in zip(x, y)),
+            encoding="utf-8",
+        )
+        argv = [
+            "test", str(path), "--x-columns", "x", "--y-columns", "y",
+            "--kernel-x", kernel_x, "--kernel-y", kernel_y,
+            "--permutations", "50", "--seed", str(seed), "--threads", "2",
+        ]
+        out, err = io.StringIO(), io.StringIO()
+        with pytest.MonkeyPatch.context() as mp:
+            if dense:
+                mp.setattr(
+                    testing, "_null_function", lambda kc, lc, *_: partial(_permuted_statistics, kc, lc)
+                )
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+        assert code in (0, 2, 3), err.getvalue()
+        # Exit 2 is a median bandwidth on a constant side; exit 3 an overflow.
+        if code == 2:
+            assert layout.startswith("constant"), err.getvalue()
+        if code == 3:
+            assert scale > 1.0, err.getvalue()
+        if code == 0:
+            p = json.loads(out.getvalue())["p_value"]
+            assert math.isfinite(p) and 0.0 < p <= 1.0
 
 
 class TestThreads:
@@ -286,6 +481,14 @@ class TestPermutationTest:
         linear = KernelSpec("linear")
         with pytest.raises(ArithmeticError, match="non-finite"):
             permutation_test(d, linear, linear, PermutationConfig(20, 0.05, 0))
+
+    def test_overflowing_gram_is_not_factored(self):
+        # An infinite Gram entry must reach the dense path and its error,
+        # not a rank-0 factor and a confident p = 1.
+        x = np.linspace(-1.0, 1.0, TAKE_MIN_N)
+        d = Dataset(x * 1e200, x**2)
+        with pytest.raises(ArithmeticError, match="non-finite"):
+            permutation_test(d, LINEAR, GAUSS_MEDIAN, PermutationConfig(20, 0.05, 0))
 
     def test_detects_strong_dependence(self):
         d = sample(GeneratorSpec(GeneratorKind.RING_UNIFORM, seed=0), 150)
