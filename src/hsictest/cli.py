@@ -19,9 +19,16 @@ import time
 import numpy as np
 
 from . import __version__
-from .datagen import DEPENDENCE_TOL, GeneratorKind, GeneratorSpec, enumerate_discrete, theta
+from .datagen import (
+    DEPENDENCE_TOL,
+    GeneratorKind,
+    GeneratorSpec,
+    enumerate_discrete,
+    integer_supports,
+    theta,
+)
 from .hsic import Dataset, DiscreteJointDistribution, population_hsic
-from .kernels import KernelFamily, KernelSpec, median_heuristic, parse_kernel, resolve_bandwidth
+from .kernels import KernelFamily, KernelSpec, parse_kernel, resolve_bandwidth
 from .testing import PermutationConfig, permutation_test, power_experiment
 
 # Sweep verdict thresholds: dependent pmfs must clear the first, independent
@@ -106,9 +113,11 @@ def _emit(report: dict) -> None:
     sys.stdout.write("\n")
 
 
-def _base_report(command: str, parameters: dict, started: float) -> dict:
+def _base_report(args, started: float) -> dict:
+    """The fields every report shares; ``parameters`` echoes every parsed flag."""
+    parameters = {k: v for k, v in vars(args).items() if k not in ("command", "handler")}
     return {
-        "command": command,
+        "command": args.command,
         "version": __version__,
         "parameters": parameters,
         "duration_seconds": time.perf_counter() - started,
@@ -117,40 +126,26 @@ def _base_report(command: str, parameters: dict, started: float) -> dict:
 
 def cmd_test(args) -> dict:
     started = time.perf_counter()
-    x_cols = _columns_flag(args.x_columns)
-    y_cols = _columns_flag(args.y_columns)
-    x, y = load_csv_columns(args.csv, x_cols, y_cols)
+    args.x_columns = _columns_flag(args.x_columns)
+    args.y_columns = _columns_flag(args.y_columns)
+    x, y = load_csv_columns(args.csv, args.x_columns, args.y_columns)
     data = Dataset(x, y)
     if data.n == 2:
         _say("warning: n = 2 gives a vacuous permutation null (only 2 relabelings)")
-    kx = resolve_bandwidth(_parse_kernel_flag(args.kernel_x), data.x_points)
-    ky = resolve_bandwidth(_parse_kernel_flag(args.kernel_y), data.y_points)
+    kx = _parse_kernel_flag(args.kernel_x)
+    ky = _parse_kernel_flag(args.kernel_y)
     cfg = PermutationConfig(args.permutations, args.alpha, args.seed)
     result = permutation_test(data, kx, ky, cfg, threads=args.threads)
     _say(
         f"n={data.n} statistic={result.statistic.value:.6g} "
         f"p={result.p_value:.4g} reject={result.reject}"
     )
-    report = _base_report(
-        "test",
-        {
-            "csv": args.csv,
-            "x_columns": x_cols,
-            "y_columns": y_cols,
-            "kernel_x": args.kernel_x,
-            "kernel_y": args.kernel_y,
-            "permutations": args.permutations,
-            "alpha": args.alpha,
-            "seed": args.seed,
-            "threads": args.threads,
-        },
-        started,
-    )
+    report = _base_report(args, started)
     report.update(
         {
             "n": data.n,
-            "resolved_bandwidth_x": _bandwidth_or_none(kx),
-            "resolved_bandwidth_y": _bandwidth_or_none(ky),
+            "resolved_bandwidth_x": _bandwidth_or_none(result.kernel_x),
+            "resolved_bandwidth_y": _bandwidth_or_none(result.kernel_y),
             "statistic": result.statistic.value,
             "statistic_raw": result.statistic.raw,
             "p_value": result.p_value,
@@ -200,20 +195,7 @@ def cmd_reproduce_ring(args) -> dict:
                 "p_values": list(result.p_values),
             }
         )
-    report = _base_report(
-        "reproduce-ring",
-        {
-            "n": args.n,
-            "trials": args.trials,
-            "alpha": args.alpha,
-            "permutations": args.permutations,
-            "seed": args.seed,
-            "radius": args.radius,
-            "noise": args.noise,
-            "threads": args.threads,
-        },
-        started,
-    )
+    report = _base_report(args, started)
     report["configurations"] = rows
     report["duration_seconds"] = time.perf_counter() - started
     return report
@@ -232,10 +214,10 @@ def cmd_oracle_sweep(args) -> dict:
     max_independent = None
     counterexamples = []
     both_characteristic = kx.claimed_characteristic and ky.claimed_characteristic
-    first = next(distributions)
-    kx_res = _resolve_on_support(kx, first.x_support)
-    ky_res = _resolve_on_support(ky, first.y_support)
-    for dist in _chain_one(first, distributions):
+    x_support, y_support = integer_supports(args.mx, args.my, args.centered_supports)
+    kx_res = _resolve_on_support(kx, x_support)
+    ky_res = _resolve_on_support(ky, y_support)
+    for dist in distributions:
         value = population_hsic(dist, kx_res, ky_res).value
         total += 1
         if np.abs(theta(dist)).max() >= DEPENDENCE_TOL:
@@ -265,19 +247,7 @@ def cmd_oracle_sweep(args) -> dict:
             else f"{len(counterexamples)} counterexample(s) with HSIC < {SWEEP_INDEPENDENT_MAX}"
         )
     )
-    report = _base_report(
-        "oracle-sweep",
-        {
-            "mx": args.mx,
-            "my": args.my,
-            "resolution": args.resolution,
-            "kernel_x": args.kernel_x,
-            "kernel_y": args.kernel_y,
-            "centered_supports": args.centered_supports,
-            "threads": args.threads,
-        },
-        started,
-    )
+    report = _base_report(args, started)
     report.update(
         {
             "resolved_bandwidth_x": _bandwidth_or_none(kx_res),
@@ -298,11 +268,6 @@ def cmd_oracle_sweep(args) -> dict:
     return report
 
 
-def _chain_one(first, rest):
-    yield first
-    yield from rest
-
-
 def _resolve_on_support(spec: KernelSpec, support) -> KernelSpec:
     if spec.is_resolved:
         return spec
@@ -319,11 +284,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, permutations=500):
-        p.add_argument("--permutations", type=int, default=permutations,
+    def calibration(p):
+        p.add_argument("--permutations", type=int, default=500,
                        help="Monte Carlo null size B")
         p.add_argument("--alpha", type=float, default=0.05)
         p.add_argument("--seed", type=int, default=0)
+        threads(p)
+
+    def threads(p):
         p.add_argument("--threads", type=int, default=None,
                        help="worker threads, at most one per CPU (default: machine "
                             "parallelism); results do not depend on it")
@@ -335,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--kernel-x", default="gaussian:median",
                    help="family[:bandwidth|:median], e.g. gaussian:0.5, laplace:median, linear")
     t.add_argument("--kernel-y", default="gaussian:median")
-    common(t)
+    calibration(t)
     t.set_defaults(handler=cmd_test)
 
     r = sub.add_parser("reproduce-ring",
@@ -344,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--trials", type=int, default=200)
     r.add_argument("--radius", type=float, default=1.0)
     r.add_argument("--noise", type=float, default=0.0)
-    common(r)
+    calibration(r)
     r.set_defaults(handler=cmd_reproduce_ring)
 
     o = sub.add_parser("oracle-sweep",
@@ -356,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--kernel-y", default="gaussian:1.0")
     o.add_argument("--centered-supports", action="store_true",
                    help="use supports symmetric about 0 (exposes the +/- cancellation pmfs)")
-    common(o)
+    threads(o)
     o.set_defaults(handler=cmd_oracle_sweep)
     return parser
 

@@ -9,7 +9,11 @@ distribution it is the exact quadruple sum
 
 which this module evaluates in matrix form as ``sum(Kx * (Theta Ky Theta'))``.
 The empirical statistic is the standard biased V-statistic
-``tr(K H L H) / n^2`` with centering matrix ``H = I - (1/n) 11'``.
+``tr(K H L H) / n^2`` with centering matrix ``H = I - (1/n) 11'``.  Each side
+of a sample enters it, and the permutation null of :mod:`hsictest.testing`,
+through :func:`centered_side`: the one place a kernel spec and a point set
+become a resolved spec and a centered Gram, with a side that is constant to
+working precision centered to exact zero.
 
 With both kernels characteristic the population value is zero iff the
 distribution is an exact product (independence); with a non-characteristic
@@ -25,13 +29,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import KernelSpec, as_points, gram_entries, resolve_bandwidth
+from .kernels import KernelSpec, as_points, gram_entries, resolved_gram
 
 # theta's rows and columns sum to zero by construction; loose only to roundoff.
 THETA_MARGIN_TOL = 1e-12
 
 # pmf entries must total 1 within this.
 PMF_MASS_TOL = 1e-12
+
+_EPS = float(np.finfo(float).eps)
 
 
 class Estimator(str, enum.Enum):
@@ -160,9 +166,11 @@ def population_hsic(
         if not spec.is_resolved:
             raise ValueError(f"kernel for {side} has an unresolved bandwidth sentinel")
     t = theta(dist)
-    kx_entries = gram_entries(kx, dist.x_support)
-    ky_entries = gram_entries(ky, dist.y_support)
-    raw = float(np.einsum("ik,ik->", kx_entries, t @ ky_entries @ t.T))
+    # An overflowing kernel gives a NaN sum, which from_raw refuses.
+    with np.errstate(over="ignore", invalid="ignore"):
+        kx_entries = gram_entries(kx, dist.x_support)
+        ky_entries = gram_entries(ky, dist.y_support)
+        raw = float(np.einsum("ik,ik->", kx_entries, t @ ky_entries @ t.T))
     scale = float(np.abs(kx_entries).max() * np.abs(ky_entries).max())
     return HsicValue.from_raw(raw, Estimator.POPULATION_EXACT, scale)
 
@@ -177,9 +185,30 @@ def _double_center(entries: np.ndarray) -> np.ndarray:
     return entries
 
 
+def centered_side(spec: KernelSpec, points) -> tuple[KernelSpec, np.ndarray]:
+    """One side of a test: ``spec`` resolved on ``points``, and H K H for its Gram K.
+
+    The one place a sample becomes a centered Gram.  A median bandwidth is
+    resolved here, from the same pairwise distances as the Gram.  A centered
+    Gram no larger than the roundoff of the uncentered one, ``max|HKH| <= n *
+    eps * max(diag K)`` (the diagonal bounds a PSD Gram), is set to exact zero:
+    that side is constant to working precision, and leaving the residue would
+    make the statistic and every permuted one roundoff noise.  A non-finite
+    Gram is returned as is, for the statistic's own check to refuse.
+    """
+    pts = as_points(points)
+    with np.errstate(over="ignore", invalid="ignore"):
+        spec, entries = resolved_gram(spec, pts)
+        floor = pts.shape[0] * _EPS * entries.diagonal().max()
+        _double_center(entries)
+        if np.abs(entries).max() <= floor:
+            entries.fill(0.0)
+    return spec, entries
+
+
 def centered_gram_entries(spec: KernelSpec, points) -> np.ndarray:
-    """H K H for the Gram matrix of ``spec`` on ``points`` (resolved spec only)."""
-    return _double_center(gram_entries(spec, points))
+    """H K H for the Gram matrix of ``spec`` on ``points``; see :func:`centered_side`."""
+    return centered_side(spec, points)[1]
 
 
 def centered_product(kc: np.ndarray, lc: np.ndarray) -> float:
@@ -196,13 +225,13 @@ def hsic_biased(data: Dataset, kx: KernelSpec, ky: KernelSpec) -> HsicValue:
     """Biased V-statistic estimate of HSIC: ``tr(K H L H) / n^2``.
 
     Median-heuristic bandwidths resolve per side from that side's points.
-    Computed as the centered elementwise sum ``sum(HKH * HLH) / n^2``, which
-    equals the trace form exactly and keeps the degenerate constant-side case
-    an exact zero.
+    Computed as the centered elementwise sum ``sum(HKH * HLH) / n^2`` over
+    the sides of :func:`centered_side`, which equals the trace form exactly
+    and keeps the degenerate constant-side case an exact zero.
     """
     if data.n < 2:
         raise ValueError("hsic_biased needs at least 2 paired samples")
-    kc = centered_gram_entries(resolve_bandwidth(kx, data.x_points), data.x_points)
-    lc = centered_gram_entries(resolve_bandwidth(ky, data.y_points), data.y_points)
+    _, kc = centered_side(kx, data.x_points)
+    _, lc = centered_side(ky, data.y_points)
     scale = float(np.abs(kc).max() * np.abs(lc).max())
     return HsicValue.from_raw(centered_product(kc, lc), Estimator.BIASED_V, scale)

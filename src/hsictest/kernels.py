@@ -112,23 +112,6 @@ def as_points(points) -> np.ndarray:
     return arr
 
 
-def kernel_eval(spec: KernelSpec, x, y) -> float:
-    """Evaluate k(x, y) for a single pair of equal-dimension vectors."""
-    if not spec.is_resolved:
-        raise ValueError("bandwidth sentinel is unresolved; call resolve_bandwidth first")
-    xv = np.atleast_1d(np.asarray(x, dtype=float))
-    yv = np.atleast_1d(np.asarray(y, dtype=float))
-    if xv.shape != yv.shape or xv.ndim != 1:
-        raise ValueError(f"dimension mismatch: {xv.shape} vs {yv.shape}")
-    if spec.family is KernelFamily.GAUSSIAN:
-        sq = float(np.sum((xv - yv) ** 2))
-        return float(np.exp(-sq / (2.0 * spec.bandwidth**2)))
-    if spec.family is KernelFamily.LAPLACE:
-        l1 = float(np.sum(np.abs(xv - yv)))
-        return float(np.exp(-l1 / spec.bandwidth))
-    return float(np.dot(xv, yv))
-
-
 def _pairwise(pts: np.ndarray, squared: bool) -> np.ndarray:
     """Full matrix of pairwise squared-Euclidean (or cityblock) distances.
 
@@ -156,11 +139,15 @@ def median_heuristic(points) -> float:
     Zero distances stay in the median pool; only the fully degenerate case
     (every pair coincident) raises :class:`AllPointsIdenticalError`.
     """
-    pts = as_points(points)
-    n = pts.shape[0]
+    return _median_of_squared(_pairwise(as_points(points), squared=True))
+
+
+def _median_of_squared(sq: np.ndarray) -> float:
+    """:func:`median_heuristic` from the full matrix of squared pairwise distances."""
+    n = sq.shape[0]
     if n < 2:
         raise ValueError("median heuristic needs at least 2 points")
-    dists = np.sqrt(_pairwise(pts, squared=True)[~np.tri(n, dtype=bool)])
+    dists = np.sqrt(sq[~np.tri(n, dtype=bool)])
     if not np.any(dists > 0.0):
         raise AllPointsIdenticalError("all pairwise distances are zero")
     return float(np.median(dists))
@@ -174,7 +161,7 @@ def resolve_bandwidth(spec: KernelSpec, points) -> KernelSpec:
 
 
 def gram_entries(spec: KernelSpec, points) -> np.ndarray:
-    """Raw (writable) Gram matrix entries; see :func:`gram` for the checked type.
+    """Raw (writable) Gram matrix entries of a resolved ``spec`` on ``points``.
 
     Exactly symmetric by construction: :func:`_pairwise` is, and so are the
     elementwise ``exp`` of it and the linear ``einsum``, whose entries (i, j)
@@ -184,65 +171,44 @@ def gram_entries(spec: KernelSpec, points) -> np.ndarray:
         raise ValueError("bandwidth sentinel is unresolved; call resolve_bandwidth first")
     pts = as_points(points)
     if spec.family is KernelFamily.GAUSSIAN:
-        entries = _pairwise(pts, squared=True)
-        np.exp(entries / (-2.0 * spec.bandwidth**2), out=entries)
-    elif spec.family is KernelFamily.LAPLACE:
+        return _gaussian_in_place(_pairwise(pts, squared=True), spec.bandwidth)
+    if spec.family is KernelFamily.LAPLACE:
         entries = _pairwise(pts, squared=False)
         np.exp(entries / -spec.bandwidth, out=entries)
-    else:
-        entries = np.einsum("id,jd->ij", pts, pts)
-    return entries
+        return entries
+    return np.einsum("id,jd->ij", pts, pts)
 
 
-@dataclass(frozen=True)
-class GramMatrix:
-    """Symmetric kernel matrix of pairwise evaluations.
+def _gaussian_in_place(sq: np.ndarray, bandwidth: float) -> np.ndarray:
+    """``exp(-sq / (2 bandwidth^2))``, overwriting the squared distances ``sq``.
 
-    Symmetry is exact by construction and re-checked here; positive
-    semidefiniteness is a property of the kernel families and is enforced by
-    the test suite (eigenvalue checks are O(n^3) and do not belong in a
-    constructor).
+    Divides rather than multiplying by the reciprocal, which would move the
+    Gram in the last bits.
     """
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError("Gram matrix must be square")
-        if not np.array_equal(arr, arr.T):
-            raise ValueError("Gram matrix must be exactly symmetric")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "entries", arr)
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.entries)[0])
+    np.divide(sq, -2.0 * bandwidth**2, out=sq)
+    return np.exp(sq, out=sq)
 
 
-def gram(spec: KernelSpec, points) -> GramMatrix:
-    """Gram matrix of ``spec`` on ``points``; propagates kernel errors."""
-    return GramMatrix(gram_entries(spec, points))
+def resolved_gram(spec: KernelSpec, points) -> tuple[KernelSpec, np.ndarray]:
+    """``spec`` with a median bandwidth resolved on ``points``, and its Gram entries there.
 
-
-def _scaled_tolerance(entries: np.ndarray, factor: float) -> float:
-    n = entries.shape[0]
-    max_abs = float(np.abs(entries).max()) if entries.size else 0.0
-    return factor * n * max_abs
-
-
-def psd_tolerance(entries: np.ndarray) -> float:
-    """Scale-aware eigenvalue floor below which a Gram matrix is not PSD."""
-    return _scaled_tolerance(entries, 1e-8)
+    A Gaussian side computes its pairwise distances once and takes both the
+    median and the Gram from them; the results equal :func:`resolve_bandwidth`
+    followed by :func:`gram_entries` bit for bit.
+    """
+    if spec.family is not KernelFamily.GAUSSIAN:
+        spec = resolve_bandwidth(spec, points)
+        return spec, gram_entries(spec, points)
+    sq = _pairwise(as_points(points), squared=True)
+    if not spec.is_resolved:
+        spec = replace(spec, bandwidth=_median_of_squared(sq))
+    return spec, _gaussian_in_place(sq, spec.bandwidth)
 
 
 def spd_tolerance(entries: np.ndarray) -> float:
     """Scale-aware threshold separating strictly-pd from numerically singular."""
-    return _scaled_tolerance(entries, 1e-10)
+    max_abs = float(np.abs(entries).max()) if entries.size else 0.0
+    return 1e-10 * entries.shape[0] * max_abs
 
 
 @dataclass(frozen=True)

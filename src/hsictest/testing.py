@@ -1,10 +1,13 @@
 """Permutation-based calibration of HSIC statistics.
 
-The null distribution comes from relabeling one side: Gram matrices and
-median-heuristic bandwidths are computed once on the observed data, and each
-replicate reindexes the centered y-side matrix by a random permutation.  That
-is exact, not an approximation: H commutes with permutation matrices, so
-reindexing HLH equals recomputing H L_pi H.
+The null distribution comes from relabeling one side: each side is prepared
+once on the observed data by ``hsic.centered_side`` (median bandwidth, Gram
+and centering), and each replicate reindexes the centered y-side matrix by a
+random permutation.  That is exact, not an approximation: H commutes with
+permutation matrices, so reindexing HLH equals recomputing H L_pi H.  Both
+tests share one body and report the resolved kernels in ``TestResult``.  A
+constant side is centered to exact zero, so its statistic and every replicate
+are 0 and p = 1 on every path.
 
 p-values use the add-one estimator (1 + #{T_b >= T_0}) / (B + 1), counting
 ties as exceedances; it never returns 0 and stays valid under exchangeability.
@@ -59,8 +62,8 @@ from functools import partial
 import numpy as np
 
 from .datagen import GeneratorSpec, sample
-from .hsic import Dataset, Estimator, HsicValue, centered_gram_entries, centered_product
-from .kernels import KernelSpec, resolve_bandwidth
+from .hsic import Dataset, Estimator, HsicValue, centered_product, centered_side
+from .kernels import KernelSpec
 from .rng import (
     RNG_SCHEME,
     STREAM_PERMUTATION,
@@ -117,6 +120,8 @@ class PermutationConfig:
 
 @dataclass(frozen=True)
 class TestResult:
+    """A permutation test's outcome; ``kernel_x`` and ``kernel_y`` carry the resolved bandwidths."""
+
     statistic: HsicValue
     p_value: float
     reject: bool
@@ -126,6 +131,8 @@ class TestResult:
     alpha: float
     method: str
     rng: str
+    kernel_x: KernelSpec
+    kernel_y: KernelSpec
 
 
 def p_value_from_null(observed: float, null_statistics: np.ndarray) -> float:
@@ -286,24 +293,29 @@ def _check_finite(null: np.ndarray) -> None:
         )
 
 
-def _centered_grams(data: Dataset, kx: KernelSpec, ky: KernelSpec):
-    # Resolution happens once, on the unpermuted data, and is frozen across
-    # replicates; the marginal point sets are permutation-invariant anyway.
-    return (
-        centered_gram_entries(resolve_bandwidth(kx, data.x_points), data.x_points),
-        centered_gram_entries(resolve_bandwidth(ky, data.y_points), data.y_points),
-    )
+def _calibrated(
+    data: Dataset,
+    kx: KernelSpec,
+    ky: KernelSpec,
+    perms: np.ndarray,
+    alpha: float,
+    p_value,
+    *,
+    seed: int,
+    method: str,
+    rng: str,
+    threads: int = 1,
+) -> TestResult:
+    """The result of a test of ``data`` over the null of ``perms``, with ``p_value(observed, null)``.
 
-
-def _observed_and_null(
-    data: Dataset, kx: KernelSpec, ky: KernelSpec, perms: np.ndarray, threads: int = 1
-) -> tuple[HsicValue, np.ndarray]:
-    """The observed statistic and the null over ``perms``, through one function.
-
-    The observed value is the null function at the identity permutation, so
-    an identity replicate reproduces it bitwise on every path.
+    Each side is resolved and centered once, on the unpermuted data, and is
+    frozen across replicates; the marginal point sets are permutation
+    invariant anyway.  The observed value is the null function at the
+    identity permutation, so an identity replicate reproduces it bitwise on
+    every path.
     """
-    kc, lc = _centered_grams(data, kx, ky)
+    kx, kc = centered_side(kx, data.x_points)
+    ky, lc = centered_side(ky, data.y_points)
     kc_max, lc_max = float(np.abs(kc).max()), float(np.abs(lc).max())
     statistics = _null_function(kc, lc, kc_max, lc_max)
     identity = np.arange(data.n, dtype=np.intp)[None, :]
@@ -312,7 +324,20 @@ def _observed_and_null(
     )
     null = statistics(perms, threads)
     _check_finite(null)
-    return observed, null
+    p = p_value(observed.raw, null)
+    return TestResult(
+        statistic=observed,
+        p_value=p,
+        reject=p <= alpha,
+        null_quantile=float(np.quantile(null, 1.0 - alpha)),
+        num_permutations=len(perms),
+        seed=seed,
+        alpha=alpha,
+        method=method,
+        rng=rng,
+        kernel_x=kx,
+        kernel_y=ky,
+    )
 
 
 def permutation_test(
@@ -330,19 +355,14 @@ def permutation_test(
     if data.n < 2:
         raise ValueError("permutation test needs at least 2 paired samples")
     perms = _draw_permutations(cfg.seed, cfg.num_permutations, data.n)
-    observed, null = _observed_and_null(data, kx, ky, perms, threads)
-    p = p_value_from_null(observed.raw, null)
-    return TestResult(
-        statistic=observed,
-        p_value=p,
-        reject=p <= cfg.alpha,
-        null_quantile=float(np.quantile(null, 1.0 - cfg.alpha)),
-        num_permutations=cfg.num_permutations,
-        seed=cfg.seed,
-        alpha=cfg.alpha,
-        method="monte_carlo",
-        rng=RNG_SCHEME,
+    return _calibrated(
+        data, kx, ky, perms, cfg.alpha, p_value_from_null,
+        seed=cfg.seed, method="monte_carlo", rng=RNG_SCHEME, threads=threads,
     )
+
+
+def _exact_p_value(observed: float, null: np.ndarray) -> float:
+    return int(np.count_nonzero(null >= observed)) / len(null)
 
 
 def exhaustive_permutation_test(
@@ -362,18 +382,9 @@ def exhaustive_permutation_test(
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must lie strictly between 0 and 1")
     perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
-    observed, null = _observed_and_null(data, kx, ky, perms)
-    p = int(np.count_nonzero(null >= observed.raw)) / math.factorial(n)
-    return TestResult(
-        statistic=observed,
-        p_value=p,
-        reject=p <= alpha,
-        null_quantile=float(np.quantile(null, 1.0 - alpha)),
-        num_permutations=math.factorial(n),
-        seed=0,
-        alpha=alpha,
-        method="exhaustive",
-        rng="exhaustive enumeration (no randomness)",
+    return _calibrated(
+        data, kx, ky, perms, alpha, _exact_p_value,
+        seed=0, method="exhaustive", rng="exhaustive enumeration (no randomness)",
     )
 
 

@@ -7,10 +7,24 @@ import sys
 import numpy as np
 import pytest
 
-from hsictest import GeneratorKind, GeneratorSpec, discrete_ring, sample
+from hsictest import GeneratorKind, GeneratorSpec, discrete_ring, kernels, sample
 from hsictest.cli import load_csv_columns, main
 
 RING_CSV_SEED = 3
+
+# The parameters echo of each command: every flag it accepts, as parsed.
+PARAMETERS = {
+    "test": {
+        "csv", "x_columns", "y_columns", "kernel_x", "kernel_y",
+        "permutations", "alpha", "seed", "threads",
+    },
+    "reproduce-ring": {
+        "n", "trials", "radius", "noise", "permutations", "alpha", "seed", "threads",
+    },
+    "oracle-sweep": {
+        "mx", "my", "resolution", "kernel_x", "kernel_y", "centered_supports", "threads",
+    },
+}
 
 
 def write_ring_csv(path, n=200, seed=RING_CSV_SEED):
@@ -163,6 +177,26 @@ class TestTestCommand:
             pooled, drop_threads=True
         )
 
+    def test_one_distance_pass_per_gaussian_side(self, ring_csv, capsys, monkeypatch):
+        # Each median bandwidth comes from the distances its Gram is built
+        # from; the command itself resolves nothing.
+        calls = []
+        pairwise = kernels._pairwise
+        monkeypatch.setattr(
+            kernels, "_pairwise", lambda pts, squared: calls.append(squared) or pairwise(pts, squared)
+        )
+        code, report, _ = run_cli(
+            [
+                "test", ring_csv, "--x-columns", "x", "--y-columns", "y",
+                "--kernel-x", "gaussian:median", "--kernel-y", "gaussian:median",
+                "--permutations", "20",
+            ],
+            capsys,
+        )
+        assert code == 0
+        assert calls == [True, True]
+        assert report["resolved_bandwidth_x"] > 0.0 and report["resolved_bandwidth_y"] > 0.0
+
     @pytest.mark.parametrize(
         "extra",
         [
@@ -275,6 +309,35 @@ class TestOracleSweepCommand:
         code, report, _ = run_cli(["oracle-sweep"] + extra, capsys)
         assert code == 2
         assert report is None
+
+    @pytest.mark.parametrize("flag", ["--seed", "--permutations", "--alpha"])
+    def test_calibration_flags_refused(self, capsys, flag):
+        # The sweep is exact and draws nothing: it has no null to size,
+        # level to test at or seed to draw from.
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle-sweep", flag, "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["test", "--x-columns", "x,y", "--y-columns", "y", "--permutations", "10"],
+        ["reproduce-ring", "--n", "8", "--trials", "2", "--permutations", "10"],
+        ["oracle-sweep", "--resolution", "2"],
+    ],
+    ids=["test", "reproduce-ring", "oracle-sweep"],
+)
+def test_parameters_echo_every_flag(ring_csv, capsys, argv):
+    if argv[0] == "test":
+        argv = argv[:1] + [ring_csv] + argv[1:]
+    code, report, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert set(report["parameters"]) == PARAMETERS[argv[0]]
+    if argv[0] == "test":
+        assert report["parameters"]["x_columns"] == ["x", "y"]
+        assert report["parameters"]["y_columns"] == ["y"]
 
 
 class TestExitCodes:

@@ -21,6 +21,7 @@ from hsictest import (
     sample,
     theta,
 )
+from hsictest import kernels
 from hsictest.hsic import centered_gram_entries
 
 GAUSS1 = KernelSpec("gaussian", 1.0)
@@ -229,10 +230,25 @@ class TestBiasedEstimator:
         assert got.raw == pytest.approx(expected, abs=1e-12 * max(1.0, abs(expected)))
 
     def test_constant_side_is_exactly_zero(self):
+        # 3.7 repeated six times does not center exactly under a linear
+        # kernel; the roundoff residue is cleared, not reported.
         rng = np.random.default_rng(0)
-        d = Dataset(rng.normal(size=(6, 1)), np.full((6, 1), 3.0))
-        assert hsic_biased(d, GAUSS1, GAUSS1).raw == 0.0
-        assert hsic_biased(d, GAUSS1, LINEAR).raw == 0.0
+        for constant in (3.0, 3.7):
+            d = Dataset(rng.normal(size=(6, 1)), np.full((6, 1), constant))
+            assert hsic_biased(d, GAUSS1, GAUSS1).raw == 0.0
+            assert hsic_biased(d, GAUSS1, LINEAR).raw == 0.0
+
+    def test_one_distance_pass_per_gaussian_side(self, monkeypatch):
+        # The median bandwidth and the Gram share one pairwise-distance pass.
+        calls = []
+        pairwise = kernels._pairwise
+        monkeypatch.setattr(
+            kernels, "_pairwise", lambda pts, squared: calls.append(squared) or pairwise(pts, squared)
+        )
+        gm = KernelSpec("gaussian")
+        d = Dataset(np.arange(7.0), np.arange(7.0) ** 2)
+        assert hsic_biased(d, gm, gm).raw > 0.0
+        assert calls == [True, True]
 
     def test_median_resolution_matches_manual(self):
         rng = np.random.default_rng(1)

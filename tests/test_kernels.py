@@ -10,17 +10,14 @@ import oracles
 from hsictest import (
     MEDIAN_BANDWIDTH,
     AllPointsIdenticalError,
-    GramMatrix,
     KernelFamily,
     KernelSpec,
-    gram,
-    kernel_eval,
     median_heuristic,
     parse_kernel,
     resolve_bandwidth,
     strict_pd_witness,
 )
-from hsictest.kernels import _pairwise, as_points, gram_entries, psd_tolerance, spd_tolerance
+from hsictest.kernels import _pairwise, as_points, gram_entries, resolved_gram, spd_tolerance
 
 coords = st.floats(-20.0, 20.0, allow_nan=False, allow_infinity=False)
 bandwidths = st.floats(0.1, 10.0, allow_nan=False, allow_infinity=False)
@@ -104,36 +101,30 @@ class TestKernelSpec:
 
 
 class TestKernelEval:
+    """k(x, y) read off the 2 x 2 Gram of the pair [x, y]."""
+
     @given(vector_pairs(), families, bandwidths)
     def test_matches_scalar_formulas(self, pair, family, bw):
         x, y = pair
         spec = KernelSpec(family, bw)
         expected = oracles.kernel_value(family, bw, x, y)
-        assert kernel_eval(spec, x, y) == pytest.approx(expected, rel=1e-12, abs=1e-12)
+        assert gram_entries(spec, [x, y])[0, 1] == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
     @given(vector_pairs(), families, bandwidths)
     def test_symmetric_exactly(self, pair, family, bw):
-        x, y = pair
-        spec = KernelSpec(family, bw)
-        assert kernel_eval(spec, x, y) == kernel_eval(spec, y, x)
+        entries = gram_entries(KernelSpec(family, bw), list(pair))
+        assert entries[0, 1] == entries[1, 0]
 
     @given(vector_pairs(), st.sampled_from(["gaussian", "laplace"]), bandwidths)
     def test_bounded_and_one_on_diagonal(self, pair, family, bw):
-        x, _ = pair
-        spec = KernelSpec(family, bw)
-        assert kernel_eval(spec, x, x) == 1.0
+        entries = gram_entries(KernelSpec(family, bw), list(pair))
+        assert entries[0, 0] == entries[1, 1] == 1.0
         # Positive in exact arithmetic; far pairs may underflow to 0.0.
-        value = kernel_eval(spec, *pair)
-        assert 0.0 <= value <= 1.0
+        assert 0.0 <= entries[0, 1] <= 1.0
 
     def test_requires_resolved_bandwidth(self):
         with pytest.raises(ValueError, match="unresolved"):
-            kernel_eval(KernelSpec(KernelFamily.GAUSSIAN), 0.0, 1.0)
-
-    def test_dimension_mismatch(self):
-        spec = KernelSpec(KernelFamily.LINEAR)
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            kernel_eval(spec, [1.0, 2.0], [1.0])
+            gram_entries(KernelSpec(KernelFamily.GAUSSIAN), [0.0, 1.0])
 
 
 class TestAsPoints:
@@ -219,6 +210,20 @@ class TestGram:
             mirrored = np.triu(entries) + np.triu(entries, 1).T
             assert np.array_equal(mirrored, entries)
 
+    @pytest.mark.parametrize("family", ["gaussian", "laplace", "linear"])
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_resolved_gram_is_bitwise_the_separate_passes(self, family, d):
+        # One distance pass for the median and the Gram changes no bit of
+        # either, and the in-place Gaussian equals the out-of-place formula.
+        for n in (2, 39, 200):
+            pts = np.random.default_rng(n * d).normal(size=(n, d)) * 2.0 + 0.5
+            spec, entries = resolved_gram(KernelSpec(family), pts)
+            assert spec == resolve_bandwidth(KernelSpec(family), pts)
+            assert np.array_equal(entries, gram_entries(spec, pts))
+            if family == "gaussian":
+                formula = np.exp(_pairwise(pts, squared=True) / (-2.0 * spec.bandwidth**2))
+                assert np.array_equal(entries, formula)
+
     @given(point_clouds(max_points=15), st.sampled_from(["gaussian", "laplace"]), bandwidths)
     def test_unit_diagonal_exact(self, pts, family, bw):
         entries = gram_entries(KernelSpec(family, bw), pts)
@@ -226,8 +231,10 @@ class TestGram:
 
     @given(point_clouds(max_points=12), families, bandwidths)
     def test_psd_within_tolerance(self, pts, family, bw):
-        matrix = gram(KernelSpec(family, bw), pts)
-        assert matrix.min_eigenvalue() >= -psd_tolerance(matrix.entries)
+        entries = gram_entries(KernelSpec(family, bw), pts)
+        # A scale-aware floor: eigenvalue roundoff grows with n * max|entry|.
+        tolerance = 1e-8 * entries.shape[0] * np.abs(entries).max()
+        assert np.linalg.eigvalsh(entries)[0] >= -tolerance
 
     def test_one_dim_input_treated_as_scalars(self):
         a = gram_entries(KernelSpec("gaussian", 1.0), [0.0, 1.0])
@@ -237,17 +244,6 @@ class TestGram:
     def test_requires_resolved_bandwidth(self):
         with pytest.raises(ValueError, match="unresolved"):
             gram_entries(KernelSpec(KernelFamily.LAPLACE), [[0.0], [1.0]])
-
-    def test_gram_matrix_validation(self):
-        with pytest.raises(ValueError, match="square"):
-            GramMatrix(np.zeros((2, 3)))
-        with pytest.raises(ValueError, match="symmetric"):
-            GramMatrix(np.array([[1.0, 0.1], [0.2, 1.0]]))
-
-    def test_entries_read_only(self):
-        matrix = gram(KernelSpec("gaussian", 1.0), [[0.0], [1.0]])
-        with pytest.raises(ValueError):
-            matrix.entries[0, 0] = 2.0
 
 
 class TestStrictPdWitness:

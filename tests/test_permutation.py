@@ -22,6 +22,7 @@ from hsictest import (
     PermutationConfig,
     exhaustive_permutation_test,
     hsic_biased,
+    median_heuristic,
     p_value_from_null,
     permutation_test,
     power_experiment,
@@ -29,7 +30,7 @@ from hsictest import (
     sample,
 )
 from hsictest import cli, testing
-from hsictest.hsic import centered_gram_entries
+from hsictest.hsic import centered_gram_entries, centered_side
 from hsictest.rng import STREAM_PERMUTATION, rng_for
 from hsictest.testing import (
     EXHAUSTIVE_MAX_N,
@@ -56,7 +57,7 @@ def _ring(seed, n):
 
 def _grams(d, kx, ky):
     """Centered Grams, their scale max|Kc| * max|Lc|, and the null function a test picks."""
-    kc, lc = testing._centered_grams(d, kx, ky)
+    (_, kc), (_, lc) = centered_side(kx, d.x_points), centered_side(ky, d.y_points)
     kc_max, lc_max = float(np.abs(kc).max()), float(np.abs(lc).max())
     return kc, lc, kc_max * lc_max, testing._null_function(kc, lc, kc_max, lc_max)
 
@@ -497,6 +498,38 @@ class TestPermutationTest:
         )
         assert res.reject
 
+    def test_carries_the_resolved_kernels(self):
+        d = _random_dataset(3, 50)
+        cfg = PermutationConfig(20, 0.05, 0)
+        res = permutation_test(d, GAUSS_MEDIAN, LAPLACE_MEDIAN, cfg)
+        assert res.kernel_x == KernelSpec("gaussian", median_heuristic(d.x_points))
+        assert res.kernel_y == KernelSpec("laplace", median_heuristic(d.y_points))
+        assert permutation_test(d, KernelSpec("gaussian", 0.3), LINEAR, cfg).kernel_y == LINEAR
+        small = Dataset(d.x_points[:5], d.y_points[:5])
+        exact = exhaustive_permutation_test(small, GAUSS_MEDIAN, KernelSpec("laplace", 2.0), 0.05)
+        assert exact.kernel_x.bandwidth == median_heuristic(small.x_points)
+        assert exact.kernel_y == KernelSpec("laplace", 2.0)
+
+    @pytest.mark.parametrize(
+        "n,ky,path",
+        [
+            (200, KernelSpec("gaussian", 0.5), _factored_statistics),
+            (200, KernelSpec("laplace", 0.5), _permuted_statistics),
+            (25, KernelSpec("gaussian", 0.5), _permuted_statistics),
+        ],
+        ids=["factored", "dense", "batched"],
+    )
+    def test_inexactly_centered_constant_side_gives_p_one(self, n, ky, path):
+        # 3.7 repeated centers to a uniform ~1.8e-15 under a linear kernel at
+        # these n, not to 0; that residue must not make a null of roundoff
+        # noise with an arbitrary p-value, on any of the three null paths.
+        x = np.full(n, 3.7)
+        assert _grams(Dataset(x, _ring(0, n).y_points), LINEAR, ky)[3].func is path
+        for seed in range(40):
+            d = Dataset(x, _ring(seed, n).y_points)
+            res = permutation_test(d, LINEAR, ky, PermutationConfig(99, 0.05, seed))
+            assert res.p_value == 1.0 and res.statistic.raw == 0.0
+
 
 class TestExhaustive:
     @pytest.mark.parametrize("seed,n", [(11, 5), (12, 5), (13, 4)])
@@ -526,6 +559,12 @@ class TestExhaustive:
         linear = KernelSpec("linear")
         with pytest.raises(ArithmeticError, match="non-finite"):
             exhaustive_permutation_test(d, linear, linear, 0.05)
+
+    def test_inexactly_centered_constant_side_gives_p_one(self):
+        for seed in range(40):
+            d = Dataset(np.full(6, 3.7), _ring(seed, 6).y_points)
+            res = exhaustive_permutation_test(d, LINEAR, KernelSpec("gaussian", 0.5), 0.05)
+            assert res.p_value == 1.0 and res.statistic.raw == 0.0
 
     def test_size_limit(self):
         d = _random_dataset(0, EXHAUSTIVE_MAX_N + 1)
