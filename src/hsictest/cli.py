@@ -1,9 +1,12 @@
 """Command-line front end: CSV independence tests, the ring reproduction, and the oracle sweep.
 
 Thin orchestration over the library modules: all statistics come from
-library calls, the CLI only parses inputs and assembles reports.  One JSON
-document goes to stdout; human-readable notes go to stderr.  Exit codes:
-0 = ran, 2 = input error, 3 = internal numerical failure.
+library calls, the CLI only parses inputs and assembles reports.  Each
+command's handler returns its own report fields, and :func:`main` wraps them
+in the envelope every report shares: ``command``, ``version``, ``parameters``
+and ``duration_seconds``, in that order.  One JSON document goes to stdout;
+human-readable notes go to stderr.  Exit codes: 0 = ran, 2 = input error,
+3 = internal numerical failure.
 """
 
 from __future__ import annotations
@@ -25,9 +28,8 @@ from .datagen import (
     GeneratorSpec,
     enumerate_discrete,
     integer_supports,
-    theta,
 )
-from .hsic import Dataset, DiscreteJointDistribution, population_hsic
+from .hsic import Dataset, population_hsic, theta
 from .kernels import KernelFamily, KernelSpec, parse_kernel, resolve_bandwidth
 from .testing import PermutationConfig, permutation_test, power_experiment
 
@@ -94,13 +96,6 @@ def load_csv_columns(path: str, x_columns: list[str], y_columns: list[str]):
     return pull(x_columns), pull(y_columns)
 
 
-def _parse_kernel_flag(text: str) -> KernelSpec:
-    try:
-        return parse_kernel(text)
-    except ValueError as exc:
-        raise CliInputError(str(exc)) from exc
-
-
 def _columns_flag(text: str) -> list[str]:
     cols = [c.strip() for c in text.split(",") if c.strip()]
     if not cols:
@@ -108,56 +103,34 @@ def _columns_flag(text: str) -> list[str]:
     return cols
 
 
-def _emit(report: dict) -> None:
-    json.dump(report, sys.stdout, indent=2)
-    sys.stdout.write("\n")
-
-
-def _base_report(args, started: float) -> dict:
-    """The fields every report shares; ``parameters`` echoes every parsed flag."""
-    parameters = {k: v for k, v in vars(args).items() if k not in ("command", "handler")}
-    return {
-        "command": args.command,
-        "version": __version__,
-        "parameters": parameters,
-        "duration_seconds": time.perf_counter() - started,
-    }
-
-
 def cmd_test(args) -> dict:
-    started = time.perf_counter()
     args.x_columns = _columns_flag(args.x_columns)
     args.y_columns = _columns_flag(args.y_columns)
     x, y = load_csv_columns(args.csv, args.x_columns, args.y_columns)
     data = Dataset(x, y)
     if data.n == 2:
         _say("warning: n = 2 gives a vacuous permutation null (only 2 relabelings)")
-    kx = _parse_kernel_flag(args.kernel_x)
-    ky = _parse_kernel_flag(args.kernel_y)
+    kx = parse_kernel(args.kernel_x)
+    ky = parse_kernel(args.kernel_y)
     cfg = PermutationConfig(args.permutations, args.alpha, args.seed)
     result = permutation_test(data, kx, ky, cfg, threads=args.threads)
     _say(
         f"n={data.n} statistic={result.statistic.value:.6g} "
         f"p={result.p_value:.4g} reject={result.reject}"
     )
-    report = _base_report(args, started)
-    report.update(
-        {
-            "n": data.n,
-            "resolved_bandwidth_x": _bandwidth_or_none(result.kernel_x),
-            "resolved_bandwidth_y": _bandwidth_or_none(result.kernel_y),
-            "statistic": result.statistic.value,
-            "statistic_raw": result.statistic.raw,
-            "p_value": result.p_value,
-            "reject": result.reject,
-            "null_quantile": result.null_quantile,
-            "num_permutations": result.num_permutations,
-            "seed": result.seed,
-            "rng": result.rng,
-        }
-    )
-    report["duration_seconds"] = time.perf_counter() - started
-    return report
+    return {
+        "n": data.n,
+        "resolved_bandwidth_x": _bandwidth_or_none(result.kernel_x),
+        "resolved_bandwidth_y": _bandwidth_or_none(result.kernel_y),
+        "statistic": result.statistic.value,
+        "statistic_raw": result.statistic.raw,
+        "p_value": result.p_value,
+        "reject": result.reject,
+        "null_quantile": result.null_quantile,
+        "num_permutations": result.num_permutations,
+        "seed": result.seed,
+        "rng": result.rng,
+    }
 
 
 def _bandwidth_or_none(spec: KernelSpec):
@@ -165,7 +138,6 @@ def _bandwidth_or_none(spec: KernelSpec):
 
 
 def cmd_reproduce_ring(args) -> dict:
-    started = time.perf_counter()
     sampler = GeneratorSpec(
         GeneratorKind.RING_UNIFORM, seed=0, radius=args.radius, noise=args.noise
     )
@@ -178,8 +150,8 @@ def cmd_reproduce_ring(args) -> dict:
     for label, kx_text, ky_text in configurations:
         result = power_experiment(
             sampler,
-            _parse_kernel_flag(kx_text),
-            _parse_kernel_flag(ky_text),
+            parse_kernel(kx_text),
+            parse_kernel(ky_text),
             cfg,
             num_trials=args.trials,
             n=args.n,
@@ -195,16 +167,12 @@ def cmd_reproduce_ring(args) -> dict:
                 "p_values": list(result.p_values),
             }
         )
-    report = _base_report(args, started)
-    report["configurations"] = rows
-    report["duration_seconds"] = time.perf_counter() - started
-    return report
+    return {"configurations": rows}
 
 
 def cmd_oracle_sweep(args) -> dict:
-    started = time.perf_counter()
-    kx = _parse_kernel_flag(args.kernel_x)
-    ky = _parse_kernel_flag(args.kernel_y)
+    kx = parse_kernel(args.kernel_x)
+    ky = parse_kernel(args.kernel_y)
     distributions = enumerate_discrete(
         args.mx, args.my, args.resolution, centered_supports=args.centered_supports
     )
@@ -215,8 +183,8 @@ def cmd_oracle_sweep(args) -> dict:
     counterexamples = []
     both_characteristic = kx.claimed_characteristic and ky.claimed_characteristic
     x_support, y_support = integer_supports(args.mx, args.my, args.centered_supports)
-    kx_res = _resolve_on_support(kx, x_support)
-    ky_res = _resolve_on_support(ky, y_support)
+    kx_res = resolve_bandwidth(kx, x_support)
+    ky_res = resolve_bandwidth(ky, y_support)
     for dist in distributions:
         value = population_hsic(dist, kx_res, ky_res).value
         total += 1
@@ -247,33 +215,21 @@ def cmd_oracle_sweep(args) -> dict:
             else f"{len(counterexamples)} counterexample(s) with HSIC < {SWEEP_INDEPENDENT_MAX}"
         )
     )
-    report = _base_report(args, started)
-    report.update(
-        {
-            "resolved_bandwidth_x": _bandwidth_or_none(kx_res),
-            "resolved_bandwidth_y": _bandwidth_or_none(ky_res),
-            "total_distributions": total,
-            "dependent_distributions": dependent,
-            "independent_distributions": total - dependent,
-            "min_hsic_dependent": min_dependent,
-            "max_hsic_independent": max_independent,
-            "dependent_threshold": SWEEP_DEPENDENT_MIN,
-            "independent_threshold": SWEEP_INDEPENDENT_MAX,
-            "pass": verdict,
-        }
-    )
+    report = {
+        "resolved_bandwidth_x": _bandwidth_or_none(kx_res),
+        "resolved_bandwidth_y": _bandwidth_or_none(ky_res),
+        "total_distributions": total,
+        "dependent_distributions": dependent,
+        "independent_distributions": total - dependent,
+        "min_hsic_dependent": min_dependent,
+        "max_hsic_independent": max_independent,
+        "dependent_threshold": SWEEP_DEPENDENT_MIN,
+        "independent_threshold": SWEEP_INDEPENDENT_MAX,
+        "pass": verdict,
+    }
     if not both_characteristic:
         report["counterexamples"] = counterexamples
-    report["duration_seconds"] = time.perf_counter() - started
     return report
-
-
-def _resolve_on_support(spec: KernelSpec, support) -> KernelSpec:
-    if spec.is_resolved:
-        return spec
-    if support.shape[0] < 2:
-        raise CliInputError("median bandwidth needs at least 2 support points")
-    return resolve_bandwidth(spec, support)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -330,14 +286,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; print its fields in the shared envelope and return the exit code.
+
+    ``parameters`` echoes every parsed flag, as the handler left it.
+    """
     args = build_parser().parse_args(argv)
     if args.threads is None:
         args.threads = os.cpu_count() or 1
     if args.threads < 1:
         _say("error: --threads must be at least 1")
         return 2
+    started = time.perf_counter()
     try:
-        report = args.handler(args)
+        fields = args.handler(args)
     except CliInputError as exc:
         _say(f"error: {exc}")
         return 2
@@ -347,7 +308,15 @@ def main(argv=None) -> int:
     except ValueError as exc:
         _say(f"error: {exc}")
         return 2
-    _emit(report)
+    report = {
+        "command": args.command,
+        "version": __version__,
+        "parameters": {k: v for k, v in vars(args).items() if k not in ("command", "handler")},
+        "duration_seconds": time.perf_counter() - started,
+        **fields,
+    }
+    json.dump(report, sys.stdout, indent=2)
+    sys.stdout.write("\n")
     return 0
 
 

@@ -15,7 +15,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .hsic import Dataset, DiscreteJointDistribution, theta
+from .hsic import Dataset, DiscreteJointDistribution
 from .rng import STREAM_SAMPLER, rng_for
 
 TWO_PI = 2.0 * math.pi
@@ -145,16 +145,14 @@ def enumerate_discrete(
     m_x: int,
     m_y: int,
     grid_resolution: int,
-    include_dependent_only: bool = False,
     centered_supports: bool = False,
 ) -> Iterator[DiscreteJointDistribution]:
     """All joint pmfs on fixed grid supports with entries in {0, 1/R, ..., 1}.
 
     Yields one distribution per composition of R = ``grid_resolution`` into
-    m_x * m_y parts; with ``include_dependent_only``, product distributions
-    (max |theta| below ``DEPENDENCE_TOL``) are skipped.  A grid of more than
-    ``ENUMERATE_MAX_PMFS`` compositions, C(R + m_x*m_y - 1, m_x*m_y - 1),
-    raises ``ValueError`` before any pmf is built.
+    m_x * m_y parts.  A grid of more than ``ENUMERATE_MAX_PMFS``
+    compositions, C(R + m_x*m_y - 1, m_x*m_y - 1), raises ``ValueError``
+    before any pmf is built.
     """
     if not (1 <= m_x <= 4 and 1 <= m_y <= 4):
         raise ValueError("support sizes are limited to 1..4")
@@ -169,7 +167,4 @@ def enumerate_discrete(
     x_support, y_support = integer_supports(m_x, m_y, centered_supports)
     for counts in _compositions(grid_resolution, m_x * m_y):
         pmf = np.asarray(counts, dtype=float).reshape(m_x, m_y) / grid_resolution
-        dist = DiscreteJointDistribution(x_support, y_support, pmf)
-        if include_dependent_only and np.abs(theta(dist)).max() < DEPENDENCE_TOL:
-            continue
-        yield dist
+        yield DiscreteJointDistribution(x_support, y_support, pmf)

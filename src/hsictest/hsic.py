@@ -12,8 +12,10 @@ The empirical statistic is the standard biased V-statistic
 ``tr(K H L H) / n^2`` with centering matrix ``H = I - (1/n) 11'``.  Each side
 of a sample enters it, and the permutation null of :mod:`hsictest.testing`,
 through :func:`centered_side`: the one place a kernel spec and a point set
-become a resolved spec and a centered Gram, with a side that is constant to
-working precision centered to exact zero.
+become a resolved spec, a centered Gram and that Gram's scale ``max|HKH|``,
+with a side that is constant to working precision centered to exact zero.
+The statistic's roundoff scale and the permutation null's factoring floor are
+both read off that returned scale, never recomputed from the Gram.
 
 With both kernels characteristic the population value is zero iff the
 distribution is an exact product (independence); with a non-characteristic
@@ -185,25 +187,28 @@ def _double_center(entries: np.ndarray) -> np.ndarray:
     return entries
 
 
-def centered_side(spec: KernelSpec, points) -> tuple[KernelSpec, np.ndarray]:
-    """One side of a test: ``spec`` resolved on ``points``, and H K H for its Gram K.
+def centered_side(spec: KernelSpec, points) -> tuple[KernelSpec, np.ndarray, float]:
+    """One side of a test: ``spec`` resolved on ``points``, H K H for its Gram K, and max|H K H|.
 
     The one place a sample becomes a centered Gram.  A median bandwidth is
     resolved here, from the same pairwise distances as the Gram.  A centered
     Gram no larger than the roundoff of the uncentered one, ``max|HKH| <= n *
-    eps * max(diag K)`` (the diagonal bounds a PSD Gram), is set to exact zero:
-    that side is constant to working precision, and leaving the residue would
-    make the statistic and every permuted one roundoff noise.  A non-finite
-    Gram is returned as is, for the statistic's own check to refuse.
+    eps * max(diag K)`` (the diagonal bounds a PSD Gram), is set to exact zero
+    and its scale to 0.0: that side is constant to working precision, and
+    leaving the residue would make the statistic and every permuted one
+    roundoff noise.  A non-finite Gram is returned as is, with a NaN scale,
+    for the statistic's own check to refuse.
     """
     pts = as_points(points)
     with np.errstate(over="ignore", invalid="ignore"):
         spec, entries = resolved_gram(spec, pts)
         floor = pts.shape[0] * _EPS * entries.diagonal().max()
         _double_center(entries)
-        if np.abs(entries).max() <= floor:
+        scale = float(np.abs(entries).max())
+        if scale <= floor:
             entries.fill(0.0)
-    return spec, entries
+            scale = 0.0
+    return spec, entries, scale
 
 
 def centered_gram_entries(spec: KernelSpec, points) -> np.ndarray:
@@ -231,7 +236,6 @@ def hsic_biased(data: Dataset, kx: KernelSpec, ky: KernelSpec) -> HsicValue:
     """
     if data.n < 2:
         raise ValueError("hsic_biased needs at least 2 paired samples")
-    _, kc = centered_side(kx, data.x_points)
-    _, lc = centered_side(ky, data.y_points)
-    scale = float(np.abs(kc).max() * np.abs(lc).max())
-    return HsicValue.from_raw(centered_product(kc, lc), Estimator.BIASED_V, scale)
+    _, kc, kc_max = centered_side(kx, data.x_points)
+    _, lc, lc_max = centered_side(ky, data.y_points)
+    return HsicValue.from_raw(centered_product(kc, lc), Estimator.BIASED_V, kc_max * lc_max)

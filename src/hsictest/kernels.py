@@ -8,10 +8,18 @@ Conventions (stated because they differ across the literature):
 
 Gaussian and Laplace are characteristic, translation-invariant c0-kernels on
 R^d; the linear kernel is neither translation invariant nor characteristic and
-is carried as the canonical failure-mode kernel.  On a finite support,
-characteristicness reduces to strict positive definiteness of the Gram matrix
-(the embedding of signed measures on the support is injective iff the Gram
-matrix has no null directions), which is what :func:`strict_pd_witness` probes.
+is carried as the canonical failure-mode kernel.
+
+A kernel is characteristic when its mean embedding is injective on probability
+measures; that is the property the test needs of each marginal kernel.  Two
+distributions on a finite support differ by a signed measure with total mass
+zero, so on that support the kernel is characteristic iff ``c' K c > 0`` for
+every nonzero coefficient vector c whose entries sum to zero.  Strict positive
+definiteness of the Gram matrix, which :func:`strict_pd_witness` probes, asks
+this of every nonzero c: it is sufficient, not necessary.  The linear kernel on
+{0, 1} is not strictly positive definite, yet it separates the distributions
+there: its one null direction (1, 0) has mass 1, and the zero-sum direction
+(1, -1) / sqrt(2) gives ``c' K c = 0.5``.
 """
 
 from __future__ import annotations
@@ -213,12 +221,13 @@ def spd_tolerance(entries: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class StrictPdWitness:
-    """Outcome of the finite-support characteristicness probe.
+    """Outcome of the finite-support strict positive definiteness probe.
 
     When ``strictly_pd`` is false, ``witness`` is a unit-norm coefficient
     vector c with c' K c = min_eigenvalue: a signed measure on the support
-    whose kernel embedding has near-zero norm, i.e. a concrete injectivity
-    failure on this support.
+    whose kernel embedding has near-zero norm.  It shows that the kernel
+    fails to separate two distributions only when its entries sum to zero;
+    otherwise it only shows that the Gram matrix is singular.
     """
 
     strictly_pd: bool
@@ -228,20 +237,21 @@ class StrictPdWitness:
 
 
 def strict_pd_witness(spec: KernelSpec, support) -> StrictPdWitness:
-    """Probe whether ``spec`` separates signed measures on a finite support.
+    """Probe whether ``spec`` separates all signed measures on a finite support.
 
-    The support points must be pairwise distinct; the Gram matrix of a
-    characteristic kernel on distinct points is strictly positive definite,
-    so a null (or near-null) direction certifies a non-characteristic kernel
-    on that support.
+    The support points must be pairwise distinct.  A strictly positive
+    definite Gram matrix is sufficient for the kernel to be characteristic on
+    the support, not necessary: characteristicness concerns only signed
+    measures whose entries sum to zero (see the module docstring), so a
+    near-null direction shows a failure only when its entries sum to zero.
+    A median bandwidth is resolved from the same distance pass as the Gram.
     """
     pts = as_points(support)
     if np.unique(pts, axis=0).shape[0] != pts.shape[0]:
         raise ValueError("support points must be pairwise distinct")
-    resolved = resolve_bandwidth(spec, pts) if pts.shape[0] > 1 else spec
-    if not resolved.is_resolved:
+    if pts.shape[0] < 2 and not spec.is_resolved:
         raise ValueError("cannot resolve bandwidth on a single support point")
-    entries = gram_entries(resolved, pts)
+    _, entries = resolved_gram(spec, pts)
     eigenvalues, eigenvectors = np.linalg.eigh(entries)
     lam_min = float(eigenvalues[0])
     tol = spd_tolerance(entries)

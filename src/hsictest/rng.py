@@ -3,12 +3,16 @@
 Every random draw in the package comes from a Philox generator keyed by the
 user seed plus a (stream, index) tag, so replicates are reproducible and
 schedule-independent: trial t of an experiment gets the same bits no matter
-what ran before it or in parallel with it.  Permutation replicates share one
-cell and are addressed by word offset inside it (see ``RNG_SCHEME``); Philox
-is counter-based, so any offset is reachable without drawing what precedes it.
+what ran before it or in parallel with it.  The seed is one key word, taken
+as is: it must lie in [0, 2**64), so distinct seeds never share a stream.
+Permutation replicates share one cell and are addressed by word offset inside
+it (see ``RNG_SCHEME``); Philox is counter-based, so any offset is reachable
+without drawing what precedes it.
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -26,15 +30,25 @@ RNG_SCHEME = (
     "permutation b = stable argsort of raw words [b*n, (b+1)*n) of (seed, 2, 0)"
 )
 
-_MASK64 = (1 << 64) - 1
+# Seeds are refused from here up, not masked: a masked seed aliases a smaller one.
+SEED_BOUND = 1 << 64
+
 _MASK48 = (1 << 48) - 1
 
 
 def rng_for(seed: int, stream: int, index: int = 0) -> np.random.Generator:
-    """Generator for one (seed, stream, index) cell of the key space."""
+    """Generator for one (seed, stream, index) cell of the key space.
+
+    Raises ``TypeError`` for a seed that is not an integer and ``ValueError``
+    for one outside [0, 2**64).
+    """
+    seed = operator.index(seed)
+    if not 0 <= seed < SEED_BOUND:
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed}")
     if index < 0:
         raise ValueError("index must be non-negative")
-    key = [seed & _MASK64, ((stream & 0xFFFF) << 48) | (index & _MASK48)]
+    # A list would hold a seed from 2**63 up as a float64, which rounds it.
+    key = np.array([seed, ((stream & 0xFFFF) << 48) | (index & _MASK48)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 

@@ -1,13 +1,13 @@
 """Permutation-based calibration of HSIC statistics.
 
 The null distribution comes from relabeling one side: each side is prepared
-once on the observed data by ``hsic.centered_side`` (median bandwidth, Gram
-and centering), and each replicate reindexes the centered y-side matrix by a
-random permutation.  That is exact, not an approximation: H commutes with
-permutation matrices, so reindexing HLH equals recomputing H L_pi H.  Both
-tests share one body and report the resolved kernels in ``TestResult``.  A
-constant side is centered to exact zero, so its statistic and every replicate
-are 0 and p = 1 on every path.
+once on the observed data by ``hsic.centered_side`` (median bandwidth, Gram,
+centering and the scale ``max|HKH|``), and each replicate reindexes the
+centered y-side matrix by a random permutation.  That is exact, not an
+approximation: H commutes with permutation matrices, so reindexing HLH equals
+recomputing H L_pi H.  Both tests share one body and report the resolved
+kernels in ``TestResult``.  A constant side is centered to exact zero, so its
+statistic and every replicate are 0 and p = 1 on every path.
 
 p-values use the add-one estimator (1 + #{T_b >= T_0}) / (B + 1), counting
 ties as exceedances; it never returns 0 and stays valid under exchangeability.
@@ -32,14 +32,15 @@ reduction by construction:
   2002), ``Kc ~= Fx Fx'`` and ``Lc ~= Fy Fy'``, and replicate p is
   ``||Fx' Fy[p]||_F^2 / n^2`` (the factored form of Zhang, Filippi, Gretton &
   Sejdinovic 2018), one small matrix product per replicate.  Factoring stops
-  once no residual diagonal exceeds ``n * eps * max|entry|``.  The residual
-  R is positive semidefinite with trace at most ``n^2 * eps * max|entry|``,
-  and ``|tr(R M)| <= tr(R) * ||M||_2`` with ``||Lc||_2 <= n * max|Lc|``, so
-  each side moves every replicate by at most ``n * eps * scale`` (``scale =
-  max|Kc| * max|Lc|``), about ``2 * n * eps * scale`` for both: roundoff, not
-  approximation.  A side needing more than ``FACTOR_RANK_CAP_PER_ROOT *
-  isqrt(n)`` pivots is not low rank enough for factoring to pay, and the
-  test takes the dense path.
+  once no residual diagonal exceeds ``n * eps * max|entry|``, where
+  ``max|entry|`` is the scale ``centered_side`` returned with the Gram.  The
+  residual R is positive semidefinite with trace at most ``n^2 * eps *
+  max|entry|``, and ``|tr(R M)| <= tr(R) * ||M||_2`` with ``||Lc||_2 <= n *
+  max|Lc|``, so each side moves every replicate by at most ``n * eps * scale``
+  (``scale = max|Kc| * max|Lc|``), about ``2 * n * eps * scale`` for both:
+  roundoff, not approximation.  A side needing more than
+  ``FACTOR_RANK_CAP_PER_ROOT * isqrt(n)`` pivots is not low rank enough for
+  factoring to pay, and the test takes the dense path.
 * Dense, from ``TAKE_MIN_N`` on otherwise: each replicate is a row ``take``
   then a column ``take`` of the centered y-side Gram, reduced by
   ``hsic.centered_product``.
@@ -66,6 +67,7 @@ from .hsic import Dataset, Estimator, HsicValue, centered_product, centered_side
 from .kernels import KernelSpec
 from .rng import (
     RNG_SCHEME,
+    SEED_BOUND,
     STREAM_PERMUTATION,
     STREAM_TRIAL_DATA,
     STREAM_TRIAL_TEST,
@@ -114,8 +116,8 @@ class PermutationConfig:
             raise ValueError("num_permutations must be at least 1")
         if not (0.0 < self.alpha < 1.0):
             raise ValueError("alpha must lie strictly between 0 and 1")
-        if self.seed < 0:
-            raise ValueError("seed must be a non-negative integer")
+        if not 0 <= self.seed < SEED_BOUND:
+            raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -314,9 +316,8 @@ def _calibrated(
     identity permutation, so an identity replicate reproduces it bitwise on
     every path.
     """
-    kx, kc = centered_side(kx, data.x_points)
-    ky, lc = centered_side(ky, data.y_points)
-    kc_max, lc_max = float(np.abs(kc).max()), float(np.abs(lc).max())
+    kx, kc, kc_max = centered_side(kx, data.x_points)
+    ky, lc, lc_max = centered_side(ky, data.y_points)
     statistics = _null_function(kc, lc, kc_max, lc_max)
     identity = np.arange(data.n, dtype=np.intp)[None, :]
     observed = HsicValue.from_raw(
@@ -403,7 +404,7 @@ def power_experiment(
     cfg: PermutationConfig,
     num_trials: int,
     n: int,
-    threads: int | None = 1,
+    threads: int = 1,
 ) -> PowerResult:
     """Rejection rate of the permutation test over independent sampler draws.
 
@@ -413,7 +414,7 @@ def power_experiment(
     """
     if num_trials < 1:
         raise ValueError("num_trials must be at least 1")
-    workers = _pool_size(1 if threads is None else threads, num_trials)
+    workers = _pool_size(threads, num_trials)
 
     def one_trial(t: int) -> float:
         data_spec = replace(sampler, seed=derive_seed(cfg.seed, STREAM_TRIAL_DATA, t))

@@ -310,6 +310,14 @@ class TestOracleSweepCommand:
         assert code == 2
         assert report is None
 
+    def test_median_bandwidth_on_one_support_point_exits_2(self, capsys):
+        code, report, err = run_cli(
+            ["oracle-sweep", "--mx", "1", "--kernel-x", "gaussian:median"], capsys
+        )
+        assert code == 2
+        assert report is None
+        assert "at least 2 points" in err
+
     @pytest.mark.parametrize("flag", ["--seed", "--permutations", "--alpha"])
     def test_calibration_flags_refused(self, capsys, flag):
         # The sweep is exact and draws nothing: it has no null to size,
@@ -338,6 +346,44 @@ def test_parameters_echo_every_flag(ring_csv, capsys, argv):
     if argv[0] == "test":
         assert report["parameters"]["x_columns"] == ["x", "y"]
         assert report["parameters"]["y_columns"] == ["y"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["test", "--x-columns", "x", "--y-columns", "y"],
+        ["reproduce-ring", "--n", "8", "--trials", "2"],
+    ],
+    ids=["test", "reproduce-ring"],
+)
+@pytest.mark.parametrize("seed", [2**64, 2**64 + 5])
+def test_seed_from_2_to_the_64_exits_2(ring_csv, capsys, argv, seed):
+    # Masked to 64 bits, these seeds ran seed 0's and seed 5's draws.
+    if argv[0] == "test":
+        argv = argv[:1] + [ring_csv] + argv[1:]
+    code, report, err = run_cli(argv + ["--seed", str(seed), "--permutations", "10"], capsys)
+    assert code == 2
+    assert report is None
+    assert "2**64" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["test", "--x-columns", "x", "--y-columns", "y", "--permutations", "10"],
+        ["reproduce-ring", "--n", "8", "--trials", "2", "--permutations", "10"],
+        ["oracle-sweep", "--resolution", "2"],
+    ],
+    ids=["test", "reproduce-ring", "oracle-sweep"],
+)
+def test_envelope_leads_every_report(ring_csv, capsys, argv):
+    if argv[0] == "test":
+        argv = argv[:1] + [ring_csv] + argv[1:]
+    code, report, _ = run_cli(argv, capsys)
+    assert code == 0
+    keys = list(report)
+    assert keys[:4] == ["command", "version", "parameters", "duration_seconds"]
+    assert len(keys) > 4
 
 
 class TestExitCodes:

@@ -21,7 +21,6 @@ from hsictest import (
     theta,
 )
 from hsictest import datagen
-from hsictest.datagen import DEPENDENCE_TOL
 
 
 class TestGeneratorSpec:
@@ -195,15 +194,6 @@ class TestEnumerateDiscrete:
         target = np.array([[0.5, 0.0], [0.0, 0.5]])
         assert any(
             np.array_equal(d.pmf, target) for d in enumerate_discrete(2, 2, 4)
-        )
-
-    def test_dependent_only_filter(self):
-        full = list(enumerate_discrete(2, 2, 4))
-        dependent = list(enumerate_discrete(2, 2, 4, include_dependent_only=True))
-        assert len(full) == 35
-        assert len(dependent) == 18
-        assert all(
-            np.abs(theta(d)).max() >= DEPENDENCE_TOL for d in dependent
         )
 
     def test_centered_supports_flag(self):

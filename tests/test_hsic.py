@@ -22,7 +22,7 @@ from hsictest import (
     theta,
 )
 from hsictest import kernels
-from hsictest.hsic import centered_gram_entries
+from hsictest.hsic import centered_gram_entries, centered_side
 
 GAUSS1 = KernelSpec("gaussian", 1.0)
 LAPLACE1 = KernelSpec("laplace", 1.0)
@@ -250,6 +250,14 @@ class TestBiasedEstimator:
         assert hsic_biased(d, gm, gm).raw > 0.0
         assert calls == [True, True]
 
+    def test_two_full_abs_passes(self, abs_shapes):
+        # One max|HKH| pass per side, taken by centered_side and returned
+        # with the Gram; the statistic's scale does not rescan the Grams.
+        d = sample(GeneratorSpec(GeneratorKind.RING_UNIFORM, seed=0), 200)
+        gm = KernelSpec("gaussian")
+        hsic_biased(d, gm, gm)
+        assert abs_shapes.count((200, 200)) == 2
+
     def test_median_resolution_matches_manual(self):
         rng = np.random.default_rng(1)
         d = Dataset(rng.normal(size=(20, 2)), rng.normal(size=(20, 1)))
@@ -314,3 +322,22 @@ class TestBiasedEstimator:
         for seed in (0, 1, 2):
             d = sample(GeneratorSpec(GeneratorKind.RING_UNIFORM, seed=seed), 512)
             assert hsic_biased(d, gm, gm).value > 1e-3
+
+
+class TestCenteredSide:
+    @pytest.mark.parametrize(
+        "spec", [KernelSpec("gaussian"), KernelSpec("laplace"), LINEAR], ids=KernelSpec.describe
+    )
+    def test_scale_is_the_max_abs_entry_bitwise(self, spec):
+        pts = np.random.default_rng(3).normal(size=(50, 2))
+        _, kc, scale = centered_side(spec, pts)
+        assert type(scale) is float
+        assert scale > 0.0
+        assert scale == float(np.abs(kc).max())
+
+    def test_constant_side_has_scale_zero(self):
+        # 3.7 does not center exactly under a linear kernel; the residue is
+        # cleared and the scale reports the cleared Gram.
+        _, kc, scale = centered_side(LINEAR, np.full((6, 1), 3.7))
+        assert scale == 0.0
+        assert not kc.any()

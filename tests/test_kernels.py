@@ -17,6 +17,7 @@ from hsictest import (
     resolve_bandwidth,
     strict_pd_witness,
 )
+from hsictest import kernels
 from hsictest.kernels import _pairwise, as_points, gram_entries, resolved_gram, spd_tolerance
 
 coords = st.floats(-20.0, 20.0, allow_nan=False, allow_infinity=False)
@@ -283,6 +284,28 @@ class TestStrictPdWitness:
     def test_median_sentinel_resolved_internally(self):
         w = strict_pd_witness(KernelSpec("gaussian"), [0.0, 1.0, 5.0])
         assert w.strictly_pd
+
+    def test_one_distance_pass_for_a_median_gaussian(self, monkeypatch):
+        # The median bandwidth and the Gram share one pairwise-distance pass.
+        calls = []
+        monkeypatch.setattr(
+            kernels, "_pairwise", lambda pts, squared: calls.append(squared) or _pairwise(pts, squared)
+        )
+        assert strict_pd_witness(KernelSpec("gaussian"), [0.0, 1.0, 5.0]).strictly_pd
+        assert calls == [True]
+
+    def test_singular_gram_need_not_mean_non_characteristic(self):
+        # The linear kernel on {0, 1} is not strictly pd, but its null
+        # direction (1, 0) has mass 1, so it is no pair of distributions.
+        # The only zero-sum direction, (1, -1)/sqrt(2), has c'Kc = 0.5 > 0:
+        # the kernel separates the distributions on {0, 1}.
+        linear = KernelSpec("linear")
+        w = strict_pd_witness(linear, [0.0, 1.0])
+        assert not w.strictly_pd
+        assert np.abs(w.witness) == pytest.approx([1.0, 0.0], abs=1e-15)
+        assert abs(w.witness.sum()) == pytest.approx(1.0, abs=1e-15)
+        c = np.array([1.0, -1.0]) / np.sqrt(2.0)
+        assert c @ gram_entries(linear, [0.0, 1.0]) @ c == pytest.approx(0.5, abs=1e-15)
 
     def test_duplicate_support_points_rejected(self):
         with pytest.raises(ValueError, match="distinct"):

@@ -57,8 +57,8 @@ def _ring(seed, n):
 
 def _grams(d, kx, ky):
     """Centered Grams, their scale max|Kc| * max|Lc|, and the null function a test picks."""
-    (_, kc), (_, lc) = centered_side(kx, d.x_points), centered_side(ky, d.y_points)
-    kc_max, lc_max = float(np.abs(kc).max()), float(np.abs(lc).max())
+    _, kc, kc_max = centered_side(kx, d.x_points)
+    _, lc, lc_max = centered_side(ky, d.y_points)
     return kc, lc, kc_max * lc_max, testing._null_function(kc, lc, kc_max, lc_max)
 
 
@@ -70,11 +70,17 @@ class TestPermutationConfig:
             dict(num_permutations=100, alpha=0.0, seed=0),
             dict(num_permutations=100, alpha=1.0, seed=0),
             dict(num_permutations=100, alpha=0.05, seed=-1),
+            # Masked to 64 bits, these would run seed 0's and seed 5's tests.
+            dict(num_permutations=100, alpha=0.05, seed=2**64),
+            dict(num_permutations=100, alpha=0.05, seed=2**64 + 5),
         ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             PermutationConfig(**kwargs)
+
+    def test_largest_seed_accepted(self):
+        assert PermutationConfig(100, 0.05, 2**64 - 1).seed == 2**64 - 1
 
 
 class TestPValueFromNull:
@@ -151,6 +157,27 @@ class TestDrawPermutations:
         words = bit_generator.random_raw(offset + n)[offset:]
         row = np.argsort(words, kind="stable")
         assert np.array_equal(row, _draw_permutations(seed, b + 1, n)[b])
+
+    @pytest.mark.parametrize("seed", [2**64, 2**64 + 5, -1])
+    def test_seed_outside_64_bits_refused(self, seed):
+        # A masked seed would alias one inside [0, 2**64): 2**64 + 5 to 5,
+        # -1 to 2**64 - 1.
+        with pytest.raises(ValueError, match=r"2\*\*64"):
+            rng_for(seed, STREAM_PERMUTATION, 0)
+
+    def test_non_integer_seed_refused(self):
+        # Cast into the uint64 key, 1.5 would run seed 1's stream.
+        with pytest.raises(TypeError):
+            rng_for(1.5, STREAM_PERMUTATION, 0)
+
+    def test_seeds_from_2_to_the_63_key_their_own_streams(self):
+        # Held as float64, 2**63 + 1 rounded to 2**63, and 2**64 - 1 and
+        # 2**64 - 2 overflowed to seed 0's key.
+        seeds = [0, 2**63, 2**63 + 1, 2**64 - 2, 2**64 - 1]
+        words = {
+            int(rng_for(s, STREAM_PERMUTATION, 0).bit_generator.random_raw()) for s in seeds
+        }
+        assert len(words) == len(seeds)
 
 
 class TestPermutedStatistics:
@@ -467,6 +494,13 @@ class TestPermutationTest:
         assert res.reject == (res.p_value <= res.alpha)
         assert np.isfinite(res.null_quantile)
         assert "Philox" in res.rng
+
+    def test_two_full_abs_passes(self, abs_shapes):
+        # The statistic's scale and the factoring floors use the max|HKH|
+        # that centered_side returns: one pass per side, no rescan.
+        d = _ring(0, 200)
+        permutation_test(d, GAUSS_MEDIAN, GAUSS_MEDIAN, PermutationConfig(50, 0.05, 0))
+        assert abs_shapes.count((200, 200)) == 2
 
     def test_needs_two_samples(self):
         with pytest.raises(ValueError, match="at least 2"):

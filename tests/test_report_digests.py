@@ -1,0 +1,49 @@
+"""Every report of the ``scripts/report_digests.py`` corpus, pinned bit for bit.
+
+A change that moves any reported number, even in the last bit, fails here.
+The digests were taken with numpy 2.4.6 on OpenBLAS 0.3.31 (scipy-openblas,
+x86-64); another BLAS may move low-rank statistics in the last bits.  To see
+the current digests, run ``PYTHONPATH=src python3 scripts/report_digests.py``.
+"""
+
+import importlib.util
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "report_digests.py"
+
+# One digest per corpus command, in corpus order.
+EXPECTED = [
+    "32f2e3d25e9f28766ed76e5ef1b38a4fe0905cd6c787a8159b1b0f293df2eba8",  # test ring_8 y gaussian:median
+    "1a44309da3fa576cbb8031cfc99097cbda60145c97b565931f7d1111ea4d7a2a",  # test ring_8 y linear
+    "ade37b84da9dcae34d443ec30d88113ee156e79639437b6b55057da448c12f74",  # test ring_8 y laplace:median
+    "f84b1c8c96fbd70eb7df06dbaa0ce7dfa486fb985276fa897de0cd42d69493a4",  # test ring_39 y gaussian:median
+    "7d77904d9413cfacf0cb501756899f89b9a7c4097086e96705966713f935f1f4",  # test ring_39 y linear
+    "aa4ce27ce31e31d6fc22b26900ad220e505c9f658e68a3c02e2ab7b5f1ce285d",  # test ring_39 y laplace:median
+    "328f88ad920de628db21f0596e81b741ae715025dc342af22c0ee4e6feb26c4e",  # test ring_40 y gaussian:median
+    "b1e71782ed26edc579dad61b36b2b20037701b5239370fe3a3278e070d1025de",  # test ring_40 y linear
+    "07d8767da26c5b09ce0636f869a6b5e263662637b1da37536a3bf2b2aea9e297",  # test ring_40 y laplace:median
+    "754f75eb8a400d1109ebd41823c43eb20f1d279109b8361d474911ea831fa2fa",  # test ring_200 y gaussian:median
+    "f530d753bc8c1198376ad68569096f2dbe2fd02babc83c2ea73c0545027e493b",  # test ring_200 y linear
+    "a644630eb74fbad7ac6b520016aa0130c611f4f81e19f33412dbf9be83a29f4e",  # test ring_200 y laplace:median
+    "19326259bea15622c5063a282e3d54d3a266d6c9d08c71ab2b41777b18678423",  # test ring_1000 y gaussian:median
+    "6499d60c94b470eae4cf3deabe2e6cf1a011891d6daee6d561122fface2642b2",  # test ring_1000 y linear
+    "228537a7ba587a6f7afedab4c96f0aac2126e48fc1b9944b2efbbaefdd7d69d3",  # test ring_1000 y laplace:median
+    "2021b91567c104cdae878e00cfdf9db37c22ceebb4aaab3326aeb8fda5a6f298",  # reproduce-ring n=8
+    "15c81290a06b8be17539274518424656ca4d811cfc0fd3f40761a7906ff91ad4",  # reproduce-ring n=45
+    "f982955f69a033f6daaf9b4075072d42b4e0336373dedc496da689ed96e6b36c",  # oracle-sweep y gaussian:median
+    "1803cf1abb22bb59c1ae803f30eefae42dd2fddf56adfd9bcae408e339cf496d",  # oracle-sweep y linear centered
+]
+
+
+def test_every_corpus_report_is_bitwise_unchanged(tmp_path):
+    spec = importlib.util.spec_from_file_location("report_digests", SCRIPT)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    commands = script.corpus(tmp_path)
+    assert len(commands) == len(EXPECTED)
+    changed = [
+        " ".join(argv)
+        for argv, expected in zip(commands, EXPECTED)
+        if script.digest(argv) != expected
+    ]
+    assert not changed, f"reports changed: {changed}"
