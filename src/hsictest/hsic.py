@@ -187,24 +187,29 @@ def _double_center(entries: np.ndarray) -> np.ndarray:
     return entries
 
 
-def centered_side(spec: KernelSpec, points) -> tuple[KernelSpec, np.ndarray, float]:
+def centered_side(
+    spec: KernelSpec, points, out: np.ndarray | None = None, scratch: np.ndarray | None = None
+) -> tuple[KernelSpec, np.ndarray, float]:
     """One side of a test: ``spec`` resolved on ``points``, H K H for its Gram K, and max|H K H|.
 
-    The one place a sample becomes a centered Gram.  A median bandwidth is
-    resolved here, from the same pairwise distances as the Gram.  A centered
-    Gram no larger than the roundoff of the uncentered one, ``max|HKH| <= n *
-    eps * max(diag K)`` (the diagonal bounds a PSD Gram), is set to exact zero
-    and its scale to 0.0: that side is constant to working precision, and
-    leaving the residue would make the statistic and every permuted one
-    roundoff noise.  A non-finite Gram is returned as is, with a NaN scale,
-    for the statistic's own check to refuse.
+    The one place a sample becomes a centered Gram.  It is built and centered
+    in ``out``, an n x n float buffer the caller owns (a new one when None);
+    a median bandwidth is resolved here, from the same pairwise distances as
+    the Gram, with ``scratch`` as the median's buffer of n(n-1)/2 floats.  A
+    centered Gram no larger than the roundoff of the uncentered one,
+    ``max|HKH| <= n * eps * max(diag K)`` (the diagonal bounds a PSD Gram),
+    is set to exact zero and its scale to 0.0: that side is constant to
+    working precision, and leaving the residue would make the statistic and
+    every permuted one roundoff noise.  A non-finite Gram is returned as is,
+    with a NaN scale, for the statistic's own check to refuse.
     """
     pts = as_points(points)
     with np.errstate(over="ignore", invalid="ignore"):
-        spec, entries = resolved_gram(spec, pts)
+        spec, entries = resolved_gram(spec, pts, out, scratch)
         floor = pts.shape[0] * _EPS * entries.diagonal().max()
         _double_center(entries)
-        scale = float(np.abs(entries).max())
+        # Equals np.abs(entries).max(), NaN included, without an n x n temporary.
+        scale = float(max(entries.max(), -entries.min()))
         if scale <= floor:
             entries.fill(0.0)
             scale = 0.0

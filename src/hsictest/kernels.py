@@ -120,25 +120,45 @@ def as_points(points) -> np.ndarray:
     return arr
 
 
-def _pairwise(pts: np.ndarray, squared: bool) -> np.ndarray:
-    """Full matrix of pairwise squared-Euclidean (or cityblock) distances.
+# Coordinates after the first are differenced in row blocks of at most this
+# many floats, so the one diff buffer stays small whatever n is.
+_DIFF_BLOCK_FLOATS = 1 << 16
 
-    Coordinates are accumulated one column at a time, in order, which is the
-    summation order of scipy's ``pdist``/``cdist``; the results agree bitwise
-    (a single ``einsum`` over the coordinate axis does not, from d = 3 on).
-    Entry (i, j) and entry (j, i) are computed from the same terms, so the
-    matrix is exactly symmetric.
+
+def _pairwise(pts: np.ndarray, squared: bool, out: np.ndarray | None = None) -> np.ndarray:
+    """Full matrix of pairwise squared-Euclidean (or cityblock) distances, in ``out``.
+
+    ``out`` is an n x n float buffer the caller owns (a new one when None).
+    The first coordinate is written straight into it; each later one is added
+    in row blocks through one small diff buffer.  Coordinates are accumulated
+    one column at a time, in order, which is the summation order of scipy's
+    ``pdist``/``cdist``; the results agree bitwise (a single ``einsum`` over
+    the coordinate axis does not, from d = 3 on).  Entry (i, j) and entry
+    (j, i) are computed from the same terms, so the matrix is exactly
+    symmetric.
     """
     n = pts.shape[0]
-    out = np.zeros((n, n))
-    for col in pts.T:
-        diff = col[:, None] - col[None, :]
-        if squared:
-            diff *= diff
-        else:
-            np.abs(diff, out=diff)
-        out += diff
+    if out is None:
+        out = np.empty((n, n))
+    cols = pts.T
+    np.subtract(cols[0][:, None], cols[0][None, :], out=out)
+    _square_or_abs(out, squared)
+    rows = max(1, _DIFF_BLOCK_FLOATS // n)
+    diff = np.empty((min(rows, n), n)) if len(cols) > 1 else None
+    for col in cols[1:]:
+        for lo in range(0, n, rows):
+            d = diff[: min(rows, n - lo)]
+            np.subtract(col[lo : lo + rows, None], col[None, :], out=d)
+            _square_or_abs(d, squared)
+            out[lo : lo + rows] += d
     return out
+
+
+def _square_or_abs(diff: np.ndarray, squared: bool) -> None:
+    if squared:
+        np.multiply(diff, diff, out=diff)
+    else:
+        np.abs(diff, out=diff)
 
 
 def median_heuristic(points) -> float:
@@ -150,15 +170,35 @@ def median_heuristic(points) -> float:
     return _median_of_squared(_pairwise(as_points(points), squared=True))
 
 
-def _median_of_squared(sq: np.ndarray) -> float:
-    """:func:`median_heuristic` from the full matrix of squared pairwise distances."""
+def _median_of_squared(sq: np.ndarray, scratch: np.ndarray | None = None) -> float:
+    """:func:`median_heuristic` from the full matrix of squared pairwise distances.
+
+    The strict upper triangle is copied row by row into ``scratch``, a buffer
+    of n(n-1)/2 floats the caller owns (a new one when None), and partitioned
+    there in place about its middle; ``sq`` is left as it was.  Only the
+    middle order statistics are square-rooted, and they are averaged as
+    ``np.median`` averages them.  sqrt is correctly rounded and so monotone:
+    the square roots of the middle squared distances are the middle
+    distances, and the value is bitwise that of ``np.median`` over all the
+    distances.  One ``partition`` about a single index, then a ``max`` on
+    each side of it for the lower middle and the largest value, ran about
+    five times faster at n = 1000 than one ``partition`` about three indices.
+    """
     n = sq.shape[0]
     if n < 2:
         raise ValueError("median heuristic needs at least 2 points")
-    dists = np.sqrt(sq[~np.tri(n, dtype=bool)])
-    if not np.any(dists > 0.0):
+    size = n * (n - 1) // 2
+    upper = np.empty(size) if scratch is None else scratch[:size]
+    start = 0
+    for i in range(n - 1):
+        upper[start : start + n - 1 - i] = sq[i, i + 1 :]
+        start += n - 1 - i
+    half = size // 2
+    upper.partition(half)
+    if not upper[half:].max() > 0.0:
         raise AllPointsIdenticalError("all pairwise distances are zero")
-    return float(np.median(dists))
+    middle = [upper[half]] if size % 2 else [upper[:half].max(), upper[half]]
+    return float(np.mean(np.sqrt(middle)))
 
 
 def resolve_bandwidth(spec: KernelSpec, points) -> KernelSpec:
@@ -168,23 +208,25 @@ def resolve_bandwidth(spec: KernelSpec, points) -> KernelSpec:
     return replace(spec, bandwidth=median_heuristic(points))
 
 
-def gram_entries(spec: KernelSpec, points) -> np.ndarray:
-    """Raw (writable) Gram matrix entries of a resolved ``spec`` on ``points``.
+def gram_entries(spec: KernelSpec, points, out: np.ndarray | None = None) -> np.ndarray:
+    """Raw (writable) Gram matrix entries of a resolved ``spec`` on ``points``, in ``out``.
 
-    Exactly symmetric by construction: :func:`_pairwise` is, and so are the
-    elementwise ``exp`` of it and the linear ``einsum``, whose entries (i, j)
-    and (j, i) sum the same products in the same order.
+    ``out`` is an n x n float buffer the caller owns (a new one when None);
+    every family fills it in place.  Exactly symmetric by construction:
+    :func:`_pairwise` is, and so are the elementwise ``exp`` of it and the
+    linear ``einsum``, whose entries (i, j) and (j, i) sum the same products
+    in the same order.
     """
     if not spec.is_resolved:
         raise ValueError("bandwidth sentinel is unresolved; call resolve_bandwidth first")
     pts = as_points(points)
     if spec.family is KernelFamily.GAUSSIAN:
-        return _gaussian_in_place(_pairwise(pts, squared=True), spec.bandwidth)
+        return _gaussian_in_place(_pairwise(pts, True, out), spec.bandwidth)
     if spec.family is KernelFamily.LAPLACE:
-        entries = _pairwise(pts, squared=False)
-        np.exp(entries / -spec.bandwidth, out=entries)
-        return entries
-    return np.einsum("id,jd->ij", pts, pts)
+        entries = _pairwise(pts, False, out)
+        np.divide(entries, -spec.bandwidth, out=entries)
+        return np.exp(entries, out=entries)
+    return np.einsum("id,jd->ij", pts, pts, out=out)
 
 
 def _gaussian_in_place(sq: np.ndarray, bandwidth: float) -> np.ndarray:
@@ -197,20 +239,26 @@ def _gaussian_in_place(sq: np.ndarray, bandwidth: float) -> np.ndarray:
     return np.exp(sq, out=sq)
 
 
-def resolved_gram(spec: KernelSpec, points) -> tuple[KernelSpec, np.ndarray]:
+def resolved_gram(
+    spec: KernelSpec, points, out: np.ndarray | None = None, scratch: np.ndarray | None = None
+) -> tuple[KernelSpec, np.ndarray]:
     """``spec`` with a median bandwidth resolved on ``points``, and its Gram entries there.
 
-    A Gaussian side computes its pairwise distances once and takes both the
-    median and the Gram from them; the results equal :func:`resolve_bandwidth`
-    followed by :func:`gram_entries` bit for bit.
+    The Gram is built in ``out`` (see :func:`gram_entries`).  A median
+    bandwidth is taken from squared distances built in ``out`` too, with
+    ``scratch`` (see :func:`_median_of_squared`) as the median's buffer; a
+    Gaussian side then takes its Gram from those same distances, so it makes
+    one distance pass.  The results equal :func:`resolve_bandwidth` followed
+    by :func:`gram_entries` bit for bit.
     """
-    if spec.family is not KernelFamily.GAUSSIAN:
-        spec = resolve_bandwidth(spec, points)
-        return spec, gram_entries(spec, points)
-    sq = _pairwise(as_points(points), squared=True)
-    if not spec.is_resolved:
-        spec = replace(spec, bandwidth=_median_of_squared(sq))
-    return spec, _gaussian_in_place(sq, spec.bandwidth)
+    if spec.is_resolved:
+        return spec, gram_entries(spec, points, out)
+    pts = as_points(points)
+    sq = _pairwise(pts, True, out)
+    spec = replace(spec, bandwidth=_median_of_squared(sq, scratch))
+    if spec.family is KernelFamily.GAUSSIAN:
+        return spec, _gaussian_in_place(sq, spec.bandwidth)
+    return spec, gram_entries(spec, pts, sq)
 
 
 def spd_tolerance(entries: np.ndarray) -> float:

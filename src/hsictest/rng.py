@@ -5,7 +5,9 @@ user seed plus a (stream, index) tag, so replicates are reproducible and
 schedule-independent: trial t of an experiment gets the same bits no matter
 what ran before it or in parallel with it.  The seed is one key word, taken
 as is: it must lie in [0, 2**64), so distinct seeds never share a stream.
-Permutation replicates share one cell and are addressed by word offset inside
+The stream tag and the index share the other key word, 16 and 48 bits, and
+are refused outside [0, 2**16) and [0, 2**48), so distinct cells never share
+a key.  Permutation replicates share one cell and are addressed by word offset inside
 it (see ``RNG_SCHEME``); Philox is counter-based, so any offset is reachable
 without drawing what precedes it.
 """
@@ -30,25 +32,29 @@ RNG_SCHEME = (
     "permutation b = stable argsort of raw words [b*n, (b+1)*n) of (seed, 2, 0)"
 )
 
-# Seeds are refused from here up, not masked: a masked seed aliases a smaller one.
+# Seeds, stream tags and indices are refused from these bounds up, not
+# masked: a masked value aliases a smaller one.
 SEED_BOUND = 1 << 64
-
-_MASK48 = (1 << 48) - 1
+_STREAM_BOUND = 1 << 16
+_INDEX_BOUND = 1 << 48
 
 
 def rng_for(seed: int, stream: int, index: int = 0) -> np.random.Generator:
     """Generator for one (seed, stream, index) cell of the key space.
 
-    Raises ``TypeError`` for a seed that is not an integer and ``ValueError``
-    for one outside [0, 2**64).
+    Raises ``TypeError`` for a seed that is not an integer, and
+    ``ValueError`` for a seed outside [0, 2**64), a stream outside [0, 2**16)
+    or an index outside [0, 2**48).
     """
     seed = operator.index(seed)
     if not 0 <= seed < SEED_BOUND:
         raise ValueError(f"seed must be an integer in [0, 2**64), got {seed}")
-    if index < 0:
-        raise ValueError("index must be non-negative")
+    if not 0 <= stream < _STREAM_BOUND:
+        raise ValueError(f"stream must be an integer in [0, 2**16), got {stream}")
+    if not 0 <= index < _INDEX_BOUND:
+        raise ValueError(f"index must be an integer in [0, 2**48), got {index}")
     # A list would hold a seed from 2**63 up as a float64, which rounds it.
-    key = np.array([seed, ((stream & 0xFFFF) << 48) | (index & _MASK48)], dtype=np.uint64)
+    key = np.array([seed, (stream << 48) | index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 

@@ -17,8 +17,11 @@ cell (seed, STREAM_PERMUTATION, 0) of :mod:`hsictest.rng`: replicate b is the
 stable argsort of the stream's raw 64-bit words b*n .. b*n + n - 1.  Replicate b
 therefore depends on (seed, n, b) alone, the replicates of a B-permutation test
 are a prefix of those of any larger B, and each one is reachable on its own by
-``Philox.advance``.  A non-finite observed or null statistic raises
-``ArithmeticError`` rather than yielding a p-value.
+``Philox.advance``.  The draw sorts with numpy's faster default (unstable)
+argsort and repairs ties: a row whose keys repeat a value, found by one sort
+of the keys and an adjacent compare, is sorted again stably, so every row is
+still exactly the stable argsort.  A non-finite observed or null statistic
+raises ``ArithmeticError`` rather than yielding a p-value.
 
 The null has three paths, and the observed statistic is always the null's
 own function applied to the identity permutation, so the two share one
@@ -45,10 +48,16 @@ reduction by construction:
   then a column ``take`` of the centered y-side Gram, reduced by
   ``hsic.centered_product``.
 
-The path depends on the data alone, never on ``threads``.  On the two
-per-replicate paths the replicates are split into contiguous chunks run on a
-thread pool of up to ``threads`` workers; every replicate is computed the same
-way whatever the chunking, so the null does not depend on the thread count.
+The path depends on the data alone, never on ``threads``.  From
+``TAKE_MIN_N`` points on, a test runs on one thread pool of up to ``threads``
+workers: the two sides and the draw are prepared as concurrent jobs, then the
+replicates of the two per-replicate paths are split into contiguous chunks on
+the same pool.  Every replicate is computed the same way whatever the
+chunking, so no number depends on the thread count.  Every large array (each
+n x n Gram, each median buffer, the permutations and the chunks' buffers) is
+allocated on the calling thread and filled in place by the pool: allocated on
+a pool thread, it would come from that thread's own malloc arena and raise
+the peak memory.
 """
 
 from __future__ import annotations
@@ -57,6 +66,7 @@ import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -92,6 +102,12 @@ TAKE_MIN_N = 40
 # this many floats (512 KB) per worker; at n=1000 and rank 12, blocks of
 # 2^16 floats ran the null 1.2x faster than 2^18 and 1.8x faster than 2^20.
 _FACTOR_BLOCK_FLOATS = 1 << 16
+
+# Permutations are drawn in blocks of rows of at most this many words (256 KB),
+# so the draw's temporaries (words, their argsort and their sort) stay small
+# next to the Grams it runs beside.  At n=1000 and B=500 the draw took about
+# as long in blocks of 2^15 words as in blocks of 2^16.
+_DRAW_BLOCK_WORDS = 1 << 15
 
 _EPS = float(np.finfo(float).eps)
 
@@ -144,8 +160,8 @@ def p_value_from_null(observed: float, null_statistics: np.ndarray) -> float:
     return (1 + exceedances) / (b + 1)
 
 
-def _draw_permutations(seed: int, num: int, n: int) -> np.ndarray:
-    """num permutations of range(n) drawn from one Philox stream.
+def _draw_permutations(seed: int, num: int, n: int, out: np.ndarray | None = None) -> np.ndarray:
+    """num permutations of range(n) drawn from one Philox stream, into ``out``.
 
     Row b is the stable argsort of raw 64-bit words b*n .. b*n + n - 1 of the
     (seed, STREAM_PERMUTATION, 0) Philox stream, so it depends on (seed, n, b)
@@ -154,9 +170,35 @@ def _draw_permutations(seed: int, num: int, n: int) -> np.ndarray:
     (Philox yields four words per counter step).  Uniform 64-bit keys give a
     uniform permutation; a tie (probability about n^2 / 2^65 per row) keeps
     index order, so it stays deterministic.
+
+    ``out`` is a (num, n) intp buffer the caller owns (a new one when None).
+    The words are drawn in blocks of rows of at most ``_DRAW_BLOCK_WORDS``
+    words, and each block is sorted by :func:`_argsort_rows`.
     """
-    bits = rng_for(seed, STREAM_PERMUTATION, 0).bit_generator.random_raw((num, n))
-    return np.argsort(bits, axis=1, kind="stable")
+    perms = np.empty((num, n), dtype=np.intp) if out is None else out
+    bit_generator = rng_for(seed, STREAM_PERMUTATION, 0).bit_generator
+    rows = max(1, _DRAW_BLOCK_WORDS // n)
+    for lo in range(0, num, rows):
+        hi = min(lo + rows, num)
+        _argsort_rows(bit_generator.random_raw((hi - lo, n)), perms[lo:hi])
+    return perms
+
+
+def _argsort_rows(words: np.ndarray, out: np.ndarray) -> None:
+    """``out[:] = np.argsort(words, axis=1, kind="stable")``, by the faster default sort.
+
+    Without tied keys in a row every sort orders it the same way, so only the
+    rows whose sorted keys repeat a value are sorted again, stably.  Ties are
+    looked for first by one compare over the whole sorted block, which also
+    pairs each row's last key with the next row's first; that can only raise
+    a false alarm, and the rows are then checked one by one.
+    """
+    out[:] = np.argsort(words, axis=1)
+    keys = np.sort(words, axis=1)
+    flat = keys.ravel()
+    if np.any(flat[1:] == flat[:-1]):
+        tied = (keys[:, 1:] == keys[:, :-1]).any(axis=1)
+        out[tied] = np.argsort(words[tied], axis=1, kind="stable")
 
 
 def _pool_size(threads: int, tasks: int) -> int:
@@ -166,9 +208,10 @@ def _pool_size(threads: int, tasks: int) -> int:
     return min(threads, tasks, os.cpu_count() or 1)
 
 
-def _run_chunks(run, num: int, workers: int, buffers) -> None:
-    """``run(chunk, *buffers())`` over contiguous chunks of range(num), one per worker.
+def _run_chunks(run, num: int, pool, workers: int, buffers) -> None:
+    """``run(chunk, *buffers())`` over ``workers`` contiguous chunks of range(num), on ``pool``.
 
+    A lone chunk runs on the calling thread, and ``pool`` may then be None.
     Each chunk's buffers are allocated here, on the calling thread: allocating
     on the pool threads made peak memory depend on how the threads'
     allocations happened to interleave.
@@ -178,16 +221,18 @@ def _run_chunks(run, num: int, workers: int, buffers) -> None:
     if workers == 1:
         run(chunks[0], *allocated[0])
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, chunks, *zip(*allocated)))
+        list(pool.map(run, chunks, *zip(*allocated)))
 
 
 def _permuted_statistics(
-    kc: np.ndarray, lc: np.ndarray, perms: np.ndarray, threads: int = 1
+    kc: np.ndarray, lc: np.ndarray, perms: np.ndarray, pool=None, workers: int = 1
 ) -> np.ndarray:
-    """V-statistics for each permutation: sum(Kc * Lc[p, p]) / n^2."""
+    """V-statistics for each permutation: sum(Kc * Lc[p, p]) / n^2.
+
+    From ``TAKE_MIN_N`` points on, the replicates run in ``workers`` chunks
+    on ``pool`` (see :func:`_run_chunks`).
+    """
     num, n = perms.shape
-    workers = _pool_size(threads, num)  # also validates threads on the batched path
     out = np.empty(num)
     if n < TAKE_MIN_N:
         batch = max(1, _BATCH_FLOAT_BUDGET // (n * n))
@@ -207,7 +252,7 @@ def _permuted_statistics(
             rows.take(p, axis=1, out=both, mode="clip")
             out[b] = centered_product(kc, both)
 
-    _run_chunks(run, num, workers, lambda: (np.empty((n, n)), np.empty((n, n))))
+    _run_chunks(run, num, pool, workers, lambda: (np.empty((n, n)), np.empty((n, n))))
     return out
 
 
@@ -241,16 +286,15 @@ def _pivoted_cholesky(a: np.ndarray, max_abs: float, cap: int) -> np.ndarray | N
 
 
 def _factored_statistics(
-    fx: np.ndarray, fy: np.ndarray, perms: np.ndarray, threads: int = 1
+    fx: np.ndarray, fy: np.ndarray, perms: np.ndarray, pool=None, workers: int = 1
 ) -> np.ndarray:
     """``||Fx' Fy[p]||_F^2 / n^2`` for each permutation p, from factor rows fx, fy.
 
     Each replicate is one (rx x n) @ (n x ry) product of a stacked ``matmul``
     and its own row of one batched sum of squares, so its value does not
-    depend on the block or chunk it falls in.
+    depend on the block or the chunk of ``pool`` it falls in.
     """
     num, n = perms.shape
-    workers = _pool_size(threads, num)
     fy_cols = np.ascontiguousarray(fy.T)
     rx, ry = fx.shape[0], fy.shape[0]
     block = max(1, _FACTOR_BLOCK_FLOATS // (n * max(ry, 1)))
@@ -267,14 +311,14 @@ def _factored_statistics(
 
     size = min(block, -(-num // workers))
     _run_chunks(
-        run, num, workers, lambda: (np.empty((size, n, ry)), np.empty((size, rx, ry)))
+        run, num, pool, workers, lambda: (np.empty((size, n, ry)), np.empty((size, rx, ry)))
     )
     out /= n * n
     return out
 
 
 def _null_function(kc: np.ndarray, lc: np.ndarray, kc_max: float, lc_max: float):
-    """``statistics(perms, threads=1)`` for two centered Grams, on the path their ranks pick."""
+    """``statistics(perms, pool=None, workers=1)`` for two centered Grams, on the path their ranks pick."""
     n = kc.shape[0]
     if n >= TAKE_MIN_N:
         cap = FACTOR_RANK_CAP_PER_ROOT * math.isqrt(n)
@@ -295,6 +339,35 @@ def _check_finite(null: np.ndarray) -> None:
         )
 
 
+def _results(pool, jobs) -> list:
+    """``fn(*args)`` for each ``(fn, *args)`` of ``jobs``, concurrently on ``pool`` if there is one.
+
+    Results, and the first exception, come back in job order either way.
+    No job's arguments outlive this call, so buffers built by a generator of
+    jobs are freed with the jobs.
+    """
+    if pool is None:
+        return [fn(*args) for fn, *args in jobs]
+    futures = [pool.submit(*job) for job in jobs]
+    return [future.result() for future in futures]
+
+
+def _jobs(data: Dataset, kx: KernelSpec, ky: KernelSpec, draw):
+    """The ``centered_side`` job of each side, then ``draw``'s if there is one.
+
+    The jobs may run on pool threads.  Allocated there, the n x n Gram and
+    the median buffer of a side would come from that thread's own malloc
+    arena, which grew the peak memory of a pooled test; each job's buffers
+    are allocated here instead, as the job is built.
+    """
+    n = data.n
+    for spec, points in ((kx, data.x_points), (ky, data.y_points)):
+        scratch = None if spec.is_resolved else np.empty(n * (n - 1) // 2)
+        yield centered_side, spec, points, np.empty((n, n)), scratch
+    if draw is not None:
+        yield (draw,)
+
+
 def _calibrated(
     data: Dataset,
     kx: KernelSpec,
@@ -303,6 +376,7 @@ def _calibrated(
     alpha: float,
     p_value,
     *,
+    draw=None,
     seed: int,
     method: str,
     rng: str,
@@ -310,20 +384,26 @@ def _calibrated(
 ) -> TestResult:
     """The result of a test of ``data`` over the null of ``perms``, with ``p_value(observed, null)``.
 
-    Each side is resolved and centered once, on the unpermuted data, and is
-    frozen across replicates; the marginal point sets are permutation
-    invariant anyway.  The observed value is the null function at the
+    ``draw()``, when given, fills ``perms`` in place.  Each side is resolved
+    and centered once, on the unpermuted data, and is frozen across
+    replicates; the marginal point sets are permutation invariant anyway.
+    From ``TAKE_MIN_N`` points on, with ``threads`` above 1, the two sides
+    and the draw run as concurrent jobs on one pool, whose workers then run
+    the null's chunks.  The observed value is the null function at the
     identity permutation, so an identity replicate reproduces it bitwise on
     every path.
     """
-    kx, kc, kc_max = centered_side(kx, data.x_points)
-    ky, lc, lc_max = centered_side(ky, data.y_points)
-    statistics = _null_function(kc, lc, kc_max, lc_max)
-    identity = np.arange(data.n, dtype=np.intp)[None, :]
-    observed = HsicValue.from_raw(
-        statistics(identity)[0], Estimator.BIASED_V, kc_max * lc_max
-    )
-    null = statistics(perms, threads)
+    num = len(perms)
+    workers = _pool_size(threads, num)
+    size = _pool_size(threads, max(3, num)) if data.n >= TAKE_MIN_N else 1
+    with ThreadPoolExecutor(max_workers=size) if size > 1 else nullcontext() as pool:
+        (kx, kc, kc_max), (ky, lc, lc_max), *_ = _results(pool, _jobs(data, kx, ky, draw))
+        statistics = _null_function(kc, lc, kc_max, lc_max)
+        identity = np.arange(data.n, dtype=np.intp)[None, :]
+        observed = HsicValue.from_raw(
+            statistics(identity)[0], Estimator.BIASED_V, kc_max * lc_max
+        )
+        null = statistics(perms, pool, workers)
     _check_finite(null)
     p = p_value(observed.raw, null)
     return TestResult(
@@ -331,7 +411,7 @@ def _calibrated(
         p_value=p,
         reject=p <= alpha,
         null_quantile=float(np.quantile(null, 1.0 - alpha)),
-        num_permutations=len(perms),
+        num_permutations=num,
         seed=seed,
         alpha=alpha,
         method=method,
@@ -350,14 +430,16 @@ def permutation_test(
 ) -> TestResult:
     """Monte Carlo permutation test of independence using biased HSIC.
 
-    ``threads`` bounds the worker pool of the null statistics; the result
-    does not depend on it.
+    ``threads`` bounds the one worker pool that prepares the two sides,
+    draws the permutations and runs the null statistics; the result does
+    not depend on it.
     """
     if data.n < 2:
         raise ValueError("permutation test needs at least 2 paired samples")
-    perms = _draw_permutations(cfg.seed, cfg.num_permutations, data.n)
+    perms = np.empty((cfg.num_permutations, data.n), dtype=np.intp)
     return _calibrated(
         data, kx, ky, perms, cfg.alpha, p_value_from_null,
+        draw=partial(_draw_permutations, cfg.seed, *perms.shape, perms),
         seed=cfg.seed, method="monte_carlo", rng=RNG_SCHEME, threads=threads,
     )
 

@@ -183,7 +183,9 @@ class TestTestCommand:
         calls = []
         pairwise = kernels._pairwise
         monkeypatch.setattr(
-            kernels, "_pairwise", lambda pts, squared: calls.append(squared) or pairwise(pts, squared)
+            kernels,
+            "_pairwise",
+            lambda pts, squared, out: calls.append(squared) or pairwise(pts, squared, out),
         )
         code, report, _ = run_cli(
             [

@@ -243,20 +243,23 @@ class TestBiasedEstimator:
         calls = []
         pairwise = kernels._pairwise
         monkeypatch.setattr(
-            kernels, "_pairwise", lambda pts, squared: calls.append(squared) or pairwise(pts, squared)
+            kernels,
+            "_pairwise",
+            lambda pts, squared, out: calls.append(squared) or pairwise(pts, squared, out),
         )
         gm = KernelSpec("gaussian")
         d = Dataset(np.arange(7.0), np.arange(7.0) ** 2)
         assert hsic_biased(d, gm, gm).raw > 0.0
         assert calls == [True, True]
 
-    def test_two_full_abs_passes(self, abs_shapes):
-        # One max|HKH| pass per side, taken by centered_side and returned
-        # with the Gram; the statistic's scale does not rescan the Grams.
+    def test_no_full_abs_pass(self, abs_shapes):
+        # centered_side takes max|HKH| as max(max, -min), with no n x n abs
+        # temporary, and returns it with the Gram; the statistic's scale
+        # does not rescan the Grams.
         d = sample(GeneratorSpec(GeneratorKind.RING_UNIFORM, seed=0), 200)
         gm = KernelSpec("gaussian")
         hsic_biased(d, gm, gm)
-        assert abs_shapes.count((200, 200)) == 2
+        assert abs_shapes.count((200, 200)) == 0
 
     def test_median_resolution_matches_manual(self):
         rng = np.random.default_rng(1)

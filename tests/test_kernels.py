@@ -147,6 +147,17 @@ class TestPairwiseDistances:
         assert np.array_equal(np.sqrt(upper), pdist(pts))
         assert median_heuristic(pts) == float(np.median(pdist(pts)))
 
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_row_blocks_and_caller_buffer(self, d, monkeypatch):
+        # Blocks of 2 rows of 9 points split the later coordinates into five
+        # blocks, the last one short; the result lands in the caller's buffer.
+        monkeypatch.setattr(kernels, "_DIFF_BLOCK_FLOATS", 18)
+        pts = np.random.default_rng(d).normal(size=(9, d))
+        for squared, metric in ((True, "sqeuclidean"), (False, "cityblock")):
+            out = np.full((9, 9), np.nan)
+            assert _pairwise(pts, squared, out) is out
+            assert np.array_equal(out, cdist(pts, pts, metric))
+
 
 class TestMedianHeuristic:
     @pytest.mark.parametrize(
@@ -167,6 +178,22 @@ class TestMedianHeuristic:
         assert median_heuristic(pts) == pytest.approx(
             oracles.pairwise_distance_median(pts), rel=1e-12
         )
+
+    @given(point_clouds(max_points=16), st.sampled_from([None, 0, 1]), st.booleans())
+    def test_bitwise_equal_to_numpy_median(self, pts, decimals, buffered):
+        # Rounded points tie many distances; pair counts are odd and even.
+        if decimals is not None:
+            pts = np.round(pts, decimals)
+        sq = _pairwise(pts, squared=True)
+        distances = np.sqrt(sq[np.triu_indices(len(pts), 1)])
+        before = sq.copy()
+        scratch = np.empty(sq.size) if buffered else None
+        if not np.any(distances > 0.0):
+            with pytest.raises(AllPointsIdenticalError):
+                kernels._median_of_squared(sq, scratch)
+        else:
+            assert kernels._median_of_squared(sq, scratch) == float(np.median(distances))
+        assert np.array_equal(sq, before)
 
     def test_all_identical_raises(self):
         with pytest.raises(AllPointsIdenticalError):
@@ -289,7 +316,9 @@ class TestStrictPdWitness:
         # The median bandwidth and the Gram share one pairwise-distance pass.
         calls = []
         monkeypatch.setattr(
-            kernels, "_pairwise", lambda pts, squared: calls.append(squared) or _pairwise(pts, squared)
+            kernels,
+            "_pairwise",
+            lambda pts, squared, out: calls.append(squared) or _pairwise(pts, squared, out),
         )
         assert strict_pd_witness(KernelSpec("gaussian"), [0.0, 1.0, 5.0]).strictly_pd
         assert calls == [True]

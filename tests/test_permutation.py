@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
@@ -53,6 +54,12 @@ def _random_dataset(seed, n, dx=1, dy=2):
 
 def _ring(seed, n):
     return sample(GeneratorSpec(GeneratorKind.RING_UNIFORM, seed=seed), n)
+
+
+def _pooled(statistics, perms, workers):
+    """``statistics(perms)`` run in ``workers`` chunks on a pool of that many threads."""
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return statistics(perms, pool, workers)
 
 
 def _grams(d, kx, ky):
@@ -170,6 +177,39 @@ class TestDrawPermutations:
         with pytest.raises(TypeError):
             rng_for(1.5, STREAM_PERMUTATION, 0)
 
+    def test_tied_keys_sort_stably(self):
+        # The default argsort may order tied keys either way; the rows it
+        # leaves must still be the stable argsort.  Crafted ties: a repeated
+        # column (one tied pair per row), a constant row, rows of few values.
+        words = rng_for(0, STREAM_PERMUTATION, 0).bit_generator.random_raw((8, 50))
+        words[:3, 31] = words[:3, 7]
+        words[3] = words[3, 0]
+        words[4:7] = np.random.default_rng(0).integers(0, 3, size=(3, 50), dtype=np.uint64)
+        # A tie across rows only: row 0's largest key is row 1's smallest.
+        across = np.array([[9, 2, 5], [12, 9, 30]], dtype=np.uint64)
+        for block in (words, across):
+            out = np.empty(block.shape, dtype=np.intp)
+            testing._argsort_rows(block, out)
+            assert np.array_equal(out, np.argsort(block, axis=1, kind="stable"))
+
+    @pytest.mark.parametrize("n", [1, 7, 40])
+    def test_blocks_join_seamlessly(self, n, monkeypatch):
+        # A tiny block makes the draw span many blocks, and a block of fewer
+        # words than one row still holds a row.
+        monkeypatch.setattr(testing, "_DRAW_BLOCK_WORDS", 24)
+        bits = rng_for(5, STREAM_PERMUTATION, 0).bit_generator.random_raw((13, n))
+        expected = np.argsort(bits, axis=1, kind="stable")
+        out = np.full((13, n), -1, dtype=np.intp)
+        assert _draw_permutations(5, 13, n, out) is out
+        assert np.array_equal(out, expected)
+
+    @pytest.mark.parametrize("stream,index", [(3, 2**48), (2**16 + 3, 0), (-1, 0), (3, -1)])
+    def test_stream_and_index_outside_their_bits_refused(self, stream, index):
+        # Masked into the key, index 2**48 ran index 0's stream and stream
+        # 2**16 + 3 ran stream 3's.
+        with pytest.raises(ValueError, match=r"2\*\*(16|48)"):
+            rng_for(7, stream, index)
+
     def test_seeds_from_2_to_the_63_key_their_own_streams(self):
         # Held as float64, 2**63 + 1 rounded to 2**63, and 2**64 - 1 and
         # 2**64 - 2 overflowed to seed 0's key.
@@ -201,7 +241,7 @@ class TestPermutedStatistics:
             kc = centered_gram_entries(kx, d.x_points)
             lc = centered_gram_entries(ky, d.y_points)
             perms = _draw_permutations(seed=1, num=30, n=d.n)
-            fast = _permuted_statistics(kc, lc, perms, threads=2)
+            fast = _pooled(partial(_permuted_statistics, kc, lc), perms, 2)
             for row, value in zip(perms, fast):
                 slow = hsic_biased(Dataset(d.x_points, d.y_points[row]), kx, ky)
                 assert value == pytest.approx(slow.raw, abs=1e-12)
@@ -219,7 +259,7 @@ class TestPermutedStatistics:
         lc = centered_gram_entries(ky, d.y_points)
         perms = _draw_permutations(seed=5, num=9, n=n)
         perms[[1, 4]] = np.arange(n)
-        null = _permuted_statistics(kc, lc, perms, threads=3)
+        null = _pooled(partial(_permuted_statistics, kc, lc), perms, 3)
         assert null[1] == observed.raw
         assert null[4] == observed.raw
 
@@ -235,7 +275,7 @@ class TestPermutedStatistics:
         assert statistics.func is _factored_statistics
         perms = _draw_permutations(seed=5, num=9, n=n)
         perms[[1, 4]] = np.arange(n)
-        null = statistics(perms, threads=3)
+        null = _pooled(statistics, perms, 3)
         observed = permutation_test(d, kx, LINEAR, PermutationConfig(9, 0.05, 5), threads=3)
         assert null[1] == observed.statistic.raw
         assert null[4] == observed.statistic.raw
@@ -271,8 +311,8 @@ class TestFactoredNull:
         assert statistics.func is _factored_statistics
         perms = _draw_permutations(seed, 99, n)
         identity = np.arange(n)[None, :]
-        factored = statistics(perms, threads=2)
-        dense = _permuted_statistics(kc, lc, perms, threads=2)
+        factored = _pooled(statistics, perms, 2)
+        dense = _pooled(partial(_permuted_statistics, kc, lc), perms, 2)
         obs_factored = statistics(identity)[0]
         obs_dense = _permuted_statistics(kc, lc, identity)[0]
         # Each side's truncation moves a replicate by at most n * eps * scale.
@@ -292,9 +332,9 @@ class TestFactoredNull:
         *_, statistics = _grams(d, resolve_bandwidth(GAUSS_MEDIAN, d.x_points), LINEAR)
         assert statistics.func is _factored_statistics
         perms = _draw_permutations(seed=3, num=50, n=d.n)
-        lone = statistics(perms, threads=1)
+        lone = statistics(perms)
         for threads in (2, 3):
-            assert np.array_equal(statistics(perms, threads=threads), lone)
+            assert np.array_equal(_pooled(statistics, perms, threads), lone)
         cfg = PermutationConfig(50, 0.05, 3)
         results = [permutation_test(d, GAUSS_MEDIAN, LINEAR, cfg, threads=t) for t in (1, 2, 3)]
         assert results[0] == results[1] == results[2]
@@ -309,7 +349,9 @@ class TestFactoredNull:
         kc, lc, _, statistics = _grams(d, kx, ky)
         assert statistics.func is _permuted_statistics
         cfg = PermutationConfig(99, 0.05, 2)
-        null = _permuted_statistics(kc, lc, _draw_permutations(cfg.seed, 99, n), threads=2)
+        null = _pooled(
+            partial(_permuted_statistics, kc, lc), _draw_permutations(cfg.seed, 99, n), 2
+        )
         res = permutation_test(d, kx, ky, cfg, threads=2)
         assert res.statistic == hsic_biased(d, kx, ky)
         assert res.p_value == p_value_from_null(res.statistic.raw, null)
@@ -423,14 +465,52 @@ class TestThreads:
         kc = centered_gram_entries(KernelSpec("gaussian", 1.0), d.x_points)
         lc = centered_gram_entries(KernelSpec("laplace", 1.0), d.y_points)
         perms = _draw_permutations(seed=3, num=50, n=d.n)
-        lone = _permuted_statistics(kc, lc, perms, threads=1)
+        lone = _permuted_statistics(kc, lc, perms)
         for threads in (2, 3):
-            assert np.array_equal(_permuted_statistics(kc, lc, perms, threads=threads), lone)
+            dense = partial(_permuted_statistics, kc, lc)
+            assert np.array_equal(_pooled(dense, perms, threads), lone)
         cfg = PermutationConfig(50, 0.05, 3)
         results = [
             permutation_test(d, GAUSS_MEDIAN, LAPLACE_MEDIAN, cfg, threads=t) for t in (1, 2, 3)
         ]
         assert results[0] == results[1] == results[2]
+
+    @pytest.mark.parametrize(
+        "ky,path",
+        [(GAUSS_MEDIAN, _factored_statistics), (LAPLACE_MEDIAN, _permuted_statistics)],
+        ids=["factored", "dense"],
+    )
+    @pytest.mark.parametrize("n", [TAKE_MIN_N, 120])
+    def test_results_identical_for_1_2_3_threads(self, many_cpus, ky, path, n):
+        # The pool prepares both sides and the draw, then runs the null.
+        d = _ring(n, n)
+        assert _grams(d, GAUSS_MEDIAN, ky)[3].func is path
+        cfg = PermutationConfig(61, 0.05, 9)
+        results = [permutation_test(d, GAUSS_MEDIAN, ky, cfg, threads=t) for t in (1, 2, 3)]
+        assert results[0] == results[1] == results[2]
+
+    @pytest.mark.parametrize(
+        "ky,before", [(GAUSS_MEDIAN, 3.38), (LAPLACE_MEDIAN, 4.34)], ids=["factored", "dense"]
+    )
+    def test_peak_memory_no_higher_than_before(self, ky, before):
+        # Traced peak of one test, in units of one n x n float Gram.  Before
+        # the caller allocated each side's buffers and the median stopped
+        # copying the distances three times, the factored test peaked at
+        # 3.3780 units and the dense one at 4.3378, its null's two chunk
+        # buffers; the bounds leave 0.01 of a unit for small Python objects.
+        # The factored test now peaks near 3.33.  A median buffer kept alive
+        # into the null would add 0.5 units per side.
+        n = 600
+        d = _ring(0, n)
+        cfg = PermutationConfig(200, 0.05, 0)
+        permutation_test(d, GAUSS_MEDIAN, ky, cfg)  # first-call allocations stay out
+        tracemalloc.start()
+        try:
+            permutation_test(d, GAUSS_MEDIAN, ky, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / (n * n * 8) <= before
 
     @pytest.fixture
     def pool_sizes(self, monkeypatch):
@@ -495,12 +575,12 @@ class TestPermutationTest:
         assert np.isfinite(res.null_quantile)
         assert "Philox" in res.rng
 
-    def test_two_full_abs_passes(self, abs_shapes):
+    def test_no_full_abs_pass(self, abs_shapes):
         # The statistic's scale and the factoring floors use the max|HKH|
-        # that centered_side returns: one pass per side, no rescan.
+        # that centered_side returns, taken without an n x n abs pass.
         d = _ring(0, 200)
         permutation_test(d, GAUSS_MEDIAN, GAUSS_MEDIAN, PermutationConfig(50, 0.05, 0))
-        assert abs_shapes.count((200, 200)) == 2
+        assert abs_shapes.count((200, 200)) == 0
 
     def test_needs_two_samples(self):
         with pytest.raises(ValueError, match="at least 2"):
