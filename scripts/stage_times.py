@@ -13,9 +13,10 @@ median over ``--repeats`` runs is reported:
 * ``p_value``: the p-value and the null quantile.
 
 ``total`` is the median wall time of the whole ``test`` command through
-``hsictest.cli.main``, CSV parsing and report included.  Inside it the pool
-prepares the two sides and draws the permutations concurrently, so with
-``--threads`` above 1 the stages can sum to more than the total.
+``hsictest.cli.main``, so it is not the sum of the stages: the command also
+parses the CSV, copies the data and writes its report, and with
+``--threads`` above 1 its pool prepares the two sides and draws the
+permutations concurrently.
 
     PYTHONPATH=src python3 scripts/stage_times.py --n 1000 --permutations 500 --threads 2
 """
@@ -46,7 +47,8 @@ NULL_PATHS = {"_factored_statistics": "factored", "_permuted_statistics": "dense
 def write_ring_csv(path: Path, n: int, seed: int):
     """n ring points from the package sampler; returns them and the CSV path."""
     data = sample(GeneratorSpec(GeneratorKind.RING_UNIFORM, seed=seed), n)
-    rows = "".join(f"{float(a[0])!r},{float(b[0])!r}\n" for a, b in zip(data.x_points, data.y_points))
+    pairs = zip(data.x_points[:, 0], data.y_points[:, 0])
+    rows = "".join(f"{float(a)!r},{float(b)!r}\n" for a, b in pairs)
     path.write_text("x,y\n" + rows, encoding="utf-8")
     return data, str(path)
 

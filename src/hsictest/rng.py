@@ -7,9 +7,9 @@ what ran before it or in parallel with it.  The seed is one key word, taken
 as is: it must lie in [0, 2**64), so distinct seeds never share a stream.
 The stream tag and the index share the other key word, 16 and 48 bits, and
 are refused outside [0, 2**16) and [0, 2**48), so distinct cells never share
-a key.  Permutation replicates share one cell and are addressed by word offset inside
-it (see ``RNG_SCHEME``); Philox is counter-based, so any offset is reachable
-without drawing what precedes it.
+a key.  Permutation replicates share one cell and are addressed by word
+offset inside it (see ``RNG_SCHEME``); Philox is counter-based, so any offset
+is reachable without drawing what precedes it.
 """
 
 from __future__ import annotations

@@ -318,7 +318,7 @@ def _factored_statistics(
 
 
 def _null_function(kc: np.ndarray, lc: np.ndarray, kc_max: float, lc_max: float):
-    """``statistics(perms, pool=None, workers=1)`` for two centered Grams, on the path their ranks pick."""
+    """``statistics(perms, pool=None, workers=1)`` for two centered Grams, on their ranks' path."""
     n = kc.shape[0]
     if n >= TAKE_MIN_N:
         cap = FACTOR_RANK_CAP_PER_ROOT * math.isqrt(n)
