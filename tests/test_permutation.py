@@ -465,9 +465,9 @@ class TestThreads:
         kc = centered_gram_entries(KernelSpec("gaussian", 1.0), d.x_points)
         lc = centered_gram_entries(KernelSpec("laplace", 1.0), d.y_points)
         perms = _draw_permutations(seed=3, num=50, n=d.n)
-        lone = _permuted_statistics(kc, lc, perms)
+        dense = partial(_permuted_statistics, kc, lc)
+        lone = dense(perms)
         for threads in (2, 3):
-            dense = partial(_permuted_statistics, kc, lc)
             assert np.array_equal(_pooled(dense, perms, threads), lone)
         cfg = PermutationConfig(50, 0.05, 3)
         results = [
