@@ -141,6 +141,9 @@ def _pairwise(pts: np.ndarray, squared: bool, out: np.ndarray | None = None) -> 
     if out is None:
         out = np.empty((n, n))
     cols = pts.T
+    if not len(cols):  # points without coordinates all coincide
+        out.fill(0.0)
+        return out
     np.subtract(cols[0][:, None], cols[0][None, :], out=out)
     _square_or_abs(out, squared)
     rows = max(1, _DIFF_BLOCK_FLOATS // n)

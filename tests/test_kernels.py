@@ -147,6 +147,11 @@ class TestPairwiseDistances:
         assert np.array_equal(np.sqrt(upper), pdist(pts))
         assert median_heuristic(pts) == float(np.median(pdist(pts)))
 
+    def test_points_without_coordinates_coincide(self):
+        pts = np.empty((4, 0))
+        for squared, metric in ((True, "sqeuclidean"), (False, "cityblock")):
+            assert np.array_equal(_pairwise(pts, squared), cdist(pts, pts, metric))
+
     @pytest.mark.parametrize("d", [1, 3])
     def test_row_blocks_and_caller_buffer(self, d, monkeypatch):
         # Blocks of 2 rows of 9 points split the later coordinates into five
