@@ -4,19 +4,23 @@
 Each stage of a permutation test is timed on its own, in process, and the
 median over ``--repeats`` runs is reported:
 
-* ``side_x`` and ``side_y``: ``hsic.centered_side`` (median bandwidth, Gram,
-  centering and scale) of each side;
+* ``sides``: ``testing._null_function``, which builds both sides as a test
+  does, one Gram buffer at a time, and factors them; on the dense path it
+  also builds the second Gram;
 * ``draw``: the B permutations;
-* ``factoring``: the choice of null path, with its pivoted Cholesky factors
-  when both Grams are low rank;
 * ``null``: the B null statistics, chunked over a pool of ``--threads``;
 * ``p_value``: the p-value and the null quantile.
 
-``total`` is the median wall time of the whole ``test`` command through
+``side_x`` and ``side_y`` split ``sides``: each is ``hsic.centered_side``
+(median bandwidth, Gram, centering and scale) of one side alone, into one
+reused buffer, so they are reported apart and left out of ``stage_sum_s``.
+
+``total_s`` is the median wall time of the whole ``test`` command through
 ``hsictest.cli.main``, so it is not the sum of the stages: the command also
 parses the CSV, copies the data and writes its report, and with
-``--threads`` above 1 its pool prepares the two sides and draws the
-permutations concurrently.
+``--threads`` above 1 it draws the permutations on its pool while it builds
+the sides.  ``peak_rss_mb`` is the peak resident memory of one more ``test``
+command, run alone in a child process.
 
     PYTHONPATH=src python3 scripts/stage_times.py --n 1000 --permutations 500 --threads 2
 """
@@ -28,7 +32,10 @@ import contextlib
 import io
 import json
 import os
+import resource
 import statistics as stats
+import subprocess
+import sys
 import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -36,6 +43,7 @@ from pathlib import Path
 
 import numpy as np
 
+import hsictest
 from hsictest import GeneratorKind, GeneratorSpec, cli, p_value_from_null, parse_kernel, sample
 from hsictest.hsic import centered_side
 from hsictest.testing import TAKE_MIN_N, _draw_permutations, _null_function, _pool_size
@@ -62,32 +70,53 @@ def timed(fn):
 
 def one_split(data, kx, ky, args, pool, workers) -> dict:
     n, b = data.n, args.permutations
-    (_, kc, kc_max), side_x = timed(lambda: centered_side(kx, data.x_points))
-    (_, lc, lc_max), side_y = timed(lambda: centered_side(ky, data.y_points))
+    buffer, scratch = np.empty((n, n)), np.empty(n * (n - 1) // 2)
+    _, side_x = timed(lambda: centered_side(kx, data.x_points, buffer, scratch))
+    _, side_y = timed(lambda: centered_side(ky, data.y_points, buffer, scratch))
+    del buffer, scratch
     perms, draw = timed(lambda: _draw_permutations(args.seed, b, n))
-    statistics, factoring = timed(lambda: _null_function(kc, lc, kc_max, lc_max))
+    (*_, statistics), sides = timed(lambda: _null_function(data, kx, ky, workers, perms.nbytes))
     observed = statistics(np.arange(n, dtype=np.intp)[None, :])[0]
     null, null_s = timed(lambda: statistics(perms, pool, workers))
     _, p_value = timed(lambda: (p_value_from_null(observed, null), np.quantile(null, 0.95)))
     return {
-        "side_x": side_x, "side_y": side_y, "draw": draw, "factoring": factoring,
-        "null": null_s, "p_value": p_value,
+        "stages": {"sides": sides, "draw": draw, "null": null_s, "p_value": p_value},
+        "split": {"side_x": side_x, "side_y": side_y},
         "null_path": NULL_PATHS[statistics.func.__name__] if n >= TAKE_MIN_N else "batched",
     }
 
 
-def command_time(csv_path: str, args) -> float:
-    argv = [
+def command_argv(csv_path: str, args) -> list[str]:
+    return [
         "test", csv_path, "--x-columns", "x", "--y-columns", "y",
         "--kernel-x", KERNEL_X, "--kernel-y", args.kernel_y,
         "--permutations", str(args.permutations), "--seed", str(args.seed),
         "--threads", str(args.threads),
     ]
+
+
+def command_time(csv_path: str, args) -> float:
+    argv = command_argv(csv_path, args)
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code, seconds = timed(lambda: cli.main(argv))
     if code != 0:
         raise SystemExit(f"exit {code}: {' '.join(argv)}")
     return seconds
+
+
+def child_peak_rss_mb(csv_path: str, args) -> float:
+    """Peak RSS in MB (2^20 bytes) of one ``test`` command in a child process.
+
+    Must run before any other child, since ``RUSAGE_CHILDREN`` reports the
+    largest peak of all the children waited for.
+    """
+    paths = [str(Path(hsictest.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    subprocess.run(
+        [sys.executable, "-m", "hsictest", *command_argv(csv_path, args)],
+        check=True, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    return resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024  # KB on Linux
 
 
 def main() -> None:
@@ -103,20 +132,28 @@ def main() -> None:
     workers = _pool_size(args.threads, args.permutations)
     with tempfile.TemporaryDirectory() as tmp, ThreadPoolExecutor(max_workers=workers) as pool:
         data, csv_path = write_ring_csv(Path(tmp) / "ring.csv", args.n, args.seed)
+        peak_rss_mb = child_peak_rss_mb(csv_path, args)
         splits, totals = [], []
         for _ in range(args.repeats + 1):  # the first round warms up and is dropped
             splits.append(one_split(data, kx, ky, args, pool, workers))
             totals.append(command_time(csv_path, args))
     splits, totals = splits[1:], totals[1:]
-    stages = {key: stats.median(s[key] for s in splits) for key in splits[0] if key != "null_path"}
+
+    def medians(part):
+        keys = splits[0][part]
+        return {key: round(stats.median(s[part][key] for s in splits), 5) for key in keys}
+
+    stages = medians("stages")
     print(json.dumps({
         "n": args.n, "permutations": args.permutations, "threads": args.threads,
         "kernel_x": KERNEL_X, "kernel_y": args.kernel_y, "seed": args.seed,
         "repeats": args.repeats, "cpus": os.cpu_count(), "numpy": np.__version__,
         "null_path": splits[0]["null_path"],
-        "stages_s": {key: round(value, 5) for key, value in stages.items()},
+        "stages_s": stages,
+        "sides_split_s": medians("split"),
         "stage_sum_s": round(sum(stages.values()), 5),
         "total_s": round(stats.median(totals), 5),
+        "peak_rss_mb": round(peak_rss_mb, 1),
     }))
 
 

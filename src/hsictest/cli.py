@@ -67,7 +67,20 @@ def load_csv_columns(path: str, x_columns: list[str], y_columns: list[str]):
         )
 
     def pull(columns: list[str]) -> np.ndarray:
+        # Whole columns first: ``float`` ignores the surrounding whitespace
+        # that the cell-by-cell pass strips, so the values are the same.  On
+        # any failure that pass runs instead and names the first bad cell.
         out = np.empty((len(data_rows), len(columns)))
+        try:
+            for c, name in enumerate(columns):
+                col = index[name]
+                out[:, c] = np.fromiter(
+                    (float(row[col]) for row in data_rows), float, len(data_rows)
+                )
+            if np.isfinite(out).all():
+                return out
+        except (ValueError, IndexError):
+            pass
         for r, row in enumerate(data_rows):
             for c, name in enumerate(columns):
                 col = index[name]

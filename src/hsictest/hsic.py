@@ -177,14 +177,36 @@ def population_hsic(
     return HsicValue.from_raw(raw, Estimator.POPULATION_EXACT, scale)
 
 
-def _double_center(entries: np.ndarray) -> np.ndarray:
-    """In-place double centering: A <- H A H with H = I - (1/n) 11'."""
+# Centering updates the Gram in row blocks of at most this many floats (512
+# KB), each block while it is in cache; at n = 5000 that ran 1.5x faster than
+# three whole-matrix passes, and blocks of 2^15 or 2^17 floats ran no faster.
+_CENTER_BLOCK_FLOATS = 1 << 16
+
+
+def _double_center(entries: np.ndarray) -> float:
+    """In-place double centering, A <- H A H with H = I - (1/n) 11'; returns max|H A H|.
+
+    Each entry is updated as ``((a_ij - r_i) - r_j) + g`` from the row means r
+    and their mean g, one row block at a time, and the block's max and min
+    are taken before the next one.  The maximum equals
+    ``np.abs(entries).max()`` after centering, NaN included, without an
+    n x n temporary.
+    """
+    n = entries.shape[0]
     row_means = entries.mean(axis=1)
     grand_mean = row_means.mean()
-    entries -= row_means[:, None]
-    entries -= row_means[None, :]
-    entries += grand_mean
-    return entries
+    rows = max(1, _CENTER_BLOCK_FLOATS // n)
+    scale = 0.0
+    for lo in range(0, n, rows):
+        block = entries[lo : lo + rows]
+        block -= row_means[lo : lo + rows, None]
+        block -= row_means[None, :]
+        block += grand_mean
+        # NaN when the block holds one; once NaN, the scale stays NaN.
+        block_scale = float(max(block.max(), -block.min()))
+        if scale == scale and not block_scale <= scale:
+            scale = block_scale
+    return scale
 
 
 def centered_side(
@@ -207,9 +229,7 @@ def centered_side(
     with np.errstate(over="ignore", invalid="ignore"):
         spec, entries = resolved_gram(spec, pts, out, scratch)
         floor = pts.shape[0] * _EPS * entries.diagonal().max()
-        _double_center(entries)
-        # Equals np.abs(entries).max(), NaN included, without an n x n temporary.
-        scale = float(max(entries.max(), -entries.min()))
+        scale = _double_center(entries)
         if scale <= floor:
             entries.fill(0.0)
             scale = 0.0

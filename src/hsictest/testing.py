@@ -17,10 +17,11 @@ cell (seed, STREAM_PERMUTATION, 0) of :mod:`hsictest.rng`: replicate b is the
 stable argsort of the stream's raw 64-bit words b*n .. b*n + n - 1.  Replicate b
 therefore depends on (seed, n, b) alone, the replicates of a B-permutation test
 are a prefix of those of any larger B, and each one is reachable on its own by
-``Philox.advance``.  The draw sorts with numpy's faster default (unstable)
-argsort and repairs ties: a row whose keys repeat a value, found by one sort
-of the keys and an adjacent compare, is sorted again stably, so every row is
-still exactly the stable argsort.  A non-finite observed or null statistic
+``Philox.advance``.  The draw sorts each row once, by packed keys: a word's
+high bits with its column index in the low ``(n - 1).bit_length()`` bits.
+A row whose high parts repeat, found by an adjacent compare of the sorted
+keys, is sorted again by the stable argsort of its full words, so every row
+is still exactly the stable argsort.  A non-finite observed or null statistic
 raises ``ArithmeticError`` rather than yielding a p-value.
 
 The null has three paths, and the observed statistic is always the null's
@@ -49,15 +50,26 @@ reduction by construction:
   ``hsic.centered_product``.
 
 The path depends on the data alone, never on ``threads``.  From
-``TAKE_MIN_N`` points on, a test runs on one thread pool of up to ``threads``
-workers: the two sides and the draw are prepared as concurrent jobs, then the
-replicates of the two per-replicate paths are split into contiguous chunks on
-the same pool.  Every replicate is computed the same way whatever the
-chunking, so no number depends on the thread count.  Every large array (each
-n x n Gram, each median buffer, the permutations and the chunks' buffers) is
-allocated on the calling thread and filled in place by the pool: allocated on
-a pool thread, it would come from that thread's own malloc arena and raise
-the peak memory.
+``TAKE_MIN_N`` points on, a test holds one Gram at a time where it can: side
+x is built into one n x n buffer and factored at once, and if it factors,
+side y is built into the same buffer and factored.  A second Gram buffer is
+allocated only for the dense path, and a side whose Gram was overwritten is
+built again, bit for bit the same.  Before the permutations and each Gram
+buffer are allocated, the bytes the path will hold (its Gram buffers, two
+take buffers per null worker on the dense path, the median buffer and the
+permutations) are checked against ``MEMORY_BUDGET_BYTES``, capped by
+physical memory; over it, the test raises ``ValueError`` at once instead of
+running out of memory part-way.
+
+From ``TAKE_MIN_N`` points on, a test also runs on one thread pool of up to
+``threads`` workers.  The draw is its one prepared job and runs there while
+the calling thread builds the sides; the replicates of the two per-replicate
+paths are then split into contiguous chunks on the same pool.  Every
+replicate is computed the same way whatever the chunking, so no number
+depends on the thread count.  Every large array (each n x n Gram, the median
+buffer, the permutations and the chunks' buffers) is allocated on the
+calling thread: allocated on a pool thread, it would come from that thread's
+own malloc arena and raise the peak memory.
 """
 
 from __future__ import annotations
@@ -111,6 +123,11 @@ _DRAW_BLOCK_WORDS = 1 << 15
 
 _EPS = float(np.finfo(float).eps)
 
+# The factor's rows start in a buffer of this many rows, doubled when full,
+# rather than one of the cap's size: at n = 600 the cap's 96 rows would be
+# 0.16 of a Gram, and the ring's Gaussian sides take 12-14.
+_FACTOR_ROWS_FIRST = 16
+
 # A side whose centered Gram needs more than FACTOR_RANK_CAP_PER_ROOT *
 # isqrt(n) pivots stays dense.  Measured single-threaded per replicate
 # (numpy 2.4, OpenBLAS 0.3.31, 2-vCPU x86-64 VM), both sides of rank r,
@@ -119,6 +136,11 @@ _EPS = float(np.finfo(float).eps)
 # and 3.1 ms at r=256 vs 3.7 ms.  Factoring stops winning near 6*sqrt(n) up
 # to n=500 (later beyond), so the cap 4*isqrt(n) keeps it about 2x ahead.
 FACTOR_RANK_CAP_PER_ROOT = 4
+
+# A test whose permutations, n x n buffers and median buffer would take more
+# than this many bytes, or more than physical memory, is refused before they
+# are allocated.
+MEMORY_BUDGET_BYTES = 16 << 30
 
 
 @dataclass(frozen=True)
@@ -185,19 +207,29 @@ def _draw_permutations(seed: int, num: int, n: int, out: np.ndarray | None = Non
 
 
 def _argsort_rows(words: np.ndarray, out: np.ndarray) -> None:
-    """``out[:] = np.argsort(words, axis=1, kind="stable")``, by the faster default sort.
+    """``out[:] = np.argsort(words, axis=1, kind="stable")``, by one sort of packed keys.
 
-    Without tied keys in a row every sort orders it the same way, so only the
-    rows whose sorted keys repeat a value are sorted again, stably.  Ties are
-    looked for first by one compare over the whole sorted block, which also
-    pairs each row's last key with the next row's first; that can only raise
-    a false alarm, and the rows are then checked one by one.
+    With b the bit length of n - 1, the key of column j is its word with the
+    low b bits replaced by j.  Sorting the keys of a row orders it by the
+    words' high parts, and the low b bits of the sorted keys are the
+    columns.  Where a row's high parts are distinct that is the order of its
+    full words, so only rows whose high parts repeat are sorted again, by the
+    stable argsort of their words.  Repeats are looked for first by one
+    compare over the whole sorted block, which also pairs each row's last
+    key with the next row's first; that can only raise a false alarm, and
+    the rows are then checked one by one.
     """
-    out[:] = np.argsort(words, axis=1)
-    keys = np.sort(words, axis=1)
-    flat = keys.ravel()
+    n = words.shape[1]
+    b = (n - 1).bit_length()
+    low = np.uint64((1 << b) - 1)
+    keys = words & ~low
+    keys |= np.arange(n, dtype=np.uint64)
+    keys.sort(axis=1)
+    np.bitwise_and(keys, low, out=out, casting="unsafe")
+    high = keys >> b
+    flat = high.ravel()
     if np.any(flat[1:] == flat[:-1]):
-        tied = (keys[:, 1:] == keys[:, :-1]).any(axis=1)
+        tied = (high[:, 1:] == high[:, :-1]).any(axis=1)
         out[tied] = np.argsort(words[tied], axis=1, kind="stable")
 
 
@@ -271,13 +303,15 @@ def _pivoted_cholesky(a: np.ndarray, max_abs: float, cap: int) -> np.ndarray | N
     n = a.shape[0]
     floor = n * _EPS * max_abs
     residual = a.diagonal().copy()
-    rows = np.empty((cap, n))
+    rows = np.empty((min(cap, _FACTOR_ROWS_FIRST), n))
     for k in range(cap + 1):
         pivot = int(np.argmax(residual))
         if residual[pivot] <= floor:
             return rows[:k].copy()
         if k == cap:
             break
+        if k == len(rows):
+            rows = np.concatenate((rows, np.empty((min(k, cap - k), n))))
         col = a[:, pivot] - (rows[:k] * rows[:k, pivot, None]).sum(axis=0)
         col /= math.sqrt(residual[pivot])
         rows[k] = col
@@ -317,16 +351,74 @@ def _factored_statistics(
     return out
 
 
-def _null_function(kc: np.ndarray, lc: np.ndarray, kc_max: float, lc_max: float):
-    """``statistics(perms, pool=None, workers=1)`` for two centered Grams, on their ranks' path."""
-    n = kc.shape[0]
+def _memory_budget() -> int:
+    """``MEMORY_BUDGET_BYTES``, or physical memory where that is smaller."""
+    try:
+        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no sysconf, or no such name
+        return MEMORY_BUDGET_BYTES
+    return min(MEMORY_BUDGET_BYTES, physical)
+
+
+def _check_memory(n: int, grams: int, median: bool, held: int) -> None:
+    """Refuse a test whose ``grams`` n x n float buffers would exceed the budget.
+
+    The estimate adds the median buffer of n(n-1)/2 floats when a side has a
+    median bandwidth, and the ``held`` bytes of the permutations.  It is
+    checked before the buffers are allocated, so an oversized test fails at
+    once with ``ValueError`` rather than later with ``MemoryError``.
+    """
+    need = 8 * (grams * n * n + (n * (n - 1) // 2 if median else 0)) + held
+    budget = _memory_budget()
+    if need > budget:
+        raise ValueError(
+            f"a test of {n} points would hold about {need / 2**20:.1f} MiB, "
+            f"over the memory budget of {budget / 2**20:.1f} MiB"
+        )
+
+
+def _null_function(
+    data: Dataset, kx: KernelSpec, ky: KernelSpec, workers: int = 1, held: int = 0
+):
+    """Both sides of ``data`` and the null their ranks choose: ``(kx, ky, scale, statistics)``.
+
+    ``kx`` and ``ky`` come back resolved, ``scale`` is ``max|Kc| * max|Lc|``
+    and ``statistics(perms, pool=None, workers=1)`` is the null function.
+    From ``TAKE_MIN_N`` points on, side x is built into one n x n buffer and
+    factored at once; if it factors, side y is built into the same buffer
+    and factored, so a factored test holds one Gram.  If x does not factor,
+    y gets a second buffer; if only y does not, x is built again, bit for
+    bit the same, into a second buffer.  Each allocation is first checked
+    against the memory budget, with ``workers`` chunks of two take buffers
+    counted on the dense path and ``held`` bytes already in use.
+    """
+    n = data.n
+    median = not (kx.is_resolved and ky.is_resolved)
     if n >= TAKE_MIN_N:
-        cap = FACTOR_RANK_CAP_PER_ROOT * math.isqrt(n)
-        fx = _pivoted_cholesky(kc, kc_max, cap)
-        fy = None if fx is None else _pivoted_cholesky(lc, lc_max, cap)
+        _check_memory(n, 1, median, held)
+    scratch = np.empty(n * (n - 1) // 2) if median else None
+    side_x = partial(centered_side, kx, data.x_points, scratch=scratch)
+    side_y = partial(centered_side, ky, data.y_points, scratch=scratch)
+    if n < TAKE_MIN_N:
+        kx, kc, kc_max = side_x()
+        ky, lc, lc_max = side_y()
+        return kx, ky, kc_max * lc_max, partial(_permuted_statistics, kc, lc)
+    cap = FACTOR_RANK_CAP_PER_ROOT * math.isqrt(n)
+    first = np.empty((n, n))
+    kx, kc, kc_max = side_x(first)
+    fx = _pivoted_cholesky(kc, kc_max, cap)
+    if fx is None:
+        _check_memory(n, 2 + 2 * workers, median, held)
+        ky, lc, lc_max = side_y(np.empty((n, n)))
+    else:
+        ky, lc, lc_max = side_y(first)
+        fy = _pivoted_cholesky(lc, lc_max, cap)
         if fy is not None:
-            return partial(_factored_statistics, fx, fy)
-    return partial(_permuted_statistics, kc, lc)
+            return kx, ky, kc_max * lc_max, partial(_factored_statistics, fx, fy)
+        del fx
+        _check_memory(n, 2 + 2 * workers, median, held)
+        kx, kc, kc_max = side_x(np.empty((n, n)))
+    return kx, ky, kc_max * lc_max, partial(_permuted_statistics, kc, lc)
 
 
 def _check_finite(null: np.ndarray) -> None:
@@ -337,35 +429,6 @@ def _check_finite(null: np.ndarray) -> None:
         raise ArithmeticError(
             "non-finite HSIC statistic: the kernel values overflowed or are undefined"
         )
-
-
-def _results(pool, jobs) -> list:
-    """``fn(*args)`` for each ``(fn, *args)`` of ``jobs``, concurrently on ``pool`` if there is one.
-
-    Results, and the first exception, come back in job order either way.
-    No job's arguments outlive this call, so buffers built by a generator of
-    jobs are freed with the jobs.
-    """
-    if pool is None:
-        return [fn(*args) for fn, *args in jobs]
-    futures = [pool.submit(*job) for job in jobs]
-    return [future.result() for future in futures]
-
-
-def _jobs(data: Dataset, kx: KernelSpec, ky: KernelSpec, draw):
-    """The ``centered_side`` job of each side, then ``draw``'s if there is one.
-
-    The jobs may run on pool threads.  Allocated there, the n x n Gram and
-    the median buffer of a side would come from that thread's own malloc
-    arena, which grew the peak memory of a pooled test; each job's buffers
-    are allocated here instead, as the job is built.
-    """
-    n = data.n
-    for spec, points in ((kx, data.x_points), (ky, data.y_points)):
-        scratch = None if spec.is_resolved else np.empty(n * (n - 1) // 2)
-        yield centered_side, spec, points, np.empty((n, n)), scratch
-    if draw is not None:
-        yield (draw,)
 
 
 def _calibrated(
@@ -387,22 +450,24 @@ def _calibrated(
     ``draw()``, when given, fills ``perms`` in place.  Each side is resolved
     and centered once, on the unpermuted data, and is frozen across
     replicates; the marginal point sets are permutation invariant anyway.
-    From ``TAKE_MIN_N`` points on, with ``threads`` above 1, the two sides
-    and the draw run as concurrent jobs on one pool, whose workers then run
-    the null's chunks.  The observed value is the null function at the
-    identity permutation, so an identity replicate reproduces it bitwise on
-    every path.
+    From ``TAKE_MIN_N`` points on, with ``threads`` above 1, the draw runs on
+    the test's pool while the calling thread builds the sides, and the
+    pool's workers then run the null's chunks.  The observed value is the
+    null function at the identity permutation, so an identity replicate
+    reproduces it bitwise on every path.
     """
     num = len(perms)
     workers = _pool_size(threads, num)
-    size = _pool_size(threads, max(3, num)) if data.n >= TAKE_MIN_N else 1
+    size = workers if data.n >= TAKE_MIN_N else 1
     with ThreadPoolExecutor(max_workers=size) if size > 1 else nullcontext() as pool:
-        (kx, kc, kc_max), (ky, lc, lc_max), *_ = _results(pool, _jobs(data, kx, ky, draw))
-        statistics = _null_function(kc, lc, kc_max, lc_max)
+        drawing = pool.submit(draw) if pool is not None else None
+        kx, ky, scale, statistics = _null_function(data, kx, ky, workers, perms.nbytes)
+        if drawing is not None:
+            drawing.result()
+        elif draw is not None:
+            draw()
         identity = np.arange(data.n, dtype=np.intp)[None, :]
-        observed = HsicValue.from_raw(
-            statistics(identity)[0], Estimator.BIASED_V, kc_max * lc_max
-        )
+        observed = HsicValue.from_raw(statistics(identity)[0], Estimator.BIASED_V, scale)
         null = statistics(perms, pool, workers)
     _check_finite(null)
     p = p_value(observed.raw, null)
@@ -430,12 +495,14 @@ def permutation_test(
 ) -> TestResult:
     """Monte Carlo permutation test of independence using biased HSIC.
 
-    ``threads`` bounds the one worker pool that prepares the two sides,
-    draws the permutations and runs the null statistics; the result does
-    not depend on it.
+    ``threads`` bounds the one worker pool that draws the permutations
+    beside the side builds and runs the null statistics; the result does
+    not depend on it.  A test too large for the memory budget raises
+    ``ValueError`` before it allocates its permutations or a Gram.
     """
     if data.n < 2:
         raise ValueError("permutation test needs at least 2 paired samples")
+    _check_memory(data.n, 0, False, cfg.num_permutations * data.n * np.dtype(np.intp).itemsize)
     perms = np.empty((cfg.num_permutations, data.n), dtype=np.intp)
     return _calibrated(
         data, kx, ky, perms, cfg.alpha, p_value_from_null,

@@ -3,11 +3,12 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from hsictest import GeneratorKind, GeneratorSpec, discrete_ring, kernels, sample
+from hsictest import GeneratorKind, GeneratorSpec, discrete_ring, kernels, sample, testing
 from hsictest.cli import load_csv_columns, main
 
 RING_CSV_SEED = 3
@@ -74,6 +75,12 @@ class TestCsvLoading:
             ("x,y\n1,\n", "missing value"),
             ("x,y\n1,abc\n", "non-numeric"),
             ("x,y\n1,inf\n", "non-finite"),
+            # The first bad cell is named after good rows: x columns first,
+            # then in row order.
+            ("x,y\n1,2\n3\n", "row 3 is too short"),
+            ("x,y\n1,2\n3, \n", "missing value at row 3, column 'y'"),
+            ("x,y\n1,2\n3,4\nx5,6\n", "non-numeric value 'x5' at row 4, column 'x'"),
+            ("x,y\n1,nan\n-inf,4\n", "non-finite value '-inf' at row 3, column 'x'"),
         ],
     )
     def test_bad_inputs_exit_2(self, tmp_path, capsys, content, message):
@@ -85,6 +92,18 @@ class TestCsvLoading:
         assert code == 2
         assert report is None
         assert message in err
+
+    def test_whitespace_padded_cells_read_as_stripped(self, tmp_path):
+        # Columns convert whole; a padded cell must give the value of its
+        # stripped text, bit for bit.
+        cells = ["0.1", "1e-300", "-2.5", "3", "0.30000000000000004"]
+        path = tmp_path / "padded.csv"
+        path.write_text(
+            "x,y\n" + "".join(f" {c}\t,  {c} \n" for c in cells), encoding="utf-8"
+        )
+        x, y = load_csv_columns(str(path), ["x"], ["y"])
+        expected = np.array([[float(c)] for c in cells])
+        assert x.tobytes() == expected.tobytes() and y.tobytes() == expected.tobytes()
 
     def test_missing_file_exit_2(self, capsys):
         code, _, err = run_cli(
@@ -218,6 +237,70 @@ class TestTestCommand:
         assert code == 2
         assert report is None
         assert err
+
+
+class TestMemoryGuard:
+    N, B = 600, 200
+
+    @pytest.fixture(scope="class")
+    def big_csv(self, tmp_path_factory):
+        return write_ring_csv(tmp_path_factory.mktemp("guard") / "ring.csv", n=self.N)
+
+    def argv(self, csv, kernel_y):
+        return [
+            "test", csv, "--x-columns", "x", "--y-columns", "y",
+            "--kernel-y", kernel_y, "--permutations", str(self.B), "--threads", "1",
+        ]
+
+    def estimate(self, grams):
+        """Bytes of ``grams`` n x n buffers, the median buffer and the permutations."""
+        n = self.N
+        return 8 * (grams * n * n + n * (n - 1) // 2) + 8 * self.B * n
+
+    def test_budget_below_one_gram_exits_2_before_allocating(
+        self, big_csv, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(testing, "MEMORY_BUDGET_BYTES", 8 * self.N**2 - 1)
+        tracemalloc.start()
+        try:
+            code, report, err = run_cli(self.argv(big_csv, "gaussian:median"), capsys)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and report is None
+        assert f"about {self.estimate(1) / 2**20:.1f} MiB" in err and "memory budget" in err
+        assert peak < 8 * self.N**2
+
+    def test_budget_for_the_factored_path_refuses_the_dense_fallback(
+        self, big_csv, capsys, monkeypatch
+    ):
+        # Exactly the factored estimate: a Gaussian y factors and runs; a
+        # Laplace y does not factor, and the dense path's two Grams and one
+        # chunk's two take buffers are refused, not met by MemoryError.
+        monkeypatch.setattr(testing, "MEMORY_BUDGET_BYTES", self.estimate(1))
+        code, report, _ = run_cli(self.argv(big_csv, "gaussian:median"), capsys)
+        assert code == 0 and report["n"] == self.N
+        code, report, err = run_cli(self.argv(big_csv, "laplace:median"), capsys)
+        assert code == 2 and report is None
+        assert f"about {self.estimate(4) / 2**20:.1f} MiB" in err
+
+    def test_permutations_beyond_memory_exit_2(self, ring_csv, capsys):
+        # 10^12 permutations of 200 points would take 1.6 PB; the test must
+        # refuse them before it allocates them, not fail with MemoryError.
+        argv = [
+            "test", ring_csv, "--x-columns", "x", "--y-columns", "y",
+            "--permutations", str(10**12), "--threads", "1",
+        ]
+        code, report, err = run_cli(argv, capsys)
+        assert code == 2 and report is None
+        assert "memory budget" in err
+
+    def test_budget_capped_by_physical_memory(self, monkeypatch):
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1000}
+        monkeypatch.setattr(testing.os, "sysconf", pages.__getitem__)
+        assert testing._memory_budget() == 4096 * 1000
+        monkeypatch.setattr(testing, "MEMORY_BUDGET_BYTES", 4096)
+        assert testing._memory_budget() == 4096
 
 
 class TestReproduceRingCommand:

@@ -66,7 +66,8 @@ def _grams(d, kx, ky):
     """Centered Grams, their scale max|Kc| * max|Lc|, and the null function a test picks."""
     _, kc, kc_max = centered_side(kx, d.x_points)
     _, lc, lc_max = centered_side(ky, d.y_points)
-    return kc, lc, kc_max * lc_max, testing._null_function(kc, lc, kc_max, lc_max)
+    *_, statistics = testing._null_function(d, kx, ky)
+    return kc, lc, kc_max * lc_max, statistics
 
 
 class TestPermutationConfig:
@@ -178,13 +179,20 @@ class TestDrawPermutations:
             rng_for(1.5, STREAM_PERMUTATION, 0)
 
     def test_tied_keys_sort_stably(self):
-        # The default argsort may order tied keys either way; the rows it
-        # leaves must still be the stable argsort.  Crafted ties: a repeated
-        # column (one tied pair per row), a constant row, rows of few values.
-        words = rng_for(0, STREAM_PERMUTATION, 0).bit_generator.random_raw((8, 50))
+        # The packed keys order a row by the words' high parts only; the rows
+        # it leaves must still be the stable argsort.  Crafted ties: a repeated
+        # column (one tied pair per row), a constant row, rows of few values,
+        # and words that agree in all but the low b = 6 bits (50 columns),
+        # whose low bits order them against their columns, or with them.
+        words = rng_for(0, STREAM_PERMUTATION, 0).bit_generator.random_raw((10, 50))
         words[:3, 31] = words[:3, 7]
         words[3] = words[3, 0]
         words[4:7] = np.random.default_rng(0).integers(0, 3, size=(3, 50), dtype=np.uint64)
+        high = words[7:, 3] >> np.uint64(6) << np.uint64(6)
+        words[7:, 3] = high | np.uint64(45)
+        words[7:, 20] = high | np.uint64(2)
+        words[8, 41] = high[1] | np.uint64(63)
+        words[9, [20, 3]] = words[9, [3, 20]]
         # A tie across rows only: row 0's largest key is row 1's smallest.
         across = np.array([[9, 2, 5], [12, 9, 30]], dtype=np.uint64)
         for block in (words, across):
@@ -436,11 +444,19 @@ class TestFactoredNull:
             "--permutations", "50", "--seed", str(seed), "--threads", "2",
         ]
         out, err = io.StringIO(), io.StringIO()
+        forced = []
+
+        def dense_null(data, kx, ky, *_):
+            # Both sides dense, whatever their ranks; each call is recorded,
+            # so a patch that stops applying fails the test below.
+            forced.append(data.n)
+            kx, kc, kc_max = centered_side(kx, data.x_points)
+            ky, lc, lc_max = centered_side(ky, data.y_points)
+            return kx, ky, kc_max * lc_max, partial(_permuted_statistics, kc, lc)
+
         with pytest.MonkeyPatch.context() as mp:
             if dense:
-                mp.setattr(
-                    testing, "_null_function", lambda kc, lc, *_: partial(_permuted_statistics, kc, lc)
-                )
+                mp.setattr(testing, "_null_function", dense_null)
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = cli.main(argv)
         assert code in (0, 2, 3), err.getvalue()
@@ -452,6 +468,8 @@ class TestFactoredNull:
         if code == 0:
             p = json.loads(out.getvalue())["p_value"]
             assert math.isfinite(p) and 0.0 < p <= 1.0
+            if dense and n >= TAKE_MIN_N:
+                assert forced == [n]
 
 
 class TestThreads:
@@ -490,16 +508,18 @@ class TestThreads:
         assert results[0] == results[1] == results[2]
 
     @pytest.mark.parametrize(
-        "ky,before", [(GAUSS_MEDIAN, 3.38), (LAPLACE_MEDIAN, 4.34)], ids=["factored", "dense"]
+        "ky,before", [(GAUSS_MEDIAN, 1.95), (LAPLACE_MEDIAN, 4.34)], ids=["factored", "dense"]
     )
     def test_peak_memory_no_higher_than_before(self, ky, before):
-        # Traced peak of one test, in units of one n x n float Gram.  Before
-        # the caller allocated each side's buffers and the median stopped
-        # copying the distances three times, the factored test peaked at
-        # 3.3780 units and the dense one at 4.3378, its null's two chunk
-        # buffers; the bounds leave 0.01 of a unit for small Python objects.
-        # The factored test now peaks near 3.33.  A median buffer kept alive
-        # into the null would add 0.5 units per side.
+        # Traced peak of one test, in units of one n x n float Gram.  The
+        # factored test builds and factors one side at a time in one Gram
+        # buffer, so it peaks near 1.93: the Gram, the median buffer (0.5),
+        # the permutations (0.33) and the factors.  It peaked at 3.33 while
+        # both Grams were held, and a second Gram would add 1.  The dense
+        # test peaks at 4.3378: two Grams, the permutations and its null's
+        # two chunk buffers.  The bounds leave 0.01 to 0.02 of a unit for
+        # small Python objects; a median buffer or a factor kept alive into
+        # the dense null would break the dense one.
         n = 600
         d = _ring(0, n)
         cfg = PermutationConfig(200, 0.05, 0)
