@@ -5,22 +5,24 @@ Each stage of a permutation test is timed on its own, in process, and the
 median over ``--repeats`` runs is reported:
 
 * ``sides``: ``testing._null_function``, which builds both sides as a test
-  does, one Gram buffer at a time, and factors them; on the dense path it
-  also builds the second Gram;
-* ``draw``: the B permutations;
-* ``null``: the B null statistics, chunked over a pool of ``--threads``;
+  does, one Gram buffer at a time with each pass split over the pool of
+  ``--threads``, and factors them; on the dense path it also builds the
+  second Gram;
+* ``null``: the B null statistics, chunked over the pool, each chunk
+  drawing its own permutations block by block as a test does;
 * ``p_value``: the p-value and the null quantile.
 
 ``side_x`` and ``side_y`` split ``sides``: each is ``hsic.centered_side``
 (median bandwidth, Gram, centering and scale) of one side alone, into one
-reused buffer, so they are reported apart and left out of ``stage_sum_s``.
+reused buffer.  ``draw`` splits ``null``: the B permutations drawn alone,
+in the blocks the factored and batched nulls draw.  The splits are left out
+of ``stage_sum_s``.
 
 ``total_s`` is the median wall time of the whole ``test`` command through
 ``hsictest.cli.main``, so it is not the sum of the stages: the command also
-parses the CSV, copies the data and writes its report, and with
-``--threads`` above 1 it draws the permutations on its pool while it builds
-the sides.  ``peak_rss_mb`` is the peak resident memory of one more ``test``
-command, run alone in a child process.
+parses the CSV, copies the data and writes its report.  ``peak_rss_mb`` is
+the peak resident memory of one more ``test`` command, run alone in a child
+process.
 
     PYTHONPATH=src python3 scripts/stage_times.py --n 1000 --permutations 500 --threads 2
 """
@@ -39,6 +41,7 @@ import sys
 import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +49,14 @@ import numpy as np
 import hsictest
 from hsictest import GeneratorKind, GeneratorSpec, cli, p_value_from_null, parse_kernel, sample
 from hsictest.hsic import centered_side
-from hsictest.testing import TAKE_MIN_N, _draw_permutations, _null_function, _pool_size
+from hsictest.testing import (
+    _DRAW_BLOCK_WORDS,
+    TAKE_MIN_N,
+    _draw_rows,
+    _null_function,
+    _pool_size,
+    _Rows,
+)
 
 KERNEL_X = "gaussian:median"
 NULL_PATHS = {"_factored_statistics": "factored", "_permuted_statistics": "dense"}
@@ -68,20 +78,28 @@ def timed(fn):
     return result, time.perf_counter() - start
 
 
+def draw_alone(seed: int, b: int, n: int) -> None:
+    """The B permutations, drawn block by block and dropped."""
+    block = np.empty((min(b, max(1, _DRAW_BLOCK_WORDS // n)), n), dtype=np.intp)
+    for _ in _draw_rows(seed, n, 0, b, block):
+        pass
+
+
 def one_split(data, kx, ky, args, pool, workers) -> dict:
     n, b = data.n, args.permutations
-    buffer, scratch = np.empty((n, n)), np.empty(n * (n - 1) // 2)
-    _, side_x = timed(lambda: centered_side(kx, data.x_points, buffer, scratch))
-    _, side_y = timed(lambda: centered_side(ky, data.y_points, buffer, scratch))
-    del buffer, scratch
-    perms, draw = timed(lambda: _draw_permutations(args.seed, b, n))
-    (*_, statistics), sides = timed(lambda: _null_function(data, kx, ky, workers, perms.nbytes))
+    buffer = np.empty((n, n))
+    _, side_x = timed(lambda: centered_side(kx, data.x_points, buffer, pool, workers))
+    _, side_y = timed(lambda: centered_side(ky, data.y_points, buffer, pool, workers))
+    del buffer
+    _, draw = timed(lambda: draw_alone(args.seed, b, n))
+    (*_, statistics), sides = timed(lambda: _null_function(data, kx, ky, pool, workers, 8 * b))
     observed = statistics(np.arange(n, dtype=np.intp)[None, :])[0]
+    perms = _Rows(b, n, partial(_draw_rows, args.seed, n))
     null, null_s = timed(lambda: statistics(perms, pool, workers))
     _, p_value = timed(lambda: (p_value_from_null(observed, null), np.quantile(null, 0.95)))
     return {
-        "stages": {"sides": sides, "draw": draw, "null": null_s, "p_value": p_value},
-        "split": {"side_x": side_x, "side_y": side_y},
+        "stages": {"sides": sides, "null": null_s, "p_value": p_value},
+        "split": {"side_x": side_x, "side_y": side_y, "draw": draw},
         "null_path": NULL_PATHS[statistics.func.__name__] if n >= TAKE_MIN_N else "batched",
     }
 
@@ -150,7 +168,7 @@ def main() -> None:
         "repeats": args.repeats, "cpus": os.cpu_count(), "numpy": np.__version__,
         "null_path": splits[0]["null_path"],
         "stages_s": stages,
-        "sides_split_s": medians("split"),
+        "split_s": medians("split"),
         "stage_sum_s": round(sum(stages.values()), 5),
         "total_s": round(stats.median(totals), 5),
         "peak_rss_mb": round(peak_rss_mb, 1),

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -125,35 +126,47 @@ def as_points(points) -> np.ndarray:
 _DIFF_BLOCK_FLOATS = 1 << 16
 
 
-def _pairwise(pts: np.ndarray, squared: bool, out: np.ndarray | None = None) -> np.ndarray:
-    """Full matrix of pairwise squared-Euclidean (or cityblock) distances, in ``out``.
+def _pairwise(
+    pts: np.ndarray,
+    squared: bool,
+    out: np.ndarray | None = None,
+    lo: int = 0,
+    hi: int | None = None,
+) -> np.ndarray:
+    """Pairwise squared-Euclidean (or cityblock) distances: rows ``lo:hi`` of them, in ``out``.
 
-    ``out`` is an n x n float buffer the caller owns (a new one when None).
-    The first coordinate is written straight into it; each later one is added
-    in row blocks through one small diff buffer.  Coordinates are accumulated
+    ``out`` is an n x n float buffer the caller owns (a new one when None);
+    only its rows ``lo:hi`` are written, all rows by default.  The first
+    coordinate is written straight into them; each later one is added in
+    row blocks through one small diff buffer.  Coordinates are accumulated
     one column at a time, in order, which is the summation order of scipy's
     ``pdist``/``cdist``; the results agree bitwise (a single ``einsum`` over
-    the coordinate axis does not, from d = 3 on).  Entry (i, j) and entry
-    (j, i) are computed from the same terms, so the matrix is exactly
-    symmetric.
+    the coordinate axis does not, from d = 3 on).  Every entry is computed
+    on its own, so rows built in separate ranges equal rows built at once.
+    Entry (i, j) and entry (j, i) are computed from the same terms, so the
+    matrix is exactly symmetric, with a zero diagonal.
     """
     n = pts.shape[0]
     if out is None:
         out = np.empty((n, n))
+    first = out[lo:hi]
     cols = pts.T
     if not len(cols):  # points without coordinates all coincide
-        out.fill(0.0)
+        first.fill(0.0)
         return out
-    np.subtract(cols[0][:, None], cols[0][None, :], out=out)
-    _square_or_abs(out, squared)
-    rows = max(1, _DIFF_BLOCK_FLOATS // n)
-    diff = np.empty((min(rows, n), n)) if len(cols) > 1 else None
-    for col in cols[1:]:
-        for lo in range(0, n, rows):
-            d = diff[: min(rows, n - lo)]
-            np.subtract(col[lo : lo + rows, None], col[None, :], out=d)
-            _square_or_abs(d, squared)
-            out[lo : lo + rows] += d
+    np.subtract(cols[0][lo:hi, None], cols[0], out=first)
+    _square_or_abs(first, squared)
+    if len(cols) > 1:
+        hi = n if hi is None else hi
+        rows = max(1, _DIFF_BLOCK_FLOATS // n)
+        diff = np.empty((min(rows, hi - lo), n))
+        for col in cols[1:]:
+            for start in range(lo, hi, rows):
+                stop = min(start + rows, hi)
+                d = diff[: stop - start]
+                np.subtract(col[start:stop, None], col, out=d)
+                _square_or_abs(d, squared)
+                out[start:stop] += d
     return out
 
 
@@ -173,13 +186,18 @@ def median_heuristic(points) -> float:
     return _median_of_squared(_pairwise(as_points(points), squared=True))
 
 
-def _median_of_squared(sq: np.ndarray, scratch: np.ndarray | None = None) -> float:
+def _median_of_squared(sq: np.ndarray) -> float:
     """:func:`median_heuristic` from the full matrix of squared pairwise distances.
 
-    The strict upper triangle is copied row by row into ``scratch``, a buffer
-    of n(n-1)/2 floats the caller owns (a new one when None), and partitioned
-    there in place about its middle; ``sq`` is left as it was.  Only the
-    middle order statistics are square-rooted, and they are averaged as
+    ``sq`` is selected in place, so it keeps its entries but not their
+    order.  :func:`_pairwise` builds it exactly symmetric with a zero
+    diagonal, so its n^2 sorted entries are the n diagonal zeros, then each
+    of the m = n(n-1)/2 strict-upper values u_0 <= ... <= u_{m-1} twice (all
+    are >= 0).  Sorted entry ``n + 2i`` is therefore u_i: one ``partition``
+    of the flat view about ``k = n + 2 * (m // 2)`` puts the upper middle
+    u_{m//2} at k, and for even m the largest entry before k is the lower
+    middle u_{m//2 - 1}, exactly the order statistics the upper triangle
+    alone gives.  Only they are square-rooted, and they are averaged as
     ``np.median`` averages them.  sqrt is correctly rounded and so monotone:
     the square roots of the middle squared distances are the middle
     distances, and the value is bitwise that of ``np.median`` over all the
@@ -191,16 +209,12 @@ def _median_of_squared(sq: np.ndarray, scratch: np.ndarray | None = None) -> flo
     if n < 2:
         raise ValueError("median heuristic needs at least 2 points")
     size = n * (n - 1) // 2
-    upper = np.empty(size) if scratch is None else scratch[:size]
-    start = 0
-    for i in range(n - 1):
-        upper[start : start + n - 1 - i] = sq[i, i + 1 :]
-        start += n - 1 - i
-    half = size // 2
-    upper.partition(half)
-    if not upper[half:].max() > 0.0:
+    k = n + 2 * (size // 2)
+    flat = sq.reshape(-1)
+    flat.partition(k)
+    if not flat[k:].max() > 0.0:
         raise AllPointsIdenticalError("all pairwise distances are zero")
-    middle = [upper[half]] if size % 2 else [upper[:half].max(), upper[half]]
+    middle = [flat[k]] if size % 2 else [flat[:k].max(), flat[k]]
     return float(np.mean(np.sqrt(middle)))
 
 
@@ -223,45 +237,53 @@ def gram_entries(spec: KernelSpec, points, out: np.ndarray | None = None) -> np.
     if not spec.is_resolved:
         raise ValueError("bandwidth sentinel is unresolved; call resolve_bandwidth first")
     pts = as_points(points)
-    if spec.family is KernelFamily.GAUSSIAN:
-        return _gaussian_in_place(_pairwise(pts, True, out), spec.bandwidth)
-    if spec.family is KernelFamily.LAPLACE:
-        entries = _pairwise(pts, False, out)
-        np.divide(entries, -spec.bandwidth, out=entries)
-        return np.exp(entries, out=entries)
-    return np.einsum("id,jd->ij", pts, pts, out=out)
+    n = pts.shape[0]
+    return _gram_rows(spec, pts, np.empty((n, n)) if out is None else out, 0, n)
 
 
-def _gaussian_in_place(sq: np.ndarray, bandwidth: float) -> np.ndarray:
-    """``exp(-sq / (2 bandwidth^2))``, overwriting the squared distances ``sq``.
+def _gram_rows(
+    spec: KernelSpec, pts: np.ndarray, out: np.ndarray, lo: int, hi: int
+) -> np.ndarray:
+    """Rows ``lo:hi`` of :func:`gram_entries`, in the same rows of ``out``; returns ``out``.
 
-    Divides rather than multiplying by the reciprocal, which would move the
-    Gram in the last bits.
+    Each entry is computed on its own, so rows built in separate ranges
+    equal rows built at once, bit for bit.
     """
-    np.divide(sq, -2.0 * bandwidth**2, out=sq)
-    return np.exp(sq, out=sq)
+    if spec.family is KernelFamily.LINEAR:
+        np.einsum("id,jd->ij", pts[lo:hi], pts, out=out[lo:hi])
+        return out
+    gaussian = spec.family is KernelFamily.GAUSSIAN
+    rows = _pairwise(pts, gaussian, out, lo, hi)[lo:hi]
+    # Divides rather than multiplying by the reciprocal, which would move
+    # the Gram in the last bits.
+    np.divide(rows, -2.0 * spec.bandwidth**2 if gaussian else -spec.bandwidth, out=rows)
+    np.exp(rows, out=rows)
+    return out
 
 
 def resolved_gram(
-    spec: KernelSpec, points, out: np.ndarray | None = None, scratch: np.ndarray | None = None
+    spec: KernelSpec, points, out: np.ndarray | None = None, over_rows=None
 ) -> tuple[KernelSpec, np.ndarray]:
     """``spec`` with a median bandwidth resolved on ``points``, and its Gram entries there.
 
     The Gram is built in ``out`` (see :func:`gram_entries`).  A median
-    bandwidth is taken from squared distances built in ``out`` too, with
-    ``scratch`` (see :func:`_median_of_squared`) as the median's buffer; a
-    Gaussian side then takes its Gram from those same distances, so it makes
-    one distance pass.  The results equal :func:`resolve_bandwidth` followed
-    by :func:`gram_entries` bit for bit.
+    bandwidth is selected from squared distances built in ``out`` first
+    (see :func:`_median_of_squared`); the selection scrambles them, so the
+    Gram pass computes the distances again, bit for bit the same.  Each of
+    the two passes is ``over_rows(job)``, which must call ``job(lo, hi)``
+    for row ranges that cover range(n) once, in any order and on any
+    thread; by default it is one call over all rows.  The results equal
+    :func:`resolve_bandwidth` followed by :func:`gram_entries` bit for bit.
     """
-    if spec.is_resolved:
-        return spec, gram_entries(spec, points, out)
     pts = as_points(points)
-    sq = _pairwise(pts, True, out)
-    spec = replace(spec, bandwidth=_median_of_squared(sq, scratch))
-    if spec.family is KernelFamily.GAUSSIAN:
-        return spec, _gaussian_in_place(sq, spec.bandwidth)
-    return spec, gram_entries(spec, pts, sq)
+    n = pts.shape[0]
+    out = np.empty((n, n)) if out is None else out
+    over_rows = over_rows or (lambda job: [job(0, n)])
+    if not spec.is_resolved:
+        over_rows(partial(_pairwise, pts, True, out))
+        spec = replace(spec, bandwidth=_median_of_squared(out))
+    over_rows(partial(_gram_rows, spec, pts, out))
+    return spec, out
 
 
 def spd_tolerance(entries: np.ndarray) -> float:

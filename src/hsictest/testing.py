@@ -28,9 +28,9 @@ The null has three paths, and the observed statistic is always the null's
 own function applied to the identity permutation, so the two share one
 reduction by construction:
 
-* Batched, below ``TAKE_MIN_N`` points: a batch of replicates is gathered at
-  once by 3-D fancy indexing and reduced by one einsum, since per-replicate
-  Python overhead dominates tiny Grams.
+* Batched, below ``TAKE_MIN_N`` points: each block of replicates is gathered
+  at once by 3-D fancy indexing and reduced by one einsum, since
+  per-replicate Python overhead dominates tiny Grams.
 * Factored, from ``TAKE_MIN_N`` on when both centered Grams are numerically
   low rank: each is factored by pivoted incomplete Cholesky (Bach & Jordan
   2002), ``Kc ~= Fx Fx'`` and ``Lc ~= Fy Fy'``, and replicate p is
@@ -50,26 +50,29 @@ reduction by construction:
   ``hsic.centered_product``.
 
 The path depends on the data alone, never on ``threads``.  From
-``TAKE_MIN_N`` points on, a test holds one Gram at a time where it can: side
-x is built into one n x n buffer and factored at once, and if it factors,
-side y is built into the same buffer and factored.  A second Gram buffer is
-allocated only for the dense path, and a side whose Gram was overwritten is
-built again, bit for bit the same.  Before the permutations and each Gram
-buffer are allocated, the bytes the path will hold (its Gram buffers, two
-take buffers per null worker on the dense path, the median buffer and the
-permutations) are checked against ``MEMORY_BUDGET_BYTES``, capped by
-physical memory; over it, the test raises ``ValueError`` at once instead of
-running out of memory part-way.
+``TAKE_MIN_N`` points on, a test holds one n x n Gram buffer where it can,
+and nothing else that grows with n^2 or with B: side x is built into one
+buffer and factored at once, and if it factors, side y is built into the
+same buffer and factored.  A median bandwidth is selected inside that
+buffer, before the Gram is built there.  A second Gram buffer is allocated
+only for the dense path, and a side whose Gram was overwritten is built
+again, bit for bit the same.  The permutations are never held: each chunk
+of the null draws its rows one block at a time (:func:`_draw_rows`) and
+reduces them at once.  Before each Gram buffer is allocated, the bytes the
+path will hold (its Gram buffers, two take buffers per null worker on the
+dense path, and the B null statistics) are checked against
+``MEMORY_BUDGET_BYTES``, capped by physical memory; over it, the test
+raises ``ValueError`` at once instead of running out of memory part-way.
 
 From ``TAKE_MIN_N`` points on, a test also runs on one thread pool of up to
-``threads`` workers.  The draw is its one prepared job and runs there while
-the calling thread builds the sides; the replicates of the two per-replicate
-paths are then split into contiguous chunks on the same pool.  Every
-replicate is computed the same way whatever the chunking, so no number
-depends on the thread count.  Every large array (each n x n Gram, the median
-buffer, the permutations and the chunks' buffers) is allocated on the
-calling thread: allocated on a pool thread, it would come from that thread's
-own malloc arena and raise the peak memory.
+``threads`` workers.  Each pass of a side's build is split into contiguous
+row ranges on it (see ``hsic.centered_side``), and the replicates of the
+two per-replicate paths into contiguous chunks, each drawing its own rows.
+Every Gram entry and every replicate is computed the same way whatever the
+split, so no number depends on the thread count.  Every large array (each
+n x n Gram, and each chunk's block of rows and buffers) is allocated on the
+calling thread: allocated on a pool thread, it would come from that
+thread's own malloc arena and raise the peak memory.
 """
 
 from __future__ import annotations
@@ -81,11 +84,20 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from functools import partial
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
 from .datagen import GeneratorSpec, sample
-from .hsic import Dataset, Estimator, HsicValue, centered_product, centered_side
+from .hsic import (
+    Dataset,
+    Estimator,
+    HsicValue,
+    centered_product,
+    centered_side,
+    row_ranges,
+    run_all,
+)
 from .kernels import KernelSpec
 from .rng import (
     RNG_SCHEME,
@@ -99,10 +111,6 @@ from .rng import (
 
 EXHAUSTIVE_MAX_N = 6
 
-# Below TAKE_MIN_N points, permuted statistics are evaluated in batches
-# bounded by this many floats.
-_BATCH_FLOAT_BUDGET = 4_000_000
-
 # Smallest n whose null runs one replicate at a time by row-then-column take.
 # Measured single-threaded per replicate (numpy 2.4, 2-vCPU x86-64 VM):
 # batched gather vs take/take, 0.34 vs 3.1 us at n=8, 7.2 vs 8.2 us at n=32,
@@ -115,11 +123,21 @@ TAKE_MIN_N = 40
 # 2^16 floats ran the null 1.2x faster than 2^18 and 1.8x faster than 2^20.
 _FACTOR_BLOCK_FLOATS = 1 << 16
 
-# Permutations are drawn in blocks of rows of at most this many words (256 KB),
-# so the draw's temporaries (words, their argsort and their sort) stay small
-# next to the Grams it runs beside.  At n=1000 and B=500 the draw took about
-# as long in blocks of 2^15 words as in blocks of 2^16.
+# Each chunk of the null draws its permutations in blocks of rows of at most
+# this many words (256 KB), and reduces each block before it draws the next,
+# so the block and the draw's temporaries (words, sorted keys) stay small next
+# to a Gram.  At n=1000 and B=500 the draw took about as long in blocks of
+# 2^15 words as in blocks of 2^16; in blocks of 2^13, the factored null with
+# its draw took 26.4 ms against 24.8 ms (Gaussian y) and 15.1 ms against
+# 13.2 ms (linear y), medians of 60 single-threaded runs.
 _DRAW_BLOCK_WORDS = 1 << 15
+
+# The dense null draws while it holds two Grams and two n x n take buffers
+# per chunk, so it draws smaller blocks: at n = 600 a block and its draw
+# temporaries add 0.09 of a Gram to the test's peak, against 0.29 in blocks
+# of 2^15 words, and each replicate's two n x n takes dwarf the overhead of a
+# block.
+_DENSE_DRAW_BLOCK_WORDS = 1 << 13
 
 _EPS = float(np.finfo(float).eps)
 
@@ -137,9 +155,9 @@ _FACTOR_ROWS_FIRST = 16
 # to n=500 (later beyond), so the cap 4*isqrt(n) keeps it about 2x ahead.
 FACTOR_RANK_CAP_PER_ROOT = 4
 
-# A test whose permutations, n x n buffers and median buffer would take more
-# than this many bytes, or more than physical memory, is refused before they
-# are allocated.
+# A test whose n x n buffers and null statistics would take more than this
+# many bytes, or more than physical memory, is refused before they are
+# allocated.
 MEMORY_BUDGET_BYTES = 16 << 30
 
 
@@ -183,27 +201,42 @@ def p_value_from_null(observed: float, null_statistics: np.ndarray) -> float:
 
 
 def _draw_permutations(seed: int, num: int, n: int, out: np.ndarray | None = None) -> np.ndarray:
-    """num permutations of range(n) drawn from one Philox stream, into ``out``.
+    """The first ``num`` permutations of (seed, n) (see :func:`_draw_rows`), into ``out``.
+
+    ``out`` is a (num, n) intp buffer the caller owns (a new one when None).
+    """
+    perms = np.empty((num, n), dtype=np.intp) if out is None else out
+    block = np.empty((min(num, max(1, _DRAW_BLOCK_WORDS // n)), n), dtype=np.intp)
+    for start, rows in _draw_rows(seed, n, 0, num, block):
+        perms[start : start + len(rows)] = rows
+    return perms
+
+
+def _draw_rows(seed: int, n: int, lo: int, hi: int, block: np.ndarray):
+    """Rows ``lo:hi`` of the permutations of range(n) from one Philox stream, a block at a time.
 
     Row b is the stable argsort of raw 64-bit words b*n .. b*n + n - 1 of the
     (seed, STREAM_PERMUTATION, 0) Philox stream, so it depends on (seed, n, b)
     alone: the rows for ``num`` are a prefix of the rows for any larger
-    ``num``, and row b can be drawn by itself after ``advance((b * n) // 4)``
-    (Philox yields four words per counter step).  Uniform 64-bit keys give a
-    uniform permutation; a tie (probability about n^2 / 2^65 per row) keeps
-    index order, so it stays deterministic.
+    ``num``, and rows from b on are drawn after ``advance((b * n) // 4)``
+    (Philox yields four words per counter step) and ``(b * n) % 4`` words
+    discarded.  Uniform 64-bit keys give a uniform permutation; a tie
+    (probability about n^2 / 2^65 per row) keeps index order, so it stays
+    deterministic.
 
-    ``out`` is a (num, n) intp buffer the caller owns (a new one when None).
-    The words are drawn in blocks of rows of at most ``_DRAW_BLOCK_WORDS``
-    words, and each block is sorted by :func:`_argsort_rows`.
+    The rows are drawn into ``block``, ``len(block)`` rows at a time, and
+    each step yields ``(start, rows)``: the rows from ``start`` on, in a view
+    of ``block`` that the next step overwrites.  Each block's words are
+    sorted by :func:`_argsort_rows`.
     """
-    perms = np.empty((num, n), dtype=np.intp) if out is None else out
     bit_generator = rng_for(seed, STREAM_PERMUTATION, 0).bit_generator
-    rows = max(1, _DRAW_BLOCK_WORDS // n)
-    for lo in range(0, num, rows):
-        hi = min(lo + rows, num)
-        _argsort_rows(bit_generator.random_raw((hi - lo, n)), perms[lo:hi])
-    return perms
+    if lo:
+        bit_generator.advance(lo * n // 4)
+        bit_generator.random_raw(lo * n % 4)
+    for start in range(lo, hi, len(block)):
+        rows = block[: min(len(block), hi - start)]
+        _argsort_rows(bit_generator.random_raw(rows.shape), rows)
+        yield start, rows
 
 
 def _argsort_rows(words: np.ndarray, out: np.ndarray) -> None:
@@ -226,10 +259,10 @@ def _argsort_rows(words: np.ndarray, out: np.ndarray) -> None:
     keys |= np.arange(n, dtype=np.uint64)
     keys.sort(axis=1)
     np.bitwise_and(keys, low, out=out, casting="unsafe")
-    high = keys >> b
-    flat = high.ravel()
+    keys >>= b  # the high parts, in place
+    flat = keys.ravel()
     if np.any(flat[1:] == flat[:-1]):
-        tied = (high[:, 1:] == high[:, :-1]).any(axis=1)
+        tied = (keys[:, 1:] == keys[:, :-1]).any(axis=1)
         out[tied] = np.argsort(words[tied], axis=1, kind="stable")
 
 
@@ -240,52 +273,103 @@ def _pool_size(threads: int, tasks: int) -> int:
     return min(threads, tasks, os.cpu_count() or 1)
 
 
-def _run_chunks(run, num: int, pool, workers: int, buffers) -> None:
-    """``run(chunk, *buffers())`` over ``workers`` contiguous chunks of range(num), on ``pool``.
+class _Rows(NamedTuple):
+    """``num`` permutations of range(n) as a stream.
 
-    A lone chunk runs on the calling thread, and ``pool`` may then be None.
-    Each chunk's buffers are allocated here, on the calling thread: allocating
-    on the pool threads made peak memory depend on how the threads'
-    allocations happened to interleave.
+    ``blocks(lo, hi, block)`` yields ``(start, rows)`` for consecutive blocks
+    of rows ``lo:hi``, each at most ``len(block)`` rows, held in ``block`` or
+    in a view of the permutations themselves.
     """
-    chunks = np.array_split(np.arange(num), workers)
-    allocated = [buffers() for _ in chunks]
-    if workers == 1:
-        run(chunks[0], *allocated[0])
-    else:
-        list(pool.map(run, chunks, *zip(*allocated)))
+
+    num: int
+    n: int
+    blocks: Callable[[int, int, np.ndarray], Iterator[tuple[int, np.ndarray]]]
+
+
+def _as_rows(perms) -> _Rows:
+    """``perms`` as a stream; a (num, n) array yields its own slices."""
+    if isinstance(perms, _Rows):
+        return perms
+
+    def blocks(lo: int, hi: int, block: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+        for start in range(lo, hi, len(block)):
+            yield start, perms[start : min(start + len(block), hi)]
+
+    return _Rows(*perms.shape, blocks)
+
+
+def _run_chunks(
+    run, perms, pool, workers: int, buffers, words: int = _DRAW_BLOCK_WORDS
+) -> np.ndarray:
+    """The null of ``perms``: ``run(rows, out, *buffers(size))`` over blocks of its rows.
+
+    ``perms`` is a :class:`_Rows` stream or a (num, n) array.  Its rows are
+    split into ``workers`` contiguous chunks on ``pool`` (a lone chunk runs
+    on the calling thread, and ``pool`` may then be None).  Each chunk takes
+    its rows a block of at most ``words`` words at a time, drawn as it
+    goes, and has ``run`` write their statistics to ``out``, a view of the
+    null, so no (num, n) array is ever held.  Each chunk's block and its
+    ``buffers`` for blocks of up to ``size`` rows are allocated here, on the
+    calling thread: allocating on the pool threads made peak memory depend
+    on how the threads' allocations happened to interleave.
+    """
+    num, n, blocks = _as_rows(perms)
+    null = np.empty(num)
+    step = max(1, words // n)
+
+    def chunk(lo: int, hi: int, block: np.ndarray, *bufs) -> None:
+        for start, rows in blocks(lo, hi, block):
+            run(rows, null[start : start + len(rows)], *bufs)
+
+    calls = []
+    for lo, hi in row_ranges(num, workers):
+        size = min(step, hi - lo)
+        calls.append((lo, hi, np.empty((size, n), dtype=np.intp), *buffers(size)))
+    run_all(chunk, calls, pool)
+    return null
+
+
+def _gathered_statistics(kc: np.ndarray, lc: np.ndarray, perms: np.ndarray, out: np.ndarray):
+    """``out[b] = sum(kc * lc[p, p]) / n^2`` for each row p of ``perms``.
+
+    The block is gathered at once by 3-D fancy indexing and reduced by one
+    einsum; each replicate's value does not depend on its block.  A flat
+    ``take`` in batches of 2^15 floats ran the null alone faster, but in a
+    two-thread ``reproduce-ring --n 8`` its 256 KB temporaries were returned
+    to the system after every test: 13 133 page faults per command against
+    16, and the command 18% slower.
+    """
+    n = lc.shape[0]
+    out[:] = np.einsum("ij,bij->b", kc, lc[perms[:, :, None], perms[:, None, :]])
+    out /= n * n
 
 
 def _permuted_statistics(
-    kc: np.ndarray, lc: np.ndarray, perms: np.ndarray, pool=None, workers: int = 1
+    kc: np.ndarray, lc: np.ndarray, perms, pool=None, workers: int = 1
 ) -> np.ndarray:
     """V-statistics for each permutation: sum(Kc * Lc[p, p]) / n^2.
 
-    From ``TAKE_MIN_N`` points on, the replicates run in ``workers`` chunks
-    on ``pool`` (see :func:`_run_chunks`).
+    ``perms`` is a :class:`_Rows` stream or a (num, n) array.  Below
+    ``TAKE_MIN_N`` points each block of replicates is gathered at once, on
+    the calling thread; from there on, they run in ``workers`` chunks on
+    ``pool`` (see :func:`_run_chunks`).
     """
-    num, n = perms.shape
-    out = np.empty(num)
+    n = lc.shape[0]
     if n < TAKE_MIN_N:
-        batch = max(1, _BATCH_FLOAT_BUDGET // (n * n))
-        for start in range(0, num, batch):
-            p = perms[start : start + batch]
-            gathered = lc[p[:, :, None], p[:, None, :]]
-            out[start : start + batch] = np.einsum("ij,bij->b", kc, gathered)
-        out /= n * n
-        return out
+        return _run_chunks(partial(_gathered_statistics, kc, lc), perms, None, 1, lambda _: ())
 
     # The indices are a permutation, so mode="clip" changes no value; it
     # only lets ``take`` write into ``out`` without an extra buffered copy.
-    def run(chunk: np.ndarray, rows: np.ndarray, both: np.ndarray) -> None:
-        for b in chunk:
-            p = perms[b]
+    def run(perms: np.ndarray, out: np.ndarray, rows: np.ndarray, both: np.ndarray) -> None:
+        for b, p in enumerate(perms):
             lc.take(p, axis=0, out=rows, mode="clip")
             rows.take(p, axis=1, out=both, mode="clip")
             out[b] = centered_product(kc, both)
 
-    _run_chunks(run, num, pool, workers, lambda: (np.empty((n, n)), np.empty((n, n))))
-    return out
+    def buffers(_) -> tuple[np.ndarray, np.ndarray]:
+        return np.empty((n, n)), np.empty((n, n))
+
+    return _run_chunks(run, perms, pool, workers, buffers, _DENSE_DRAW_BLOCK_WORDS)
 
 
 def _pivoted_cholesky(a: np.ndarray, max_abs: float, cap: int) -> np.ndarray | None:
@@ -320,35 +404,35 @@ def _pivoted_cholesky(a: np.ndarray, max_abs: float, cap: int) -> np.ndarray | N
 
 
 def _factored_statistics(
-    fx: np.ndarray, fy: np.ndarray, perms: np.ndarray, pool=None, workers: int = 1
+    fx: np.ndarray, fy: np.ndarray, perms, pool=None, workers: int = 1
 ) -> np.ndarray:
     """``||Fx' Fy[p]||_F^2 / n^2`` for each permutation p, from factor rows fx, fy.
 
-    Each replicate is one (rx x n) @ (n x ry) product of a stacked ``matmul``
-    and its own row of one batched sum of squares, so its value does not
-    depend on the block or the chunk of ``pool`` it falls in.
+    ``perms`` is a :class:`_Rows` stream or a (num, n) array, run in
+    ``workers`` chunks on ``pool`` (see :func:`_run_chunks`).  Each
+    replicate is one (rx x n) @ (n x ry) product of a stacked ``matmul`` and
+    its own row of one batched sum of squares, so its value does not depend
+    on the block or the chunk it falls in.
     """
-    num, n = perms.shape
+    n = fx.shape[1]
     fy_cols = np.ascontiguousarray(fy.T)
     rx, ry = fx.shape[0], fy.shape[0]
     block = max(1, _FACTOR_BLOCK_FLOATS // (n * max(ry, 1)))
-    out = np.empty(num)
 
-    def run(chunk: np.ndarray, gathered: np.ndarray, products: np.ndarray) -> None:
-        stop = chunk[-1] + 1
-        for lo in range(chunk[0], stop, block):
-            hi = min(lo + block, stop)
+    def run(perms: np.ndarray, out: np.ndarray, gathered: np.ndarray, products: np.ndarray):
+        for lo in range(0, len(perms), block):
+            hi = min(lo + block, len(perms))
             g = gathered[: hi - lo]
             np.take(fy_cols, perms[lo:hi], axis=0, out=g, mode="clip")
             m = np.matmul(fx, g, out=products[: hi - lo])
             out[lo:hi] = np.einsum("bij,bij->b", m, m)
+        out /= n * n
 
-    size = min(block, -(-num // workers))
-    _run_chunks(
-        run, num, pool, workers, lambda: (np.empty((size, n, ry)), np.empty((size, rx, ry)))
-    )
-    out /= n * n
-    return out
+    def buffers(size: int) -> tuple[np.ndarray, np.ndarray]:
+        size = min(block, size)
+        return np.empty((size, n, ry)), np.empty((size, rx, ry))
+
+    return _run_chunks(run, perms, pool, workers, buffers)
 
 
 def _memory_budget() -> int:
@@ -360,15 +444,14 @@ def _memory_budget() -> int:
     return min(MEMORY_BUDGET_BYTES, physical)
 
 
-def _check_memory(n: int, grams: int, median: bool, held: int) -> None:
+def _check_memory(n: int, grams: int, held: int) -> None:
     """Refuse a test whose ``grams`` n x n float buffers would exceed the budget.
 
-    The estimate adds the median buffer of n(n-1)/2 floats when a side has a
-    median bandwidth, and the ``held`` bytes of the permutations.  It is
-    checked before the buffers are allocated, so an oversized test fails at
-    once with ``ValueError`` rather than later with ``MemoryError``.
+    The estimate adds ``held`` bytes, the null statistics.  It is checked
+    before the buffers are allocated, so an oversized test fails at once
+    with ``ValueError`` rather than later with ``MemoryError``.
     """
-    need = 8 * (grams * n * n + (n * (n - 1) // 2 if median else 0)) + held
+    need = 8 * grams * n * n + held
     budget = _memory_budget()
     if need > budget:
         raise ValueError(
@@ -378,37 +461,35 @@ def _check_memory(n: int, grams: int, median: bool, held: int) -> None:
 
 
 def _null_function(
-    data: Dataset, kx: KernelSpec, ky: KernelSpec, workers: int = 1, held: int = 0
+    data: Dataset, kx: KernelSpec, ky: KernelSpec, pool=None, workers: int = 1, held: int = 0
 ):
     """Both sides of ``data`` and the null their ranks choose: ``(kx, ky, scale, statistics)``.
 
     ``kx`` and ``ky`` come back resolved, ``scale`` is ``max|Kc| * max|Lc|``
     and ``statistics(perms, pool=None, workers=1)`` is the null function.
-    From ``TAKE_MIN_N`` points on, side x is built into one n x n buffer and
-    factored at once; if it factors, side y is built into the same buffer
-    and factored, so a factored test holds one Gram.  If x does not factor,
-    y gets a second buffer; if only y does not, x is built again, bit for
-    bit the same, into a second buffer.  Each allocation is first checked
+    From ``TAKE_MIN_N`` points on, each side's passes run in ``workers`` row
+    ranges on ``pool``; side x is built into one n x n buffer and factored
+    at once; if it factors, side y is built into the same buffer and
+    factored, so a factored test holds one Gram.  If x does not factor, y
+    gets a second buffer; if only y does not, x is built again, bit for bit
+    the same, into a second buffer.  Each allocation is first checked
     against the memory budget, with ``workers`` chunks of two take buffers
     counted on the dense path and ``held`` bytes already in use.
     """
     n = data.n
-    median = not (kx.is_resolved and ky.is_resolved)
-    if n >= TAKE_MIN_N:
-        _check_memory(n, 1, median, held)
-    scratch = np.empty(n * (n - 1) // 2) if median else None
-    side_x = partial(centered_side, kx, data.x_points, scratch=scratch)
-    side_y = partial(centered_side, ky, data.y_points, scratch=scratch)
     if n < TAKE_MIN_N:
-        kx, kc, kc_max = side_x()
-        ky, lc, lc_max = side_y()
+        kx, kc, kc_max = centered_side(kx, data.x_points)
+        ky, lc, lc_max = centered_side(ky, data.y_points)
         return kx, ky, kc_max * lc_max, partial(_permuted_statistics, kc, lc)
+    _check_memory(n, 1, held)
+    side_x = partial(centered_side, kx, data.x_points, pool=pool, parts=workers)
+    side_y = partial(centered_side, ky, data.y_points, pool=pool, parts=workers)
     cap = FACTOR_RANK_CAP_PER_ROOT * math.isqrt(n)
     first = np.empty((n, n))
     kx, kc, kc_max = side_x(first)
     fx = _pivoted_cholesky(kc, kc_max, cap)
     if fx is None:
-        _check_memory(n, 2 + 2 * workers, median, held)
+        _check_memory(n, 2 + 2 * workers, held)
         ky, lc, lc_max = side_y(np.empty((n, n)))
     else:
         ky, lc, lc_max = side_y(first)
@@ -416,7 +497,7 @@ def _null_function(
         if fy is not None:
             return kx, ky, kc_max * lc_max, partial(_factored_statistics, fx, fy)
         del fx
-        _check_memory(n, 2 + 2 * workers, median, held)
+        _check_memory(n, 2 + 2 * workers, held)
         kx, kc, kc_max = side_x(np.empty((n, n)))
     return kx, ky, kc_max * lc_max, partial(_permuted_statistics, kc, lc)
 
@@ -435,11 +516,10 @@ def _calibrated(
     data: Dataset,
     kx: KernelSpec,
     ky: KernelSpec,
-    perms: np.ndarray,
+    perms: _Rows,
     alpha: float,
     p_value,
     *,
-    draw=None,
     seed: int,
     method: str,
     rng: str,
@@ -447,25 +527,18 @@ def _calibrated(
 ) -> TestResult:
     """The result of a test of ``data`` over the null of ``perms``, with ``p_value(observed, null)``.
 
-    ``draw()``, when given, fills ``perms`` in place.  Each side is resolved
-    and centered once, on the unpermuted data, and is frozen across
-    replicates; the marginal point sets are permutation invariant anyway.
-    From ``TAKE_MIN_N`` points on, with ``threads`` above 1, the draw runs on
-    the test's pool while the calling thread builds the sides, and the
-    pool's workers then run the null's chunks.  The observed value is the
+    Each side is resolved and centered once, on the unpermuted data, and is
+    frozen across replicates; the marginal point sets are permutation
+    invariant anyway.  From ``TAKE_MIN_N`` points on, with ``threads`` above
+    1, the sides' passes and then the null's chunks, each drawing its own
+    rows of ``perms``, run on the test's pool.  The observed value is the
     null function at the identity permutation, so an identity replicate
     reproduces it bitwise on every path.
     """
-    num = len(perms)
-    workers = _pool_size(threads, num)
+    workers = _pool_size(threads, perms.num)
     size = workers if data.n >= TAKE_MIN_N else 1
     with ThreadPoolExecutor(max_workers=size) if size > 1 else nullcontext() as pool:
-        drawing = pool.submit(draw) if pool is not None else None
-        kx, ky, scale, statistics = _null_function(data, kx, ky, workers, perms.nbytes)
-        if drawing is not None:
-            drawing.result()
-        elif draw is not None:
-            draw()
+        kx, ky, scale, statistics = _null_function(data, kx, ky, pool, workers, 8 * perms.num)
         identity = np.arange(data.n, dtype=np.intp)[None, :]
         observed = HsicValue.from_raw(statistics(identity)[0], Estimator.BIASED_V, scale)
         null = statistics(perms, pool, workers)
@@ -476,7 +549,7 @@ def _calibrated(
         p_value=p,
         reject=p <= alpha,
         null_quantile=float(np.quantile(null, 1.0 - alpha)),
-        num_permutations=num,
+        num_permutations=perms.num,
         seed=seed,
         alpha=alpha,
         method=method,
@@ -495,18 +568,17 @@ def permutation_test(
 ) -> TestResult:
     """Monte Carlo permutation test of independence using biased HSIC.
 
-    ``threads`` bounds the one worker pool that draws the permutations
-    beside the side builds and runs the null statistics; the result does
-    not depend on it.  A test too large for the memory budget raises
-    ``ValueError`` before it allocates its permutations or a Gram.
+    ``threads`` bounds the one worker pool that builds the sides and runs
+    the null statistics, each chunk drawing its own permutations; the result
+    does not depend on it.  A test too large for the memory budget raises
+    ``ValueError`` before it allocates a Gram.
     """
     if data.n < 2:
         raise ValueError("permutation test needs at least 2 paired samples")
-    _check_memory(data.n, 0, False, cfg.num_permutations * data.n * np.dtype(np.intp).itemsize)
-    perms = np.empty((cfg.num_permutations, data.n), dtype=np.intp)
+    _check_memory(data.n, 0, 8 * cfg.num_permutations)
+    perms = _Rows(cfg.num_permutations, data.n, partial(_draw_rows, cfg.seed, data.n))
     return _calibrated(
         data, kx, ky, perms, cfg.alpha, p_value_from_null,
-        draw=partial(_draw_permutations, cfg.seed, *perms.shape, perms),
         seed=cfg.seed, method="monte_carlo", rng=RNG_SCHEME, threads=threads,
     )
 
@@ -531,7 +603,7 @@ def exhaustive_permutation_test(
         raise ValueError(f"exhaustive enumeration is limited to n <= {EXHAUSTIVE_MAX_N}")
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must lie strictly between 0 and 1")
-    perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+    perms = _as_rows(np.array(list(itertools.permutations(range(n))), dtype=np.intp))
     return _calibrated(
         data, kx, ky, perms, alpha, _exact_p_value,
         seed=0, method="exhaustive", rng="exhaustive enumeration (no randomness)",

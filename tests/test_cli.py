@@ -196,16 +196,20 @@ class TestTestCommand:
             pooled, drop_threads=True
         )
 
-    def test_one_distance_pass_per_gaussian_side(self, ring_csv, capsys, monkeypatch):
-        # Each median bandwidth comes from the distances its Gram is built
-        # from; the command itself resolves nothing.
+    def test_two_distance_passes_per_median_side(self, ring_csv, capsys, monkeypatch):
+        # A median bandwidth is selected in the Gram's own buffer, which the
+        # selection scrambles, so each median side makes a distance pass for
+        # its bandwidth and one for its Gram; the command itself resolves
+        # nothing.  A pass split into row ranges starts one call at row 0.
         calls = []
         pairwise = kernels._pairwise
-        monkeypatch.setattr(
-            kernels,
-            "_pairwise",
-            lambda pts, squared, out: calls.append(squared) or pairwise(pts, squared, out),
-        )
+
+        def recording(pts, squared, out=None, lo=0, hi=None):
+            if lo == 0:
+                calls.append(squared)
+            return pairwise(pts, squared, out, lo, hi)
+
+        monkeypatch.setattr(kernels, "_pairwise", recording)
         code, report, _ = run_cli(
             [
                 "test", ring_csv, "--x-columns", "x", "--y-columns", "y",
@@ -215,7 +219,7 @@ class TestTestCommand:
             capsys,
         )
         assert code == 0
-        assert calls == [True, True]
+        assert calls == [True, True, True, True]
         assert report["resolved_bandwidth_x"] > 0.0 and report["resolved_bandwidth_y"] > 0.0
 
     @pytest.mark.parametrize(
@@ -253,9 +257,8 @@ class TestMemoryGuard:
         ]
 
     def estimate(self, grams):
-        """Bytes of ``grams`` n x n buffers, the median buffer and the permutations."""
-        n = self.N
-        return 8 * (grams * n * n + n * (n - 1) // 2) + 8 * self.B * n
+        """Bytes of ``grams`` n x n buffers and the B null statistics."""
+        return 8 * grams * self.N**2 + 8 * self.B
 
     def test_budget_below_one_gram_exits_2_before_allocating(
         self, big_csv, capsys, monkeypatch

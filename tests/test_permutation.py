@@ -211,6 +211,22 @@ class TestDrawPermutations:
         assert _draw_permutations(5, 13, n, out) is out
         assert np.array_equal(out, expected)
 
+    @pytest.mark.parametrize("n", [41, 999])
+    @pytest.mark.parametrize("lo", [1, 3, 33])
+    def test_rows_from_an_offset_match_the_prefix(self, n, lo):
+        # lo * n is odd here, so the draw starts inside a Philox counter
+        # step; blocks of 4 rows make it span several blocks.
+        hi = lo + 10
+        expected = _draw_permutations(seed=6, num=hi, n=n)[lo:hi]
+        block = np.full((4, n), -1, dtype=np.intp)
+        got = np.full((hi - lo, n), -1, dtype=np.intp)
+        starts = []
+        for start, rows in testing._draw_rows(6, n, lo, hi, block):
+            starts.append(start)
+            got[start - lo : start - lo + len(rows)] = rows
+        assert starts == list(range(lo, hi, 4))
+        assert np.array_equal(got, expected)
+
     @pytest.mark.parametrize("stream,index", [(3, 2**48), (2**16 + 3, 0), (-1, 0), (3, -1)])
     def test_stream_and_index_outside_their_bits_refused(self, stream, index):
         # Masked into the key, index 2**48 ran index 0's stream and stream
@@ -287,6 +303,19 @@ class TestPermutedStatistics:
         observed = permutation_test(d, kx, LINEAR, PermutationConfig(9, 0.05, 5), threads=3)
         assert null[1] == observed.statistic.raw
         assert null[4] == observed.statistic.raw
+
+    @pytest.mark.parametrize("n", [8, 20, TAKE_MIN_N - 1])
+    def test_blocks_match_one_gather_bitwise(self, n, monkeypatch):
+        # The batched null gathers one block of rows at a time; blocks of
+        # 100 words split the 30 replicates into blocks of 12, 5 and 2 rows,
+        # and each value must equal one gather of all 30, bit for bit.
+        monkeypatch.setattr(testing, "_DRAW_BLOCK_WORDS", 100)
+        d = _random_dataset(n, n)
+        kc = centered_gram_entries(KernelSpec("gaussian", 1.0), d.x_points)
+        lc = centered_gram_entries(KernelSpec("laplace", 1.0), d.y_points)
+        p = _draw_permutations(seed=4, num=30, n=n)
+        expected = np.einsum("ij,bij->b", kc, lc[p[:, :, None], p[:, None, :]]) / (n * n)
+        assert np.array_equal(_permuted_statistics(kc, lc, p), expected)
 
     def test_batches_join_seamlessly(self):
         # Chunked evaluation must not depend on the batch boundary.
@@ -507,22 +536,11 @@ class TestThreads:
         results = [permutation_test(d, GAUSS_MEDIAN, ky, cfg, threads=t) for t in (1, 2, 3)]
         assert results[0] == results[1] == results[2]
 
-    @pytest.mark.parametrize(
-        "ky,before", [(GAUSS_MEDIAN, 1.95), (LAPLACE_MEDIAN, 4.34)], ids=["factored", "dense"]
-    )
-    def test_peak_memory_no_higher_than_before(self, ky, before):
-        # Traced peak of one test, in units of one n x n float Gram.  The
-        # factored test builds and factors one side at a time in one Gram
-        # buffer, so it peaks near 1.93: the Gram, the median buffer (0.5),
-        # the permutations (0.33) and the factors.  It peaked at 3.33 while
-        # both Grams were held, and a second Gram would add 1.  The dense
-        # test peaks at 4.3378: two Grams, the permutations and its null's
-        # two chunk buffers.  The bounds leave 0.01 to 0.02 of a unit for
-        # small Python objects; a median buffer or a factor kept alive into
-        # the dense null would break the dense one.
-        n = 600
+    @staticmethod
+    def _peak_grams(n, ky, permutations):
+        """Traced peak of one test of n ring points, in units of one n x n float Gram."""
         d = _ring(0, n)
-        cfg = PermutationConfig(200, 0.05, 0)
+        cfg = PermutationConfig(permutations, 0.05, 0)
         permutation_test(d, GAUSS_MEDIAN, ky, cfg)  # first-call allocations stay out
         tracemalloc.start()
         try:
@@ -530,7 +548,29 @@ class TestThreads:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak / (n * n * 8) <= before
+        return peak / (n * n * 8)
+
+    @pytest.mark.parametrize(
+        "ky,before", [(GAUSS_MEDIAN, 1.10), (LAPLACE_MEDIAN, 4.10)], ids=["factored", "dense"]
+    )
+    def test_peak_memory_no_higher_than_before(self, ky, before):
+        # The factored test builds and factors one side at a time in one Gram
+        # buffer, selects its median bandwidth inside that buffer and draws
+        # its permutations block by block, so it peaks near 1.09: the Gram
+        # and the factors.  It peaked at 1.93 with a median buffer (0.5) and
+        # all the permutations (0.33), and at 3.33 while both Grams were held.
+        # The dense test peaks near 4.09: two Grams, its null's two chunk
+        # buffers and a block of drawn rows.  The bounds leave 0.005 to 0.01
+        # of a unit for small Python objects; a median buffer, the held
+        # permutations or a factor kept alive into the dense null would
+        # break them.
+        assert self._peak_grams(600, ky, 200) <= before
+
+    def test_peak_memory_does_not_grow_with_permutations(self):
+        # Ten times the replicates add only their 8 * B bytes of statistics
+        # (0.005 of a Gram here); held permutations would add 3 Grams.
+        few, many = (self._peak_grams(600, GAUSS_MEDIAN, b) for b in (200, 2000))
+        assert abs(many - few) <= 0.01
 
     @pytest.fixture
     def pool_sizes(self, monkeypatch):
