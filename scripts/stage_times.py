@@ -5,11 +5,10 @@ Each stage of a permutation test is timed on its own, in process, and the
 median over ``--repeats`` runs is reported:
 
 * ``sides``: ``testing._null_function``, which builds both sides as a test
-  does, one Gram buffer at a time with each pass split over the pool of
-  ``--threads``, and factors them; on the dense path it also builds the
-  second Gram;
-* ``null``: the B null statistics, chunked over the pool, each chunk
-  drawing its own permutations block by block as a test does;
+  does, one Gram buffer at a time on the calling thread, and factors them;
+  on the dense path it also builds the second Gram;
+* ``null``: the B null statistics, chunked over the pool of ``--threads``,
+  each chunk drawing its own permutations block by block as a test does;
 * ``p_value``: the p-value and the null quantile.
 
 ``side_x`` and ``side_y`` split ``sides``: each is ``hsic.centered_side``
@@ -88,11 +87,11 @@ def draw_alone(seed: int, b: int, n: int) -> None:
 def one_split(data, kx, ky, args, pool, workers) -> dict:
     n, b = data.n, args.permutations
     buffer = np.empty((n, n))
-    _, side_x = timed(lambda: centered_side(kx, data.x_points, buffer, pool, workers))
-    _, side_y = timed(lambda: centered_side(ky, data.y_points, buffer, pool, workers))
+    _, side_x = timed(lambda: centered_side(kx, data.x_points, buffer))
+    _, side_y = timed(lambda: centered_side(ky, data.y_points, buffer))
     del buffer
     _, draw = timed(lambda: draw_alone(args.seed, b, n))
-    (*_, statistics), sides = timed(lambda: _null_function(data, kx, ky, pool, workers, 8 * b))
+    (*_, statistics), sides = timed(lambda: _null_function(data, kx, ky, workers, 8 * b))
     observed = statistics(np.arange(n, dtype=np.intp)[None, :])[0]
     perms = _Rows(b, n, partial(_draw_rows, args.seed, n))
     null, null_s = timed(lambda: statistics(perms, pool, workers))

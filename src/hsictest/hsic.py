@@ -26,10 +26,8 @@ zero, and :mod:`hsictest.datagen` ships the canonical one.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -184,102 +182,55 @@ def population_hsic(
 # three whole-matrix passes, and blocks of 2^15 or 2^17 floats ran no faster.
 _CENTER_BLOCK_FLOATS = 1 << 16
 
-# Overflow and inf - inf are left to the statistic's own check (see
-# centered_side).  numpy's error state is per thread, so every pass on a
-# pool thread enters it.
-_QUIET = {"over": "ignore", "invalid": "ignore"}
 
+def _double_center(entries: np.ndarray) -> float:
+    """In-place double centering, A <- H A H with H = I - (1/n) 11'; returns max|H A H|.
 
-def row_ranges(n: int, parts: int) -> list[tuple[int, int]]:
-    """``parts`` contiguous ``(lo, hi)`` ranges covering range(n), none empty, sizes within one."""
-    parts = max(1, min(parts, n))
-    edges = [n * k // parts for k in range(parts + 1)]
-    return list(zip(edges[:-1], edges[1:]))
-
-
-def run_all(job, calls, pool) -> list:
-    """``[job(*call) for call in calls]``, on ``pool`` when there is more than one call.
-
-    With no pool, or one call, the jobs run on the calling thread.
+    Each entry is updated as ``((a_ij - r_i) - r_j) + g`` from the row means r
+    and their mean g, one row block at a time, and the block's max and min
+    are taken before the next one.  The maximum equals
+    ``np.abs(entries).max()`` after centering, NaN included, without an
+    n x n temporary.
     """
-    if pool is None or len(calls) == 1:
-        return [job(*call) for call in calls]
-    return list(pool.map(lambda call: job(*call), calls))
-
-
-def _nan_or_max(values) -> float:
-    """The largest of ``values``, or NaN once one is NaN."""
+    n = entries.shape[0]
+    row_means = entries.mean(axis=1)
+    grand_mean = row_means.mean()
+    rows = max(1, _CENTER_BLOCK_FLOATS // n)
     scale = 0.0
-    for value in values:
-        if scale == scale and not value <= scale:
-            scale = value
+    for lo in range(0, n, rows):
+        block = entries[lo : lo + rows]
+        block -= row_means[lo : lo + rows, None]
+        block -= row_means[None, :]
+        block += grand_mean
+        # NaN when the block holds one; once NaN, the scale stays NaN.
+        block_scale = float(max(block.max(), -block.min()))
+        if scale == scale and not block_scale <= scale:
+            scale = block_scale
     return scale
 
 
-def _center_rows(
-    entries: np.ndarray, row_means: np.ndarray, grand_mean: float, lo: int, hi: int
-) -> list[float]:
-    """Rows ``lo:hi`` of the double centering; the max|entry| of each row block.
-
-    Each entry is updated as ``((a_ij - r_i) - r_j) + g`` from the row means
-    r and their mean g, one row block at a time, and the block's max and min
-    are taken before the next one, without an n x n ``abs`` temporary.  A
-    block holding NaN gives NaN.
-    """
-    rows = max(1, _CENTER_BLOCK_FLOATS // entries.shape[0])
-    scales = []
-    for start in range(lo, hi, rows):
-        block = entries[start : min(start + rows, hi)]
-        block -= row_means[start : start + len(block), None]
-        block -= row_means[None, :]
-        block += grand_mean
-        scales.append(float(max(block.max(), -block.min())))
-    return scales
-
-
 def centered_side(
-    spec: KernelSpec, points, out: np.ndarray | None = None, pool=None, parts: int = 1
+    spec: KernelSpec, points, out: np.ndarray | None = None
 ) -> tuple[KernelSpec, np.ndarray, float]:
     """One side of a test: ``spec`` resolved on ``points``, H K H for its Gram K, and max|H K H|.
 
     The one place a sample becomes a centered Gram.  It is built and centered
     in ``out``, an n x n float buffer the caller owns (a new one when None);
-    a median bandwidth is resolved here (see :func:`kernels.resolved_gram`).
-    Every pass over the Gram (distances, ``exp`` or divide, row means, and
-    the centering with its block max and min) is split into ``parts``
-    contiguous row ranges, run on ``pool`` when one is given.  Each entry and
-    each row mean is computed on its own, the grand mean and the median's
-    selection are serial, and the scales of the ranges are merged in order,
-    so the result is bit for bit that of one range, on any thread.
-
-    A centered Gram no larger than the roundoff of the uncentered one,
-    ``max|HKH| <= n * eps * max(diag K)`` (the diagonal bounds a PSD Gram),
-    is set to exact zero and its scale to 0.0: that side is constant to
-    working precision, and leaving the residue would make the statistic and
-    every permuted one roundoff noise.  A non-finite Gram is returned as is,
-    with a NaN scale, for the statistic's own check to refuse.
+    a median bandwidth is resolved here, selected in that same buffer before
+    the Gram is built there (see :func:`kernels.resolved_gram`), so the side
+    holds nothing else that grows with n^2.  A centered Gram no larger than
+    the roundoff of the uncentered one, ``max|HKH| <= n * eps * max(diag
+    K)`` (the diagonal bounds a PSD Gram), is set to exact zero and its
+    scale to 0.0: that side is constant to working precision, and leaving
+    the residue would make the statistic and every permuted one roundoff
+    noise.  A non-finite Gram is returned as is, with a NaN scale, for the
+    statistic's own check to refuse.
     """
     pts = as_points(points)
-    n = pts.shape[0]
-    ranges = row_ranges(n, parts)
-
-    def quiet(job, lo, hi):
-        with np.errstate(**_QUIET):
-            return job(lo, hi)
-
-    def over_rows(job):
-        if pool is None:
-            return [job(lo, hi) for lo, hi in ranges]
-        return run_all(partial(quiet, job), ranges, pool)
-
-    with np.errstate(**_QUIET):
-        spec, entries = resolved_gram(spec, pts, out, over_rows)
-        floor = n * _EPS * entries.diagonal().max()
-        row_means = np.empty(n)
-        over_rows(lambda lo, hi: entries[lo:hi].mean(axis=1, out=row_means[lo:hi]))
-        grand_mean = row_means.mean()
-        blocks = over_rows(partial(_center_rows, entries, row_means, grand_mean))
-        scale = _nan_or_max(itertools.chain.from_iterable(blocks))
+    with np.errstate(over="ignore", invalid="ignore"):
+        spec, entries = resolved_gram(spec, pts, out)
+        floor = pts.shape[0] * _EPS * entries.diagonal().max()
+        scale = _double_center(entries)
         if scale <= floor:
             entries.fill(0.0)
             scale = 0.0

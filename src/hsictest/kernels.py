@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
@@ -126,47 +125,35 @@ def as_points(points) -> np.ndarray:
 _DIFF_BLOCK_FLOATS = 1 << 16
 
 
-def _pairwise(
-    pts: np.ndarray,
-    squared: bool,
-    out: np.ndarray | None = None,
-    lo: int = 0,
-    hi: int | None = None,
-) -> np.ndarray:
-    """Pairwise squared-Euclidean (or cityblock) distances: rows ``lo:hi`` of them, in ``out``.
+def _pairwise(pts: np.ndarray, squared: bool, out: np.ndarray | None = None) -> np.ndarray:
+    """Full matrix of pairwise squared-Euclidean (or cityblock) distances, in ``out``.
 
-    ``out`` is an n x n float buffer the caller owns (a new one when None);
-    only its rows ``lo:hi`` are written, all rows by default.  The first
-    coordinate is written straight into them; each later one is added in
-    row blocks through one small diff buffer.  Coordinates are accumulated
+    ``out`` is an n x n float buffer the caller owns (a new one when None).
+    The first coordinate is written straight into it; each later one is added
+    in row blocks through one small diff buffer.  Coordinates are accumulated
     one column at a time, in order, which is the summation order of scipy's
     ``pdist``/``cdist``; the results agree bitwise (a single ``einsum`` over
-    the coordinate axis does not, from d = 3 on).  Every entry is computed
-    on its own, so rows built in separate ranges equal rows built at once.
-    Entry (i, j) and entry (j, i) are computed from the same terms, so the
-    matrix is exactly symmetric, with a zero diagonal.
+    the coordinate axis does not, from d = 3 on).  Entry (i, j) and entry
+    (j, i) are computed from the same terms, so the matrix is exactly
+    symmetric.
     """
     n = pts.shape[0]
     if out is None:
         out = np.empty((n, n))
-    first = out[lo:hi]
     cols = pts.T
     if not len(cols):  # points without coordinates all coincide
-        first.fill(0.0)
+        out.fill(0.0)
         return out
-    np.subtract(cols[0][lo:hi, None], cols[0], out=first)
-    _square_or_abs(first, squared)
-    if len(cols) > 1:
-        hi = n if hi is None else hi
-        rows = max(1, _DIFF_BLOCK_FLOATS // n)
-        diff = np.empty((min(rows, hi - lo), n))
-        for col in cols[1:]:
-            for start in range(lo, hi, rows):
-                stop = min(start + rows, hi)
-                d = diff[: stop - start]
-                np.subtract(col[start:stop, None], col, out=d)
-                _square_or_abs(d, squared)
-                out[start:stop] += d
+    np.subtract(cols[0][:, None], cols[0][None, :], out=out)
+    _square_or_abs(out, squared)
+    rows = max(1, _DIFF_BLOCK_FLOATS // n)
+    diff = np.empty((min(rows, n), n)) if len(cols) > 1 else None
+    for col in cols[1:]:
+        for lo in range(0, n, rows):
+            d = diff[: min(rows, n - lo)]
+            np.subtract(col[lo : lo + rows, None], col[None, :], out=d)
+            _square_or_abs(d, squared)
+            out[lo : lo + rows] += d
     return out
 
 
@@ -237,53 +224,43 @@ def gram_entries(spec: KernelSpec, points, out: np.ndarray | None = None) -> np.
     if not spec.is_resolved:
         raise ValueError("bandwidth sentinel is unresolved; call resolve_bandwidth first")
     pts = as_points(points)
-    n = pts.shape[0]
-    return _gram_rows(spec, pts, np.empty((n, n)) if out is None else out, 0, n)
+    if spec.family is KernelFamily.GAUSSIAN:
+        return _gaussian_in_place(_pairwise(pts, True, out), spec.bandwidth)
+    if spec.family is KernelFamily.LAPLACE:
+        entries = _pairwise(pts, False, out)
+        np.divide(entries, -spec.bandwidth, out=entries)
+        return np.exp(entries, out=entries)
+    return np.einsum("id,jd->ij", pts, pts, out=out)
 
 
-def _gram_rows(
-    spec: KernelSpec, pts: np.ndarray, out: np.ndarray, lo: int, hi: int
-) -> np.ndarray:
-    """Rows ``lo:hi`` of :func:`gram_entries`, in the same rows of ``out``; returns ``out``.
+def _gaussian_in_place(sq: np.ndarray, bandwidth: float) -> np.ndarray:
+    """``exp(-sq / (2 bandwidth^2))``, overwriting the squared distances ``sq``.
 
-    Each entry is computed on its own, so rows built in separate ranges
-    equal rows built at once, bit for bit.
+    Divides rather than multiplying by the reciprocal, which would move the
+    Gram in the last bits.
     """
-    if spec.family is KernelFamily.LINEAR:
-        np.einsum("id,jd->ij", pts[lo:hi], pts, out=out[lo:hi])
-        return out
-    gaussian = spec.family is KernelFamily.GAUSSIAN
-    rows = _pairwise(pts, gaussian, out, lo, hi)[lo:hi]
-    # Divides rather than multiplying by the reciprocal, which would move
-    # the Gram in the last bits.
-    np.divide(rows, -2.0 * spec.bandwidth**2 if gaussian else -spec.bandwidth, out=rows)
-    np.exp(rows, out=rows)
-    return out
+    np.divide(sq, -2.0 * bandwidth**2, out=sq)
+    return np.exp(sq, out=sq)
 
 
 def resolved_gram(
-    spec: KernelSpec, points, out: np.ndarray | None = None, over_rows=None
+    spec: KernelSpec, points, out: np.ndarray | None = None
 ) -> tuple[KernelSpec, np.ndarray]:
     """``spec`` with a median bandwidth resolved on ``points``, and its Gram entries there.
 
     The Gram is built in ``out`` (see :func:`gram_entries`).  A median
-    bandwidth is selected from squared distances built in ``out`` first
-    (see :func:`_median_of_squared`); the selection scrambles them, so the
-    Gram pass computes the distances again, bit for bit the same.  Each of
-    the two passes is ``over_rows(job)``, which must call ``job(lo, hi)``
-    for row ranges that cover range(n) once, in any order and on any
-    thread; by default it is one call over all rows.  The results equal
-    :func:`resolve_bandwidth` followed by :func:`gram_entries` bit for bit.
+    bandwidth is selected from squared distances built in ``out`` first (see
+    :func:`_median_of_squared`); the selection scrambles them, so the Gram
+    pass computes the distances again, bit for bit the same.  The results
+    equal :func:`resolve_bandwidth` followed by :func:`gram_entries` bit for
+    bit.
     """
+    if spec.is_resolved:
+        return spec, gram_entries(spec, points, out)
     pts = as_points(points)
-    n = pts.shape[0]
-    out = np.empty((n, n)) if out is None else out
-    over_rows = over_rows or (lambda job: [job(0, n)])
-    if not spec.is_resolved:
-        over_rows(partial(_pairwise, pts, True, out))
-        spec = replace(spec, bandwidth=_median_of_squared(out))
-    over_rows(partial(_gram_rows, spec, pts, out))
-    return spec, out
+    sq = _pairwise(pts, True, out)
+    spec = replace(spec, bandwidth=_median_of_squared(sq))
+    return spec, gram_entries(spec, pts, sq)
 
 
 def spd_tolerance(entries: np.ndarray) -> float:

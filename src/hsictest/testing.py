@@ -64,15 +64,14 @@ dense path, and the B null statistics) are checked against
 ``MEMORY_BUDGET_BYTES``, capped by physical memory; over it, the test
 raises ``ValueError`` at once instead of running out of memory part-way.
 
-From ``TAKE_MIN_N`` points on, a test also runs on one thread pool of up to
-``threads`` workers.  Each pass of a side's build is split into contiguous
-row ranges on it (see ``hsic.centered_side``), and the replicates of the
-two per-replicate paths into contiguous chunks, each drawing its own rows.
-Every Gram entry and every replicate is computed the same way whatever the
-split, so no number depends on the thread count.  Every large array (each
-n x n Gram, and each chunk's block of rows and buffers) is allocated on the
-calling thread: allocated on a pool thread, it would come from that
-thread's own malloc arena and raise the peak memory.
+From ``TAKE_MIN_N`` points on, the null also runs on one thread pool of up
+to ``threads`` workers: the replicates of the two per-replicate paths are
+split into contiguous chunks, each drawing its own rows.  The sides are
+built on the calling thread.  Every replicate is computed the same way
+whatever the chunking, so no number depends on the thread count.  Every
+large array (each n x n Gram, and each chunk's block of rows and buffers)
+is allocated on the calling thread: allocated on a pool thread, it would
+come from that thread's own malloc arena and raise the peak memory.
 """
 
 from __future__ import annotations
@@ -89,15 +88,7 @@ from typing import Callable, Iterator, NamedTuple
 import numpy as np
 
 from .datagen import GeneratorSpec, sample
-from .hsic import (
-    Dataset,
-    Estimator,
-    HsicValue,
-    centered_product,
-    centered_side,
-    row_ranges,
-    run_all,
-)
+from .hsic import Dataset, Estimator, HsicValue, centered_product, centered_side
 from .kernels import KernelSpec
 from .rng import (
     RNG_SCHEME,
@@ -204,6 +195,8 @@ def _draw_permutations(seed: int, num: int, n: int, out: np.ndarray | None = Non
     """The first ``num`` permutations of (seed, n) (see :func:`_draw_rows`), into ``out``.
 
     ``out`` is a (num, n) intp buffer the caller owns (a new one when None).
+    A test never holds all its rows at once; this whole array is for
+    checking the stream against the rows a test draws.
     """
     perms = np.empty((num, n), dtype=np.intp) if out is None else out
     block = np.empty((min(num, max(1, _DRAW_BLOCK_WORDS // n)), n), dtype=np.intp)
@@ -299,33 +292,39 @@ def _as_rows(perms) -> _Rows:
 
 
 def _run_chunks(
-    run, perms, pool, workers: int, buffers, words: int = _DRAW_BLOCK_WORDS
+    run, perms, pool, workers: int, buffers, words: int | None = None
 ) -> np.ndarray:
     """The null of ``perms``: ``run(rows, out, *buffers(size))`` over blocks of its rows.
 
     ``perms`` is a :class:`_Rows` stream or a (num, n) array.  Its rows are
     split into ``workers`` contiguous chunks on ``pool`` (a lone chunk runs
     on the calling thread, and ``pool`` may then be None).  Each chunk takes
-    its rows a block of at most ``words`` words at a time, drawn as it
-    goes, and has ``run`` write their statistics to ``out``, a view of the
-    null, so no (num, n) array is ever held.  Each chunk's block and its
+    its rows a block of at most ``words`` words (``_DRAW_BLOCK_WORDS`` when
+    None) at a time, drawn as it goes, and has ``run`` write their
+    statistics to ``out``, a view of the null, so no (num, n) array is ever
+    held.  Each chunk's block and its
     ``buffers`` for blocks of up to ``size`` rows are allocated here, on the
     calling thread: allocating on the pool threads made peak memory depend
     on how the threads' allocations happened to interleave.
     """
     num, n, blocks = _as_rows(perms)
     null = np.empty(num)
-    step = max(1, words // n)
+    step = max(1, (words or _DRAW_BLOCK_WORDS) // n)
 
     def chunk(lo: int, hi: int, block: np.ndarray, *bufs) -> None:
         for start, rows in blocks(lo, hi, block):
             run(rows, null[start : start + len(rows)], *bufs)
 
+    workers = max(1, min(workers, num))
+    edges = [num * k // workers for k in range(workers + 1)]
     calls = []
-    for lo, hi in row_ranges(num, workers):
+    for lo, hi in zip(edges[:-1], edges[1:]):
         size = min(step, hi - lo)
         calls.append((lo, hi, np.empty((size, n), dtype=np.intp), *buffers(size)))
-    run_all(chunk, calls, pool)
+    if len(calls) == 1:
+        chunk(*calls[0])
+    else:
+        list(pool.map(lambda call: chunk(*call), calls))
     return null
 
 
@@ -461,15 +460,14 @@ def _check_memory(n: int, grams: int, held: int) -> None:
 
 
 def _null_function(
-    data: Dataset, kx: KernelSpec, ky: KernelSpec, pool=None, workers: int = 1, held: int = 0
+    data: Dataset, kx: KernelSpec, ky: KernelSpec, workers: int = 1, held: int = 0
 ):
     """Both sides of ``data`` and the null their ranks choose: ``(kx, ky, scale, statistics)``.
 
     ``kx`` and ``ky`` come back resolved, ``scale`` is ``max|Kc| * max|Lc|``
     and ``statistics(perms, pool=None, workers=1)`` is the null function.
-    From ``TAKE_MIN_N`` points on, each side's passes run in ``workers`` row
-    ranges on ``pool``; side x is built into one n x n buffer and factored
-    at once; if it factors, side y is built into the same buffer and
+    From ``TAKE_MIN_N`` points on, side x is built into one n x n buffer and
+    factored at once; if it factors, side y is built into the same buffer and
     factored, so a factored test holds one Gram.  If x does not factor, y
     gets a second buffer; if only y does not, x is built again, bit for bit
     the same, into a second buffer.  Each allocation is first checked
@@ -482,8 +480,8 @@ def _null_function(
         ky, lc, lc_max = centered_side(ky, data.y_points)
         return kx, ky, kc_max * lc_max, partial(_permuted_statistics, kc, lc)
     _check_memory(n, 1, held)
-    side_x = partial(centered_side, kx, data.x_points, pool=pool, parts=workers)
-    side_y = partial(centered_side, ky, data.y_points, pool=pool, parts=workers)
+    side_x = partial(centered_side, kx, data.x_points)
+    side_y = partial(centered_side, ky, data.y_points)
     cap = FACTOR_RANK_CAP_PER_ROOT * math.isqrt(n)
     first = np.empty((n, n))
     kx, kc, kc_max = side_x(first)
@@ -530,17 +528,17 @@ def _calibrated(
     Each side is resolved and centered once, on the unpermuted data, and is
     frozen across replicates; the marginal point sets are permutation
     invariant anyway.  From ``TAKE_MIN_N`` points on, with ``threads`` above
-    1, the sides' passes and then the null's chunks, each drawing its own
-    rows of ``perms``, run on the test's pool.  The observed value is the
-    null function at the identity permutation, so an identity replicate
-    reproduces it bitwise on every path.
+    1, the null's chunks, each drawing its own rows of ``perms``, run on the
+    test's pool.  The observed value is the null function at the identity
+    permutation, so an identity replicate reproduces it bitwise on every
+    path.
     """
     workers = _pool_size(threads, perms.num)
+    kx, ky, scale, statistics = _null_function(data, kx, ky, workers, 8 * perms.num)
+    identity = np.arange(data.n, dtype=np.intp)[None, :]
+    observed = HsicValue.from_raw(statistics(identity)[0], Estimator.BIASED_V, scale)
     size = workers if data.n >= TAKE_MIN_N else 1
     with ThreadPoolExecutor(max_workers=size) if size > 1 else nullcontext() as pool:
-        kx, ky, scale, statistics = _null_function(data, kx, ky, pool, workers, 8 * perms.num)
-        identity = np.arange(data.n, dtype=np.intp)[None, :]
-        observed = HsicValue.from_raw(statistics(identity)[0], Estimator.BIASED_V, scale)
         null = statistics(perms, pool, workers)
     _check_finite(null)
     p = p_value(observed.raw, null)
@@ -568,9 +566,9 @@ def permutation_test(
 ) -> TestResult:
     """Monte Carlo permutation test of independence using biased HSIC.
 
-    ``threads`` bounds the one worker pool that builds the sides and runs
-    the null statistics, each chunk drawing its own permutations; the result
-    does not depend on it.  A test too large for the memory budget raises
+    ``threads`` bounds the one worker pool that runs the null statistics,
+    each chunk drawing its own permutations; the result does not depend on
+    it.  A test too large for the memory budget raises
     ``ValueError`` before it allocates a Gram.
     """
     if data.n < 2:

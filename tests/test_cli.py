@@ -200,16 +200,14 @@ class TestTestCommand:
         # A median bandwidth is selected in the Gram's own buffer, which the
         # selection scrambles, so each median side makes a distance pass for
         # its bandwidth and one for its Gram; the command itself resolves
-        # nothing.  A pass split into row ranges starts one call at row 0.
+        # nothing.
         calls = []
         pairwise = kernels._pairwise
-
-        def recording(pts, squared, out=None, lo=0, hi=None):
-            if lo == 0:
-                calls.append(squared)
-            return pairwise(pts, squared, out, lo, hi)
-
-        monkeypatch.setattr(kernels, "_pairwise", recording)
+        monkeypatch.setattr(
+            kernels,
+            "_pairwise",
+            lambda pts, squared, out: calls.append(squared) or pairwise(pts, squared, out),
+        )
         code, report, _ = run_cli(
             [
                 "test", ring_csv, "--x-columns", "x", "--y-columns", "y",

@@ -1,7 +1,5 @@
 """Population HSIC oracle, the biased estimator, and their data types."""
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -248,7 +246,7 @@ class TestBiasedEstimator:
         monkeypatch.setattr(
             kernels,
             "_pairwise",
-            lambda pts, squared, *rows: calls.append(squared) or pairwise(pts, squared, *rows),
+            lambda pts, squared, out: calls.append(squared) or pairwise(pts, squared, out),
         )
         gm = KernelSpec("gaussian")
         d = Dataset(np.arange(7.0), np.arange(7.0) ** 2)
@@ -347,33 +345,3 @@ class TestCenteredSide:
         _, kc, scale = centered_side(LINEAR, np.full((6, 1), 3.7))
         assert scale == 0.0
         assert not kc.any()
-
-    @pytest.mark.parametrize("n", [40, 41, 97])
-    @pytest.mark.parametrize("d", [1, 3])
-    @pytest.mark.parametrize(
-        "spec",
-        [KernelSpec("gaussian"), KernelSpec("laplace"), KernelSpec("gaussian", 0.7), LINEAR],
-        ids=KernelSpec.describe,
-    )
-    def test_row_ranges_build_the_serial_side_bitwise(self, spec, d, n):
-        # Every pass split into 1, 2 or 3 row ranges on a pool of three
-        # threads gives the serial build's bandwidth, entries and scale.
-        pts = np.random.default_rng(n * d).normal(size=(n, d)) * [1.0, 1e3, 1e-3][:d]
-        want_spec, want_kc, want_scale = centered_side(spec, pts)
-        with ThreadPoolExecutor(max_workers=3) as pool:
-            for parts in (1, 2, 3):
-                got_spec, kc, scale = centered_side(spec, pts, pool=pool, parts=parts)
-                assert got_spec == want_spec
-                assert np.array_equal(kc, want_kc)
-                assert scale == want_scale
-
-    @pytest.mark.parametrize("row", [0, 39])
-    def test_overflow_in_any_range_gives_a_nan_scale(self, row):
-        # A linear Gram overflows in one row and column; whichever range
-        # holds it, the merged scale is NaN, as the serial build's is.
-        pts = np.arange(40.0)
-        pts[row] = 1e200
-        with ThreadPoolExecutor(max_workers=3) as pool:
-            for parts in (1, 3):
-                _, _, scale = centered_side(LINEAR, pts, pool=pool, parts=parts)
-                assert np.isnan(scale)

@@ -324,7 +324,7 @@ class TestStrictPdWitness:
         monkeypatch.setattr(
             kernels,
             "_pairwise",
-            lambda pts, squared, *rows: calls.append(squared) or _pairwise(pts, squared, *rows),
+            lambda pts, squared, out: calls.append(squared) or _pairwise(pts, squared, out),
         )
         assert strict_pd_witness(KernelSpec("gaussian"), [0.0, 1.0, 5.0]).strictly_pd
         assert calls == [True, True]

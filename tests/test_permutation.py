@@ -307,15 +307,24 @@ class TestPermutedStatistics:
     @pytest.mark.parametrize("n", [8, 20, TAKE_MIN_N - 1])
     def test_blocks_match_one_gather_bitwise(self, n, monkeypatch):
         # The batched null gathers one block of rows at a time; blocks of
-        # 100 words split the 30 replicates into blocks of 12, 5 and 2 rows,
+        # 100 words split the 30 replicates into blocks of 12, 5 or 2 rows,
         # and each value must equal one gather of all 30, bit for bit.
         monkeypatch.setattr(testing, "_DRAW_BLOCK_WORDS", 100)
+        sizes = []
+        gathered = testing._gathered_statistics
+        monkeypatch.setattr(
+            testing,
+            "_gathered_statistics",
+            lambda kc, lc, p, out: sizes.append(len(p)) or gathered(kc, lc, p, out),
+        )
         d = _random_dataset(n, n)
         kc = centered_gram_entries(KernelSpec("gaussian", 1.0), d.x_points)
         lc = centered_gram_entries(KernelSpec("laplace", 1.0), d.y_points)
         p = _draw_permutations(seed=4, num=30, n=n)
         expected = np.einsum("ij,bij->b", kc, lc[p[:, :, None], p[:, None, :]]) / (n * n)
         assert np.array_equal(_permuted_statistics(kc, lc, p), expected)
+        step = 100 // n
+        assert sizes == [step] * (30 // step) + ([30 % step] if 30 % step else [])
 
     def test_batches_join_seamlessly(self):
         # Chunked evaluation must not depend on the batch boundary.
