@@ -5,17 +5,21 @@ Each stage of a permutation test is timed on its own, in process, and the
 median over ``--repeats`` runs is reported:
 
 * ``sides``: ``testing._null_function``, which builds both sides as a test
-  does, one Gram buffer at a time on the calling thread, and factors them;
-  on the dense path it also builds the second Gram;
+  does and factors them; a side that does not factor sends the test to the
+  dense path, which then builds both Grams;
 * ``null``: the B null statistics, chunked over the pool of ``--threads``,
   each chunk drawing its own permutations block by block as a test does;
 * ``p_value``: the p-value and the null quantile.
 
-``side_x`` and ``side_y`` split ``sides``: each is ``hsic.centered_side``
-(median bandwidth, Gram, centering and scale) of one side alone, into one
-reused buffer.  ``draw`` splits ``null``: the B permutations drawn alone,
-in the blocks the factored and batched nulls draw.  The splits are left out
-of ``stage_sum_s``.
+``split_s`` splits ``sides`` per side, as a test builds a side without its
+Gram: ``median_x`` (the median bandwidth), ``row_pass_x`` (the one pass
+over the Gram's row blocks that takes the row means and the scale
+``max|HKH|``) and ``factoring_x`` (the pivoted Cholesky, its pivot columns
+computed on demand; for a side that does not factor, the cost of finding
+that out), and the same for y.  ``draw`` splits ``null``: the B permutations drawn
+alone, in the blocks the factored and batched nulls draw.  The splits are
+left out of ``stage_sum_s``.  No stage holds an n x n array unless the
+test takes the dense path.
 
 ``total_s`` is the median wall time of the whole ``test`` command through
 ``hsictest.cli.main``, so it is not the sum of the stages: the command also
@@ -32,6 +36,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
 import resource
 import statistics as stats
@@ -47,12 +52,15 @@ import numpy as np
 
 import hsictest
 from hsictest import GeneratorKind, GeneratorSpec, cli, p_value_from_null, parse_kernel, sample
-from hsictest.hsic import centered_side
+from hsictest.hsic import GramFreeSide, _row_pass
+from hsictest.kernels import as_points, resolve_bandwidth
 from hsictest.testing import (
     _DRAW_BLOCK_WORDS,
+    FACTOR_RANK_CAP_PER_ROOT,
     TAKE_MIN_N,
     _draw_rows,
     _null_function,
+    _pivoted_cholesky,
     _pool_size,
     _Rows,
 )
@@ -84,13 +92,21 @@ def draw_alone(seed: int, b: int, n: int) -> None:
         pass
 
 
+def side_split(spec, points, name: str) -> dict:
+    """The stages of one side built as a test builds it without its Gram."""
+    pts = as_points(points)
+    cap = FACTOR_RANK_CAP_PER_ROOT * math.isqrt(len(pts))
+    spec, median = timed(lambda: resolve_bandwidth(spec, pts))
+    passes, rows = timed(lambda: _row_pass(spec, pts))
+    side = GramFreeSide.from_row_pass(spec, pts, *passes)
+    _, factoring = timed(lambda: _pivoted_cholesky(side.diagonal, side.column, side.scale, cap))
+    return {f"median_{name}": median, f"row_pass_{name}": rows, f"factoring_{name}": factoring}
+
+
 def one_split(data, kx, ky, args, pool, workers) -> dict:
     n, b = data.n, args.permutations
-    buffer = np.empty((n, n))
-    _, side_x = timed(lambda: centered_side(kx, data.x_points, buffer))
-    _, side_y = timed(lambda: centered_side(ky, data.y_points, buffer))
-    del buffer
-    _, draw = timed(lambda: draw_alone(args.seed, b, n))
+    split = {**side_split(kx, data.x_points, "x"), **side_split(ky, data.y_points, "y")}
+    _, split["draw"] = timed(lambda: draw_alone(args.seed, b, n))
     (*_, statistics), sides = timed(lambda: _null_function(data, kx, ky, workers, 8 * b))
     observed = statistics(np.arange(n, dtype=np.intp)[None, :])[0]
     perms = _Rows(b, n, partial(_draw_rows, args.seed, n))
@@ -98,7 +114,7 @@ def one_split(data, kx, ky, args, pool, workers) -> dict:
     _, p_value = timed(lambda: (p_value_from_null(observed, null), np.quantile(null, 0.95)))
     return {
         "stages": {"sides": sides, "null": null_s, "p_value": p_value},
-        "split": {"side_x": side_x, "side_y": side_y, "draw": draw},
+        "split": split,
         "null_path": NULL_PATHS[statistics.func.__name__] if n >= TAKE_MIN_N else "batched",
     }
 

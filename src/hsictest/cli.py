@@ -48,7 +48,7 @@ def _say(msg: str) -> None:
 
 
 def load_csv_columns(path: str, x_columns: list[str], y_columns: list[str]):
-    """Strict CSV reader: header required, selected cells numeric, no gaps."""
+    """Strict CSV reader: header required, selected names unique, cells numeric, no gaps."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
@@ -65,6 +65,13 @@ def load_csv_columns(path: str, x_columns: list[str], y_columns: list[str]):
         raise CliInputError(
             f"{path}: unknown column(s) {missing}; available: {header}"
         )
+    for name in dict.fromkeys(x_columns + y_columns):
+        positions = [str(i + 1) for i, cell in enumerate(header) if cell == name]
+        if len(positions) > 1:
+            raise CliInputError(
+                f"{path}: column {name!r} appears more than once in the header, "
+                f"at positions {', '.join(positions)}"
+            )
 
     def pull(columns: list[str]) -> np.ndarray:
         # Whole columns first: ``float`` ignores the surrounding whitespace

@@ -14,8 +14,12 @@ of a sample enters it, and the permutation null of :mod:`hsictest.testing`,
 through :func:`centered_side`: the one place a kernel spec and a point set
 become a resolved spec, a centered Gram and that Gram's scale ``max|HKH|``,
 with a side that is constant to working precision centered to exact zero.
-The statistic's roundoff scale and the permutation null's factoring floor are
-both read off that returned scale, never recomputed from the Gram.
+:func:`gram_free_side` builds the same side, bit for bit, without an n x n
+array: one pass over K's row blocks gives its row means, the diagonal of
+HKH and its scale, and any column of HKH is computed on demand, which is
+all a pivoted Cholesky factoring needs.  The statistic's roundoff scale and the
+permutation null's factoring floor are both read off the returned scale,
+never recomputed from the Gram.
 
 With both kernels characteristic the population value is zero iff the
 distribution is an exact product (independence); with a non-characteristic
@@ -28,10 +32,18 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .kernels import KernelSpec, as_points, gram_entries, resolved_gram
+from .kernels import (
+    KernelSpec,
+    _block_rows,
+    _gram_rows,
+    as_points,
+    gram_entries,
+    resolve_bandwidth,
+)
 
 # theta's rows and columns sum to zero by construction; loose only to roundoff.
 THETA_MARGIN_TOL = 1e-12
@@ -177,36 +189,101 @@ def population_hsic(
     return HsicValue.from_raw(raw, Estimator.POPULATION_EXACT, scale)
 
 
-# Centering updates the Gram in row blocks of at most this many floats (512
-# KB), each block while it is in cache; at n = 5000 that ran 1.5x faster than
-# three whole-matrix passes, and blocks of 2^15 or 2^17 floats ran no faster.
-_CENTER_BLOCK_FLOATS = 1 << 16
+def _row_pass(spec: KernelSpec, pts: np.ndarray, out: np.ndarray | None = None):
+    """``(r, g, diag K, max|HKH|)`` for the Gram K, in one pass over its row blocks.
 
-
-def _double_center(entries: np.ndarray) -> float:
-    """In-place double centering, A <- H A H with H = I - (1/n) 11'; returns max|H A H|.
-
-    Each entry is updated as ``((a_ij - r_i) - r_j) + g`` from the row means r
-    and their mean g, one row block at a time, and the block's max and min
-    are taken before the next one.  The maximum equals
-    ``np.abs(entries).max()`` after centering, NaN included, without an
-    n x n temporary.
+    K is computed in row blocks, into ``out`` (an n x n buffer) when given,
+    else each into one buffer of at most ``_BLOCK_FLOATS`` floats that the
+    next block overwrites.  Each block's means r_i are taken as
+    ``mean(axis=1)`` takes them over the whole matrix, so they are the same
+    bit for bit, and the block is then shifted in place to
+    ``k_ij - r_i``, the first step of centering, which is what ``out`` is
+    left holding; the scale is then None, for the caller to take from HKH.
+    Without ``out`` it comes from the blocks as they pass: HKH's entries are
+    ``((k_ij - r_i) - r_j) + g``, and rounding is monotone, so for each
+    column j the largest of them over the rows i is
+    ``((max_i (k_ij - r_i)) - r_j) + g``, bit for bit, and likewise the
+    smallest, and the running column extremes of the shifted blocks give
+    max|HKH| without HKH.  A NaN or infinite entry reaches an extreme too,
+    so the scale is NaN exactly when HKH holds a NaN.
     """
-    n = entries.shape[0]
-    row_means = entries.mean(axis=1)
-    grand_mean = row_means.mean()
-    rows = max(1, _CENTER_BLOCK_FLOATS // n)
-    scale = 0.0
+    n = pts.shape[0]
+    rows = _block_rows(n)
+    row_means, diagonal = np.empty(n), np.empty(n)
+    if out is None:
+        scratch = np.empty((min(rows, n), n))
+        high, low = np.full(n, -np.inf), np.full(n, np.inf)
     for lo in range(0, n, rows):
-        block = entries[lo : lo + rows]
-        block -= row_means[lo : lo + rows, None]
-        block -= row_means[None, :]
-        block += grand_mean
-        # NaN when the block holds one; once NaN, the scale stays NaN.
-        block_scale = float(max(block.max(), -block.min()))
-        if scale == scale and not block_scale <= scale:
-            scale = block_scale
+        hi = min(lo + rows, n)
+        block = out[lo:hi] if out is not None else scratch[: hi - lo]
+        _gram_rows(spec, pts[lo:hi], pts, block)
+        block.mean(axis=1, out=row_means[lo:hi])
+        diagonal[lo:hi] = np.diagonal(block, lo)
+        block -= row_means[lo:hi, None]
+        if out is None:
+            np.maximum(high, block.max(axis=0), out=high)
+            np.minimum(low, block.min(axis=0), out=low)
+    grand_mean = row_means.mean()
+    if out is not None:
+        return row_means, grand_mean, diagonal, None
+    high = (high - row_means) + grand_mean
+    low = (low - row_means) + grand_mean
+    return row_means, grand_mean, diagonal, _merged(0.0, high.max(), low.min())
+
+
+def _constant(scale: float, k_diagonal: np.ndarray) -> bool:
+    """Whether max|HKH| is within the roundoff of K: ``<= n * eps * max(diag K)``.
+
+    The diagonal bounds a PSD Gram, so such a side is constant to working
+    precision.
+    """
+    return scale <= len(k_diagonal) * _EPS * k_diagonal.max()
+
+
+def _merged(scale: float, high, low) -> float:
+    """``scale`` merged with ``max(high, -low)``; once NaN, the scale stays NaN."""
+    block_scale = float(np.maximum(high, -low))
+    if scale == scale and not block_scale <= scale:
+        return block_scale
     return scale
+
+
+class GramFreeSide(NamedTuple):
+    """One side of a test held without its Gram: what a pivoted Cholesky of HKH needs.
+
+    The same side as :func:`centered_side` returns, bit for bit, from one
+    row pass that never holds an n x n array: ``diagonal`` and ``scale`` are
+    those of HKH, and :meth:`column` computes one column of HKH on demand.
+    """
+
+    spec: KernelSpec
+    points: np.ndarray
+    row_means: np.ndarray
+    grand_mean: float
+    diagonal: np.ndarray
+    scale: float
+
+    @classmethod
+    def from_row_pass(cls, spec, pts, row_means, grand_mean, k_diagonal, scale) -> "GramFreeSide":
+        """The side from its row pass (:func:`_row_pass`) and its scale.
+
+        A side constant to working precision (see :func:`_constant`) gets
+        an exact zero diagonal and scale.  Otherwise the diagonal of HKH is
+        centered from K's as every entry is.
+        """
+        if _constant(scale, k_diagonal):
+            return cls(spec, pts, row_means, grand_mean, np.zeros_like(k_diagonal), 0.0)
+        diagonal = ((k_diagonal - row_means) - row_means) + grand_mean
+        return cls(spec, pts, row_means, grand_mean, diagonal, scale)
+
+    def column(self, j: int) -> np.ndarray:
+        """Column j of HKH: ``((K[:, j] - r) - r_j) + g``, centered as every entry is.
+
+        K is exactly symmetric, so its column j is its row j, built alone.
+        """
+        n = self.points.shape[0]
+        row = _gram_rows(self.spec, self.points[j : j + 1], self.points, np.empty((1, n)))[0]
+        return ((row - self.row_means) - self.row_means[j]) + self.grand_mean
 
 
 def centered_side(
@@ -216,25 +293,44 @@ def centered_side(
 
     The one place a sample becomes a centered Gram.  It is built and centered
     in ``out``, an n x n float buffer the caller owns (a new one when None);
-    a median bandwidth is resolved here, selected in that same buffer before
-    the Gram is built there (see :func:`kernels.resolved_gram`), so the side
-    holds nothing else that grows with n^2.  A centered Gram no larger than
-    the roundoff of the uncentered one, ``max|HKH| <= n * eps * max(diag
-    K)`` (the diagonal bounds a PSD Gram), is set to exact zero and its
-    scale to 0.0: that side is constant to working precision, and leaving
-    the residue would make the statistic and every permuted one roundoff
-    noise.  A non-finite Gram is returned as is, with a NaN scale, for the
-    statistic's own check to refuse.
+    a median bandwidth is resolved first, by a selection that holds no n x n
+    array (see :func:`kernels.median_heuristic`).  A side constant to
+    working precision (see :func:`_constant`) is set to exact zero and its
+    scale to 0.0: leaving the residue would make the statistic and every
+    permuted one roundoff noise.  A non-finite Gram is not zeroed: its NaN
+    scale is left for the statistic's own check to refuse.
+    """
+    pts = as_points(points)
+    n = pts.shape[0]
+    if out is None:
+        out = np.empty((n, n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        spec = resolve_bandwidth(spec, pts)
+        row_means, grand_mean, k_diagonal, _ = _row_pass(spec, pts, out)
+        # Finish centering what the row pass shifted by the row means, and
+        # take each block's max and min while it is in cache.
+        scale, rows = 0.0, _block_rows(n)
+        for lo in range(0, n, rows):
+            block = out[lo : lo + rows]
+            block -= row_means[None, :]
+            block += grand_mean
+            scale = _merged(scale, block.max(), block.min())
+        if _constant(scale, k_diagonal):
+            out.fill(0.0)
+            scale = 0.0
+    return spec, out, scale
+
+
+def gram_free_side(spec: KernelSpec, points) -> GramFreeSide:
+    """One side of a test as :func:`centered_side` builds it, without an n x n array.
+
+    One pass over K's row blocks (see :func:`_row_pass`) gives all of it, so
+    a side holds O(n) floats besides one block.
     """
     pts = as_points(points)
     with np.errstate(over="ignore", invalid="ignore"):
-        spec, entries = resolved_gram(spec, pts, out)
-        floor = pts.shape[0] * _EPS * entries.diagonal().max()
-        scale = _double_center(entries)
-        if scale <= floor:
-            entries.fill(0.0)
-            scale = 0.0
-    return spec, entries, scale
+        spec = resolve_bandwidth(spec, pts)
+        return GramFreeSide.from_row_pass(spec, pts, *_row_pass(spec, pts))
 
 
 def centered_gram_entries(spec: KernelSpec, points) -> np.ndarray:

@@ -10,6 +10,13 @@ Gaussian and Laplace are characteristic, translation-invariant c0-kernels on
 R^d; the linear kernel is neither translation invariant nor characteristic and
 is carried as the canonical failure-mode kernel.
 
+Gram entries are computed by one row-block kernel, :func:`_gram_rows`, which
+serves the whole Gram of :func:`gram_entries` and the Gram-free passes of
+:mod:`hsictest.hsic` alike; each entry depends only on its pair, so rows
+built alone equal those of the whole matrix bit for bit.  The median
+bandwidth is selected exactly from the upper triangle of the distances in
+chunked passes (:func:`median_heuristic`), never from an n x n matrix.
+
 A kernel is characteristic when its mean embedding is injective on probability
 measures; that is the property the test needs of each marginal kernel.  Two
 distributions on a finite support differ by a signed measure with total mass
@@ -25,6 +32,7 @@ there: its one null direction (1, 0) has mass 1, and the zero-sum direction
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -120,89 +128,220 @@ def as_points(points) -> np.ndarray:
     return arr
 
 
-# Coordinates after the first are differenced in row blocks of at most this
-# many floats, so the one diff buffer stays small whatever n is.
-_DIFF_BLOCK_FLOATS = 1 << 16
+# Distances and Gram entries are computed in row blocks of at most this many
+# floats (512 KB), each block used while it is in cache; at n = 5000,
+# centering in such blocks ran 1.5x faster than three whole-matrix passes,
+# and blocks of 2^15 or 2^17 floats ran no faster.
+_BLOCK_FLOATS = 1 << 16
 
 
-def _pairwise(pts: np.ndarray, squared: bool, out: np.ndarray | None = None) -> np.ndarray:
-    """Full matrix of pairwise squared-Euclidean (or cityblock) distances, in ``out``.
+def _block_rows(n: int) -> int:
+    """Rows of an n-column matrix in a block of at most ``_BLOCK_FLOATS`` floats (at least one)."""
+    return max(1, _BLOCK_FLOATS // n)
 
-    ``out`` is an n x n float buffer the caller owns (a new one when None).
-    The first coordinate is written straight into it; each later one is added
-    in row blocks through one small diff buffer.  Coordinates are accumulated
+
+def _pairwise(a: np.ndarray, b: np.ndarray, squared: bool, out: np.ndarray) -> np.ndarray:
+    """Squared-Euclidean (or cityblock) distances between the points of ``a`` and ``b``, in ``out``.
+
+    ``a`` and ``b`` hold d-vectors on their last axis and broadcast to
+    ``out``: ``pts[lo:hi, None]`` against ``pts[None]`` gives rows lo..hi of
+    the distance matrix, and two (m, d) arrays give m pairs.  The first
+    coordinate is written straight into ``out``; each later one is added
+    through one diff buffer of ``out``'s size.  Coordinates are accumulated
     one column at a time, in order, which is the summation order of scipy's
     ``pdist``/``cdist``; the results agree bitwise (a single ``einsum`` over
-    the coordinate axis does not, from d = 3 on).  Entry (i, j) and entry
-    (j, i) are computed from the same terms, so the matrix is exactly
+    the coordinate axis does not, from d = 3 on).  The distance of a pair
+    does not depend on the block it is computed in, and (i, j) and (j, i)
+    are computed from the same terms, so a matrix of them is exactly
     symmetric.
     """
-    n = pts.shape[0]
-    if out is None:
-        out = np.empty((n, n))
-    cols = pts.T
-    if not len(cols):  # points without coordinates all coincide
+    d = a.shape[-1]
+    if not d:  # points without coordinates all coincide
         out.fill(0.0)
         return out
-    np.subtract(cols[0][:, None], cols[0][None, :], out=out)
-    _square_or_abs(out, squared)
-    rows = max(1, _DIFF_BLOCK_FLOATS // n)
-    diff = np.empty((min(rows, n), n)) if len(cols) > 1 else None
-    for col in cols[1:]:
-        for lo in range(0, n, rows):
-            d = diff[: min(rows, n - lo)]
-            np.subtract(col[lo : lo + rows, None], col[None, :], out=d)
-            _square_or_abs(d, squared)
-            out[lo : lo + rows] += d
+    _difference(a[..., 0], b[..., 0], squared, out)
+    diff = np.empty_like(out) if d > 1 else None
+    for c in range(1, d):
+        out += _difference(a[..., c], b[..., c], squared, diff)
     return out
 
 
-def _square_or_abs(diff: np.ndarray, squared: bool) -> None:
+def _difference(a: np.ndarray, b: np.ndarray, squared: bool, out: np.ndarray) -> np.ndarray:
+    """``(a - b)^2`` or ``|a - b|``, broadcast into ``out``.
+
+    Computed as ``b - a``, exactly ``-(a - b)``, by copying ``b`` into
+    ``out`` and subtracting ``a`` in place: numpy subtracts a broadcast
+    column from a whole block about 1.2x faster than it broadcasts both.
+    """
+    np.copyto(out, b)
+    np.subtract(out, a, out=out)
     if squared:
-        np.multiply(diff, diff, out=diff)
-    else:
-        np.abs(diff, out=diff)
+        return np.multiply(out, out, out=out)
+    return np.abs(out, out=out)
 
 
 def median_heuristic(points) -> float:
-    """Median of the n(n-1)/2 pairwise Euclidean distances.
+    """Median of the n(n-1)/2 pairwise Euclidean distances, bitwise ``np.median`` of them.
 
     Zero distances stay in the median pool; only the fully degenerate case
-    (every pair coincident) raises :class:`AllPointsIdenticalError`.
+    (every pair coincident) raises :class:`AllPointsIdenticalError`.  The two
+    middle squared distances (one for an odd count) are selected exactly
+    by :func:`_order_statistics`, which never holds the n x n matrix; only
+    they are square-rooted, and they are averaged as ``np.median`` averages
+    them.  sqrt is correctly rounded and so monotone: the square roots of
+    the middle squared distances are the middle distances.
     """
-    return _median_of_squared(_pairwise(as_points(points), squared=True))
-
-
-def _median_of_squared(sq: np.ndarray) -> float:
-    """:func:`median_heuristic` from the full matrix of squared pairwise distances.
-
-    ``sq`` is selected in place, so it keeps its entries but not their
-    order.  :func:`_pairwise` builds it exactly symmetric with a zero
-    diagonal, so its n^2 sorted entries are the n diagonal zeros, then each
-    of the m = n(n-1)/2 strict-upper values u_0 <= ... <= u_{m-1} twice (all
-    are >= 0).  Sorted entry ``n + 2i`` is therefore u_i: one ``partition``
-    of the flat view about ``k = n + 2 * (m // 2)`` puts the upper middle
-    u_{m//2} at k, and for even m the largest entry before k is the lower
-    middle u_{m//2 - 1}, exactly the order statistics the upper triangle
-    alone gives.  Only they are square-rooted, and they are averaged as
-    ``np.median`` averages them.  sqrt is correctly rounded and so monotone:
-    the square roots of the middle squared distances are the middle
-    distances, and the value is bitwise that of ``np.median`` over all the
-    distances.  One ``partition`` about a single index, then a ``max`` on
-    each side of it for the lower middle and the largest value, ran about
-    five times faster at n = 1000 than one ``partition`` about three indices.
-    """
-    n = sq.shape[0]
+    pts = as_points(points)
+    n = pts.shape[0]
     if n < 2:
         raise ValueError("median heuristic needs at least 2 points")
-    size = n * (n - 1) // 2
-    k = n + 2 * (size // 2)
-    flat = sq.reshape(-1)
-    flat.partition(k)
-    if not flat[k:].max() > 0.0:
+    m = n * (n - 1) // 2
+    middle = _order_statistics(pts, sorted({(m - 1) // 2, m // 2}))
+    # Only a zero upper middle leaves the question open.  A squared distance
+    # sums nonnegative terms, and the largest term of a coordinate is its
+    # squared range, so every squared distance is zero iff every squared
+    # range is.
+    if not middle[-1] > 0.0 and not np.any(np.square(np.ptp(pts, axis=0)) > 0.0):
         raise AllPointsIdenticalError("all pairwise distances are zero")
-    middle = [flat[k]] if size % 2 else [flat[:k].max(), flat[k]]
     return float(np.mean(np.sqrt(middle)))
+
+
+def _order_statistics(pts: np.ndarray, ranks: list[int]) -> list[float]:
+    """The squared distances of 0-based ``ranks`` among the m = n(n-1)/2 pairs i < j, ascending.
+
+    Exact selection in passes over the upper triangle, row block by row
+    block (see :func:`_count_pass`).  Each pass brackets the ranks between
+    two thresholds t1 <= t2, counts the distances up to t1 and below t2, and
+    keeps those strictly between; a rank that falls between them is
+    selected from the kept values.  The thresholds are the ranks' estimated
+    positions in a sorted sample of distances of uniformly random pairs,
+    widened by four standard deviations, so one pass does in practice.  The
+    later passes also count the distances at each threshold: a rank whose
+    count range covers a threshold is that threshold, so a value shared by
+    many pairs is never kept, and a rank beyond them lies in an open
+    interval below t1 or above t2, which the next pass brackets.  Each such
+    pass drops at least one sample value from the interval, and one with no
+    sample value left keeps the whole interval.  When the whole triangle
+    fits in one block there is no sample and no pass: the full matrix is
+    partitioned directly.
+    """
+    n = pts.shape[0]
+    m = n * (n - 1) // 2
+    if m <= _BLOCK_FLOATS:
+        # The matrix is exactly symmetric with a zero diagonal, so its sorted
+        # entries are n zeros, then each upper value twice: rank k is entry
+        # n + 2k.
+        flat = _pairwise(pts[:, None], pts[None], True, np.empty((n, n))).reshape(-1)
+        flat.partition([n + 2 * k for k in ranks])
+        return [flat[n + 2 * k] for k in ranks]
+    sample = _sampled_squared(pts, m)
+    lo, hi, below, inside = -np.inf, np.inf, 0, m  # ranks below..below+inside lie in (lo, hi)
+    found, exact = {}, False
+    while len(found) < len(ranks):
+        todo = [k for k in ranks if k not in found]
+        t1, t2 = _bracket(sample, lo, hi, (todo[0] - below) / inside, (todo[-1] - below) / inside)
+        kept, le1, lt2, lt1, le2 = _count_pass(pts, t1, t2, exact)
+        between = [k for k in todo if le1 <= k < lt2]
+        if between:
+            kept.partition([k - le1 for k in between])
+            found.update((k, kept[k - le1]) for k in between)
+        if not exact:  # the rest need the counts at the thresholds
+            exact = True
+            continue
+        for k in todo:
+            if lt1 <= k < le1:
+                found[k] = t1
+            elif lt2 <= k < le2:
+                found[k] = t2
+            elif k < lt1:
+                hi, inside = t1, lt1 - below
+            elif k >= le2:
+                lo, below, inside = t2, le2, below + inside - le2
+    return [found[k] for k in ranks]
+
+
+# The bandwidth's pair sample has this many pairs per square root of the
+# pair count: at n = 1000, 5656 pairs, and a bracket holding about 5% of the
+# distances.
+_SAMPLE_PAIRS_PER_ROOT = 8
+
+
+def _sampled_squared(pts: np.ndarray, m: int) -> np.ndarray:
+    """Sorted squared distances of ``8 * isqrt(m)`` random pairs i != j, from a fixed seed.
+
+    Random pairs make the bracket's chance of missing independent of the
+    order of the points; the seed makes the passes, not only their result,
+    repeatable.
+    """
+    n = pts.shape[0]
+    size = _SAMPLE_PAIRS_PER_ROOT * math.isqrt(m)
+    rng = np.random.default_rng(0)
+    i = rng.integers(n, size=size)
+    j = rng.integers(n - 1, size=size)
+    j += j >= i
+    values = _pairwise(pts[i], pts[j], True, np.empty(size))
+    values.sort()
+    return values
+
+
+def _bracket(sample: np.ndarray, lo: float, hi: float, first: float, last: float):
+    """Thresholds lo <= t1 <= t2 <= hi around the fractions ``first`` and ``last`` of (lo, hi).
+
+    They are the sample values inside (lo, hi) at those fractions, widened
+    by ``2 * sqrt(s) + 1`` places for s such values (four standard
+    deviations of a sample rank); past either end they are lo or hi.
+    """
+    s = sample[np.searchsorted(sample, lo, "right") : np.searchsorted(sample, hi, "left")]
+    margin = 2 * math.isqrt(len(s)) + 1
+    i = math.floor(first * len(s)) - margin
+    j = math.floor(last * len(s)) + margin
+    return (s[i] if i >= 0 else lo), (s[j] if j < len(s) else hi)
+
+
+def _upper_blocks(n: int):
+    """Row ranges ``(lo, hi)`` covering the upper triangle, each block rows lo..hi by columns lo..n.
+
+    A block holds at most ``_BLOCK_FLOATS`` floats, or one row, and no more
+    rows than columns, so its leading square (where j <= i) is no larger.
+    """
+    lo = 0
+    while lo < n:
+        width = n - lo
+        hi = min(n, lo + max(1, min(width, _BLOCK_FLOATS // width)))
+        yield lo, hi
+        lo = hi
+
+
+def _count_pass(pts: np.ndarray, t1: float, t2: float, at_thresholds: bool):
+    """``(kept, #<=t1, #<t2, #<t1, #<=t2)`` over the squared distances of all pairs i < j.
+
+    ``kept`` holds the distances strictly between t1 and t2.  The counts
+    that tell a value at a threshold from one beyond it, ``#<t1`` and
+    ``#<=t2``, are None unless ``at_thresholds``: a pass whose ranks fall
+    between the thresholds, the usual case, needs neither.  Each block's
+    entries with j <= i are set to NaN, which no comparison counts.
+    """
+    n = pts.shape[0]
+    buffer = np.empty(max(_BLOCK_FLOATS, n))  # a block has at least one row
+    le1 = lt2 = lt1 = le2 = 0
+    kept = []
+    for lo, hi in _upper_blocks(n):
+        rows, width = hi - lo, n - lo
+        block = buffer[: rows * width].reshape(rows, width)
+        _pairwise(pts[lo:hi, None], pts[None, lo:], True, block)
+        np.copyto(block[:, :rows], np.nan, where=np.tri(rows, dtype=bool))
+        above = block > t1
+        under = block < t2
+        le1 += rows * (2 * n - lo - hi - 1) // 2 - np.count_nonzero(above)
+        lt2 += np.count_nonzero(under)
+        if at_thresholds:
+            lt1 += np.count_nonzero(block < t1)
+            le2 += np.count_nonzero(block <= t2)
+        above &= under
+        kept.append(block[above])
+    if not at_thresholds:
+        lt1 = le2 = None
+    return np.concatenate(kept), le1, lt2, lt1, le2
 
 
 def resolve_bandwidth(spec: KernelSpec, points) -> KernelSpec:
@@ -212,55 +351,52 @@ def resolve_bandwidth(spec: KernelSpec, points) -> KernelSpec:
     return replace(spec, bandwidth=median_heuristic(points))
 
 
+def _gram_rows(spec: KernelSpec, rows: np.ndarray, pts: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Gram entries ``k(rows[i], pts[j])`` of a resolved ``spec``, in ``out`` (len(rows) x len(pts)).
+
+    The one place distances become kernel values.  Each entry depends only
+    on its pair, so rows built alone equal those rows of the whole Gram bit
+    for bit.  The Gaussian and Laplace kernels divide rather than multiply
+    by the reciprocal, which would move the Gram in the last bits; the
+    linear ``einsum`` sums the products of (i, j) and (j, i) in the same
+    order.
+    """
+    if spec.family is KernelFamily.LINEAR:
+        return np.einsum("id,jd->ij", rows, pts, out=out)
+    squared = spec.family is KernelFamily.GAUSSIAN
+    _pairwise(rows[:, None], pts[None], squared, out)
+    np.divide(out, -2.0 * spec.bandwidth**2 if squared else -spec.bandwidth, out=out)
+    return np.exp(out, out=out)
+
+
 def gram_entries(spec: KernelSpec, points, out: np.ndarray | None = None) -> np.ndarray:
     """Raw (writable) Gram matrix entries of a resolved ``spec`` on ``points``, in ``out``.
 
-    ``out`` is an n x n float buffer the caller owns (a new one when None);
-    every family fills it in place.  Exactly symmetric by construction:
-    :func:`_pairwise` is, and so are the elementwise ``exp`` of it and the
-    linear ``einsum``, whose entries (i, j) and (j, i) sum the same products
-    in the same order.
+    ``out`` is an n x n float buffer the caller owns (a new one when None),
+    filled in row blocks by :func:`_gram_rows`.  Exactly symmetric by
+    construction.
     """
     if not spec.is_resolved:
         raise ValueError("bandwidth sentinel is unresolved; call resolve_bandwidth first")
     pts = as_points(points)
-    if spec.family is KernelFamily.GAUSSIAN:
-        return _gaussian_in_place(_pairwise(pts, True, out), spec.bandwidth)
-    if spec.family is KernelFamily.LAPLACE:
-        entries = _pairwise(pts, False, out)
-        np.divide(entries, -spec.bandwidth, out=entries)
-        return np.exp(entries, out=entries)
-    return np.einsum("id,jd->ij", pts, pts, out=out)
-
-
-def _gaussian_in_place(sq: np.ndarray, bandwidth: float) -> np.ndarray:
-    """``exp(-sq / (2 bandwidth^2))``, overwriting the squared distances ``sq``.
-
-    Divides rather than multiplying by the reciprocal, which would move the
-    Gram in the last bits.
-    """
-    np.divide(sq, -2.0 * bandwidth**2, out=sq)
-    return np.exp(sq, out=sq)
+    n = pts.shape[0]
+    if out is None:
+        out = np.empty((n, n))
+    rows = _block_rows(n)
+    if rows >= n:  # one block, as for every support of the oracle sweep
+        return _gram_rows(spec, pts, pts, out)
+    for lo in range(0, n, rows):
+        _gram_rows(spec, pts[lo : lo + rows], pts, out[lo : lo + rows])
+    return out
 
 
 def resolved_gram(
     spec: KernelSpec, points, out: np.ndarray | None = None
 ) -> tuple[KernelSpec, np.ndarray]:
-    """``spec`` with a median bandwidth resolved on ``points``, and its Gram entries there.
-
-    The Gram is built in ``out`` (see :func:`gram_entries`).  A median
-    bandwidth is selected from squared distances built in ``out`` first (see
-    :func:`_median_of_squared`); the selection scrambles them, so the Gram
-    pass computes the distances again, bit for bit the same.  The results
-    equal :func:`resolve_bandwidth` followed by :func:`gram_entries` bit for
-    bit.
-    """
-    if spec.is_resolved:
-        return spec, gram_entries(spec, points, out)
+    """``spec`` with a median bandwidth resolved on ``points``, and its Gram entries in ``out``."""
     pts = as_points(points)
-    sq = _pairwise(pts, True, out)
-    spec = replace(spec, bandwidth=_median_of_squared(sq))
-    return spec, gram_entries(spec, pts, sq)
+    spec = resolve_bandwidth(spec, pts)
+    return spec, gram_entries(spec, pts, out)
 
 
 def spd_tolerance(entries: np.ndarray) -> float:

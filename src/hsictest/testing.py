@@ -1,13 +1,14 @@
 """Permutation-based calibration of HSIC statistics.
 
 The null distribution comes from relabeling one side: each side is prepared
-once on the observed data by ``hsic.centered_side`` (median bandwidth, Gram,
-centering and the scale ``max|HKH|``), and each replicate reindexes the
-centered y-side matrix by a random permutation.  That is exact, not an
-approximation: H commutes with permutation matrices, so reindexing HLH equals
-recomputing H L_pi H.  Both tests share one body and report the resolved
-kernels in ``TestResult``.  A constant side is centered to exact zero, so its
-statistic and every replicate are 0 and p = 1 on every path.
+once on the observed data by ``hsic.centered_side`` or, without its Gram, by
+``hsic.gram_free_side`` (median bandwidth, centering and the scale
+``max|HKH|``), and each replicate reindexes the centered y side by a random
+permutation.  That is exact, not an approximation: H commutes with
+permutation matrices, so reindexing HLH equals recomputing H L_pi H.  Both
+tests share one body and report the resolved kernels in ``TestResult``.  A
+constant side is centered to exact zero, so its statistic and every
+replicate are 0 and p = 1 on every path.
 
 p-values use the add-one estimator (1 + #{T_b >= T_0}) / (B + 1), counting
 ties as exceedances; it never returns 0 and stays valid under exchangeability.
@@ -35,14 +36,15 @@ reduction by construction:
   low rank: each is factored by pivoted incomplete Cholesky (Bach & Jordan
   2002), ``Kc ~= Fx Fx'`` and ``Lc ~= Fy Fy'``, and replicate p is
   ``||Fx' Fy[p]||_F^2 / n^2`` (the factored form of Zhang, Filippi, Gretton &
-  Sejdinovic 2018), one small matrix product per replicate.  Factoring stops
-  once no residual diagonal exceeds ``n * eps * max|entry|``, where
-  ``max|entry|`` is the scale ``centered_side`` returned with the Gram.  The
-  residual R is positive semidefinite with trace at most ``n^2 * eps *
-  max|entry|``, and ``|tr(R M)| <= tr(R) * ||M||_2`` with ``||Lc||_2 <= n *
-  max|Lc|``, so each side moves every replicate by at most ``n * eps * scale``
-  (``scale = max|Kc| * max|Lc|``), about ``2 * n * eps * scale`` for both:
-  roundoff, not approximation.  A side needing more than
+  Sejdinovic 2018), one small matrix product per replicate.  Each pivot
+  column is computed on demand from one row of the Gram, so the centered
+  Gram itself is never built.  Factoring stops once no residual diagonal
+  exceeds ``n * eps * max|entry|``, where ``max|entry|`` is the scale
+  returned with the side.  The residual R is positive semidefinite with
+  trace at most ``n^2 * eps * max|entry|``, and ``|tr(R M)| <= tr(R) *
+  ||M||_2`` with ``||Lc||_2 <= n * max|Lc|``, so each side moves every
+  replicate by at most ``n * eps * scale`` (``scale = max|Kc| * max|Lc|``),
+  about ``2 * n * eps * scale`` for both: roundoff, not approximation.  A side needing more than
   ``FACTOR_RANK_CAP_PER_ROOT * isqrt(n)`` pivots is not low rank enough for
   factoring to pay, and the test takes the dense path.
 * Dense, from ``TAKE_MIN_N`` on otherwise: each replicate is a row ``take``
@@ -50,19 +52,19 @@ reduction by construction:
   ``hsic.centered_product``.
 
 The path depends on the data alone, never on ``threads``.  From
-``TAKE_MIN_N`` points on, a test holds one n x n Gram buffer where it can,
-and nothing else that grows with n^2 or with B: side x is built into one
-buffer and factored at once, and if it factors, side y is built into the
-same buffer and factored.  A median bandwidth is selected inside that
-buffer, before the Gram is built there.  A second Gram buffer is allocated
-only for the dense path, and a side whose Gram was overwritten is built
-again, bit for bit the same.  The permutations are never held: each chunk
-of the null draws its rows one block at a time (:func:`_draw_rows`) and
-reduces them at once.  Before each Gram buffer is allocated, the bytes the
-path will hold (its Gram buffers, two take buffers per null worker on the
-dense path, and the B null statistics) are checked against
-``MEMORY_BUDGET_BYTES``, capped by physical memory; over it, the test
-raises ``ValueError`` at once instead of running out of memory part-way.
+``TAKE_MIN_N`` points on, a factored test holds no n x n array, and nothing
+that grows with n^2 or with B: side x is built without its Gram in row
+blocks and factored, and if it factors, so is side y.  A median bandwidth
+is selected exactly in chunked passes over the distances.  Only the dense
+path holds Grams, one buffer per side, built with the bandwidths already
+resolved.  The permutations are never held: each chunk of the null draws
+its rows one block at a time (:func:`_draw_rows`) and reduces them at
+once.  Before a test starts, and again before the dense path allocates its
+Grams, the bytes the path will hold (its Gram buffers, two take buffers per
+null worker on the dense path, and the B null statistics) are checked
+against ``MEMORY_BUDGET_BYTES``, capped by physical memory; over it, the
+test raises ``ValueError`` at once instead of running out of memory
+part-way.
 
 From ``TAKE_MIN_N`` points on, the null also runs on one thread pool of up
 to ``threads`` workers: the replicates of the two per-replicate paths are
@@ -88,7 +90,14 @@ from typing import Callable, Iterator, NamedTuple
 import numpy as np
 
 from .datagen import GeneratorSpec, sample
-from .hsic import Dataset, Estimator, HsicValue, centered_product, centered_side
+from .hsic import (
+    Dataset,
+    Estimator,
+    HsicValue,
+    centered_product,
+    centered_side,
+    gram_free_side,
+)
 from .kernels import KernelSpec
 from .rng import (
     RNG_SCHEME,
@@ -371,11 +380,14 @@ def _permuted_statistics(
     return _run_chunks(run, perms, pool, workers, buffers, _DENSE_DRAW_BLOCK_WORDS)
 
 
-def _pivoted_cholesky(a: np.ndarray, max_abs: float, cap: int) -> np.ndarray | None:
+def _pivoted_cholesky(
+    diagonal: np.ndarray, column: Callable[[int], np.ndarray], max_abs: float, cap: int
+) -> np.ndarray | None:
     """Rows of F with ``a ~= F' F``, or None if that takes more than ``cap`` rows.
 
-    Greedy pivoted incomplete Cholesky of a positive semidefinite ``a``: each
-    step takes the column of ``a`` at the largest residual diagonal, and the
+    Greedy pivoted incomplete Cholesky of a positive semidefinite ``a``,
+    given by its ``diagonal`` and ``column(j)``, which returns column j:
+    each step takes the column at the largest residual diagonal, and the
     factor is complete once no residual diagonal exceeds
     ``n * eps * max_abs``.  Updates are elementwise, in a fixed order, so equal
     rows of ``a`` (repeated points) get bitwise-equal factor columns and keep
@@ -383,9 +395,9 @@ def _pivoted_cholesky(a: np.ndarray, max_abs: float, cap: int) -> np.ndarray | N
     """
     if not math.isfinite(max_abs):
         return None  # the dense path reports the overflow
-    n = a.shape[0]
+    n = len(diagonal)
     floor = n * _EPS * max_abs
-    residual = a.diagonal().copy()
+    residual = diagonal.copy()
     rows = np.empty((min(cap, _FACTOR_ROWS_FIRST), n))
     for k in range(cap + 1):
         pivot = int(np.argmax(residual))
@@ -395,7 +407,7 @@ def _pivoted_cholesky(a: np.ndarray, max_abs: float, cap: int) -> np.ndarray | N
             break
         if k == len(rows):
             rows = np.concatenate((rows, np.empty((min(k, cap - k), n))))
-        col = a[:, pivot] - (rows[:k] * rows[:k, pivot, None]).sum(axis=0)
+        col = column(pivot) - (rows[:k] * rows[:k, pivot, None]).sum(axis=0)
         col /= math.sqrt(residual[pivot])
         rows[k] = col
         residual -= col * col
@@ -466,37 +478,36 @@ def _null_function(
 
     ``kx`` and ``ky`` come back resolved, ``scale`` is ``max|Kc| * max|Lc|``
     and ``statistics(perms, pool=None, workers=1)`` is the null function.
-    From ``TAKE_MIN_N`` points on, side x is built into one n x n buffer and
-    factored at once; if it factors, side y is built into the same buffer and
-    factored, so a factored test holds one Gram.  If x does not factor, y
-    gets a second buffer; if only y does not, x is built again, bit for bit
-    the same, into a second buffer.  Each allocation is first checked
-    against the memory budget, with ``workers`` chunks of two take buffers
-    counted on the dense path and ``held`` bytes already in use.
+    From ``TAKE_MIN_N`` points on, side x is built without its Gram
+    (:func:`hsic.gram_free_side`) and factored, its pivot columns computed
+    on demand; if it factors, so is side y, and a test whose sides both
+    factor holds no n x n array.  Otherwise both sides are built densely,
+    each into its own Gram buffer, with the bandwidths already resolved,
+    after the two Grams and ``workers`` chunks of two take buffers, with
+    ``held`` bytes already in use, are checked against the memory budget.
     """
     n = data.n
     if n < TAKE_MIN_N:
         kx, kc, kc_max = centered_side(kx, data.x_points)
         ky, lc, lc_max = centered_side(ky, data.y_points)
         return kx, ky, kc_max * lc_max, partial(_permuted_statistics, kc, lc)
-    _check_memory(n, 1, held)
-    side_x = partial(centered_side, kx, data.x_points)
-    side_y = partial(centered_side, ky, data.y_points)
     cap = FACTOR_RANK_CAP_PER_ROOT * math.isqrt(n)
-    first = np.empty((n, n))
-    kx, kc, kc_max = side_x(first)
-    fx = _pivoted_cholesky(kc, kc_max, cap)
-    if fx is None:
-        _check_memory(n, 2 + 2 * workers, held)
-        ky, lc, lc_max = side_y(np.empty((n, n)))
+    sides, factors = [], []
+    for spec, points in ((kx, data.x_points), (ky, data.y_points)):
+        side = gram_free_side(spec, points)
+        sides.append(side)
+        factor = _pivoted_cholesky(side.diagonal, side.column, side.scale, cap)
+        if factor is None:
+            break
+        factors.append(factor)
     else:
-        ky, lc, lc_max = side_y(first)
-        fy = _pivoted_cholesky(lc, lc_max, cap)
-        if fy is not None:
-            return kx, ky, kc_max * lc_max, partial(_factored_statistics, fx, fy)
-        del fx
-        _check_memory(n, 2 + 2 * workers, held)
-        kx, kc, kc_max = side_x(np.empty((n, n)))
+        x, y = sides
+        return x.spec, y.spec, x.scale * y.scale, partial(_factored_statistics, *factors)
+    resolved = [side.spec for side in sides] + [ky]
+    del sides, factors
+    _check_memory(n, 2 + 2 * workers, held)
+    kx, kc, kc_max = centered_side(resolved[0], data.x_points)
+    ky, lc, lc_max = centered_side(resolved[1], data.y_points)
     return kx, ky, kc_max * lc_max, partial(_permuted_statistics, kc, lc)
 
 

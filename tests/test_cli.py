@@ -71,6 +71,7 @@ class TestCsvLoading:
             ("", "empty file"),
             ("x,y\n", "no data rows"),
             ("x,z\n1,2\n", "unknown column"),
+            ("x,y,x\n1,2,80\n", "column 'x' appears more than once in the header, at positions 1, 3"),
             ("x,y\n1\n", "too short"),
             ("x,y\n1,\n", "missing value"),
             ("x,y\n1,abc\n", "non-numeric"),
@@ -197,16 +198,17 @@ class TestTestCommand:
         )
 
     def test_two_distance_passes_per_median_side(self, ring_csv, capsys, monkeypatch):
-        # A median bandwidth is selected in the Gram's own buffer, which the
-        # selection scrambles, so each median side makes a distance pass for
-        # its bandwidth and one for its Gram; the command itself resolves
+        # Each median side of 200 points, built without its Gram, makes one
+        # distance pass for its bandwidth (one block of the upper triangle),
+        # one for its row means and scale (one row block), and one distance
+        # row per pivot column, 13 per side; the command itself resolves
         # nothing.
         calls = []
         pairwise = kernels._pairwise
         monkeypatch.setattr(
             kernels,
             "_pairwise",
-            lambda pts, squared, out: calls.append(squared) or pairwise(pts, squared, out),
+            lambda a, b, squared, out: calls.append(squared) or pairwise(a, b, squared, out),
         )
         code, report, _ = run_cli(
             [
@@ -217,7 +219,7 @@ class TestTestCommand:
             capsys,
         )
         assert code == 0
-        assert calls == [True, True, True, True]
+        assert calls == [True] * 2 * (1 + 1 + 13)
         assert report["resolved_bandwidth_x"] > 0.0 and report["resolved_bandwidth_y"] > 0.0
 
     @pytest.mark.parametrize(
@@ -261,24 +263,33 @@ class TestMemoryGuard:
     def test_budget_below_one_gram_exits_2_before_allocating(
         self, big_csv, capsys, monkeypatch
     ):
+        # A Gaussian y factors, so the test holds no Gram and runs to the
+        # report it gives under the full budget; a Laplace y does not factor,
+        # and its dense path is refused before it allocates a Gram.
+        _, unpatched, _ = run_cli(self.argv(big_csv, "gaussian:median"), capsys)
         monkeypatch.setattr(testing, "MEMORY_BUDGET_BYTES", 8 * self.N**2 - 1)
         tracemalloc.start()
         try:
-            code, report, err = run_cli(self.argv(big_csv, "gaussian:median"), capsys)
+            code, report, _ = run_cli(self.argv(big_csv, "gaussian:median"), capsys)
+            laplace = run_cli(self.argv(big_csv, "laplace:median"), capsys)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert code == 2 and report is None
-        assert f"about {self.estimate(1) / 2**20:.1f} MiB" in err and "memory budget" in err
+        assert code == 0 and report_minus_volatile(report) == report_minus_volatile(unpatched)
+        laplace_code, laplace_report, err = laplace
+        assert laplace_code == 2 and laplace_report is None and (
+            f"about {self.estimate(4) / 2**20:.1f} MiB" in err and "memory budget" in err
+        )
         assert peak < 8 * self.N**2
 
     def test_budget_for_the_factored_path_refuses_the_dense_fallback(
         self, big_csv, capsys, monkeypatch
     ):
-        # Exactly the factored estimate: a Gaussian y factors and runs; a
-        # Laplace y does not factor, and the dense path's two Grams and one
-        # chunk's two take buffers are refused, not met by MemoryError.
-        monkeypatch.setattr(testing, "MEMORY_BUDGET_BYTES", self.estimate(1))
+        # Exactly the factored estimate, the null statistics alone: a
+        # Gaussian y factors and runs; a Laplace y does not factor, and the
+        # dense path's two Grams and one chunk's two take buffers are
+        # refused, not met by MemoryError.
+        monkeypatch.setattr(testing, "MEMORY_BUDGET_BYTES", self.estimate(0))
         code, report, _ = run_cli(self.argv(big_csv, "gaussian:median"), capsys)
         assert code == 0 and report["n"] == self.N
         code, report, err = run_cli(self.argv(big_csv, "laplace:median"), capsys)

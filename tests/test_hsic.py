@@ -239,14 +239,14 @@ class TestBiasedEstimator:
             assert hsic_biased(d, GAUSS1, LINEAR).raw == 0.0
 
     def test_two_distance_passes_per_median_side(self, monkeypatch):
-        # The median bandwidth is selected in the Gram's own buffer, which
-        # the selection scrambles, so the Gram takes a second distance pass.
+        # Each side of 7 points selects its median bandwidth in one distance
+        # pass over the upper triangle, then builds its Gram in a second.
         calls = []
         pairwise = kernels._pairwise
         monkeypatch.setattr(
             kernels,
             "_pairwise",
-            lambda pts, squared, out: calls.append(squared) or pairwise(pts, squared, out),
+            lambda a, b, squared, out: calls.append(squared) or pairwise(a, b, squared, out),
         )
         gm = KernelSpec("gaussian")
         d = Dataset(np.arange(7.0), np.arange(7.0) ** 2)

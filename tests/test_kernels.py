@@ -135,33 +135,41 @@ class TestAsPoints:
             as_points([[0.0, 1.0], [bad, 2.0]])
 
 
+def _distances(pts, squared, out=None):
+    """The full matrix of pairwise distances, from one call of ``_pairwise``."""
+    pts = np.asarray(pts, dtype=float)
+    out = np.empty((len(pts), len(pts))) if out is None else out
+    return _pairwise(pts[:, None], pts[None], squared, out)
+
+
 class TestPairwiseDistances:
     @pytest.mark.parametrize("d", [1, 2, 3, 5])
     def test_bitwise_equal_to_scipy(self, d):
         # The column-by-column sum reproduces scipy's summation order exactly,
         # so bandwidths and Grams are unchanged from the scipy-backed code.
         pts = np.random.default_rng(d).normal(scale=3.0, size=(40, d))
-        assert np.array_equal(_pairwise(pts, squared=True), cdist(pts, pts, "sqeuclidean"))
-        assert np.array_equal(_pairwise(pts, squared=False), cdist(pts, pts, "cityblock"))
-        upper = _pairwise(pts, squared=True)[np.triu_indices(len(pts), 1)]
+        assert np.array_equal(_distances(pts, squared=True), cdist(pts, pts, "sqeuclidean"))
+        assert np.array_equal(_distances(pts, squared=False), cdist(pts, pts, "cityblock"))
+        upper = _distances(pts, squared=True)[np.triu_indices(len(pts), 1)]
         assert np.array_equal(np.sqrt(upper), pdist(pts))
         assert median_heuristic(pts) == float(np.median(pdist(pts)))
 
     def test_points_without_coordinates_coincide(self):
         pts = np.empty((4, 0))
         for squared, metric in ((True, "sqeuclidean"), (False, "cityblock")):
-            assert np.array_equal(_pairwise(pts, squared), cdist(pts, pts, metric))
+            assert np.array_equal(_distances(pts, squared), cdist(pts, pts, metric))
 
     @pytest.mark.parametrize("d", [1, 3])
     def test_row_blocks_and_caller_buffer(self, d, monkeypatch):
-        # Blocks of 2 rows of 9 points split the later coordinates into five
-        # blocks, the last one short; the result lands in the caller's buffer.
-        monkeypatch.setattr(kernels, "_DIFF_BLOCK_FLOATS", 18)
+        # Blocks of 2 rows of 9 points split the Gram into five blocks, the
+        # last one short; the result lands in the caller's buffer.
+        monkeypatch.setattr(kernels, "_BLOCK_FLOATS", 18)
         pts = np.random.default_rng(d).normal(size=(9, d))
-        for squared, metric in ((True, "sqeuclidean"), (False, "cityblock")):
+        cases = (("gaussian", "sqeuclidean", -2.0 * 1.3**2), ("laplace", "cityblock", -1.3))
+        for family, metric, scale in cases:
             out = np.full((9, 9), np.nan)
-            assert _pairwise(pts, squared, out) is out
-            assert np.array_equal(out, cdist(pts, pts, metric))
+            assert gram_entries(KernelSpec(family, 1.3), pts, out) is out
+            assert np.array_equal(out, np.exp(cdist(pts, pts, metric) / scale))
 
 
 class TestMedianHeuristic:
@@ -184,21 +192,50 @@ class TestMedianHeuristic:
             oracles.pairwise_distance_median(pts), rel=1e-12
         )
 
-    @given(point_clouds(max_points=16), st.sampled_from([None, 0, 1]))
-    def test_bitwise_equal_to_numpy_median(self, pts, decimals):
+    @given(
+        point_clouds(max_points=40),
+        st.sampled_from([None, 0, 1]),
+        st.sampled_from([1 << 16, 64, 8]),
+        st.booleans(),
+    )
+    @settings(max_examples=200)
+    def test_bitwise_equal_to_numpy_median(self, pts, decimals, block, skewed):
         # Rounded points tie many distances; pair counts are odd and even.
-        # The selection reorders ``sq`` in place but keeps its entries.
+        # Blocks of 64 or 8 floats split a few points' pairs into several row
+        # blocks and bracket the middle from a sample; a skewed sample (the
+        # lowest third of the distances) misses it, and the further passes
+        # count the values at the thresholds and keep a whole interval.
         if decimals is not None:
             pts = np.round(pts, decimals)
-        sq = _pairwise(pts, squared=True)
-        distances = np.sqrt(sq[np.triu_indices(len(pts), 1)])
-        before = sq.copy()
-        if not np.any(distances > 0.0):
+        distances = pdist(pts)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "_BLOCK_FLOATS", block)
+            if skewed:
+                upper = np.sort(_distances(pts, True)[np.triu_indices(len(pts), 1)])
+                mp.setattr(kernels, "_sampled_squared", lambda p, m: upper[: m // 3])
+            if not np.any(distances > 0.0):
+                with pytest.raises(AllPointsIdenticalError):
+                    median_heuristic(pts)
+            else:
+                assert median_heuristic(pts) == float(np.median(distances))
+
+    @pytest.mark.parametrize("kind", ["normal", "ties", "tie_at_the_middle", "coincident"])
+    def test_chunked_median_over_many_blocks(self, kind):
+        # 1000 points make 499 500 pairs, about eight blocks of the upper
+        # triangle, so the middle is bracketed from the pair sample.
+        rng = np.random.default_rng(5)
+        pts = {
+            "normal": rng.normal(size=(1000, 2)),
+            "ties": rng.integers(0, 4, size=(1000, 1)).astype(float),
+            "tie_at_the_middle": np.repeat(rng.normal(size=(4, 3)), [700, 100, 100, 100], axis=0),
+            "coincident": np.full((1000, 2), 0.25),
+        }[kind]
+        distances = pdist(pts)
+        if kind == "coincident":
             with pytest.raises(AllPointsIdenticalError):
-                kernels._median_of_squared(sq)
+                median_heuristic(pts)
         else:
-            assert kernels._median_of_squared(sq) == float(np.median(distances))
-        assert np.array_equal(np.sort(sq, axis=None), np.sort(before, axis=None))
+            assert median_heuristic(pts) == float(np.median(distances))
 
     def test_all_identical_raises(self):
         with pytest.raises(AllPointsIdenticalError):
@@ -254,7 +291,7 @@ class TestGram:
             assert spec == resolve_bandwidth(KernelSpec(family), pts)
             assert np.array_equal(entries, gram_entries(spec, pts))
             if family == "gaussian":
-                formula = np.exp(_pairwise(pts, squared=True) / (-2.0 * spec.bandwidth**2))
+                formula = np.exp(_distances(pts, squared=True) / (-2.0 * spec.bandwidth**2))
                 assert np.array_equal(entries, formula)
 
     @given(point_clouds(max_points=15), st.sampled_from(["gaussian", "laplace"]), bandwidths)
@@ -318,13 +355,13 @@ class TestStrictPdWitness:
         assert w.strictly_pd
 
     def test_two_distance_passes_for_a_median_gaussian(self, monkeypatch):
-        # The median bandwidth is selected in the Gram's own buffer, which
-        # the selection scrambles, so the Gram takes a second distance pass.
+        # The median bandwidth is selected in one distance pass over the
+        # upper triangle, and the Gram is built in a second.
         calls = []
         monkeypatch.setattr(
             kernels,
             "_pairwise",
-            lambda pts, squared, out: calls.append(squared) or _pairwise(pts, squared, out),
+            lambda a, b, squared, out: calls.append(squared) or _pairwise(a, b, squared, out),
         )
         assert strict_pd_witness(KernelSpec("gaussian"), [0.0, 1.0, 5.0]).strictly_pd
         assert calls == [True, True]

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import pdist
 from scipy.stats import chisquare
 
 import oracles
@@ -31,10 +32,12 @@ from hsictest import (
     sample,
 )
 from hsictest import cli, testing
-from hsictest.hsic import centered_gram_entries, centered_side
+from hsictest.hsic import centered_gram_entries, centered_side, gram_free_side
+from hsictest.kernels import gram_entries
 from hsictest.rng import STREAM_PERMUTATION, rng_for
 from hsictest.testing import (
     EXHAUSTIVE_MAX_N,
+    FACTOR_RANK_CAP_PER_ROOT,
     TAKE_MIN_N,
     _draw_permutations,
     _factored_statistics,
@@ -422,7 +425,8 @@ class TestFactoredNull:
         d = _ring(0, 200)
         tiny = Dataset(d.x_points * 1e-150, d.y_points * 1e-150)
         kc, *_ = _grams(tiny, LINEAR, LINEAR)
-        fx = testing._pivoted_cholesky(kc, float(np.abs(kc).max()), cap=200)
+        column = lambda j: kc[:, j]  # noqa: E731
+        fx = testing._pivoted_cholesky(kc.diagonal(), column, float(np.abs(kc).max()), cap=200)
         assert fx.shape == (1, 200)
 
     def test_repeated_points_keep_exact_ties(self):
@@ -510,6 +514,59 @@ class TestFactoredNull:
                 assert forced == [n]
 
 
+class TestGramFreeSide:
+    """The side a factored test builds without its Gram is the dense side, bit for bit."""
+
+    @pytest.mark.parametrize("duplicated", [False, True], ids=["distinct", "duplicated"])
+    @pytest.mark.parametrize("n", [40, 200, 1000])
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    @pytest.mark.parametrize("family", ["gaussian", "laplace", "linear"])
+    def test_bitwise_the_dense_side(self, family, d, n, duplicated):
+        pts = np.random.default_rng(n * d).normal(size=(n, d)) * 2.0 + 0.5
+        if duplicated:  # the first third again as the last third
+            pts[n - n // 3 :] = pts[: n // 3]
+        side = gram_free_side(KernelSpec(family), pts)
+        spec, kc, scale = centered_side(KernelSpec(family), pts)
+        k = gram_entries(spec, pts)
+        r = k.mean(axis=1)
+        centered = ((k - r[:, None]) - r[None, :]) + r.mean()
+        floor = n * EPS * k.diagonal().max()
+        assert side.spec == spec
+        assert family == "linear" or spec.bandwidth == float(np.median(pdist(pts)))
+        assert np.array_equal(side.row_means, r) and side.grand_mean == r.mean()
+        top = np.abs(centered).max()
+        assert side.scale == scale == (top if top > floor else 0.0)
+        assert np.array_equal(side.diagonal, kc.diagonal())
+        for j in (0, n // 3, n - 1):
+            assert np.array_equal(side.column(j), centered[:, j])
+        cap = FACTOR_RANK_CAP_PER_ROOT * math.isqrt(n)
+        dense = testing._pivoted_cholesky(kc.diagonal(), lambda j: kc[:, j], scale, cap)
+        free = testing._pivoted_cholesky(side.diagonal, side.column, side.scale, cap)
+        assert (dense is None and free is None) or np.array_equal(dense, free)
+
+    def test_constant_linear_side_is_rank_zero(self):
+        # 3.7 does not center exactly under a linear kernel; below the zero
+        # floor the side factors to rank 0, and the test gives p = 1.
+        d = Dataset(_ring(0, 60).x_points, np.full((60, 1), 3.7))
+        side = gram_free_side(LINEAR, d.y_points)
+        assert side.scale == 0.0 and not side.diagonal.any()
+        assert testing._pivoted_cholesky(side.diagonal, side.column, 0.0, 28).shape == (0, 60)
+        cfg = PermutationConfig(99, 0.05, 0)
+        assert permutation_test(d, GAUSS_MEDIAN, LINEAR, cfg).p_value == 1.0
+
+    def test_overflowing_linear_side_falls_back_to_dense_and_exits_3(self, tmp_path, capsys):
+        d = _ring(0, 60)
+        side = gram_free_side(LINEAR, d.y_points * 1e200)
+        assert math.isnan(side.scale)
+        assert testing._pivoted_cholesky(side.diagonal, side.column, side.scale, 28) is None
+        path = tmp_path / "huge.csv"
+        pairs = zip(d.x_points[:, 0], d.y_points[:, 0])
+        rows = "".join(f"{float(a)!r},{float(b) * 1e200!r}\n" for a, b in pairs)
+        path.write_text("x,y\n" + rows)
+        argv = ["test", str(path), "--x-columns", "x", "--y-columns", "y", "--kernel-y", "linear"]
+        assert cli.main(argv) == 3 and "non-finite" in capsys.readouterr().err
+
+
 class TestThreads:
     @pytest.fixture
     def many_cpus(self, monkeypatch):
@@ -560,20 +617,29 @@ class TestThreads:
         return peak / (n * n * 8)
 
     @pytest.mark.parametrize(
-        "ky,before", [(GAUSS_MEDIAN, 1.10), (LAPLACE_MEDIAN, 4.10)], ids=["factored", "dense"]
+        "ky,before", [(GAUSS_MEDIAN, 0.55), (LAPLACE_MEDIAN, 4.10)], ids=["factored", "dense"]
     )
     def test_peak_memory_no_higher_than_before(self, ky, before):
-        # The factored test builds and factors one side at a time in one Gram
-        # buffer, selects its median bandwidth inside that buffer and draws
-        # its permutations block by block, so it peaks near 1.09: the Gram
-        # and the factors.  It peaked at 1.93 with a median buffer (0.5) and
-        # all the permutations (0.33), and at 3.33 while both Grams were held.
-        # The dense test peaks near 4.09: two Grams, its null's two chunk
+        # The factored test holds no Gram: it builds each side in row blocks,
+        # selects its median bandwidth in chunked passes and draws its
+        # permutations block by block, so it peaks near 0.54 of a Gram, in
+        # its null (a block of drawn rows, the draw's temporaries and a
+        # gathered factor block); its sides peak near 0.34.  It peaked at
+        # 1.09 while it held a Gram, 1.93 with a median buffer (0.5) and all
+        # the permutations (0.33), and 3.33 while both Grams were held.  The
+        # dense test peaks near 4.09: two Grams, its null's two chunk
         # buffers and a block of drawn rows.  The bounds leave 0.005 to 0.01
-        # of a unit for small Python objects; a median buffer, the held
-        # permutations or a factor kept alive into the dense null would
-        # break them.
+        # of a unit for small Python objects; a Gram on the factored path, a
+        # median buffer, the held permutations or a factor kept alive into
+        # the dense null would break them.
         assert self._peak_grams(600, ky, 200) <= before
+
+    def test_factored_peak_grows_with_n_not_n_squared(self):
+        # Twice the points make four times the Gram, but a factored test's
+        # buffers are row blocks, O(n) vectors and factor rows: its peak rose
+        # 1.28x from n = 1000 to 2000, and 3.9x while it held a Gram.
+        small, large = (self._peak_grams(n, GAUSS_MEDIAN, 200) * n * n for n in (1000, 2000))
+        assert large < 1.5 * small
 
     def test_peak_memory_does_not_grow_with_permutations(self):
         # Ten times the replicates add only their 8 * B bytes of statistics
