@@ -11,13 +11,14 @@ median over ``--repeats`` runs is reported:
   each chunk drawing its own permutations block by block as a test does;
 * ``p_value``: the p-value and the null quantile.
 
-``split_s`` splits ``sides`` per side, as a test builds a side without its
-Gram: ``median_x`` (the median bandwidth), ``row_pass_x`` (the one pass
-over the Gram's row blocks that takes the row means and the scale
-``max|HKH|``) and ``factoring_x`` (the pivoted Cholesky, its pivot columns
-computed on demand; for a side that does not factor, the cost of finding
-that out), and the same for y.  ``draw`` splits ``null``: the B permutations drawn
-alone, in the blocks the factored and batched nulls draw.  The splits are
+``split_s`` splits ``sides`` per side, as a test builds a side as a
+centered factor: ``median_x`` (the median bandwidth) and ``factoring_x``
+(``hsic.gram_free_side`` with the bandwidth resolved: the kernel matrix
+factored, by a pivoted Cholesky whose pivot columns are rows of it or by
+the data of a linear kernel, and the factor centered; for a side that does
+not factor, the cost of finding that out), and the same for y.  ``draw``
+splits ``null``: the B permutations drawn
+alone, in the blocks the factored null draws.  The splits are
 left out of ``stage_sum_s``.  No stage holds an n x n array unless the
 test takes the dense path.
 
@@ -52,10 +53,10 @@ import numpy as np
 
 import hsictest
 from hsictest import GeneratorKind, GeneratorSpec, cli, p_value_from_null, parse_kernel, sample
-from hsictest.hsic import GramFreeSide, _row_pass
+from hsictest.hsic import gram_free_side
 from hsictest.kernels import as_points, resolve_bandwidth
 from hsictest.testing import (
-    _DRAW_BLOCK_WORDS,
+    _FACTOR_DRAW_BLOCK_WORDS,
     FACTOR_RANK_CAP_PER_ROOT,
     TAKE_MIN_N,
     _draw_rows,
@@ -87,20 +88,18 @@ def timed(fn):
 
 def draw_alone(seed: int, b: int, n: int) -> None:
     """The B permutations, drawn block by block and dropped."""
-    block = np.empty((min(b, max(1, _DRAW_BLOCK_WORDS // n)), n), dtype=np.intp)
+    block = np.empty((min(b, max(1, _FACTOR_DRAW_BLOCK_WORDS // n)), n), dtype=np.intp)
     for _ in _draw_rows(seed, n, 0, b, block):
         pass
 
 
 def side_split(spec, points, name: str) -> dict:
-    """The stages of one side built as a test builds it without its Gram."""
+    """The stages of one side built as a test builds it, as a centered factor."""
     pts = as_points(points)
     cap = FACTOR_RANK_CAP_PER_ROOT * math.isqrt(len(pts))
     spec, median = timed(lambda: resolve_bandwidth(spec, pts))
-    passes, rows = timed(lambda: _row_pass(spec, pts))
-    side = GramFreeSide.from_row_pass(spec, pts, *passes)
-    _, factoring = timed(lambda: _pivoted_cholesky(side.diagonal, side.column, side.scale, cap))
-    return {f"median_{name}": median, f"row_pass_{name}": rows, f"factoring_{name}": factoring}
+    _, factoring = timed(lambda: gram_free_side(spec, pts, cap, _pivoted_cholesky))
+    return {f"median_{name}": median, f"factoring_{name}": factoring}
 
 
 def one_split(data, kx, ky, args, pool, workers) -> dict:

@@ -14,12 +14,10 @@ of a sample enters it, and the permutation null of :mod:`hsictest.testing`,
 through :func:`centered_side`: the one place a kernel spec and a point set
 become a resolved spec, a centered Gram and that Gram's scale ``max|HKH|``,
 with a side that is constant to working precision centered to exact zero.
-:func:`gram_free_side` builds the same side, bit for bit, without an n x n
-array: one pass over K's row blocks gives its row means, the diagonal of
-HKH and its scale, and any column of HKH is computed on demand, which is
-all a pivoted Cholesky factoring needs.  The statistic's roundoff scale and the
-permutation null's factoring floor are both read off the returned scale,
-never recomputed from the Gram.
+:func:`gram_free_side` builds a side without an n x n array, as a centered
+low-rank factor ``Fc`` with ``HKH ~= Fc' Fc``: K is factored, and the
+factor centered.  The statistic's roundoff scale is read off the scale
+returned with either side, never recomputed from the Gram.
 
 With both kernels characteristic the population value is zero iff the
 distribution is an exact product (independence); with a non-characteristic
@@ -32,15 +30,16 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .kernels import (
+    KernelFamily,
     KernelSpec,
     _block_rows,
     _gram_rows,
     as_points,
+    gram_diagonal,
     gram_entries,
     resolve_bandwidth,
 )
@@ -189,48 +188,6 @@ def population_hsic(
     return HsicValue.from_raw(raw, Estimator.POPULATION_EXACT, scale)
 
 
-def _row_pass(spec: KernelSpec, pts: np.ndarray, out: np.ndarray | None = None):
-    """``(r, g, diag K, max|HKH|)`` for the Gram K, in one pass over its row blocks.
-
-    K is computed in row blocks, into ``out`` (an n x n buffer) when given,
-    else each into one buffer of at most ``_BLOCK_FLOATS`` floats that the
-    next block overwrites.  Each block's means r_i are taken as
-    ``mean(axis=1)`` takes them over the whole matrix, so they are the same
-    bit for bit, and the block is then shifted in place to
-    ``k_ij - r_i``, the first step of centering, which is what ``out`` is
-    left holding; the scale is then None, for the caller to take from HKH.
-    Without ``out`` it comes from the blocks as they pass: HKH's entries are
-    ``((k_ij - r_i) - r_j) + g``, and rounding is monotone, so for each
-    column j the largest of them over the rows i is
-    ``((max_i (k_ij - r_i)) - r_j) + g``, bit for bit, and likewise the
-    smallest, and the running column extremes of the shifted blocks give
-    max|HKH| without HKH.  A NaN or infinite entry reaches an extreme too,
-    so the scale is NaN exactly when HKH holds a NaN.
-    """
-    n = pts.shape[0]
-    rows = _block_rows(n)
-    row_means, diagonal = np.empty(n), np.empty(n)
-    if out is None:
-        scratch = np.empty((min(rows, n), n))
-        high, low = np.full(n, -np.inf), np.full(n, np.inf)
-    for lo in range(0, n, rows):
-        hi = min(lo + rows, n)
-        block = out[lo:hi] if out is not None else scratch[: hi - lo]
-        _gram_rows(spec, pts[lo:hi], pts, block)
-        block.mean(axis=1, out=row_means[lo:hi])
-        diagonal[lo:hi] = np.diagonal(block, lo)
-        block -= row_means[lo:hi, None]
-        if out is None:
-            np.maximum(high, block.max(axis=0), out=high)
-            np.minimum(low, block.min(axis=0), out=low)
-    grand_mean = row_means.mean()
-    if out is not None:
-        return row_means, grand_mean, diagonal, None
-    high = (high - row_means) + grand_mean
-    low = (low - row_means) + grand_mean
-    return row_means, grand_mean, diagonal, _merged(0.0, high.max(), low.min())
-
-
 def _constant(scale: float, k_diagonal: np.ndarray) -> bool:
     """Whether max|HKH| is within the roundoff of K: ``<= n * eps * max(diag K)``.
 
@@ -240,97 +197,112 @@ def _constant(scale: float, k_diagonal: np.ndarray) -> bool:
     return scale <= len(k_diagonal) * _EPS * k_diagonal.max()
 
 
-def _merged(scale: float, high, low) -> float:
-    """``scale`` merged with ``max(high, -low)``; once NaN, the scale stays NaN."""
-    block_scale = float(np.maximum(high, -low))
-    if scale == scale and not block_scale <= scale:
-        return block_scale
-    return scale
-
-
-class GramFreeSide(NamedTuple):
-    """One side of a test held without its Gram: what a pivoted Cholesky of HKH needs.
-
-    The same side as :func:`centered_side` returns, bit for bit, from one
-    row pass that never holds an n x n array: ``diagonal`` and ``scale`` are
-    those of HKH, and :meth:`column` computes one column of HKH on demand.
-    """
-
-    spec: KernelSpec
-    points: np.ndarray
-    row_means: np.ndarray
-    grand_mean: float
-    diagonal: np.ndarray
-    scale: float
-
-    @classmethod
-    def from_row_pass(cls, spec, pts, row_means, grand_mean, k_diagonal, scale) -> "GramFreeSide":
-        """The side from its row pass (:func:`_row_pass`) and its scale.
-
-        A side constant to working precision (see :func:`_constant`) gets
-        an exact zero diagonal and scale.  Otherwise the diagonal of HKH is
-        centered from K's as every entry is.
-        """
-        if _constant(scale, k_diagonal):
-            return cls(spec, pts, row_means, grand_mean, np.zeros_like(k_diagonal), 0.0)
-        diagonal = ((k_diagonal - row_means) - row_means) + grand_mean
-        return cls(spec, pts, row_means, grand_mean, diagonal, scale)
-
-    def column(self, j: int) -> np.ndarray:
-        """Column j of HKH: ``((K[:, j] - r) - r_j) + g``, centered as every entry is.
-
-        K is exactly symmetric, so its column j is its row j, built alone.
-        """
-        n = self.points.shape[0]
-        row = _gram_rows(self.spec, self.points[j : j + 1], self.points, np.empty((1, n)))[0]
-        return ((row - self.row_means) - self.row_means[j]) + self.grand_mean
-
-
 def centered_side(
     spec: KernelSpec, points, out: np.ndarray | None = None
 ) -> tuple[KernelSpec, np.ndarray, float]:
     """One side of a test: ``spec`` resolved on ``points``, H K H for its Gram K, and max|H K H|.
 
     The one place a sample becomes a centered Gram.  It is built and centered
-    in ``out``, an n x n float buffer the caller owns (a new one when None);
-    a median bandwidth is resolved first, by a selection that holds no n x n
-    array (see :func:`kernels.median_heuristic`).  A side constant to
-    working precision (see :func:`_constant`) is set to exact zero and its
-    scale to 0.0: leaving the residue would make the statistic and every
-    permuted one roundoff noise.  A non-finite Gram is not zeroed: its NaN
-    scale is left for the statistic's own check to refuse.
+    in ``out``, an n x n float buffer the caller owns (a new one when None),
+    one row block at a time while the block is in cache; a median bandwidth
+    is resolved first, by a selection that holds no n x n array (see
+    :func:`kernels.median_heuristic`).  A side constant to working precision
+    (see :func:`_constant`) is set to exact zero and its scale to 0.0:
+    leaving the residue would make the statistic and every permuted one
+    roundoff noise.  A non-finite Gram is not zeroed: its NaN scale is left
+    for the statistic's own check to refuse.
     """
     pts = as_points(points)
     n = pts.shape[0]
     if out is None:
         out = np.empty((n, n))
+    rows = _block_rows(n)
+    row_means, k_diagonal = np.empty(n), np.empty(n)
     with np.errstate(over="ignore", invalid="ignore"):
         spec = resolve_bandwidth(spec, pts)
-        row_means, grand_mean, k_diagonal, _ = _row_pass(spec, pts, out)
-        # Finish centering what the row pass shifted by the row means, and
-        # take each block's max and min while it is in cache.
-        scale, rows = 0.0, _block_rows(n)
+        # Each block's row means r_i are taken as ``mean(axis=1)`` takes
+        # them over the whole matrix, so they are the same bit for bit.
+        for lo in range(0, n, rows):
+            block = out[lo : lo + rows]
+            _gram_rows(spec, pts[lo : lo + rows], pts, block)
+            block.mean(axis=1, out=row_means[lo : lo + rows])
+            k_diagonal[lo : lo + rows] = np.diagonal(block, lo)
+            block -= row_means[lo : lo + rows, None]
+        grand_mean = row_means.mean()
+        # Finish centering, to ((k_ij - r_i) - r_j) + g, and take each
+        # block's max and min while it is in cache; once NaN, the scale
+        # stays NaN.
+        scale = 0.0
         for lo in range(0, n, rows):
             block = out[lo : lo + rows]
             block -= row_means[None, :]
             block += grand_mean
-            scale = _merged(scale, block.max(), block.min())
+            block_scale = float(np.maximum(block.max(), -block.min()))
+            if scale == scale and not block_scale <= scale:
+                scale = block_scale
         if _constant(scale, k_diagonal):
             out.fill(0.0)
             scale = 0.0
     return spec, out, scale
 
 
-def gram_free_side(spec: KernelSpec, points) -> GramFreeSide:
-    """One side of a test as :func:`centered_side` builds it, without an n x n array.
+# A Gaussian or Laplace side is factored only when its scale max|HKH| is at
+# least this fraction of max K_ii (which is 1).  Centering the factor of a
+# nearly constant kernel cancels all but that fraction of it, and the
+# roundoff bound of the factored null grows as its inverse (see testing).
+# On the n = 1000 ring (x gaussian:median, B = 200) the fraction of y was
+# 0.64 at the median bandwidth, 0.040 at gaussian:5, 0.010 at gaussian:10
+# and 1.0e-4 at gaussian:100, and the factored null differed from the dense
+# one by at most 8.0e-14, 6.2e-13, 2.8e-13 and 1.2e-10 of max|null|.
+FACTOR_MIN_SCALE = 1e-2
 
-    One pass over K's row blocks (see :func:`_row_pass`) gives all of it, so
-    a side holds O(n) floats besides one block.
+
+def gram_free_side(
+    spec: KernelSpec, points, cap: int, pivoted
+) -> tuple[KernelSpec, np.ndarray | None, float]:
+    """One side of a test as a centered factor: ``(spec, Fc, scale)`` with ``HKH ~= Fc' Fc``.
+
+    ``spec`` comes back resolved on ``points``, and no n x n array is held.
+    K is factored as ``F' F`` first: a linear K exactly, by its d x n data,
+    and a Gaussian or Laplace K by ``pivoted(diag K, column, max K_ii,
+    cap)``, a pivoted Cholesky that builds each pivot column as one row of
+    K.  The factor is then centered, ``Fc = F H``, and the scale max|HKH| is
+    Fc's largest squared column norm: the largest entry of a PSD matrix is
+    on its diagonal.  A side constant to working precision (see
+    :func:`_constant`) gets a factor of no rows and scale 0.0.  ``Fc`` is
+    None, for the test to take the dense path, when K needs more than
+    ``cap`` rows, when the scale is not finite (the dense path reports the
+    overflow), or when a Gaussian or Laplace scale is below
+    ``FACTOR_MIN_SCALE * max K_ii``.  The scale is then NaN if K did not
+    factor.  ``pivoted`` is ``testing._pivoted_cholesky``, passed in because
+    :mod:`hsictest.testing` imports this module.
     """
     pts = as_points(points)
+    n, d = pts.shape
     with np.errstate(over="ignore", invalid="ignore"):
         spec = resolve_bandwidth(spec, pts)
-        return GramFreeSide.from_row_pass(spec, pts, *_row_pass(spec, pts))
+        k_diagonal = gram_diagonal(spec, pts)
+        linear = spec.family is KernelFamily.LINEAR
+        if linear:
+            f = pts.T if d <= cap else None
+        elif spec.family is KernelFamily.GAUSSIAN and math.isinf(2.0 * spec.bandwidth**2):
+            # K is then NaN wherever a squared distance overflows too, which
+            # the pivot columns need not show; the dense path reports it.
+            f = None
+        else:
+            column = lambda j: _gram_rows(spec, pts[j : j + 1], pts, np.empty((1, n)))[0]  # noqa: E731
+            f = pivoted(k_diagonal, column, float(k_diagonal.max()), cap)
+        if f is None:
+            return spec, None, math.nan
+        fc = f - f.mean(axis=1, keepdims=True)
+        scale = float(np.einsum("ij,ij->j", fc, fc).max())
+    if not math.isfinite(scale):
+        return spec, None, scale
+    if _constant(scale, k_diagonal):
+        return spec, fc[:0], 0.0
+    if not linear and scale < FACTOR_MIN_SCALE * k_diagonal.max():
+        return spec, None, scale
+    return spec, fc, scale
 
 
 def centered_gram_entries(spec: KernelSpec, points) -> np.ndarray:

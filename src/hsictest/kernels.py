@@ -11,11 +11,12 @@ R^d; the linear kernel is neither translation invariant nor characteristic and
 is carried as the canonical failure-mode kernel.
 
 Gram entries are computed by one row-block kernel, :func:`_gram_rows`, which
-serves the whole Gram of :func:`gram_entries` and the Gram-free passes of
-:mod:`hsictest.hsic` alike; each entry depends only on its pair, so rows
-built alone equal those of the whole matrix bit for bit.  The median
-bandwidth is selected exactly from the upper triangle of the distances in
-chunked passes (:func:`median_heuristic`), never from an n x n matrix.
+serves the whole Gram of :func:`gram_entries` and the pivot columns of a
+factored side in :mod:`hsictest.hsic` alike; each entry depends only on its
+pair, so rows built alone equal those of the whole matrix bit for bit.  The
+median bandwidth is selected exactly from the upper triangle of the
+distances in chunked passes (:func:`median_heuristic`), never from an n x n
+matrix.
 
 A kernel is characteristic when its mean embedding is injective on probability
 measures; that is the property the test needs of each marginal kernel.  Two
@@ -341,6 +342,9 @@ def _count_pass(pts: np.ndarray, t1: float, t2: float, at_thresholds: bool):
         kept.append(block[above])
     if not at_thresholds:
         lt1 = le2 = None
+    # The block buffer goes before the kept values are joined: holding both
+    # made the join the peak of a factored test at n = 2000.
+    del buffer, block, above, under
     return np.concatenate(kept), le1, lt2, lt1, le2
 
 
@@ -369,6 +373,17 @@ def _gram_rows(spec: KernelSpec, rows: np.ndarray, pts: np.ndarray, out: np.ndar
     return np.exp(out, out=out)
 
 
+def gram_diagonal(spec: KernelSpec, pts: np.ndarray) -> np.ndarray:
+    """The diagonal of the Gram of a resolved ``spec`` on (n, d) ``pts``: ``|x_i|^2`` for linear, else 1.
+
+    A Gaussian or Laplace kernel is 1 at distance zero, as :func:`_gram_rows`
+    computes it too.
+    """
+    if spec.family is KernelFamily.LINEAR:
+        return np.einsum("id,id->i", pts, pts)
+    return np.ones(pts.shape[0])
+
+
 def gram_entries(spec: KernelSpec, points, out: np.ndarray | None = None) -> np.ndarray:
     """Raw (writable) Gram matrix entries of a resolved ``spec`` on ``points``, in ``out``.
 
@@ -388,21 +403,6 @@ def gram_entries(spec: KernelSpec, points, out: np.ndarray | None = None) -> np.
     for lo in range(0, n, rows):
         _gram_rows(spec, pts[lo : lo + rows], pts, out[lo : lo + rows])
     return out
-
-
-def resolved_gram(
-    spec: KernelSpec, points, out: np.ndarray | None = None
-) -> tuple[KernelSpec, np.ndarray]:
-    """``spec`` with a median bandwidth resolved on ``points``, and its Gram entries in ``out``."""
-    pts = as_points(points)
-    spec = resolve_bandwidth(spec, pts)
-    return spec, gram_entries(spec, pts, out)
-
-
-def spd_tolerance(entries: np.ndarray) -> float:
-    """Scale-aware threshold separating strictly-pd from numerically singular."""
-    max_abs = float(np.abs(entries).max()) if entries.size else 0.0
-    return 1e-10 * entries.shape[0] * max_abs
 
 
 @dataclass(frozen=True)
@@ -430,17 +430,17 @@ def strict_pd_witness(spec: KernelSpec, support) -> StrictPdWitness:
     the support, not necessary: characteristicness concerns only signed
     measures whose entries sum to zero (see the module docstring), so a
     near-null direction shows a failure only when its entries sum to zero.
-    A median bandwidth is resolved from the same distance pass as the Gram.
+    The eigenvalue threshold scales with ``n * max|entry|``.
     """
     pts = as_points(support)
     if np.unique(pts, axis=0).shape[0] != pts.shape[0]:
         raise ValueError("support points must be pairwise distinct")
     if pts.shape[0] < 2 and not spec.is_resolved:
         raise ValueError("cannot resolve bandwidth on a single support point")
-    _, entries = resolved_gram(spec, pts)
+    entries = gram_entries(resolve_bandwidth(spec, pts), pts)
     eigenvalues, eigenvectors = np.linalg.eigh(entries)
     lam_min = float(eigenvalues[0])
-    tol = spd_tolerance(entries)
+    tol = 1e-10 * pts.shape[0] * float(np.abs(entries).max())
     strictly = lam_min > tol
     witness = None if strictly else eigenvectors[:, 0].copy()
     return StrictPdWitness(strictly, lam_min, tol, witness)

@@ -1,10 +1,10 @@
 """Permutation-based calibration of HSIC statistics.
 
 The null distribution comes from relabeling one side: each side is prepared
-once on the observed data by ``hsic.centered_side`` or, without its Gram, by
-``hsic.gram_free_side`` (median bandwidth, centering and the scale
-``max|HKH|``), and each replicate reindexes the centered y side by a random
-permutation.  That is exact, not an approximation: H commutes with
+once on the observed data by ``hsic.centered_side`` or, as a centered
+factor, by ``hsic.gram_free_side`` (median bandwidth, centering and the
+scale ``max|HKH|``), and each replicate reindexes the centered y side by a
+random permutation.  That is exact, not an approximation: H commutes with
 permutation matrices, so reindexing HLH equals recomputing H L_pi H.  Both
 tests share one body and report the resolved kernels in ``TestResult``.  A
 constant side is centered to exact zero, so its statistic and every
@@ -32,32 +32,38 @@ reduction by construction:
 * Batched, below ``TAKE_MIN_N`` points: each block of replicates is gathered
   at once by 3-D fancy indexing and reduced by one einsum, since
   per-replicate Python overhead dominates tiny Grams.
-* Factored, from ``TAKE_MIN_N`` on when both centered Grams are numerically
-  low rank: each is factored by pivoted incomplete Cholesky (Bach & Jordan
-  2002), ``Kc ~= Fx Fx'`` and ``Lc ~= Fy Fy'``, and replicate p is
-  ``||Fx' Fy[p]||_F^2 / n^2`` (the factored form of Zhang, Filippi, Gretton &
-  Sejdinovic 2018), one small matrix product per replicate.  Each pivot
-  column is computed on demand from one row of the Gram, so the centered
-  Gram itself is never built.  Factoring stops once no residual diagonal
-  exceeds ``n * eps * max|entry|``, where ``max|entry|`` is the scale
-  returned with the side.  The residual R is positive semidefinite with
-  trace at most ``n^2 * eps * max|entry|``, and ``|tr(R M)| <= tr(R) *
-  ||M||_2`` with ``||Lc||_2 <= n * max|Lc|``, so each side moves every
-  replicate by at most ``n * eps * scale`` (``scale = max|Kc| * max|Lc|``),
-  about ``2 * n * eps * scale`` for both: roundoff, not approximation.  A side needing more than
-  ``FACTOR_RANK_CAP_PER_ROOT * isqrt(n)`` pivots is not low rank enough for
-  factoring to pay, and the test takes the dense path.
+* Factored, from ``TAKE_MIN_N`` on when both sides are numerically low
+  rank: each kernel matrix is factored, ``K ~= F' F``, by pivoted incomplete
+  Cholesky (Bach & Jordan 2002), each pivot column one row of K, or exactly
+  by its data for a linear kernel.  The factor is centered, ``Fc = F H``,
+  so ``Kc ~= Fx' Fx`` and ``Lc ~= Fy' Fy`` with Fx and Fy centered, and
+  replicate p is ``||Fx Fy[:, p]'||_F^2 / n^2`` (the factored form of Zhang,
+  Filippi, Gretton & Sejdinovic 2018), one small matrix product per
+  replicate.  No Gram is built.  Factoring stops once no residual diagonal
+  exceeds ``n * eps * max K_ii``.  The residual ``R = K - F' F`` is positive
+  semidefinite with trace at most ``n^2 * eps * max K_ii``, centering
+  leaves ``Kc - Fc' Fc = H R H`` with ``tr(H R H) <= tr(R)``, and ``|tr(A M)|
+  <= tr(A) * ||M||_2`` for a PSD A, with ``||Lc||_2 <= n * max|Lc|``.  So
+  side x moves every replicate by at most ``n * eps * max K_ii * max|Lc|``,
+  which is ``n * eps * scale`` (``scale = max|Kc| * max|Lc|``) divided by
+  ``max|Kc| / max K_ii``, and likewise side y: roundoff, not approximation.
+  A linear factor has no residual.  For a Gaussian or Laplace side the
+  ratio is 0.65 on the ring at the median bandwidth, and the side is
+  factored only while it is at least ``hsic.FACTOR_MIN_SCALE``; below it
+  the test takes the dense path.  A side needing more than
+  ``FACTOR_RANK_CAP_PER_ROOT * isqrt(n)`` pivots, or a linear side of more
+  dimensions than that, is not low rank enough for factoring to pay, and
+  the test takes the dense path.
 * Dense, from ``TAKE_MIN_N`` on otherwise: each replicate is a row ``take``
   then a column ``take`` of the centered y-side Gram, reduced by
   ``hsic.centered_product``.
 
 The path depends on the data alone, never on ``threads``.  From
 ``TAKE_MIN_N`` points on, a factored test holds no n x n array, and nothing
-that grows with n^2 or with B: side x is built without its Gram in row
-blocks and factored, and if it factors, so is side y.  A median bandwidth
-is selected exactly in chunked passes over the distances.  Only the dense
-path holds Grams, one buffer per side, built with the bandwidths already
-resolved.  The permutations are never held: each chunk of the null draws
+that grows with n^2 or with B: side x is factored, and if it factors, so is
+side y.  A median bandwidth is selected exactly in chunked passes over the
+distances.  Only the dense path holds Grams, one buffer per side, built
+with the bandwidths already resolved.  The permutations are never held: each chunk of the null draws
 its rows one block at a time (:func:`_draw_rows`) and reduces them at
 once.  Before a test starts, and again before the dense path allocates its
 Grams, the bytes the path will hold (its Gram buffers, two take buffers per
@@ -139,6 +145,14 @@ _DRAW_BLOCK_WORDS = 1 << 15
 # block.
 _DENSE_DRAW_BLOCK_WORDS = 1 << 13
 
+# The factored null draws blocks of 2^14 words (128 KB), half the default:
+# a process running n = 1000 `test` commands on 2 threads peaked 1.1 MB
+# lower, as its pool threads kept smaller draw temporaries.  At n = 1000 and
+# B = 500 the null with its draw took 21.4 ms against 21.6 ms in blocks of
+# 2^15 single-threaded (Gaussian y; 10.3 against 10.4 ms, linear y) and
+# 17.3 against 15.7 ms on 2 threads (9.7 against 8.5 ms), medians of 60.
+_FACTOR_DRAW_BLOCK_WORDS = 1 << 14
+
 _EPS = float(np.finfo(float).eps)
 
 # The factor's rows start in a buffer of this many rows, doubled when full,
@@ -198,20 +212,6 @@ def p_value_from_null(observed: float, null_statistics: np.ndarray) -> float:
     b = len(null_statistics)
     exceedances = int(np.count_nonzero(np.asarray(null_statistics) >= observed))
     return (1 + exceedances) / (b + 1)
-
-
-def _draw_permutations(seed: int, num: int, n: int, out: np.ndarray | None = None) -> np.ndarray:
-    """The first ``num`` permutations of (seed, n) (see :func:`_draw_rows`), into ``out``.
-
-    ``out`` is a (num, n) intp buffer the caller owns (a new one when None).
-    A test never holds all its rows at once; this whole array is for
-    checking the stream against the rows a test draws.
-    """
-    perms = np.empty((num, n), dtype=np.intp) if out is None else out
-    block = np.empty((min(num, max(1, _DRAW_BLOCK_WORDS // n)), n), dtype=np.intp)
-    for start, rows in _draw_rows(seed, n, 0, num, block):
-        perms[start : start + len(rows)] = rows
-    return perms
 
 
 def _draw_rows(seed: int, n: int, lo: int, hi: int, block: np.ndarray):
@@ -388,10 +388,14 @@ def _pivoted_cholesky(
     Greedy pivoted incomplete Cholesky of a positive semidefinite ``a``,
     given by its ``diagonal`` and ``column(j)``, which returns column j:
     each step takes the column at the largest residual diagonal, and the
-    factor is complete once no residual diagonal exceeds
-    ``n * eps * max_abs``.  Updates are elementwise, in a fixed order, so equal
-    rows of ``a`` (repeated points) get bitwise-equal factor columns and keep
-    their exact null ties.
+    factor is complete once no residual diagonal exceeds ``n * eps *
+    max_abs``, with ``max_abs`` the largest diagonal entry (for a kernel
+    matrix K, max K_ii).  The residual ``a - F' F`` is then positive
+    semidefinite with trace at most ``n^2 * eps * max_abs``, and so is the
+    residual of the centered factor F H, ``H (a - F' F) H``: the module
+    docstring bounds what that moves a statistic.  Updates are elementwise,
+    in a fixed order, so equal rows of ``a`` (repeated points) get
+    bitwise-equal factor columns and keep their exact null ties.
     """
     if not math.isfinite(max_abs):
         return None  # the dense path reports the overflow
@@ -443,7 +447,7 @@ def _factored_statistics(
         size = min(block, size)
         return np.empty((size, n, ry)), np.empty((size, rx, ry))
 
-    return _run_chunks(run, perms, pool, workers, buffers)
+    return _run_chunks(run, perms, pool, workers, buffers, _FACTOR_DRAW_BLOCK_WORDS)
 
 
 def _memory_budget() -> int:
@@ -478,13 +482,13 @@ def _null_function(
 
     ``kx`` and ``ky`` come back resolved, ``scale`` is ``max|Kc| * max|Lc|``
     and ``statistics(perms, pool=None, workers=1)`` is the null function.
-    From ``TAKE_MIN_N`` points on, side x is built without its Gram
-    (:func:`hsic.gram_free_side`) and factored, its pivot columns computed
-    on demand; if it factors, so is side y, and a test whose sides both
-    factor holds no n x n array.  Otherwise both sides are built densely,
-    each into its own Gram buffer, with the bandwidths already resolved,
-    after the two Grams and ``workers`` chunks of two take buffers, with
-    ``held`` bytes already in use, are checked against the memory budget.
+    From ``TAKE_MIN_N`` points on, side x is built as a centered factor
+    (:func:`hsic.gram_free_side`); if it factors, so is side y, and a test
+    whose sides both factor holds no n x n array.  Otherwise both sides are
+    built densely, each into its own Gram buffer, with the bandwidths
+    already resolved, after the two Grams and ``workers`` chunks of two take
+    buffers, with ``held`` bytes already in use, are checked against the
+    memory budget.
     """
     n = data.n
     if n < TAKE_MIN_N:
@@ -492,19 +496,16 @@ def _null_function(
         ky, lc, lc_max = centered_side(ky, data.y_points)
         return kx, ky, kc_max * lc_max, partial(_permuted_statistics, kc, lc)
     cap = FACTOR_RANK_CAP_PER_ROOT * math.isqrt(n)
-    sides, factors = [], []
+    sides = []
     for spec, points in ((kx, data.x_points), (ky, data.y_points)):
-        side = gram_free_side(spec, points)
-        sides.append(side)
-        factor = _pivoted_cholesky(side.diagonal, side.column, side.scale, cap)
-        if factor is None:
+        sides.append(gram_free_side(spec, points, cap, _pivoted_cholesky))
+        if sides[-1][1] is None:
             break
-        factors.append(factor)
     else:
-        x, y = sides
-        return x.spec, y.spec, x.scale * y.scale, partial(_factored_statistics, *factors)
-    resolved = [side.spec for side in sides] + [ky]
-    del sides, factors
+        (kx, fx, x_scale), (ky, fy, y_scale) = sides
+        return kx, ky, x_scale * y_scale, partial(_factored_statistics, fx, fy)
+    resolved = [spec for spec, *_ in sides] + [ky]
+    del sides
     _check_memory(n, 2 + 2 * workers, held)
     kx, kc, kc_max = centered_side(resolved[0], data.x_points)
     ky, lc, lc_max = centered_side(resolved[1], data.y_points)

@@ -2,7 +2,9 @@
 
 Everything here is written the obvious way (scalar kernel formulas, explicit
 centering matrices, explicit loops) so that it shares no code path with the
-package; a disagreement between the two routes points at the fast one. The
+package; a disagreement between the two routes points at the fast one
+(:func:`draw_permutations` alone reuses the package's draw, only to gather
+it into one array). The
 frozen constants below were computed once with these functions and are
 asserted verbatim in the tests, so a regression in either route shows up as
 a mismatch against a fixed number rather than as two implementations
@@ -13,6 +15,8 @@ import itertools
 import math
 
 import numpy as np
+
+from hsictest import testing
 
 # Population value of the discrete ring with gaussian(1.0) on both sides,
 # from quadruple_sum_hsic. With linear on the y side the value is exactly
@@ -128,3 +132,19 @@ def pairwise_distance_median(points):
         for j in range(i + 1, n)
     ]
     return float(np.median(dists))
+
+
+def draw_permutations(seed, num, n, out=None):
+    """The first ``num`` permutations of (seed, n), as a test draws them, in ``out``.
+
+    ``out`` is a (num, n) intp buffer the caller owns (a new one when None).
+    The rows come from ``testing._draw_rows`` in blocks of
+    ``testing._DRAW_BLOCK_WORDS`` words, read at call time.  A test never
+    holds all its rows at once; this whole array is for checking the stream
+    against the rows a test draws.
+    """
+    perms = np.empty((num, n), dtype=np.intp) if out is None else out
+    block = np.empty((min(num, max(1, testing._DRAW_BLOCK_WORDS // n)), n), dtype=np.intp)
+    for start, rows in testing._draw_rows(seed, n, 0, num, block):
+        perms[start : start + len(rows)] = rows
+    return perms

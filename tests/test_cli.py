@@ -198,11 +198,10 @@ class TestTestCommand:
         )
 
     def test_two_distance_passes_per_median_side(self, ring_csv, capsys, monkeypatch):
-        # Each median side of 200 points, built without its Gram, makes one
-        # distance pass for its bandwidth (one block of the upper triangle),
-        # one for its row means and scale (one row block), and one distance
-        # row per pivot column, 13 per side; the command itself resolves
-        # nothing.
+        # Each median side of 200 points, built as a centered factor, makes
+        # one distance pass for its bandwidth (one block of the upper
+        # triangle) and one distance row per pivot column of K, 14 per side;
+        # the command itself resolves nothing.
         calls = []
         pairwise = kernels._pairwise
         monkeypatch.setattr(
@@ -219,7 +218,7 @@ class TestTestCommand:
             capsys,
         )
         assert code == 0
-        assert calls == [True] * 2 * (1 + 1 + 13)
+        assert calls == [True] * 2 * (1 + 14)
         assert report["resolved_bandwidth_x"] > 0.0 and report["resolved_bandwidth_y"] > 0.0
 
     @pytest.mark.parametrize(

@@ -18,7 +18,7 @@ from hsictest import (
     strict_pd_witness,
 )
 from hsictest import kernels
-from hsictest.kernels import _pairwise, as_points, gram_entries, resolved_gram, spd_tolerance
+from hsictest.kernels import _pairwise, as_points, gram_entries
 
 coords = st.floats(-20.0, 20.0, allow_nan=False, allow_infinity=False)
 bandwidths = st.floats(0.1, 10.0, allow_nan=False, allow_infinity=False)
@@ -283,13 +283,17 @@ class TestGram:
     @pytest.mark.parametrize("family", ["gaussian", "laplace", "linear"])
     @pytest.mark.parametrize("d", [1, 2, 5])
     def test_resolved_gram_is_bitwise_the_separate_passes(self, family, d):
-        # One distance pass for the median and the Gram changes no bit of
-        # either, and the in-place Gaussian equals the out-of-place formula.
+        # The Gram strict_pd_witness resolves and builds is bit for bit the
+        # one of a separate resolve_bandwidth and gram_entries, and the
+        # in-place Gaussian equals the out-of-place formula.
         for n in (2, 39, 200):
             pts = np.random.default_rng(n * d).normal(size=(n, d)) * 2.0 + 0.5
-            spec, entries = resolved_gram(KernelSpec(family), pts)
-            assert spec == resolve_bandwidth(KernelSpec(family), pts)
-            assert np.array_equal(entries, gram_entries(spec, pts))
+            spec = resolve_bandwidth(KernelSpec(family), pts)
+            entries = gram_entries(spec, pts)
+            eigenvalues, eigenvectors = np.linalg.eigh(entries)
+            w = strict_pd_witness(KernelSpec(family), pts)
+            assert w.min_eigenvalue == eigenvalues[0]
+            assert w.witness is None or np.array_equal(w.witness, eigenvectors[:, 0])
             if family == "gaussian":
                 formula = np.exp(_distances(pts, squared=True) / (-2.0 * spec.bandwidth**2))
                 assert np.array_equal(entries, formula)
@@ -340,7 +344,7 @@ class TestStrictPdWitness:
         energy = float(w.witness @ entries @ w.witness)
         assert energy <= w.tolerance
         assert energy == pytest.approx(w.min_eigenvalue, abs=1e-12)
-        assert w.tolerance == spd_tolerance(entries)
+        assert w.tolerance == 1e-10 * 3 * np.abs(entries).max()
 
     @given(point_clouds(min_points=3, max_points=8, max_dim=1))
     def test_linear_on_the_line_never_strictly_pd(self, pts):

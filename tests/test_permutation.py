@@ -31,7 +31,7 @@ from hsictest import (
     resolve_bandwidth,
     sample,
 )
-from hsictest import cli, testing
+from hsictest import cli, hsic, testing
 from hsictest.hsic import centered_gram_entries, centered_side, gram_free_side
 from hsictest.kernels import gram_entries
 from hsictest.rng import STREAM_PERMUTATION, rng_for
@@ -39,7 +39,6 @@ from hsictest.testing import (
     EXHAUSTIVE_MAX_N,
     FACTOR_RANK_CAP_PER_ROOT,
     TAKE_MIN_N,
-    _draw_permutations,
     _factored_statistics,
     _permuted_statistics,
 )
@@ -118,29 +117,29 @@ class TestPValueFromNull:
 
 class TestDrawPermutations:
     def test_rows_are_permutations(self):
-        perms = _draw_permutations(seed=0, num=20, n=7)
+        perms = oracles.draw_permutations(seed=0, num=20, n=7)
         assert perms.shape == (20, 7)
         target = np.arange(7)
         for row in perms:
             assert np.array_equal(np.sort(row), target)
 
     def test_deterministic_and_index_addressed(self):
-        a = _draw_permutations(seed=3, num=10, n=6)
-        b = _draw_permutations(seed=3, num=10, n=6)
+        a = oracles.draw_permutations(seed=3, num=10, n=6)
+        b = oracles.draw_permutations(seed=3, num=10, n=6)
         assert np.array_equal(a, b)
         # Replicate b is keyed by its index, not by how many came before it.
-        c = _draw_permutations(seed=3, num=4, n=6)
+        c = oracles.draw_permutations(seed=3, num=4, n=6)
         assert np.array_equal(a[:4], c)
 
     def test_seed_changes_draws(self):
-        a = _draw_permutations(seed=3, num=10, n=6)
-        b = _draw_permutations(seed=4, num=10, n=6)
+        a = oracles.draw_permutations(seed=3, num=10, n=6)
+        b = oracles.draw_permutations(seed=4, num=10, n=6)
         assert not np.array_equal(a, b)
 
     def test_uniform_over_s4(self):
         # Fixed seed, so the outcome is deterministic; a biased draw (say,
         # argsort of keys with frequent ties) lands far below the threshold.
-        perms = _draw_permutations(seed=0, num=240_000, n=4)
+        perms = oracles.draw_permutations(seed=0, num=240_000, n=4)
         codes = perms @ np.array([64, 16, 4, 1])
         _, counts = np.unique(codes, return_counts=True)
         assert counts.size == 24
@@ -154,9 +153,9 @@ class TestDrawPermutations:
     )
     @settings(max_examples=60)
     def test_rows_are_permutations_and_prefixes(self, seed, n, num, extra):
-        perms = _draw_permutations(seed, num, n)
+        perms = oracles.draw_permutations(seed, num, n)
         assert np.array_equal(np.sort(perms, axis=1), np.broadcast_to(np.arange(n), (num, n)))
-        assert np.array_equal(_draw_permutations(seed, num + extra, n)[:num], perms)
+        assert np.array_equal(oracles.draw_permutations(seed, num + extra, n)[:num], perms)
 
     @given(st.integers(0, 2**63 - 1), st.integers(1, 12), st.integers(0, 200))
     @settings(max_examples=40)
@@ -167,7 +166,7 @@ class TestDrawPermutations:
         bit_generator.advance(steps)
         words = bit_generator.random_raw(offset + n)[offset:]
         row = np.argsort(words, kind="stable")
-        assert np.array_equal(row, _draw_permutations(seed, b + 1, n)[b])
+        assert np.array_equal(row, oracles.draw_permutations(seed, b + 1, n)[b])
 
     @pytest.mark.parametrize("seed", [2**64, 2**64 + 5, -1])
     def test_seed_outside_64_bits_refused(self, seed):
@@ -211,7 +210,7 @@ class TestDrawPermutations:
         bits = rng_for(5, STREAM_PERMUTATION, 0).bit_generator.random_raw((13, n))
         expected = np.argsort(bits, axis=1, kind="stable")
         out = np.full((13, n), -1, dtype=np.intp)
-        assert _draw_permutations(5, 13, n, out) is out
+        assert oracles.draw_permutations(5, 13, n, out) is out
         assert np.array_equal(out, expected)
 
     @pytest.mark.parametrize("n", [41, 999])
@@ -220,7 +219,7 @@ class TestDrawPermutations:
         # lo * n is odd here, so the draw starts inside a Philox counter
         # step; blocks of 4 rows make it span several blocks.
         hi = lo + 10
-        expected = _draw_permutations(seed=6, num=hi, n=n)[lo:hi]
+        expected = oracles.draw_permutations(seed=6, num=hi, n=n)[lo:hi]
         block = np.full((4, n), -1, dtype=np.intp)
         got = np.full((hi - lo, n), -1, dtype=np.intp)
         starts = []
@@ -267,7 +266,7 @@ class TestPermutedStatistics:
             ky = resolve_bandwidth(LAPLACE_MEDIAN, d.y_points)
             kc = centered_gram_entries(kx, d.x_points)
             lc = centered_gram_entries(ky, d.y_points)
-            perms = _draw_permutations(seed=1, num=30, n=d.n)
+            perms = oracles.draw_permutations(seed=1, num=30, n=d.n)
             fast = _pooled(partial(_permuted_statistics, kc, lc), perms, 2)
             for row, value in zip(perms, fast):
                 slow = hsic_biased(Dataset(d.x_points, d.y_points[row]), kx, ky)
@@ -284,7 +283,7 @@ class TestPermutedStatistics:
         observed = hsic_biased(d, kx, ky)
         kc = centered_gram_entries(kx, d.x_points)
         lc = centered_gram_entries(ky, d.y_points)
-        perms = _draw_permutations(seed=5, num=9, n=n)
+        perms = oracles.draw_permutations(seed=5, num=9, n=n)
         perms[[1, 4]] = np.arange(n)
         null = _pooled(partial(_permuted_statistics, kc, lc), perms, 3)
         assert null[1] == observed.raw
@@ -300,7 +299,7 @@ class TestPermutedStatistics:
         kx = resolve_bandwidth(GAUSS_MEDIAN, d.x_points)
         *_, statistics = _grams(d, kx, LINEAR)
         assert statistics.func is _factored_statistics
-        perms = _draw_permutations(seed=5, num=9, n=n)
+        perms = oracles.draw_permutations(seed=5, num=9, n=n)
         perms[[1, 4]] = np.arange(n)
         null = _pooled(statistics, perms, 3)
         observed = permutation_test(d, kx, LINEAR, PermutationConfig(9, 0.05, 5), threads=3)
@@ -323,7 +322,7 @@ class TestPermutedStatistics:
         d = _random_dataset(n, n)
         kc = centered_gram_entries(KernelSpec("gaussian", 1.0), d.x_points)
         lc = centered_gram_entries(KernelSpec("laplace", 1.0), d.y_points)
-        p = _draw_permutations(seed=4, num=30, n=n)
+        p = oracles.draw_permutations(seed=4, num=30, n=n)
         expected = np.einsum("ij,bij->b", kc, lc[p[:, :, None], p[:, None, :]]) / (n * n)
         assert np.array_equal(_permuted_statistics(kc, lc, p), expected)
         step = 100 // n
@@ -334,7 +333,7 @@ class TestPermutedStatistics:
         d = _random_dataset(9, 12)
         kc = centered_gram_entries(KernelSpec("gaussian", 1.0), d.x_points)
         lc = centered_gram_entries(KernelSpec("gaussian", 1.0), d.y_points)
-        perms = _draw_permutations(seed=2, num=11, n=d.n)
+        perms = oracles.draw_permutations(seed=2, num=11, n=d.n)
         whole = _permuted_statistics(kc, lc, perms)
         parts = np.concatenate(
             [_permuted_statistics(kc, lc, perms[:5]), _permuted_statistics(kc, lc, perms[5:])]
@@ -358,7 +357,7 @@ class TestFactoredNull:
         ky = resolve_bandwidth(KernelSpec(ky), d.y_points)
         kc, lc, scale, statistics = _grams(d, kx, ky)
         assert statistics.func is _factored_statistics
-        perms = _draw_permutations(seed, 99, n)
+        perms = oracles.draw_permutations(seed, 99, n)
         identity = np.arange(n)[None, :]
         factored = _pooled(statistics, perms, 2)
         dense = _pooled(partial(_permuted_statistics, kc, lc), perms, 2)
@@ -380,7 +379,7 @@ class TestFactoredNull:
         d = _ring(4, 200)
         *_, statistics = _grams(d, resolve_bandwidth(GAUSS_MEDIAN, d.x_points), LINEAR)
         assert statistics.func is _factored_statistics
-        perms = _draw_permutations(seed=3, num=50, n=d.n)
+        perms = oracles.draw_permutations(seed=3, num=50, n=d.n)
         lone = statistics(perms)
         for threads in (2, 3):
             assert np.array_equal(_pooled(statistics, perms, threads), lone)
@@ -399,7 +398,7 @@ class TestFactoredNull:
         assert statistics.func is _permuted_statistics
         cfg = PermutationConfig(99, 0.05, 2)
         null = _pooled(
-            partial(_permuted_statistics, kc, lc), _draw_permutations(cfg.seed, 99, n), 2
+            partial(_permuted_statistics, kc, lc), oracles.draw_permutations(cfg.seed, 99, n), 2
         )
         res = permutation_test(d, kx, ky, cfg, threads=2)
         assert res.statistic == hsic_biased(d, kx, ky)
@@ -413,7 +412,7 @@ class TestFactoredNull:
         kc, lc, _, statistics = _grams(d, x_kernel, ky)
         assert statistics.func is _factored_statistics
         assert statistics.args[0].shape == (0, 200)
-        perms = _draw_permutations(0, 99, 200)
+        perms = oracles.draw_permutations(0, 99, 200)
         for fn in (statistics, partial(_permuted_statistics, kc, lc)):
             observed = fn(np.arange(200)[None, :])[0]
             assert p_value_from_null(observed, fn(perms)) == 1.0
@@ -515,56 +514,99 @@ class TestFactoredNull:
 
 
 class TestGramFreeSide:
-    """The side a factored test builds without its Gram is the dense side, bit for bit."""
+    """The centered factor a test takes for a side is the dense side, to roundoff."""
+
+    @staticmethod
+    def _side(spec, points):
+        n = len(points)
+        cap = FACTOR_RANK_CAP_PER_ROOT * math.isqrt(n)
+        return gram_free_side(spec, points, cap, testing._pivoted_cholesky)
 
     @pytest.mark.parametrize("duplicated", [False, True], ids=["distinct", "duplicated"])
     @pytest.mark.parametrize("n", [40, 200, 1000])
     @pytest.mark.parametrize("d", [1, 2, 5])
     @pytest.mark.parametrize("family", ["gaussian", "laplace", "linear"])
     def test_bitwise_the_dense_side(self, family, d, n, duplicated):
+        # Bit for bit: the resolved bandwidth, and the factor columns of
+        # repeated points.  Within n * eps * max K_ii: Fc' Fc against the
+        # dense HKH, and the scale against max|HKH|.
         pts = np.random.default_rng(n * d).normal(size=(n, d)) * 2.0 + 0.5
         if duplicated:  # the first third again as the last third
             pts[n - n // 3 :] = pts[: n // 3]
-        side = gram_free_side(KernelSpec(family), pts)
-        spec, kc, scale = centered_side(KernelSpec(family), pts)
-        k = gram_entries(spec, pts)
-        r = k.mean(axis=1)
-        centered = ((k - r[:, None]) - r[None, :]) + r.mean()
-        floor = n * EPS * k.diagonal().max()
-        assert side.spec == spec
+        spec, fc, scale = self._side(KernelSpec(family), pts)
+        dense_spec, kc, dense_scale = centered_side(KernelSpec(family), pts)
+        assert spec == dense_spec
         assert family == "linear" or spec.bandwidth == float(np.median(pdist(pts)))
-        assert np.array_equal(side.row_means, r) and side.grand_mean == r.mean()
-        top = np.abs(centered).max()
-        assert side.scale == scale == (top if top > floor else 0.0)
-        assert np.array_equal(side.diagonal, kc.diagonal())
-        for j in (0, n // 3, n - 1):
-            assert np.array_equal(side.column(j), centered[:, j])
+        k = gram_entries(spec, pts)
         cap = FACTOR_RANK_CAP_PER_ROOT * math.isqrt(n)
-        dense = testing._pivoted_cholesky(kc.diagonal(), lambda j: kc[:, j], scale, cap)
-        free = testing._pivoted_cholesky(side.diagonal, side.column, side.scale, cap)
-        assert (dense is None and free is None) or np.array_equal(dense, free)
+        if fc is None:  # K itself needs more pivots than the cap
+            assert testing._pivoted_cholesky(k.diagonal(), lambda j: k[:, j], 1.0, cap) is None
+            return
+        tolerance = n * EPS * k.diagonal().max()
+        assert np.abs(fc.T @ fc - kc).max() <= tolerance
+        assert abs(scale - dense_scale) <= tolerance
+        if duplicated:
+            assert np.array_equal(fc[:, n - n // 3 :], fc[:, : n // 3])
 
     def test_constant_linear_side_is_rank_zero(self):
         # 3.7 does not center exactly under a linear kernel; below the zero
         # floor the side factors to rank 0, and the test gives p = 1.
         d = Dataset(_ring(0, 60).x_points, np.full((60, 1), 3.7))
-        side = gram_free_side(LINEAR, d.y_points)
-        assert side.scale == 0.0 and not side.diagonal.any()
-        assert testing._pivoted_cholesky(side.diagonal, side.column, 0.0, 28).shape == (0, 60)
+        assert d.y_points.mean() != 3.7
+        _, fc, scale = gram_free_side(LINEAR, d.y_points, 28, testing._pivoted_cholesky)
+        assert scale == 0.0 and not fc.any()
+        assert fc.shape == (0, 60)
         cfg = PermutationConfig(99, 0.05, 0)
         assert permutation_test(d, GAUSS_MEDIAN, LINEAR, cfg).p_value == 1.0
 
     def test_overflowing_linear_side_falls_back_to_dense_and_exits_3(self, tmp_path, capsys):
         d = _ring(0, 60)
-        side = gram_free_side(LINEAR, d.y_points * 1e200)
-        assert math.isnan(side.scale)
-        assert testing._pivoted_cholesky(side.diagonal, side.column, side.scale, 28) is None
+        _, fc, scale = gram_free_side(LINEAR, d.y_points * 1e200, 28, testing._pivoted_cholesky)
+        assert not math.isfinite(scale)
+        assert fc is None
         path = tmp_path / "huge.csv"
         pairs = zip(d.x_points[:, 0], d.y_points[:, 0])
         rows = "".join(f"{float(a)!r},{float(b) * 1e200!r}\n" for a, b in pairs)
         path.write_text("x,y\n" + rows)
         argv = ["test", str(path), "--x-columns", "x", "--y-columns", "y", "--kernel-y", "linear"]
         assert cli.main(argv) == 3 and "non-finite" in capsys.readouterr().err
+
+    def test_nearly_constant_side_takes_the_dense_path(self, monkeypatch):
+        # gaussian:100 on the ring centers to 1e-4 of max K_ii, below
+        # FACTOR_MIN_SCALE: centering its factor would cancel all but that.
+        d = _ring(1, 1000)
+        ky = KernelSpec("gaussian", 100.0)
+        _, fc, scale = self._side(ky, d.y_points)
+        assert fc is None and scale < hsic.FACTOR_MIN_SCALE
+        built = []
+
+        def recording(spec, points, out=None):
+            built.append(spec)
+            return centered_side(spec, points, out)
+
+        monkeypatch.setattr(testing, "centered_side", recording)
+        res = permutation_test(d, GAUSS_MEDIAN, ky, PermutationConfig(20, 0.05, 0))
+        assert built == [res.kernel_x, ky]
+
+    def test_offset_linear_side_stays_factored(self):
+        # y + 1e6 makes max K_ii 1e12 against max|HLH| near 1, but a linear
+        # factor is the centered data, which loses only the offset's
+        # rounding: it stays factored, and its null is the dense null of
+        # the unshifted y (HLH is shift invariant) to that rounding.  The
+        # dense null of the shifted y itself is off by about 3e-7.
+        n = 200
+        d = _ring(1, n)
+        shifted = Dataset(d.x_points, d.y_points + 1e6)
+        kx = resolve_bandwidth(GAUSS_MEDIAN, d.x_points)
+        *_, statistics = testing._null_function(shifted, kx, LINEAR)
+        assert statistics.func is _factored_statistics
+        assert statistics.args[1].shape == (1, n)
+        kc, lc, _, _ = _grams(d, kx, LINEAR)
+        perms = oracles.draw_permutations(0, 99, n)
+        dense = _permuted_statistics(kc, lc, perms)
+        rounding = np.spacing(1e6)  # of each shifted y, and of their mean
+        tolerance = 4 * rounding * np.sqrt(np.abs(lc).max()) * np.abs(kc).max()
+        assert np.abs(statistics(perms) - dense).max() <= tolerance
 
 
 class TestThreads:
@@ -577,7 +619,7 @@ class TestThreads:
         d = _random_dataset(6, TAKE_MIN_N + 3)
         kc = centered_gram_entries(KernelSpec("gaussian", 1.0), d.x_points)
         lc = centered_gram_entries(KernelSpec("laplace", 1.0), d.y_points)
-        perms = _draw_permutations(seed=3, num=50, n=d.n)
+        perms = oracles.draw_permutations(seed=3, num=50, n=d.n)
         dense = partial(_permuted_statistics, kc, lc)
         lone = dense(perms)
         for threads in (2, 3):
@@ -620,11 +662,12 @@ class TestThreads:
         "ky,before", [(GAUSS_MEDIAN, 0.55), (LAPLACE_MEDIAN, 4.10)], ids=["factored", "dense"]
     )
     def test_peak_memory_no_higher_than_before(self, ky, before):
-        # The factored test holds no Gram: it builds each side in row blocks,
-        # selects its median bandwidth in chunked passes and draws its
-        # permutations block by block, so it peaks near 0.54 of a Gram, in
-        # its null (a block of drawn rows, the draw's temporaries and a
-        # gathered factor block); its sides peak near 0.34.  It peaked at
+        # The factored test holds no Gram: it factors each side from rows of
+        # K, selects its median bandwidth in chunked passes and draws its
+        # permutations block by block, so it peaks near 0.40 of a Gram, in
+        # its median selection or its null (a block of drawn rows, the
+        # draw's temporaries and a gathered factor block).  It peaked near
+        # 0.54 with blocks of twice as many drawn words, and at
         # 1.09 while it held a Gram, 1.93 with a median buffer (0.5) and all
         # the permutations (0.33), and 3.33 while both Grams were held.  The
         # dense test peaks near 4.09: two Grams, its null's two chunk
@@ -637,7 +680,7 @@ class TestThreads:
     def test_factored_peak_grows_with_n_not_n_squared(self):
         # Twice the points make four times the Gram, but a factored test's
         # buffers are row blocks, O(n) vectors and factor rows: its peak rose
-        # 1.28x from n = 1000 to 2000, and 3.9x while it held a Gram.
+        # 1.24x from n = 1000 to 2000, and 3.9x while it held a Gram.
         small, large = (self._peak_grams(n, GAUSS_MEDIAN, 200) * n * n for n in (1000, 2000))
         assert large < 1.5 * small
 
@@ -731,6 +774,16 @@ class TestPermutationTest:
         linear = KernelSpec("linear")
         with pytest.raises(ArithmeticError, match="non-finite"):
             permutation_test(d, linear, linear, PermutationConfig(20, 0.05, 0))
+
+    def test_overflowing_gaussian_bandwidth_is_not_factored(self):
+        # With 2 sigma^2 overflowed, K is 1 wherever a squared distance is
+        # finite and NaN where it overflows too (between the two clusters).
+        # The pivot column of the point at 0 holds no NaN, so a factor would
+        # find the side constant and give p = 1.
+        x = np.array([0.0] + [1e154] * 20 + [-1e154] * 20)
+        d = Dataset(x, np.sin(np.arange(41.0)))
+        with pytest.raises(ArithmeticError, match="non-finite"):
+            permutation_test(d, GAUSS_MEDIAN, GAUSS_MEDIAN, PermutationConfig(20, 0.05, 0))
 
     def test_overflowing_gram_is_not_factored(self):
         # An infinite Gram entry must reach the dense path and its error,

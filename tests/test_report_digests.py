@@ -19,14 +19,14 @@ EXPECTED = [
     "f84b1c8c96fbd70eb7df06dbaa0ce7dfa486fb985276fa897de0cd42d69493a4",  # test ring_39 y gaussian:median
     "7d77904d9413cfacf0cb501756899f89b9a7c4097086e96705966713f935f1f4",  # test ring_39 y linear
     "aa4ce27ce31e31d6fc22b26900ad220e505c9f658e68a3c02e2ab7b5f1ce285d",  # test ring_39 y laplace:median
-    "328f88ad920de628db21f0596e81b741ae715025dc342af22c0ee4e6feb26c4e",  # test ring_40 y gaussian:median
-    "b1e71782ed26edc579dad61b36b2b20037701b5239370fe3a3278e070d1025de",  # test ring_40 y linear
+    "73a9231eaafe4cb87e3eca8c0f6a5dd5427fa5ba86c7a4464dd70d2f68464e96",  # test ring_40 y gaussian:median
+    "7804bf030c415102f8adfb47c959b5078c266ed3a56483c718494468a31c2935",  # test ring_40 y linear
     "07d8767da26c5b09ce0636f869a6b5e263662637b1da37536a3bf2b2aea9e297",  # test ring_40 y laplace:median
-    "754f75eb8a400d1109ebd41823c43eb20f1d279109b8361d474911ea831fa2fa",  # test ring_200 y gaussian:median
-    "f530d753bc8c1198376ad68569096f2dbe2fd02babc83c2ea73c0545027e493b",  # test ring_200 y linear
+    "47b859a320b01eb7c2d7495f95c80edd639a46fb670da90462a7af552c3c2bca",  # test ring_200 y gaussian:median
+    "f7227c04266f8156d893f37cee905c034b512509004ed60caa5bdecc2e3f3feb",  # test ring_200 y linear
     "a644630eb74fbad7ac6b520016aa0130c611f4f81e19f33412dbf9be83a29f4e",  # test ring_200 y laplace:median
-    "19326259bea15622c5063a282e3d54d3a266d6c9d08c71ab2b41777b18678423",  # test ring_1000 y gaussian:median
-    "6499d60c94b470eae4cf3deabe2e6cf1a011891d6daee6d561122fface2642b2",  # test ring_1000 y linear
+    "e97789eda6db53a9a289280135e8235832bf7b1f40be69629e88089b4852bc0b",  # test ring_1000 y gaussian:median
+    "fa94391a302b57fa26c235002397773d674933a35091d069a3a3d98e524ff4e5",  # test ring_1000 y linear
     "228537a7ba587a6f7afedab4c96f0aac2126e48fc1b9944b2efbbaefdd7d69d3",  # test ring_1000 y laplace:median
     "2021b91567c104cdae878e00cfdf9db37c22ceebb4aaab3326aeb8fda5a6f298",  # reproduce-ring n=8
     "15c81290a06b8be17539274518424656ca4d811cfc0fd3f40761a7906ff91ad4",  # reproduce-ring n=45

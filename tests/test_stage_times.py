@@ -21,6 +21,6 @@ def test_stage_script_runs_small():
     report = json.loads(done.stdout.splitlines()[-1])
     assert report["null_path"] == "factored"
     assert set(report["stages_s"]) == {"sides", "null", "p_value"}
-    stages = {"median", "row_pass", "factoring"}
+    stages = {"median", "factoring"}
     assert set(report["split_s"]) == {f"{s}_{side}" for s in stages for side in "xy"} | {"draw"}
     assert report["peak_rss_mb"] > 0.0
