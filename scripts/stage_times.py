@@ -13,14 +13,15 @@ median over ``--repeats`` runs is reported:
 
 ``split_s`` splits ``sides`` per side, as a test builds a side as a
 centered factor: ``median_x`` (the median bandwidth) and ``factoring_x``
-(``hsic.gram_free_side`` with the bandwidth resolved: the kernel matrix
-factored, by a pivoted Cholesky whose pivot columns are rows of it or by
-the data of a linear kernel, and the factor centered; for a side that does
-not factor, the cost of finding that out), and the same for y.  ``draw``
-splits ``null``: the B permutations drawn
-alone, in the blocks the factored null draws.  The splits are
-left out of ``stage_sum_s``.  No stage holds an n x n array unless the
-test takes the dense path.
+(``hsic.gram_free_side(spec, points)`` with the bandwidth resolved, under
+the rank cap it sets itself: the kernel matrix factored, by a pivoted
+Cholesky whose pivot columns are rows of it or by the data of a linear
+kernel, and the factor centered; for a side that does not factor, the cost
+of finding that out), and the same for y.  ``draw`` splits ``null``: the B
+permutations drawn alone, in the blocks the factored null draws.  The
+splits are left out of ``stage_sum_s``.  No stage holds an n x n array
+unless the test takes the dense path, or n <= 362, where the median
+bandwidth partitions the full distance matrix.
 
 ``total_s`` is the median wall time of the whole ``test`` command through
 ``hsictest.cli.main``, so it is not the sum of the stages: the command also
@@ -37,7 +38,6 @@ import argparse
 import contextlib
 import io
 import json
-import math
 import os
 import resource
 import statistics as stats
@@ -57,11 +57,9 @@ from hsictest.hsic import gram_free_side
 from hsictest.kernels import as_points, resolve_bandwidth
 from hsictest.testing import (
     _FACTOR_DRAW_BLOCK_WORDS,
-    FACTOR_RANK_CAP_PER_ROOT,
     TAKE_MIN_N,
     _draw_rows,
     _null_function,
-    _pivoted_cholesky,
     _pool_size,
     _Rows,
 )
@@ -96,9 +94,8 @@ def draw_alone(seed: int, b: int, n: int) -> None:
 def side_split(spec, points, name: str) -> dict:
     """The stages of one side built as a test builds it, as a centered factor."""
     pts = as_points(points)
-    cap = FACTOR_RANK_CAP_PER_ROOT * math.isqrt(len(pts))
     spec, median = timed(lambda: resolve_bandwidth(spec, pts))
-    _, factoring = timed(lambda: gram_free_side(spec, pts, cap, _pivoted_cholesky))
+    _, factoring = timed(lambda: gram_free_side(spec, pts))
     return {f"median_{name}": median, f"factoring_{name}": factoring}
 
 

@@ -267,10 +267,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         threads(p)
 
-    def threads(p):
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads, at most one per CPU (default: machine "
-                            "parallelism); results do not depend on it")
+    def threads(p, text="worker threads, at most one per CPU (default: machine "
+                        "parallelism); results do not depend on it"):
+        p.add_argument("--threads", type=int, default=None, help=text)
 
     t = sub.add_parser("test", help="independence test on CSV columns")
     t.add_argument("csv")
@@ -300,7 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--kernel-y", default="gaussian:1.0")
     o.add_argument("--centered-supports", action="store_true",
                    help="use supports symmetric about 0 (exposes the +/- cancellation pmfs)")
-    threads(o)
+    threads(o, "accepted and echoed in the report, but unused: the sweep runs on "
+               "the calling thread")
     o.set_defaults(handler=cmd_oracle_sweep)
     return parser
 

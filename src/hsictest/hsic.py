@@ -11,13 +11,29 @@ which this module evaluates in matrix form as ``sum(Kx * (Theta Ky Theta'))``.
 The empirical statistic is the standard biased V-statistic
 ``tr(K H L H) / n^2`` with centering matrix ``H = I - (1/n) 11'``.  Each side
 of a sample enters it, and the permutation null of :mod:`hsictest.testing`,
-through :func:`centered_side`: the one place a kernel spec and a point set
-become a resolved spec, a centered Gram and that Gram's scale ``max|HKH|``,
-with a side that is constant to working precision centered to exact zero.
+through one of two builders, each of which turns a kernel spec and a point
+set into a resolved spec, a centered side and that side's scale
+``max|HKH|``, with a side that is constant to working precision centered
+to exact zero.  :func:`centered_side` builds the centered Gram HKH.
 :func:`gram_free_side` builds a side without an n x n array, as a centered
 low-rank factor ``Fc`` with ``HKH ~= Fc' Fc``: K is factored, and the
 factor centered.  The statistic's roundoff scale is read off the scale
 returned with either side, never recomputed from the Gram.
+
+A Gaussian or Laplace K is factored by pivoted incomplete Cholesky (Bach &
+Jordan 2002), each pivot column one row of K, until no residual diagonal
+exceeds ``n * eps * max K_ii``; a linear K exactly, by its data.  That
+moves a statistic by roundoff, not approximation.  The residual ``R = K -
+F' F`` is positive semidefinite with trace at most ``n^2 * eps * max
+K_ii``, centering leaves ``Kc - Fc' Fc = H R H`` with ``tr(H R H) <=
+tr(R)``, and ``|tr(A M)| <= tr(A) * ||M||_2`` for a PSD A, with ``||Lc||_2
+<= n * max|Lc|``.  So a factored side x moves ``tr(Kc Lc) / n^2``, and
+every permuted statistic, by at most ``n * eps * max K_ii * max|Lc|``,
+which is ``n * eps * scale`` (``scale = max|Kc| * max|Lc|``) divided by
+``max|Kc| / max K_ii``, and likewise side y.  A linear factor has no
+residual.  For a Gaussian or Laplace side the ratio is 0.65 on the ring at
+the median bandwidth, and the side is factored only while it is at least
+``FACTOR_MIN_SCALE``.
 
 With both kernels characteristic the population value is zero iff the
 distribution is an exact product (independence); with a non-characteristic
@@ -30,6 +46,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -43,9 +60,6 @@ from .kernels import (
     gram_entries,
     resolve_bandwidth,
 )
-
-# theta's rows and columns sum to zero by construction; loose only to roundoff.
-THETA_MARGIN_TOL = 1e-12
 
 # pmf entries must total 1 within this.
 PMF_MASS_TOL = 1e-12
@@ -197,15 +211,12 @@ def _constant(scale: float, k_diagonal: np.ndarray) -> bool:
     return scale <= len(k_diagonal) * _EPS * k_diagonal.max()
 
 
-def centered_side(
-    spec: KernelSpec, points, out: np.ndarray | None = None
-) -> tuple[KernelSpec, np.ndarray, float]:
+def centered_side(spec: KernelSpec, points) -> tuple[KernelSpec, np.ndarray, float]:
     """One side of a test: ``spec`` resolved on ``points``, H K H for its Gram K, and max|H K H|.
 
     The one place a sample becomes a centered Gram.  It is built and centered
-    in ``out``, an n x n float buffer the caller owns (a new one when None),
-    one row block at a time while the block is in cache; a median bandwidth
-    is resolved first, by a selection that holds no n x n array (see
+    in one n x n buffer, one row block at a time while the block is in
+    cache; a median bandwidth is resolved first, by exact selection (see
     :func:`kernels.median_heuristic`).  A side constant to working precision
     (see :func:`_constant`) is set to exact zero and its scale to 0.0:
     leaving the residue would make the statistic and every permuted one
@@ -214,8 +225,7 @@ def centered_side(
     """
     pts = as_points(points)
     n = pts.shape[0]
-    if out is None:
-        out = np.empty((n, n))
+    out = np.empty((n, n))
     rows = _block_rows(n)
     row_means, k_diagonal = np.empty(n), np.empty(n)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -249,36 +259,87 @@ def centered_side(
 # A Gaussian or Laplace side is factored only when its scale max|HKH| is at
 # least this fraction of max K_ii (which is 1).  Centering the factor of a
 # nearly constant kernel cancels all but that fraction of it, and the
-# roundoff bound of the factored null grows as its inverse (see testing).
-# On the n = 1000 ring (x gaussian:median, B = 200) the fraction of y was
-# 0.64 at the median bandwidth, 0.040 at gaussian:5, 0.010 at gaussian:10
-# and 1.0e-4 at gaussian:100, and the factored null differed from the dense
-# one by at most 8.0e-14, 6.2e-13, 2.8e-13 and 1.2e-10 of max|null|.
+# roundoff bound of the factored null grows as its inverse (see the module
+# docstring).  On the n = 1000 ring (x gaussian:median, B = 200) the
+# fraction of y was 0.64 at the median bandwidth, 0.040 at gaussian:5, 0.010
+# at gaussian:10 and 1.0e-4 at gaussian:100, and the factored null differed
+# from the dense one by at most 8.0e-14, 6.2e-13, 2.8e-13 and 1.2e-10 of
+# max|null|.
 FACTOR_MIN_SCALE = 1e-2
 
+# A side whose K needs more than this many pivots per isqrt(n) stays dense.
+# Measured single-threaded per replicate (numpy 2.4, OpenBLAS 0.3.31, 2-vCPU
+# x86-64 VM), both sides of rank r, factored vs dense take: n=64, 4.0 us at
+# r=32 and 14.5 us at r=64 vs 10 us; n=200, 51 us at r=64 and 126 us at
+# r=96 vs 98 us; n=1000, 1.0 ms at r=128 and 3.1 ms at r=256 vs 3.7 ms.
+# Factoring stops winning near 6*sqrt(n) up to n=500 (later beyond), so the
+# cap 4*isqrt(n) keeps it about 2x ahead.
+FACTOR_RANK_CAP_PER_ROOT = 4
 
-def gram_free_side(
-    spec: KernelSpec, points, cap: int, pivoted
-) -> tuple[KernelSpec, np.ndarray | None, float]:
+# The factor's rows start in a buffer of this many rows, doubled when full,
+# rather than one of the cap's size: at n = 600 the cap's 96 rows would be
+# 0.16 of a Gram, and the ring's Gaussian sides take 12-14.
+_FACTOR_ROWS_FIRST = 16
+
+
+def _pivoted_cholesky(
+    diagonal: np.ndarray, column: Callable[[int], np.ndarray], max_abs: float, cap: int
+) -> np.ndarray | None:
+    """Rows of F with ``a ~= F' F``, or None if that takes more than ``cap`` rows.
+
+    Greedy pivoted incomplete Cholesky of a positive semidefinite ``a``,
+    given by its ``diagonal`` and ``column(j)``, which returns column j:
+    each step takes the column at the largest residual diagonal, and the
+    factor is complete once no residual diagonal exceeds ``n * eps *
+    max_abs``, with ``max_abs`` the largest diagonal entry (for a kernel
+    matrix K, max K_ii).  The residual ``a - F' F`` is then positive
+    semidefinite with trace at most ``n^2 * eps * max_abs``, and so is the
+    residual of the centered factor F H, ``H (a - F' F) H``: the module
+    docstring bounds what that moves a statistic.  Updates are elementwise,
+    in a fixed order, so equal rows of ``a`` (repeated points) get
+    bitwise-equal factor columns and keep their exact null ties.
+    """
+    if not math.isfinite(max_abs):
+        return None  # the dense path reports the overflow
+    n = len(diagonal)
+    floor = n * _EPS * max_abs
+    residual = diagonal.copy()
+    rows = np.empty((min(cap, _FACTOR_ROWS_FIRST), n))
+    for k in range(cap + 1):
+        pivot = int(np.argmax(residual))
+        if residual[pivot] <= floor:
+            return rows[:k].copy()
+        if k == cap:
+            break
+        if k == len(rows):
+            rows = np.concatenate((rows, np.empty((min(k, cap - k), n))))
+        col = column(pivot) - (rows[:k] * rows[:k, pivot, None]).sum(axis=0)
+        col /= math.sqrt(residual[pivot])
+        rows[k] = col
+        residual -= col * col
+    return None
+
+
+def gram_free_side(spec: KernelSpec, points) -> tuple[KernelSpec, np.ndarray | None, float]:
     """One side of a test as a centered factor: ``(spec, Fc, scale)`` with ``HKH ~= Fc' Fc``.
 
     ``spec`` comes back resolved on ``points``, and no n x n array is held.
     K is factored as ``F' F`` first: a linear K exactly, by its d x n data,
-    and a Gaussian or Laplace K by ``pivoted(diag K, column, max K_ii,
-    cap)``, a pivoted Cholesky that builds each pivot column as one row of
-    K.  The factor is then centered, ``Fc = F H``, and the scale max|HKH| is
-    Fc's largest squared column norm: the largest entry of a PSD matrix is
-    on its diagonal.  A side constant to working precision (see
-    :func:`_constant`) gets a factor of no rows and scale 0.0.  ``Fc`` is
-    None, for the test to take the dense path, when K needs more than
-    ``cap`` rows, when the scale is not finite (the dense path reports the
-    overflow), or when a Gaussian or Laplace scale is below
-    ``FACTOR_MIN_SCALE * max K_ii``.  The scale is then NaN if K did not
-    factor.  ``pivoted`` is ``testing._pivoted_cholesky``, passed in because
-    :mod:`hsictest.testing` imports this module.
+    and a Gaussian or Laplace K by :func:`_pivoted_cholesky`, whose pivot
+    columns are each built as one row of K.  Either way F may have at most
+    ``cap`` rows, ``FACTOR_RANK_CAP_PER_ROOT`` per isqrt(n).  The factor is
+    then centered, ``Fc = F H``, and the scale max|HKH| is Fc's largest
+    squared column norm: the largest entry of a PSD matrix is on its
+    diagonal.  A side constant to working precision (see :func:`_constant`)
+    gets a factor of no rows and scale 0.0.  ``Fc`` is None, for the test to
+    take the dense path, when K needs more than ``cap`` rows, when the scale
+    is not finite (the dense path reports the overflow), or when a Gaussian
+    or Laplace scale is below ``FACTOR_MIN_SCALE * max K_ii``.  The scale is
+    then NaN if K did not factor.
     """
     pts = as_points(points)
     n, d = pts.shape
+    cap = FACTOR_RANK_CAP_PER_ROOT * math.isqrt(n)
     with np.errstate(over="ignore", invalid="ignore"):
         spec = resolve_bandwidth(spec, pts)
         k_diagonal = gram_diagonal(spec, pts)
@@ -291,7 +352,7 @@ def gram_free_side(
             f = None
         else:
             column = lambda j: _gram_rows(spec, pts[j : j + 1], pts, np.empty((1, n)))[0]  # noqa: E731
-            f = pivoted(k_diagonal, column, float(k_diagonal.max()), cap)
+            f = _pivoted_cholesky(k_diagonal, column, float(k_diagonal.max()), cap)
         if f is None:
             return spec, None, math.nan
         fc = f - f.mean(axis=1, keepdims=True)

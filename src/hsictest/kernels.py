@@ -15,8 +15,9 @@ serves the whole Gram of :func:`gram_entries` and the pivot columns of a
 factored side in :mod:`hsictest.hsic` alike; each entry depends only on its
 pair, so rows built alone equal those of the whole matrix bit for bit.  The
 median bandwidth is selected exactly from the upper triangle of the
-distances in chunked passes (:func:`median_heuristic`), never from an n x n
-matrix.
+distances in chunked passes (:func:`median_heuristic`).  Only while the
+n(n-1)/2 pairs fit in one block of 2^16 floats (n <= 362) is the full n x n
+distance matrix, at most 1 MB, partitioned instead.
 
 A kernel is characteristic when its mean embedding is injective on probability
 measures; that is the property the test needs of each marginal kernel.  Two
@@ -187,10 +188,11 @@ def median_heuristic(points) -> float:
     Zero distances stay in the median pool; only the fully degenerate case
     (every pair coincident) raises :class:`AllPointsIdenticalError`.  The two
     middle squared distances (one for an odd count) are selected exactly
-    by :func:`_order_statistics`, which never holds the n x n matrix; only
-    they are square-rooted, and they are averaged as ``np.median`` averages
-    them.  sqrt is correctly rounded and so monotone: the square roots of
-    the middle squared distances are the middle distances.
+    by :func:`_order_statistics`, which holds the n x n matrix only for
+    n <= 362; only they are square-rooted, and they are averaged as
+    ``np.median`` averages them.  sqrt is correctly rounded and so
+    monotone: the square roots of the middle squared distances are the
+    middle distances.
     """
     pts = as_points(points)
     n = pts.shape[0]
@@ -384,19 +386,17 @@ def gram_diagonal(spec: KernelSpec, pts: np.ndarray) -> np.ndarray:
     return np.ones(pts.shape[0])
 
 
-def gram_entries(spec: KernelSpec, points, out: np.ndarray | None = None) -> np.ndarray:
-    """Raw (writable) Gram matrix entries of a resolved ``spec`` on ``points``, in ``out``.
+def gram_entries(spec: KernelSpec, points) -> np.ndarray:
+    """Raw (writable) Gram matrix entries of a resolved ``spec`` on ``points``.
 
-    ``out`` is an n x n float buffer the caller owns (a new one when None),
-    filled in row blocks by :func:`_gram_rows`.  Exactly symmetric by
+    Filled in row blocks by :func:`_gram_rows`.  Exactly symmetric by
     construction.
     """
     if not spec.is_resolved:
         raise ValueError("bandwidth sentinel is unresolved; call resolve_bandwidth first")
     pts = as_points(points)
     n = pts.shape[0]
-    if out is None:
-        out = np.empty((n, n))
+    out = np.empty((n, n))
     rows = _block_rows(n)
     if rows >= n:  # one block, as for every support of the oracle sweep
         return _gram_rows(spec, pts, pts, out)

@@ -33,39 +33,29 @@ reduction by construction:
   at once by 3-D fancy indexing and reduced by one einsum, since
   per-replicate Python overhead dominates tiny Grams.
 * Factored, from ``TAKE_MIN_N`` on when both sides are numerically low
-  rank: each kernel matrix is factored, ``K ~= F' F``, by pivoted incomplete
-  Cholesky (Bach & Jordan 2002), each pivot column one row of K, or exactly
-  by its data for a linear kernel.  The factor is centered, ``Fc = F H``,
-  so ``Kc ~= Fx' Fx`` and ``Lc ~= Fy' Fy`` with Fx and Fy centered, and
-  replicate p is ``||Fx Fy[:, p]'||_F^2 / n^2`` (the factored form of Zhang,
-  Filippi, Gretton & Sejdinovic 2018), one small matrix product per
-  replicate.  No Gram is built.  Factoring stops once no residual diagonal
-  exceeds ``n * eps * max K_ii``.  The residual ``R = K - F' F`` is positive
-  semidefinite with trace at most ``n^2 * eps * max K_ii``, centering
-  leaves ``Kc - Fc' Fc = H R H`` with ``tr(H R H) <= tr(R)``, and ``|tr(A M)|
-  <= tr(A) * ||M||_2`` for a PSD A, with ``||Lc||_2 <= n * max|Lc|``.  So
-  side x moves every replicate by at most ``n * eps * max K_ii * max|Lc|``,
-  which is ``n * eps * scale`` (``scale = max|Kc| * max|Lc|``) divided by
-  ``max|Kc| / max K_ii``, and likewise side y: roundoff, not approximation.
-  A linear factor has no residual.  For a Gaussian or Laplace side the
-  ratio is 0.65 on the ring at the median bandwidth, and the side is
-  factored only while it is at least ``hsic.FACTOR_MIN_SCALE``; below it
-  the test takes the dense path.  A side needing more than
-  ``FACTOR_RANK_CAP_PER_ROOT * isqrt(n)`` pivots, or a linear side of more
-  dimensions than that, is not low rank enough for factoring to pay, and
-  the test takes the dense path.
+  rank: each side is a centered factor from ``hsic.gram_free_side``,
+  ``Kc ~= Fx' Fx`` and ``Lc ~= Fy' Fy``, and replicate p is
+  ``||Fx Fy[:, p]'||_F^2 / n^2`` (the factored form of Zhang, Filippi,
+  Gretton & Sejdinovic 2018), one small matrix product per replicate.  No
+  Gram is built.  Factoring moves a statistic by roundoff only, as the
+  :mod:`hsictest.hsic` docstring shows.  A side over the rank cap of
+  ``hsic.gram_free_side``, or nearly constant, sends the test to the dense
+  path.
 * Dense, from ``TAKE_MIN_N`` on otherwise: each replicate is a row ``take``
   then a column ``take`` of the centered y-side Gram, reduced by
   ``hsic.centered_product``.
 
 The path depends on the data alone, never on ``threads``.  From
-``TAKE_MIN_N`` points on, a factored test holds no n x n array, and nothing
-that grows with n^2 or with B: side x is factored, and if it factors, so is
-side y.  A median bandwidth is selected exactly in chunked passes over the
-distances.  Only the dense path holds Grams, one buffer per side, built
-with the bandwidths already resolved.  The permutations are never held: each chunk of the null draws
+``TAKE_MIN_N`` points on, a factored test holds nothing that grows with B,
+and from n = 363 on no n x n array: side x is factored, and if it factors,
+so is side y.  A median bandwidth is selected exactly in chunked passes over
+the distances; only while the n(n - 1)/2 pairs fit in one block of 2^16
+floats (n <= 362) is the full n x n distance matrix, at most 1 MB,
+partitioned instead (``kernels._order_statistics``).  Only the dense path
+holds Grams, one buffer per side, built with the bandwidths already
+resolved.  The permutations are never held: each chunk of the null draws
 its rows one block at a time (:func:`_draw_rows`) and reduces them at
-once.  Before a test starts, and again before the dense path allocates its
+once.  Before a test starts, and again before a Gram path allocates its
 Grams, the bytes the path will hold (its Gram buffers, two take buffers per
 null worker on the dense path, and the B null statistics) are checked
 against ``MEMORY_BUDGET_BYTES``, capped by physical memory; over it, the
@@ -85,7 +75,6 @@ come from that thread's own malloc arena and raise the peak memory.
 from __future__ import annotations
 
 import itertools
-import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
@@ -152,22 +141,6 @@ _DENSE_DRAW_BLOCK_WORDS = 1 << 13
 # 2^15 single-threaded (Gaussian y; 10.3 against 10.4 ms, linear y) and
 # 17.3 against 15.7 ms on 2 threads (9.7 against 8.5 ms), medians of 60.
 _FACTOR_DRAW_BLOCK_WORDS = 1 << 14
-
-_EPS = float(np.finfo(float).eps)
-
-# The factor's rows start in a buffer of this many rows, doubled when full,
-# rather than one of the cap's size: at n = 600 the cap's 96 rows would be
-# 0.16 of a Gram, and the ring's Gaussian sides take 12-14.
-_FACTOR_ROWS_FIRST = 16
-
-# A side whose centered Gram needs more than FACTOR_RANK_CAP_PER_ROOT *
-# isqrt(n) pivots stays dense.  Measured single-threaded per replicate
-# (numpy 2.4, OpenBLAS 0.3.31, 2-vCPU x86-64 VM), both sides of rank r,
-# factored vs dense take: n=64, 4.0 us at r=32 and 14.5 us at r=64 vs 10 us;
-# n=200, 51 us at r=64 and 126 us at r=96 vs 98 us; n=1000, 1.0 ms at r=128
-# and 3.1 ms at r=256 vs 3.7 ms.  Factoring stops winning near 6*sqrt(n) up
-# to n=500 (later beyond), so the cap 4*isqrt(n) keeps it about 2x ahead.
-FACTOR_RANK_CAP_PER_ROOT = 4
 
 # A test whose n x n buffers and null statistics would take more than this
 # many bytes, or more than physical memory, is refused before they are
@@ -380,44 +353,6 @@ def _permuted_statistics(
     return _run_chunks(run, perms, pool, workers, buffers, _DENSE_DRAW_BLOCK_WORDS)
 
 
-def _pivoted_cholesky(
-    diagonal: np.ndarray, column: Callable[[int], np.ndarray], max_abs: float, cap: int
-) -> np.ndarray | None:
-    """Rows of F with ``a ~= F' F``, or None if that takes more than ``cap`` rows.
-
-    Greedy pivoted incomplete Cholesky of a positive semidefinite ``a``,
-    given by its ``diagonal`` and ``column(j)``, which returns column j:
-    each step takes the column at the largest residual diagonal, and the
-    factor is complete once no residual diagonal exceeds ``n * eps *
-    max_abs``, with ``max_abs`` the largest diagonal entry (for a kernel
-    matrix K, max K_ii).  The residual ``a - F' F`` is then positive
-    semidefinite with trace at most ``n^2 * eps * max_abs``, and so is the
-    residual of the centered factor F H, ``H (a - F' F) H``: the module
-    docstring bounds what that moves a statistic.  Updates are elementwise,
-    in a fixed order, so equal rows of ``a`` (repeated points) get
-    bitwise-equal factor columns and keep their exact null ties.
-    """
-    if not math.isfinite(max_abs):
-        return None  # the dense path reports the overflow
-    n = len(diagonal)
-    floor = n * _EPS * max_abs
-    residual = diagonal.copy()
-    rows = np.empty((min(cap, _FACTOR_ROWS_FIRST), n))
-    for k in range(cap + 1):
-        pivot = int(np.argmax(residual))
-        if residual[pivot] <= floor:
-            return rows[:k].copy()
-        if k == cap:
-            break
-        if k == len(rows):
-            rows = np.concatenate((rows, np.empty((min(k, cap - k), n))))
-        col = column(pivot) - (rows[:k] * rows[:k, pivot, None]).sum(axis=0)
-        col /= math.sqrt(residual[pivot])
-        rows[k] = col
-        residual -= col * col
-    return None
-
-
 def _factored_statistics(
     fx: np.ndarray, fy: np.ndarray, perms, pool=None, workers: int = 1
 ) -> np.ndarray:
@@ -484,31 +419,23 @@ def _null_function(
     and ``statistics(perms, pool=None, workers=1)`` is the null function.
     From ``TAKE_MIN_N`` points on, side x is built as a centered factor
     (:func:`hsic.gram_free_side`); if it factors, so is side y, and a test
-    whose sides both factor holds no n x n array.  Otherwise both sides are
-    built densely, each into its own Gram buffer, with the bandwidths
-    already resolved, after the two Grams and ``workers`` chunks of two take
-    buffers, with ``held`` bytes already in use, are checked against the
-    memory budget.
+    whose sides both factor holds no Gram.  Otherwise, or below
+    ``TAKE_MIN_N``, both sides are built densely, each into its own Gram
+    buffer, with any bandwidth already resolved, after the two Grams and
+    ``workers`` chunks of two take buffers, with ``held`` bytes already in
+    use, are checked against the memory budget.
     """
     n = data.n
-    if n < TAKE_MIN_N:
-        kx, kc, kc_max = centered_side(kx, data.x_points)
-        ky, lc, lc_max = centered_side(ky, data.y_points)
-        return kx, ky, kc_max * lc_max, partial(_permuted_statistics, kc, lc)
-    cap = FACTOR_RANK_CAP_PER_ROOT * math.isqrt(n)
-    sides = []
-    for spec, points in ((kx, data.x_points), (ky, data.y_points)):
-        sides.append(gram_free_side(spec, points, cap, _pivoted_cholesky))
-        if sides[-1][1] is None:
-            break
-    else:
-        (kx, fx, x_scale), (ky, fy, y_scale) = sides
-        return kx, ky, x_scale * y_scale, partial(_factored_statistics, fx, fy)
-    resolved = [spec for spec, *_ in sides] + [ky]
-    del sides
+    if n >= TAKE_MIN_N:
+        kx, fx, x_scale = gram_free_side(kx, data.x_points)
+        if fx is not None:
+            ky, fy, y_scale = gram_free_side(ky, data.y_points)
+            if fy is not None:
+                return kx, ky, x_scale * y_scale, partial(_factored_statistics, fx, fy)
+        del fx  # not held into the dense null
     _check_memory(n, 2 + 2 * workers, held)
-    kx, kc, kc_max = centered_side(resolved[0], data.x_points)
-    ky, lc, lc_max = centered_side(resolved[1], data.y_points)
+    kx, kc, kc_max = centered_side(kx, data.x_points)
+    ky, lc, lc_max = centered_side(ky, data.y_points)
     return kx, ky, kc_max * lc_max, partial(_permuted_statistics, kc, lc)
 
 

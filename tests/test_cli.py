@@ -1,9 +1,11 @@
 """CLI behavior: parsing, JSON reports, exit codes, reproducibility."""
 
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -510,23 +512,22 @@ class TestExitCodes:
         assert "non-finite" in err
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, hsictest.cli; print('scipy' in sys.modules)"],
-        capture_output=True,
-        text=True,
-        timeout=60,
+def _python(*args):
+    """``python *args`` in a child process that imports the package from this tree's ``src``."""
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60
     )
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    proc = _python("-c", "import sys, hsictest.cli; print('scipy' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
 
 
 def test_module_entry_point_runs():
-    proc = subprocess.run(
-        [sys.executable, "-m", "hsictest", "--version"],
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
+    proc = _python("-m", "hsictest", "--version")
     assert proc.returncode == 0
     assert proc.stdout.strip()

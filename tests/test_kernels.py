@@ -160,16 +160,15 @@ class TestPairwiseDistances:
             assert np.array_equal(_distances(pts, squared), cdist(pts, pts, metric))
 
     @pytest.mark.parametrize("d", [1, 3])
-    def test_row_blocks_and_caller_buffer(self, d, monkeypatch):
+    def test_row_blocks(self, d, monkeypatch):
         # Blocks of 2 rows of 9 points split the Gram into five blocks, the
-        # last one short; the result lands in the caller's buffer.
+        # last one short.
         monkeypatch.setattr(kernels, "_BLOCK_FLOATS", 18)
         pts = np.random.default_rng(d).normal(size=(9, d))
         cases = (("gaussian", "sqeuclidean", -2.0 * 1.3**2), ("laplace", "cityblock", -1.3))
         for family, metric, scale in cases:
-            out = np.full((9, 9), np.nan)
-            assert gram_entries(KernelSpec(family, 1.3), pts, out) is out
-            assert np.array_equal(out, np.exp(cdist(pts, pts, metric) / scale))
+            entries = gram_entries(KernelSpec(family, 1.3), pts)
+            assert np.array_equal(entries, np.exp(cdist(pts, pts, metric) / scale))
 
 
 class TestMedianHeuristic:

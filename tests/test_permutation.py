@@ -37,7 +37,6 @@ from hsictest.kernels import gram_entries
 from hsictest.rng import STREAM_PERMUTATION, rng_for
 from hsictest.testing import (
     EXHAUSTIVE_MAX_N,
-    FACTOR_RANK_CAP_PER_ROOT,
     TAKE_MIN_N,
     _factored_statistics,
     _permuted_statistics,
@@ -425,7 +424,7 @@ class TestFactoredNull:
         tiny = Dataset(d.x_points * 1e-150, d.y_points * 1e-150)
         kc, *_ = _grams(tiny, LINEAR, LINEAR)
         column = lambda j: kc[:, j]  # noqa: E731
-        fx = testing._pivoted_cholesky(kc.diagonal(), column, float(np.abs(kc).max()), cap=200)
+        fx = hsic._pivoted_cholesky(kc.diagonal(), column, float(np.abs(kc).max()), cap=200)
         assert fx.shape == (1, 200)
 
     def test_repeated_points_keep_exact_ties(self):
@@ -516,31 +515,27 @@ class TestFactoredNull:
 class TestGramFreeSide:
     """The centered factor a test takes for a side is the dense side, to roundoff."""
 
-    @staticmethod
-    def _side(spec, points):
-        n = len(points)
-        cap = FACTOR_RANK_CAP_PER_ROOT * math.isqrt(n)
-        return gram_free_side(spec, points, cap, testing._pivoted_cholesky)
-
     @pytest.mark.parametrize("duplicated", [False, True], ids=["distinct", "duplicated"])
     @pytest.mark.parametrize("n", [40, 200, 1000])
     @pytest.mark.parametrize("d", [1, 2, 5])
     @pytest.mark.parametrize("family", ["gaussian", "laplace", "linear"])
-    def test_bitwise_the_dense_side(self, family, d, n, duplicated):
+    def test_bitwise_the_dense_side(self, family, d, n, duplicated, monkeypatch):
         # Bit for bit: the resolved bandwidth, and the factor columns of
         # repeated points.  Within n * eps * max K_ii: Fc' Fc against the
         # dense HKH, and the scale against max|HKH|.
         pts = np.random.default_rng(n * d).normal(size=(n, d)) * 2.0 + 0.5
         if duplicated:  # the first third again as the last third
             pts[n - n // 3 :] = pts[: n // 3]
-        spec, fc, scale = self._side(KernelSpec(family), pts)
+        caps, pivoted = [], hsic._pivoted_cholesky
+        recording = lambda *args: caps.append(args[-1]) or pivoted(*args)  # noqa: E731
+        monkeypatch.setattr(hsic, "_pivoted_cholesky", recording)
+        spec, fc, scale = gram_free_side(KernelSpec(family), pts)
         dense_spec, kc, dense_scale = centered_side(KernelSpec(family), pts)
         assert spec == dense_spec
         assert family == "linear" or spec.bandwidth == float(np.median(pdist(pts)))
         k = gram_entries(spec, pts)
-        cap = FACTOR_RANK_CAP_PER_ROOT * math.isqrt(n)
-        if fc is None:  # K itself needs more pivots than the cap
-            assert testing._pivoted_cholesky(k.diagonal(), lambda j: k[:, j], 1.0, cap) is None
+        if fc is None:  # K itself needs more pivots than the cap gram_free_side set
+            assert pivoted(k.diagonal(), lambda j: k[:, j], 1.0, caps[0]) is None
             return
         tolerance = n * EPS * k.diagonal().max()
         assert np.abs(fc.T @ fc - kc).max() <= tolerance
@@ -553,7 +548,7 @@ class TestGramFreeSide:
         # floor the side factors to rank 0, and the test gives p = 1.
         d = Dataset(_ring(0, 60).x_points, np.full((60, 1), 3.7))
         assert d.y_points.mean() != 3.7
-        _, fc, scale = gram_free_side(LINEAR, d.y_points, 28, testing._pivoted_cholesky)
+        _, fc, scale = gram_free_side(LINEAR, d.y_points)
         assert scale == 0.0 and not fc.any()
         assert fc.shape == (0, 60)
         cfg = PermutationConfig(99, 0.05, 0)
@@ -561,7 +556,7 @@ class TestGramFreeSide:
 
     def test_overflowing_linear_side_falls_back_to_dense_and_exits_3(self, tmp_path, capsys):
         d = _ring(0, 60)
-        _, fc, scale = gram_free_side(LINEAR, d.y_points * 1e200, 28, testing._pivoted_cholesky)
+        _, fc, scale = gram_free_side(LINEAR, d.y_points * 1e200)
         assert not math.isfinite(scale)
         assert fc is None
         path = tmp_path / "huge.csv"
@@ -576,13 +571,13 @@ class TestGramFreeSide:
         # FACTOR_MIN_SCALE: centering its factor would cancel all but that.
         d = _ring(1, 1000)
         ky = KernelSpec("gaussian", 100.0)
-        _, fc, scale = self._side(ky, d.y_points)
+        _, fc, scale = gram_free_side(ky, d.y_points)
         assert fc is None and scale < hsic.FACTOR_MIN_SCALE
         built = []
 
-        def recording(spec, points, out=None):
+        def recording(spec, points):
             built.append(spec)
-            return centered_side(spec, points, out)
+            return centered_side(spec, points)
 
         monkeypatch.setattr(testing, "centered_side", recording)
         res = permutation_test(d, GAUSS_MEDIAN, ky, PermutationConfig(20, 0.05, 0))
