@@ -14,10 +14,13 @@ Gram entries are computed by one row-block kernel, :func:`_gram_rows`, which
 serves the whole Gram of :func:`gram_entries` and the pivot columns of a
 factored side in :mod:`hsictest.hsic` alike; each entry depends only on its
 pair, so rows built alone equal those of the whole matrix bit for bit.  The
-median bandwidth is selected exactly from the upper triangle of the
-distances in chunked passes (:func:`median_heuristic`).  Only while the
-n(n-1)/2 pairs fit in one block of 2^16 floats (n <= 362) is the full n x n
-distance matrix, at most 1 MB, partitioned instead.
+median bandwidth is selected exactly (:func:`median_heuristic`).  Only while
+the n(n-1)/2 pairs fit in one block of 2^16 floats (n <= 362) is the full
+n x n distance matrix, at most 1 MB, partitioned.  Beyond it, 1-D points are
+sorted once and the pairs at or below a threshold are counted row by row
+in O(n log n) time and O(n) memory (:mod:`hsictest._selection`); points of
+d > 1 coordinates are counted in chunked passes over the upper triangle of
+the distances, in O(n^2) time.
 
 A kernel is characteristic when its mean embedding is injective on probability
 measures; that is the property the test needs of each marginal kernel.  Two
@@ -38,6 +41,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+
+from ._selection import _SAMPLE_PAIRS_PER_ROOT, _bracket, _sorted_order_statistics
 
 MEDIAN_BANDWIDTH = "median"
 
@@ -189,10 +194,12 @@ def median_heuristic(points) -> float:
     (every pair coincident) raises :class:`AllPointsIdenticalError`.  The two
     middle squared distances (one for an odd count) are selected exactly
     by :func:`_order_statistics`, which holds the n x n matrix only for
-    n <= 362; only they are square-rooted, and they are averaged as
+    n <= 362, and selects those of 1-D points in O(n log n) time and O(n)
+    memory; only they are square-rooted, and they are averaged as
     ``np.median`` averages them.  sqrt is correctly rounded and so
     monotone: the square roots of the middle squared distances are the
-    middle distances.
+    middle distances.  A squared distance that overflows is inf, as in
+    scipy's ``pdist``, so the median can be inf.
     """
     pts = as_points(points)
     n = pts.shape[0]
@@ -226,7 +233,9 @@ def _order_statistics(pts: np.ndarray, ranks: list[int]) -> list[float]:
     pass drops at least one sample value from the interval, and one with no
     sample value left keeps the whole interval.  When the whole triangle
     fits in one block there is no sample and no pass: the full matrix is
-    partitioned directly.
+    partitioned directly.  Beyond that, 1-D points make no pass over the
+    triangle: they are sorted and counted row by row
+    (:mod:`hsictest._selection`), holding at most one block of values.
     """
     n = pts.shape[0]
     m = n * (n - 1) // 2
@@ -237,6 +246,8 @@ def _order_statistics(pts: np.ndarray, ranks: list[int]) -> list[float]:
         flat = _pairwise(pts[:, None], pts[None], True, np.empty((n, n))).reshape(-1)
         flat.partition([n + 2 * k for k in ranks])
         return [flat[n + 2 * k] for k in ranks]
+    if pts.shape[1] == 1:
+        return _sorted_order_statistics(np.sort(pts[:, 0]), ranks, _BLOCK_FLOATS)
     sample = _sampled_squared(pts, m)
     lo, hi, below, inside = -np.inf, np.inf, 0, m  # ranks below..below+inside lie in (lo, hi)
     found, exact = {}, False
@@ -263,12 +274,6 @@ def _order_statistics(pts: np.ndarray, ranks: list[int]) -> list[float]:
     return [found[k] for k in ranks]
 
 
-# The bandwidth's pair sample has this many pairs per square root of the
-# pair count: at n = 1000, 5656 pairs, and a bracket holding about 5% of the
-# distances.
-_SAMPLE_PAIRS_PER_ROOT = 8
-
-
 def _sampled_squared(pts: np.ndarray, m: int) -> np.ndarray:
     """Sorted squared distances of ``8 * isqrt(m)`` random pairs i != j, from a fixed seed.
 
@@ -285,20 +290,6 @@ def _sampled_squared(pts: np.ndarray, m: int) -> np.ndarray:
     values = _pairwise(pts[i], pts[j], True, np.empty(size))
     values.sort()
     return values
-
-
-def _bracket(sample: np.ndarray, lo: float, hi: float, first: float, last: float):
-    """Thresholds lo <= t1 <= t2 <= hi around the fractions ``first`` and ``last`` of (lo, hi).
-
-    They are the sample values inside (lo, hi) at those fractions, widened
-    by ``2 * sqrt(s) + 1`` places for s such values (four standard
-    deviations of a sample rank); past either end they are lo or hi.
-    """
-    s = sample[np.searchsorted(sample, lo, "right") : np.searchsorted(sample, hi, "left")]
-    margin = 2 * math.isqrt(len(s)) + 1
-    i = math.floor(first * len(s)) - margin
-    j = math.floor(last * len(s)) + margin
-    return (s[i] if i >= 0 else lo), (s[j] if j < len(s) else hi)
 
 
 def _upper_blocks(n: int):

@@ -48,11 +48,12 @@ reduction by construction:
 The path depends on the data alone, never on ``threads``.  From
 ``TAKE_MIN_N`` points on, a factored test holds nothing that grows with B,
 and from n = 363 on no n x n array: side x is factored, and if it factors,
-so is side y.  A median bandwidth is selected exactly in chunked passes over
-the distances; only while the n(n - 1)/2 pairs fit in one block of 2^16
-floats (n <= 362) is the full n x n distance matrix, at most 1 MB,
-partitioned instead (``kernels._order_statistics``).  Only the dense path
-holds Grams, one buffer per side, built with the bandwidths already
+so is side y.  A median bandwidth is selected exactly, from the sorted
+points by row counts in O(n) memory for a 1-D side, and in chunked passes
+over the distances otherwise; only while the n(n - 1)/2 pairs fit in one
+block of 2^16 floats (n <= 362) is the full n x n distance matrix, at most
+1 MB, partitioned instead (``kernels._order_statistics``).  Only the dense
+path holds Grams, one buffer per side, built with the bandwidths already
 resolved.  The permutations are never held: each chunk of the null draws
 its rows one block at a time (:func:`_draw_rows`) and reduces them at
 once.  Before a test starts, and again before a Gram path allocates its

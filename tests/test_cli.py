@@ -511,6 +511,24 @@ class TestExitCodes:
         assert report is None
         assert "non-finite" in err
 
+    def test_overflowing_median_bandwidth_exits_2(self, tmp_path, capsys):
+        # 400 points, past the full-matrix median: the squared distances of
+        # 1e200 overflow, so the median bandwidth is inf, as np.median of
+        # scipy's distances is, and is refused.
+        x = np.random.default_rng(0).normal(size=400) * 1e200
+        rows = "".join(f"{float(a)!r},{b}\n" for b, a in enumerate(x))
+        path = tmp_path / "huge.csv"
+        path.write_text("x,y\n" + rows)
+        with np.errstate(over="ignore"):
+            code, report, err = run_cli(
+                ["test", str(path), "--x-columns", "x", "--y-columns", "y",
+                 "--kernel-x", "gaussian:median", "--permutations", "20"],
+                capsys,
+            )
+        assert code == 2
+        assert report is None
+        assert "bandwidth must be positive and finite" in err
+
 
 def _python(*args):
     """``python *args`` in a child process that imports the package from this tree's ``src``."""

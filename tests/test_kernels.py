@@ -1,5 +1,8 @@
 """Kernel evaluation, bandwidth resolution, Gram assembly, strict-pd probing."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,14 +13,17 @@ import oracles
 from hsictest import (
     MEDIAN_BANDWIDTH,
     AllPointsIdenticalError,
+    GeneratorKind,
+    GeneratorSpec,
     KernelFamily,
     KernelSpec,
     median_heuristic,
     parse_kernel,
     resolve_bandwidth,
+    sample,
     strict_pd_witness,
 )
-from hsictest import kernels
+from hsictest import _selection, kernels
 from hsictest.kernels import _pairwise, as_points, gram_entries
 
 coords = st.floats(-20.0, 20.0, allow_nan=False, allow_infinity=False)
@@ -250,6 +256,192 @@ class TestMedianHeuristic:
         assert resolved.bandwidth == 2.0
         concrete = KernelSpec(KernelFamily.LAPLACE, 0.3)
         assert resolve_bandwidth(concrete, [0.0, 1.0]) is concrete
+
+
+def _tied_across(n_each=700):
+    """``n_each`` points at 1e-17 and as many in [-1, -0.5), shuffled.
+
+    For x in [-1, -0.5), 1e-17 - x rounds to -x, so x + sqrt((1e-17 - x)^2)
+    is 0: the guessed end of a row at a threshold equal to its value at the
+    tied points falls short of all of them.
+    """
+    pts = np.concatenate([np.linspace(-1.0, -0.5, n_each, endpoint=False), np.full(n_each, 1e-17)])
+    np.random.default_rng(0).shuffle(pts)
+    return pts
+
+
+def _one_dimensional(kind, n=1000):
+    rng = np.random.default_rng(n)
+    tied = 7 * n // 10  # 700 of 1000 points coincide
+    return {
+        "normal": lambda: rng.normal(size=n),
+        "ties": lambda: np.concatenate([np.full(tied, 0.3), rng.normal(size=n - tied)]),
+        "tied_across": lambda: _tied_across(n // 2),
+        "rounded": lambda: np.round(rng.normal(size=n), 1),
+        "sorted": lambda: np.sort(rng.normal(size=n)),
+        "reverse_sorted": lambda: np.sort(rng.normal(size=n))[::-1],
+        "negative": lambda: -5.0 - rng.exponential(size=n),
+        "tiny": lambda: rng.normal(size=n) * 1e-5,
+        "large": lambda: rng.normal(size=n) * 1e5,
+        "overflowing": lambda: rng.normal(size=n) * 1e200,
+        "partly_overflowing": lambda: rng.normal(size=n) * np.where(rng.random(n) < 0.3, 1e200, 1),
+    }[kind]()
+
+
+class TestOneDimensionalMedian:
+    """The median of 1-D points: sorted once and counted per row, without a row-block pass."""
+
+    @pytest.fixture
+    def no_count_pass(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("a 1-D median made a row-block pass")
+
+        monkeypatch.setattr(kernels, "_count_pass", refused)
+
+    @pytest.mark.parametrize(
+        "kind",
+        [
+            "normal", "ties", "tied_across", "rounded", "sorted", "reverse_sorted",
+            "negative", "tiny", "large", "overflowing", "partly_overflowing",
+        ],
+    )
+    def test_bitwise_equal_to_numpy_median(self, kind, no_count_pass):
+        pts = _one_dimensional(kind)
+        with np.errstate(over="ignore"):
+            expected = float(np.median(pdist(pts[:, None])))
+            assert median_heuristic(pts) == expected
+        assert np.isinf(expected) == kind.endswith("overflowing")
+
+    @pytest.mark.parametrize("n", [362, 363])
+    @pytest.mark.parametrize("decimals", [None, 1])
+    def test_at_the_full_matrix_bound(self, n, decimals, monkeypatch):
+        # 362 points make 65 341 pairs and partition the full matrix; 363
+        # make 65 703, one block too many, and take the row counts.
+        pts = _one_dimensional("normal", n)
+        if decimals is not None:
+            pts = np.round(pts, decimals)
+        passes = []
+        sorted_statistics = kernels._sorted_order_statistics
+        monkeypatch.setattr(
+            kernels,
+            "_sorted_order_statistics",
+            lambda *args: passes.append(n) or sorted_statistics(*args),
+        )
+        assert median_heuristic(pts) == float(np.median(pdist(pts[:, None])))
+        assert passes == ([] if n == 362 else [363])
+
+    def test_coincident_points_raise(self, no_count_pass):
+        with pytest.raises(AllPointsIdenticalError):
+            median_heuristic(np.full(500, -2.5))
+
+    @given(
+        st.integers(0, 2**31 - 1),
+        st.integers(2, 40),
+        st.sampled_from([None, 0, 1]),
+        st.sampled_from([64, 8]),
+        st.booleans(),
+    )
+    @settings(max_examples=200)
+    def test_small_blocks_and_skewed_samples(self, seed, n, decimals, block, skewed):
+        # Blocks of 64 or 8 floats send a few points to the row counts and
+        # make them narrow the interval over several passes; a skewed sample
+        # (the lowest third of each) misses the rank, so the passes count the
+        # values at the thresholds.
+        pts = np.random.default_rng(seed).normal(size=n)
+        if decimals is not None:
+            pts = np.round(pts, decimals)
+        sampled = _selection._sampled_between
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "_BLOCK_FLOATS", block)
+            mp.setattr(kernels, "_count_pass", None)  # never called in 1-D
+            if skewed:
+                mp.setattr(
+                    _selection, "_sampled_between",
+                    lambda *args: (s := sampled(*args))[: len(s) // 3 + 1],
+                )
+            distances = pdist(pts[:, None])
+            if not np.any(distances > 0.0):
+                with pytest.raises(AllPointsIdenticalError):
+                    median_heuristic(pts)
+            else:
+                assert median_heuristic(pts) == float(np.median(distances))
+
+    def test_skewed_sample_counts_at_a_threshold(self, monkeypatch):
+        counts = []
+        row_ends, sampled = _selection._row_ends, _selection._sampled_between
+        monkeypatch.setattr(
+            _selection, "_row_ends",
+            lambda s, t, strict: counts.append((t, strict)) or row_ends(s, t, strict),
+        )
+        monkeypatch.setattr(
+            _selection, "_sampled_between", lambda *args: (s := sampled(*args))[: len(s) // 3 + 1]
+        )
+        pts = _one_dimensional("rounded")
+        assert median_heuristic(pts) == float(np.median(pdist(pts[:, None])))
+        # Some threshold was counted both below and at or below.
+        assert {t for t, strict in counts if strict} & {t for t, strict in counts if not strict}
+
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("kind", ["rounded", "ties", "tied_across", "partly_overflowing"])
+    def test_row_ends_match_a_scan(self, kind, strict):
+        s = np.sort(_one_dimensional(kind, 300))
+        rows = np.arange(len(s))
+        with np.errstate(over="ignore"):
+            values = np.square(s[None, :] - s[:, None])
+            upper = np.sort(values[np.triu_indices(len(s), 1)])
+            for t in (*upper[[0, 7, len(upper) // 2, -1]], 0.0, np.inf):
+                counted = (values < t) if strict else (values <= t)
+                counted &= rows[None, :] > rows[:, None]
+                expected = rows + 1 + counted.sum(axis=1)
+                assert np.array_equal(_selection._row_ends(s, t, strict), expected)
+
+    def test_ties_take_logarithmically_many_steps(self, monkeypatch):
+        # The guessed ends fall short of the 700 tied points, and are mended
+        # in O(log n) vectorised steps, where steps of one would take 700.
+        steps = []
+        counted, row_ends = _selection._counted, _selection._row_ends
+
+        def counting(*args):
+            steps[-1] += 1
+            return counted(*args)
+
+        def recording(*args, **kwargs):
+            steps.append(0)
+            return row_ends(*args, **kwargs)
+
+        monkeypatch.setattr(_selection, "_counted", counting)
+        monkeypatch.setattr(_selection, "_row_ends", recording)
+        pts = _tied_across()
+        assert median_heuristic(pts) == float(np.median(pdist(pts[:, None])))
+        assert 10 < max(steps) <= 2 * math.log2(len(pts)) + 2
+
+    def test_count_pass_serves_only_several_dimensions(self, monkeypatch):
+        calls = []
+        count_pass = kernels._count_pass
+        monkeypatch.setattr(
+            kernels, "_count_pass", lambda *args: calls.append(args) or count_pass(*args)
+        )
+        ring = sample(GeneratorSpec(GeneratorKind.RING_UNIFORM, seed=0), 1000)
+        median_heuristic(ring.x_points)
+        median_heuristic(ring.y_points)
+        assert calls == []
+        median_heuristic(np.hstack([ring.x_points, ring.y_points]))
+        assert calls
+
+    def test_peak_memory_is_linear_in_n(self):
+        # 20 000 points make 2e8 pairs; the median holds the sorted points,
+        # a few vectors of row ends, a sample of at most n pairs and at most
+        # _BLOCK_FLOATS kept values (about 1.7 MB here).  Holding every
+        # value of the first bracket took 2.4 M floats (19 MB).
+        pts = sample(GeneratorSpec(GeneratorKind.RING_UNIFORM, seed=0), 20_000).x_points
+        median_heuristic(pts)
+        tracemalloc.start()
+        try:
+            median_heuristic(pts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
 
 
 class TestGram:
