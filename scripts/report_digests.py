@@ -11,7 +11,8 @@ same numbers on every command of the corpus:
 * ``test`` on seeded ring CSVs at n = 8, 39, 40, 200 and 1000, with a
   ``gaussian:median`` x kernel against ``gaussian:median``, ``linear`` and
   ``laplace:median`` y kernels;
-* ``reproduce-ring`` at n = 8 and 45;
+* ``reproduce-ring`` at n = 8, 39 (the largest batched n) and 45, and at
+  n = 200 with radial noise 0.1 (factored sides);
 * ``oracle-sweep`` on the 3x3 grid at resolution 4, with median Gaussian
   kernels, and with a linear y kernel on centered supports.
 
@@ -55,9 +56,9 @@ def corpus(workdir: Path) -> list[list[str]]:
                 "--kernel-x", "gaussian:median", "--kernel-y", ky,
                 "--permutations", "200", "--seed", "7", "--threads", "2",
             ])
-    for n in (8, 45):
+    for ring in (["8"], ["39"], ["45"], ["200", "--noise", "0.1"]):
         commands.append([
-            "reproduce-ring", "--n", str(n), "--trials", "6",
+            "reproduce-ring", "--n", *ring, "--trials", "6",
             "--permutations", "100", "--seed", "3", "--threads", "2",
         ])
     sweep = ["oracle-sweep", "--mx", "3", "--my", "3", "--resolution", "4", "--threads", "2"]

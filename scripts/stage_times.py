@@ -62,10 +62,15 @@ from hsictest.testing import (
     _null_function,
     _pool_size,
     _Rows,
+    _run_chunks,
 )
 
 KERNEL_X = "gaussian:median"
-NULL_PATHS = {"_factored_statistics": "factored", "_permuted_statistics": "dense"}
+NULL_PATHS = {
+    "_factored_statistics": "factored",
+    "_taken_statistics": "dense",
+    "_gathered_statistics": "batched",
+}
 
 
 def write_ring_csv(path: Path, n: int, seed: int):
@@ -103,15 +108,16 @@ def one_split(data, kx, ky, args, pool, workers) -> dict:
     n, b = data.n, args.permutations
     split = {**side_split(kx, data.x_points, "x"), **side_split(ky, data.y_points, "y")}
     _, split["draw"] = timed(lambda: draw_alone(args.seed, b, n))
-    (*_, statistics), sides = timed(lambda: _null_function(data, kx, ky, workers, 8 * b))
-    observed = statistics(np.arange(n, dtype=np.intp)[None, :])[0]
+    (*_, nulls), sides = timed(lambda: _null_function(data, kx, [ky], workers, 8 * b))
+    observed = _run_chunks(nulls, np.arange(n, dtype=np.intp)[None, :])[0, 0]
     perms = _Rows(b, n, partial(_draw_rows, args.seed, n))
-    null, null_s = timed(lambda: statistics(perms, pool, workers))
+    chunks = workers if n >= TAKE_MIN_N else 1  # a batched null runs on the calling thread
+    null, null_s = timed(lambda: _run_chunks(nulls, perms, pool, chunks)[0])
     _, p_value = timed(lambda: (p_value_from_null(observed, null), np.quantile(null, 0.95)))
     return {
         "stages": {"sides": sides, "null": null_s, "p_value": p_value},
         "split": split,
-        "null_path": NULL_PATHS[statistics.func.__name__] if n >= TAKE_MIN_N else "batched",
+        "null_path": NULL_PATHS[nulls[0].statistics.func.__name__],
     }
 
 

@@ -6,9 +6,14 @@ factor, by ``hsic.gram_free_side`` (median bandwidth, centering and the
 scale ``max|HKH|``), and each replicate reindexes the centered y side by a
 random permutation.  That is exact, not an approximation: H commutes with
 permutation matrices, so reindexing HLH equals recomputing H L_pi H.  Both
-tests share one body and report the resolved kernels in ``TestResult``.  A
-constant side is centered to exact zero, so its statistic and every
-replicate are 0 and p = 1 on every path.
+tests share one body and report the resolved kernels in ``TestResult``.  That
+body takes a list of y kernels: side x is built once, each block of
+permutation rows is drawn once and reduced under every y side, and each y
+side's result is the one a test of it alone gives, bit for bit.  A power
+experiment runs each trial that way for all its y kernels, so a trial
+samples, builds x and draws once, not once per y kernel.  A constant side is
+centered to exact zero, so its statistic and every replicate are 0 and p = 1
+on every path.
 
 p-values use the add-one estimator (1 + #{T_b >= T_0}) / (B + 1), counting
 ties as exceedances; it never returns 0 and stays valid under exchangeability.
@@ -29,9 +34,10 @@ The null has three paths, and the observed statistic is always the null's
 own function applied to the identity permutation, so the two share one
 reduction by construction:
 
-* Batched, below ``TAKE_MIN_N`` points: each block of replicates is gathered
-  at once by 3-D fancy indexing and reduced by one einsum, since
-  per-replicate Python overhead dominates tiny Grams.
+* Batched, below ``TAKE_MIN_N`` points: replicates are gathered many at a
+  time, by two contiguous ``take``s into one workspace per chunk (a column
+  take of the y-side Gram, then a row take of that), and reduced by one
+  einsum, since per-replicate Python overhead dominates tiny Grams.
 * Factored, from ``TAKE_MIN_N`` on when both sides are numerically low
   rank: each side is a centered factor from ``hsic.gram_free_side``,
   ``Kc ~= Fx' Fx`` and ``Lc ~= Fy' Fy``, and replicate p is
@@ -54,23 +60,25 @@ over the distances otherwise; only while the n(n - 1)/2 pairs fit in one
 block of 2^16 floats (n <= 362) is the full n x n distance matrix, at most
 1 MB, partitioned instead (``kernels._order_statistics``).  Only the dense
 path holds Grams, one buffer per side, built with the bandwidths already
-resolved.  The permutations are never held: each chunk of the null draws
-its rows one block at a time (:func:`_draw_rows`) and reduces them at
-once.  Before a test starts, and again before a Gram path allocates its
-Grams, the bytes the path will hold (its Gram buffers, two take buffers per
-null worker on the dense path, and the B null statistics) are checked
-against ``MEMORY_BUDGET_BYTES``, capped by physical memory; over it, the
-test raises ``ValueError`` at once instead of running out of memory
-part-way.
+resolved; with several y kernels, side x's Gram is built once, and only if
+a y side does not factor.  The permutations are never held: each chunk of
+the null draws its rows one block at a time (:func:`_draw_rows`) and
+reduces them at once.  Before a test starts, and again before a Gram path
+allocates its Grams, the bytes the path will hold (its Gram buffers, two
+take buffers per null worker on the dense path, and the B null statistics
+of each y side) are checked against ``MEMORY_BUDGET_BYTES``, capped by
+physical memory; over it, the test raises ``ValueError`` at once instead
+of running out of memory part-way.
 
 From ``TAKE_MIN_N`` points on, the null also runs on one thread pool of up
 to ``threads`` workers: the replicates of the two per-replicate paths are
 split into contiguous chunks, each drawing its own rows.  The sides are
 built on the calling thread.  Every replicate is computed the same way
 whatever the chunking, so no number depends on the thread count.  Every
-large array (each n x n Gram, and each chunk's block of rows and buffers)
-is allocated on the calling thread: allocated on a pool thread, it would
-come from that thread's own malloc arena and raise the peak memory.
+large array (each n x n Gram, and each chunk's block of rows and its one
+workspace) is allocated on the calling thread: allocated on a pool thread,
+it would come from that thread's own malloc arena and raise the peak
+memory.
 """
 
 from __future__ import annotations
@@ -108,16 +116,20 @@ from .rng import (
 EXHAUSTIVE_MAX_N = 6
 
 # Smallest n whose null runs one replicate at a time by row-then-column take.
-# Measured single-threaded per replicate (numpy 2.4, 2-vCPU x86-64 VM):
-# batched gather vs take/take, 0.34 vs 3.1 us at n=8, 7.2 vs 8.2 us at n=32,
-# 8.9 vs 8.8 us at n=36, 11 vs 10 us at n=40, 20 vs 10 us at n=64 and
-# 6.5 vs 2.8 ms at n=1000.
+# Measured single-threaded per replicate in blocks of 2^15 words (numpy 2.4,
+# 2-vCPU x86-64 VM), the batched gather by two takes vs take/take: 0.23 vs
+# 6.6 us at n=8, 3.0-3.3 vs 8.9-9.0 us at n=32, 3.7-4.1 vs 9.9-10.2 us at
+# n=36, 4.7-5.1 vs 10.3-10.6 us at n=40, 11-12 vs 16 us at n=64, and 44-50
+# vs 46-47 us at n=128.  A batched dense null would pay up to about n=128,
+# but the cutoff also starts the factored path and the test's pool, so moving
+# it would move the n = 40 reports pinned by the digests; it stays at 40.
 TAKE_MIN_N = 40
 
-# The factored null gathers the permuted y-side factor in blocks of at most
-# this many floats (512 KB) per worker; at n=1000 and rank 12, blocks of
-# 2^16 floats ran the null 1.2x faster than 2^18 and 1.8x faster than 2^20.
-_FACTOR_BLOCK_FLOATS = 1 << 16
+# The factored and batched nulls gather in blocks of at most this many floats
+# (512 KB) per worker: the permuted y-side factor, or both halves of the
+# batched gather.  At n=1000 and rank 12, blocks of 2^16 floats ran the
+# factored null 1.2x faster than 2^18 and 1.8x faster than 2^20.
+_GATHER_BLOCK_FLOATS = 1 << 16
 
 # Each chunk of the null draws its permutations in blocks of rows of at most
 # this many words (256 KB), and reduces each block before it draws the next,
@@ -274,36 +286,50 @@ def _as_rows(perms) -> _Rows:
     return _Rows(*perms.shape, blocks)
 
 
-def _run_chunks(
-    run, perms, pool, workers: int, buffers, words: int | None = None
-) -> np.ndarray:
-    """The null of ``perms``: ``run(rows, out, *buffers(size))`` over blocks of its rows.
+class _Null(NamedTuple):
+    """The null of one y side against side x, a block of permutation rows at a time.
+
+    ``statistics(rows, out, work)`` writes the statistics of ``rows`` to
+    ``out``, using ``work``, a flat float workspace of at least
+    ``floats(len(rows))`` entries.  ``words`` caps the words of a drawn
+    block.  Each replicate's value does not depend on its block.
+    """
+
+    statistics: Callable[[np.ndarray, np.ndarray, np.ndarray], None]
+    floats: Callable[[int], int]
+    words: int
+
+
+def _run_chunks(nulls: list[_Null], perms, pool=None, workers: int = 1) -> np.ndarray:
+    """The statistics of ``perms`` under each of ``nulls``, one row of the result per null.
 
     ``perms`` is a :class:`_Rows` stream or a (num, n) array.  Its rows are
     split into ``workers`` contiguous chunks on ``pool`` (a lone chunk runs
     on the calling thread, and ``pool`` may then be None).  Each chunk takes
-    its rows a block of at most ``words`` words (``_DRAW_BLOCK_WORDS`` when
-    None) at a time, drawn as it goes, and has ``run`` write their
-    statistics to ``out``, a view of the null, so no (num, n) array is ever
-    held.  Each chunk's block and its
-    ``buffers`` for blocks of up to ``size`` rows are allocated here, on the
-    calling thread: allocating on the pool threads made peak memory depend
-    on how the threads' allocations happened to interleave.
+    its rows a block at a time, drawn as it goes, at the smallest ``words``
+    of the nulls, and reduces each block under every null before it takes
+    the next, so the rows are drawn once for all the nulls and no (num, n)
+    array is ever held.  Each chunk's block and its one workspace, sized for
+    the largest of the nulls, are allocated here, on the calling thread:
+    allocating on the pool threads made peak memory depend on how the
+    threads' allocations happened to interleave.
     """
     num, n, blocks = _as_rows(perms)
-    null = np.empty(num)
-    step = max(1, (words or _DRAW_BLOCK_WORDS) // n)
+    null = np.empty((len(nulls), num))
+    step = max(1, min(side.words for side in nulls) // n)
 
-    def chunk(lo: int, hi: int, block: np.ndarray, *bufs) -> None:
+    def chunk(lo: int, hi: int, block: np.ndarray, work: np.ndarray) -> None:
         for start, rows in blocks(lo, hi, block):
-            run(rows, null[start : start + len(rows)], *bufs)
+            for side, out in zip(nulls, null):
+                side.statistics(rows, out[start : start + len(rows)], work)
 
     workers = max(1, min(workers, num))
     edges = [num * k // workers for k in range(workers + 1)]
     calls = []
     for lo, hi in zip(edges[:-1], edges[1:]):
         size = min(step, hi - lo)
-        calls.append((lo, hi, np.empty((size, n), dtype=np.intp), *buffers(size)))
+        work = np.empty(max(side.floats(size) for side in nulls))
+        calls.append((lo, hi, np.empty((size, n), dtype=np.intp), work))
     if len(calls) == 1:
         chunk(*calls[0])
     else:
@@ -311,79 +337,92 @@ def _run_chunks(
     return null
 
 
-def _gathered_statistics(kc: np.ndarray, lc: np.ndarray, perms: np.ndarray, out: np.ndarray):
-    """``out[b] = sum(kc * lc[p, p]) / n^2`` for each row p of ``perms``.
+def _gather_rows(floats: int) -> int:
+    """Rows a gather of ``floats`` floats a row takes at once, within ``_GATHER_BLOCK_FLOATS``."""
+    return max(1, _GATHER_BLOCK_FLOATS // floats)
 
-    The block is gathered at once by 3-D fancy indexing and reduced by one
-    einsum; each replicate's value does not depend on its block.  A flat
-    ``take`` in batches of 2^15 floats ran the null alone faster, but in a
-    two-thread ``reproduce-ring --n 8`` its 256 KB temporaries were returned
-    to the system after every test: 13 133 page faults per command against
-    16, and the command 18% slower.
+
+def _gathered_statistics(
+    kc: np.ndarray, lc: np.ndarray, perms: np.ndarray, out: np.ndarray, work: np.ndarray
+) -> None:
+    """``out[b] = sum(kc * lc[p, p]) / n^2`` for each of the b rows p of ``perms``.
+
+    The rows are gathered by two contiguous ``take``s into ``work``:
+    ``lc.take(p, axis=1)``, of shape (n, b, n), then its rows ``p * b +
+    arange(b)[:, None]``, which give ``lc[p[:, :, None], p[:, None, :]]``
+    bit for bit; one einsum reduces them.  The batched null draws blocks of
+    at most ``_GATHER_BLOCK_FLOATS // n^2`` rows, so each half of the gather
+    stays within ``_GATHER_BLOCK_FLOATS`` floats of the one workspace.  As
+    separate allocations, or as one workspace of half the size, the halves
+    were returned to the system after every test of a two-thread
+    ``reproduce-ring --n 8``: about 50 000 and 9 200 page faults per
+    command, against 8 in one 1 MB workspace.  Drawing blocks of that many
+    rows rather than of ``_DRAW_BLOCK_WORDS`` words also kept the draw's
+    temporaries small, and the command's peak RSS 0.5 MB lower.
     """
-    n = lc.shape[0]
-    out[:] = np.einsum("ij,bij->b", kc, lc[perms[:, :, None], perms[:, None, :]])
+    n, b = lc.shape[0], len(perms)
+    cols = work[: n * b * n].reshape(n, b, n)
+    both = work[n * b * n : 2 * n * b * n].reshape(b, n, n)
+    lc.take(perms, axis=1, out=cols, mode="clip")
+    cols.reshape(n * b, n).take(perms * b + np.arange(b)[:, None], axis=0, out=both, mode="clip")
+    out[:] = np.einsum("ij,bij->b", kc, both)
     out /= n * n
 
 
-def _permuted_statistics(
-    kc: np.ndarray, lc: np.ndarray, perms, pool=None, workers: int = 1
-) -> np.ndarray:
-    """V-statistics for each permutation: sum(Kc * Lc[p, p]) / n^2.
+def _taken_statistics(
+    kc: np.ndarray, lc: np.ndarray, perms: np.ndarray, out: np.ndarray, work: np.ndarray
+) -> None:
+    """``out[b] = sum(kc * lc[p, p]) / n^2``, a replicate at a time by a row then a column take."""
+    n = lc.shape[0]
+    rows, both = work[: n * n].reshape(n, n), work[n * n : 2 * n * n].reshape(n, n)
+    # The indices are a permutation, so mode="clip" changes no value; it
+    # only lets ``take`` write into ``work`` without an extra buffered copy.
+    for b, p in enumerate(perms):
+        lc.take(p, axis=0, out=rows, mode="clip")
+        rows.take(p, axis=1, out=both, mode="clip")
+        out[b] = centered_product(kc, both)
 
-    ``perms`` is a :class:`_Rows` stream or a (num, n) array.  Below
-    ``TAKE_MIN_N`` points each block of replicates is gathered at once, on
-    the calling thread; from there on, they run in ``workers`` chunks on
-    ``pool`` (see :func:`_run_chunks`).
-    """
+
+def _dense_null(kc: np.ndarray, lc: np.ndarray) -> _Null:
+    """The null of centered Grams: batched below ``TAKE_MIN_N`` points, then per replicate."""
     n = lc.shape[0]
     if n < TAKE_MIN_N:
-        return _run_chunks(partial(_gathered_statistics, kc, lc), perms, None, 1, lambda _: ())
-
-    # The indices are a permutation, so mode="clip" changes no value; it
-    # only lets ``take`` write into ``out`` without an extra buffered copy.
-    def run(perms: np.ndarray, out: np.ndarray, rows: np.ndarray, both: np.ndarray) -> None:
-        for b, p in enumerate(perms):
-            lc.take(p, axis=0, out=rows, mode="clip")
-            rows.take(p, axis=1, out=both, mode="clip")
-            out[b] = centered_product(kc, both)
-
-    def buffers(_) -> tuple[np.ndarray, np.ndarray]:
-        return np.empty((n, n)), np.empty((n, n))
-
-    return _run_chunks(run, perms, pool, workers, buffers, _DENSE_DRAW_BLOCK_WORDS)
+        words = min(_DRAW_BLOCK_WORDS, n * _gather_rows(n * n))  # a gather's rows at most
+        return _Null(partial(_gathered_statistics, kc, lc), lambda size: 2 * n * n * size, words)
+    return _Null(partial(_taken_statistics, kc, lc), lambda _: 2 * n * n, _DENSE_DRAW_BLOCK_WORDS)
 
 
 def _factored_statistics(
-    fx: np.ndarray, fy: np.ndarray, perms, pool=None, workers: int = 1
-) -> np.ndarray:
-    """``||Fx' Fy[p]||_F^2 / n^2`` for each permutation p, from factor rows fx, fy.
+    fx: np.ndarray, fy_cols: np.ndarray, perms: np.ndarray, out: np.ndarray, work: np.ndarray
+) -> None:
+    """``out[b] = ||Fx Fy[:, p]'||_F^2 / n^2`` for each row p of ``perms``.
 
-    ``perms`` is a :class:`_Rows` stream or a (num, n) array, run in
-    ``workers`` chunks on ``pool`` (see :func:`_run_chunks`).  Each
-    replicate is one (rx x n) @ (n x ry) product of a stacked ``matmul`` and
-    its own row of one batched sum of squares, so its value does not depend
-    on the block or the chunk it falls in.
+    ``fy_cols`` holds the columns of Fy as rows.  Each replicate is one
+    (rx x n) @ (n x ry) product of a stacked ``matmul`` and its own row of
+    one batched sum of squares, so its value does not depend on the block
+    it falls in.
     """
-    n = fx.shape[1]
-    fy_cols = np.ascontiguousarray(fy.T)
-    rx, ry = fx.shape[0], fy.shape[0]
-    block = max(1, _FACTOR_BLOCK_FLOATS // (n * max(ry, 1)))
+    (rx, n), ry = fx.shape, fy_cols.shape[1]
+    block = _gather_rows(n * max(ry, 1))
+    gathered = min(block, len(perms)) * n * ry  # then the products
+    for lo in range(0, len(perms), block):
+        hi = min(lo + block, len(perms))
+        g = work[: (hi - lo) * n * ry].reshape(hi - lo, n, ry)
+        np.take(fy_cols, perms[lo:hi], axis=0, out=g, mode="clip")
+        products = work[gathered : gathered + (hi - lo) * rx * ry]
+        m = np.matmul(fx, g, out=products.reshape(hi - lo, rx, ry))
+        out[lo:hi] = np.einsum("bij,bij->b", m, m)
+    out /= n * n
 
-    def run(perms: np.ndarray, out: np.ndarray, gathered: np.ndarray, products: np.ndarray):
-        for lo in range(0, len(perms), block):
-            hi = min(lo + block, len(perms))
-            g = gathered[: hi - lo]
-            np.take(fy_cols, perms[lo:hi], axis=0, out=g, mode="clip")
-            m = np.matmul(fx, g, out=products[: hi - lo])
-            out[lo:hi] = np.einsum("bij,bij->b", m, m)
-        out /= n * n
 
-    def buffers(size: int) -> tuple[np.ndarray, np.ndarray]:
-        size = min(block, size)
-        return np.empty((size, n, ry)), np.empty((size, rx, ry))
-
-    return _run_chunks(run, perms, pool, workers, buffers, _FACTOR_DRAW_BLOCK_WORDS)
+def _factored_null(fx: np.ndarray, fy: np.ndarray) -> _Null:
+    """The null of centered factors, ``Kc ~= Fx' Fx`` and ``Lc ~= Fy' Fy``."""
+    (rx, n), ry = fx.shape, fy.shape[0]
+    return _Null(
+        partial(_factored_statistics, fx, np.ascontiguousarray(fy.T)),
+        lambda size: min(size, _gather_rows(n * max(ry, 1))) * (n * ry + rx * ry),
+        _FACTOR_DRAW_BLOCK_WORDS,
+    )
 
 
 def _memory_budget() -> int:
@@ -412,32 +451,38 @@ def _check_memory(n: int, grams: int, held: int) -> None:
 
 
 def _null_function(
-    data: Dataset, kx: KernelSpec, ky: KernelSpec, workers: int = 1, held: int = 0
-):
-    """Both sides of ``data`` and the null their ranks choose: ``(kx, ky, scale, statistics)``.
+    data: Dataset, kx: KernelSpec, kys, workers: int = 1, held: int = 0
+) -> tuple[KernelSpec, list[KernelSpec], list[float], list[_Null]]:
+    """Both sides and the nulls their ranks choose: ``(kx, kys, scales, nulls)``.
 
-    ``kx`` and ``ky`` come back resolved, ``scale`` is ``max|Kc| * max|Lc|``
-    and ``statistics(perms, pool=None, workers=1)`` is the null function.
-    From ``TAKE_MIN_N`` points on, side x is built as a centered factor
-    (:func:`hsic.gram_free_side`); if it factors, so is side y, and a test
-    whose sides both factor holds no Gram.  Otherwise, or below
-    ``TAKE_MIN_N``, both sides are built densely, each into its own Gram
-    buffer, with any bandwidth already resolved, after the two Grams and
-    ``workers`` chunks of two take buffers, with ``held`` bytes already in
-    use, are checked against the memory budget.
+    The kernels come back resolved, and each y side's ``scale`` is
+    ``max|Kc| * max|Lc|``.  From ``TAKE_MIN_N`` points on, side x is built
+    as a centered factor (:func:`hsic.gram_free_side`); if it factors, so is
+    each y side, and a y side that factors takes x's factor.  If any y side
+    does not, or below ``TAKE_MIN_N``, side x's centered Gram is built once
+    as well, and each such y side into a Gram buffer of its own, with any
+    bandwidth already resolved, after those Grams and ``workers`` chunks of
+    two take buffers, with ``held`` bytes already in use, are checked
+    against the memory budget.  Each side is the one a test of that y side
+    alone builds, so each null is too.
     """
-    n = data.n
+    n, kys = data.n, list(kys)
+    nulls, scales = [None] * len(kys), [0.0] * len(kys)
     if n >= TAKE_MIN_N:
         kx, fx, x_scale = gram_free_side(kx, data.x_points)
-        if fx is not None:
-            ky, fy, y_scale = gram_free_side(ky, data.y_points)
+        for i, ky in enumerate(kys if fx is not None else ()):
+            kys[i], fy, y_scale = gram_free_side(ky, data.y_points)
             if fy is not None:
-                return kx, ky, x_scale * y_scale, partial(_factored_statistics, fx, fy)
-        del fx  # not held into the dense null
-    _check_memory(n, 2 + 2 * workers, held)
-    kx, kc, kc_max = centered_side(kx, data.x_points)
-    ky, lc, lc_max = centered_side(ky, data.y_points)
-    return kx, ky, kc_max * lc_max, partial(_permuted_statistics, kc, lc)
+                nulls[i], scales[i] = _factored_null(fx, fy), x_scale * y_scale
+        del fx  # not held into the dense nulls unless a factored null holds it
+    dense = [i for i, null in enumerate(nulls) if null is None]
+    if dense:
+        _check_memory(n, 1 + len(dense) + 2 * workers, held)
+        kx, kc, kc_max = centered_side(kx, data.x_points)
+        for i in dense:
+            kys[i], lc, lc_max = centered_side(kys[i], data.y_points)
+            nulls[i], scales[i] = _dense_null(kc, lc), kc_max * lc_max
+    return kx, kys, scales, nulls
 
 
 def _check_finite(null: np.ndarray) -> None:
@@ -453,7 +498,7 @@ def _check_finite(null: np.ndarray) -> None:
 def _calibrated(
     data: Dataset,
     kx: KernelSpec,
-    ky: KernelSpec,
+    kys,
     perms: _Rows,
     alpha: float,
     p_value,
@@ -462,38 +507,61 @@ def _calibrated(
     method: str,
     rng: str,
     threads: int = 1,
-) -> TestResult:
-    """The result of a test of ``data`` over the null of ``perms``, with ``p_value(observed, null)``.
+) -> list[TestResult]:
+    """A test of ``data`` per y kernel of ``kys`` over the null of ``perms``.
 
-    Each side is resolved and centered once, on the unpermuted data, and is
-    frozen across replicates; the marginal point sets are permutation
-    invariant anyway.  From ``TAKE_MIN_N`` points on, with ``threads`` above
-    1, the null's chunks, each drawing its own rows of ``perms``, run on the
-    test's pool.  The observed value is the null function at the identity
-    permutation, so an identity replicate reproduces it bitwise on every
-    path.
+    ``p_value(observed, null)`` gives each p-value.  Each side is resolved
+    and centered once, on the unpermuted data, and is frozen across
+    replicates; the marginal point sets are permutation invariant anyway.
+    Side x and each block of rows of ``perms`` serve every y side, so each
+    result is the one a test of its y side alone gives.  From ``TAKE_MIN_N``
+    points on, with ``threads`` above 1, the null's chunks, each drawing its
+    own rows of ``perms``, run on the test's pool.  The observed value is the
+    null function at the identity permutation, so an identity replicate
+    reproduces it bitwise on every path.
     """
     workers = _pool_size(threads, perms.num)
-    kx, ky, scale, statistics = _null_function(data, kx, ky, workers, 8 * perms.num)
+    held = 8 * perms.num * len(kys)
+    kx, kys, scales, nulls = _null_function(data, kx, kys, workers, held)
     identity = np.arange(data.n, dtype=np.intp)[None, :]
-    observed = HsicValue.from_raw(statistics(identity)[0], Estimator.BIASED_V, scale)
+    observed = [
+        HsicValue.from_raw(raw, Estimator.BIASED_V, scale)
+        for raw, scale in zip(_run_chunks(nulls, identity)[:, 0], scales)
+    ]
     size = workers if data.n >= TAKE_MIN_N else 1
     with ThreadPoolExecutor(max_workers=size) if size > 1 else nullcontext() as pool:
-        null = statistics(perms, pool, workers)
+        null = _run_chunks(nulls, perms, pool, size)
     _check_finite(null)
-    p = p_value(observed.raw, null)
-    return TestResult(
-        statistic=observed,
-        p_value=p,
-        reject=p <= alpha,
-        null_quantile=float(np.quantile(null, 1.0 - alpha)),
-        num_permutations=perms.num,
-        seed=seed,
-        alpha=alpha,
-        method=method,
-        rng=rng,
-        kernel_x=kx,
-        kernel_y=ky,
+    results = []
+    for ky, statistic, replicates in zip(kys, observed, null):
+        p = p_value(statistic.raw, replicates)
+        results.append(TestResult(
+            statistic=statistic,
+            p_value=p,
+            reject=p <= alpha,
+            null_quantile=float(np.quantile(replicates, 1.0 - alpha)),
+            num_permutations=perms.num,
+            seed=seed,
+            alpha=alpha,
+            method=method,
+            rng=rng,
+            kernel_x=kx,
+            kernel_y=ky,
+        ))
+    return results
+
+
+def _monte_carlo(
+    data: Dataset, kx: KernelSpec, kys, cfg: PermutationConfig, threads: int = 1
+) -> list[TestResult]:
+    """The Monte Carlo test of ``data`` under each y kernel of ``kys``, on one draw."""
+    if data.n < 2:
+        raise ValueError("permutation test needs at least 2 paired samples")
+    _check_memory(data.n, 0, 8 * cfg.num_permutations * len(kys))
+    perms = _Rows(cfg.num_permutations, data.n, partial(_draw_rows, cfg.seed, data.n))
+    return _calibrated(
+        data, kx, kys, perms, cfg.alpha, p_value_from_null,
+        seed=cfg.seed, method="monte_carlo", rng=RNG_SCHEME, threads=threads,
     )
 
 
@@ -511,14 +579,7 @@ def permutation_test(
     it.  A test too large for the memory budget raises
     ``ValueError`` before it allocates a Gram.
     """
-    if data.n < 2:
-        raise ValueError("permutation test needs at least 2 paired samples")
-    _check_memory(data.n, 0, 8 * cfg.num_permutations)
-    perms = _Rows(cfg.num_permutations, data.n, partial(_draw_rows, cfg.seed, data.n))
-    return _calibrated(
-        data, kx, ky, perms, cfg.alpha, p_value_from_null,
-        seed=cfg.seed, method="monte_carlo", rng=RNG_SCHEME, threads=threads,
-    )
+    return _monte_carlo(data, kx, [ky], cfg, threads)[0]
 
 
 def _exact_p_value(observed: float, null: np.ndarray) -> float:
@@ -543,9 +604,9 @@ def exhaustive_permutation_test(
         raise ValueError("alpha must lie strictly between 0 and 1")
     perms = _as_rows(np.array(list(itertools.permutations(range(n))), dtype=np.intp))
     return _calibrated(
-        data, kx, ky, perms, alpha, _exact_p_value,
+        data, kx, [ky], perms, alpha, _exact_p_value,
         seed=0, method="exhaustive", rng="exhaustive enumeration (no randomness)",
-    )
+    )[0]
 
 
 @dataclass(frozen=True)
@@ -559,33 +620,43 @@ class PowerResult:
 def power_experiment(
     sampler: GeneratorSpec,
     kx: KernelSpec,
-    ky: KernelSpec,
+    kys,
     cfg: PermutationConfig,
     num_trials: int,
     n: int,
     threads: int = 1,
-) -> PowerResult:
-    """Rejection rate of the permutation test over independent sampler draws.
+) -> list[PowerResult]:
+    """Rejection rate of the permutation test over sampler draws, one result per y kernel.
 
     Trial t is fully determined by (cfg.seed, t): its dataset seed and its
     permutation seed are both derived from that pair, so results are
-    identical whatever the thread count.
+    identical whatever the thread count.  Each trial samples once, builds
+    side x once and draws its permutations once for all of ``kys``, so the
+    result for each y kernel is the one a run of that kernel alone gives.
     """
+    kys = list(kys)
     if num_trials < 1:
         raise ValueError("num_trials must be at least 1")
+    if not kys:
+        raise ValueError("power_experiment needs at least one y kernel")
     workers = _pool_size(threads, num_trials)
 
-    def one_trial(t: int) -> float:
+    def one_trial(t: int) -> list[float]:
         data_spec = replace(sampler, seed=derive_seed(cfg.seed, STREAM_TRIAL_DATA, t))
         trial_cfg = replace(cfg, seed=derive_seed(cfg.seed, STREAM_TRIAL_TEST, t))
-        return permutation_test(sample(data_spec, n), kx, ky, trial_cfg).p_value
+        return [r.p_value for r in _monte_carlo(sample(data_spec, n), kx, kys, trial_cfg)]
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            p_values = tuple(pool.map(one_trial, range(num_trials)))
+            trials = list(pool.map(one_trial, range(num_trials)))
     else:
-        p_values = tuple(one_trial(t) for t in range(num_trials))
-    rate = sum(p <= cfg.alpha for p in p_values) / num_trials
-    return PowerResult(
-        rejection_rate=rate, trials=num_trials, p_values=p_values, alpha=cfg.alpha
-    )
+        trials = [one_trial(t) for t in range(num_trials)]
+    return [
+        PowerResult(
+            rejection_rate=sum(p <= cfg.alpha for p in p_values) / num_trials,
+            trials=num_trials,
+            p_values=p_values,
+            alpha=cfg.alpha,
+        )
+        for p_values in zip(*trials)
+    ]

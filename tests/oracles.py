@@ -148,3 +148,13 @@ def draw_permutations(seed, num, n, out=None):
     for start, rows in testing._draw_rows(seed, n, 0, num, block):
         perms[start : start + len(rows)] = rows
     return perms
+
+
+def gathered_statistics(kc, lc, perms):
+    """``sum(kc * lc[p, p]) / n^2`` for each row p of ``perms``, by one 3-D fancy-index gather.
+
+    The reference for the batched null, whose two contiguous takes must give
+    the same values bit for bit.
+    """
+    n = lc.shape[0]
+    return np.einsum("ij,bij->b", kc, lc[perms[:, :, None], perms[:, None, :]]) / (n * n)

@@ -147,7 +147,7 @@ def test_criterion_4_level_calibration():
     cfg = PermutationConfig(500, 0.05, 0)
     spec = GeneratorSpec(GeneratorKind.INDEPENDENT_GAUSSIAN, seed=0)
     gauss = KernelSpec("gaussian")
-    result = power_experiment(spec, gauss, gauss, cfg, num_trials=200, n=200)
+    (result,) = power_experiment(spec, gauss, [gauss], cfg, num_trials=200, n=200)
     assert 0.02 <= result.rejection_rate <= 0.09
     print(f"criterion 4: level {result.rejection_rate}: PASS")
 

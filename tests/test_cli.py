@@ -348,6 +348,22 @@ class TestReproduceRingCommand:
             pooled, drop_threads=True
         )
 
+    @pytest.mark.parametrize("ring", [["8"], ["39"], ["45"], ["200", "--noise", "0.1"]])
+    def test_reports_equal_for_1_2_3_threads(self, ring, capsys, monkeypatch):
+        # The digest corpus's reproduce-ring commands: batched, factored and
+        # noisy factored trials, each sharing its draw between both y kernels.
+        # Three threads would be capped to the CPU count.
+        monkeypatch.setattr(testing.os, "cpu_count", lambda: 8)
+        argv = [
+            "reproduce-ring", "--n", *ring, "--trials", "6",
+            "--permutations", "100", "--seed", "3",
+        ]
+        reports = [
+            report_minus_volatile(run_cli(argv + ["--threads", t], capsys)[1], drop_threads=True)
+            for t in ("1", "2", "3")
+        ]
+        assert reports[0] == reports[1] == reports[2]
+
 
 class TestOracleSweepCommand:
     def test_gaussian_default_sweep_passes(self, capsys):

@@ -6,7 +6,6 @@ import json
 import math
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
-from functools import partial
 
 import numpy as np
 import pytest
@@ -38,8 +37,10 @@ from hsictest.rng import STREAM_PERMUTATION, rng_for
 from hsictest.testing import (
     EXHAUSTIVE_MAX_N,
     TAKE_MIN_N,
+    _dense_null,
     _factored_statistics,
-    _permuted_statistics,
+    _gathered_statistics,
+    _taken_statistics,
 )
 
 GAUSS_MEDIAN = KernelSpec("gaussian")
@@ -57,18 +58,23 @@ def _ring(seed, n):
     return sample(GeneratorSpec(GeneratorKind.RING_UNIFORM, seed=seed), n)
 
 
-def _pooled(statistics, perms, workers):
-    """``statistics(perms)`` run in ``workers`` chunks on a pool of that many threads."""
+def _statistics(null, perms, pool=None, workers=1):
+    """The statistics of ``perms`` under one null, in ``workers`` chunks on ``pool``."""
+    return testing._run_chunks([null], perms, pool, workers)[0]
+
+
+def _pooled(null, perms, workers):
+    """The statistics of ``perms`` in ``workers`` chunks on a pool of that many threads."""
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return statistics(perms, pool, workers)
+        return _statistics(null, perms, pool, workers)
 
 
 def _grams(d, kx, ky):
-    """Centered Grams, their scale max|Kc| * max|Lc|, and the null function a test picks."""
+    """Centered Grams, their scale max|Kc| * max|Lc|, and the null a test of ky picks."""
     _, kc, kc_max = centered_side(kx, d.x_points)
     _, lc, lc_max = centered_side(ky, d.y_points)
-    *_, statistics = testing._null_function(d, kx, ky)
-    return kc, lc, kc_max * lc_max, statistics
+    *_, (null,) = testing._null_function(d, kx, [ky])
+    return kc, lc, kc_max * lc_max, null
 
 
 class TestPermutationConfig:
@@ -254,7 +260,7 @@ class TestPermutedStatistics:
         kc = centered_gram_entries(kx, d.x_points)
         lc = centered_gram_entries(ky, d.y_points)
         identity = np.arange(d.n, dtype=np.intp)[None, :]
-        assert _permuted_statistics(kc, lc, identity)[0] == observed.raw
+        assert _statistics(_dense_null(kc, lc), identity)[0] == observed.raw
 
     def test_matches_reindexed_datasets(self):
         # Relabeling y and recomputing from scratch is the slow route; both
@@ -266,7 +272,7 @@ class TestPermutedStatistics:
             kc = centered_gram_entries(kx, d.x_points)
             lc = centered_gram_entries(ky, d.y_points)
             perms = oracles.draw_permutations(seed=1, num=30, n=d.n)
-            fast = _pooled(partial(_permuted_statistics, kc, lc), perms, 2)
+            fast = _pooled(_dense_null(kc, lc), perms, 2)
             for row, value in zip(perms, fast):
                 slow = hsic_biased(Dataset(d.x_points, d.y_points[row]), kx, ky)
                 assert value == pytest.approx(slow.raw, abs=1e-12)
@@ -284,7 +290,7 @@ class TestPermutedStatistics:
         lc = centered_gram_entries(ky, d.y_points)
         perms = oracles.draw_permutations(seed=5, num=9, n=n)
         perms[[1, 4]] = np.arange(n)
-        null = _pooled(partial(_permuted_statistics, kc, lc), perms, 3)
+        null = _pooled(_dense_null(kc, lc), perms, 3)
         assert null[1] == observed.raw
         assert null[4] == observed.raw
 
@@ -296,11 +302,11 @@ class TestPermutedStatistics:
         monkeypatch.setattr(testing.os, "cpu_count", lambda: 8)
         d = _ring(n, n)
         kx = resolve_bandwidth(GAUSS_MEDIAN, d.x_points)
-        *_, statistics = _grams(d, kx, LINEAR)
-        assert statistics.func is _factored_statistics
+        *_, factored = _grams(d, kx, LINEAR)
+        assert factored.statistics.func is _factored_statistics
         perms = oracles.draw_permutations(seed=5, num=9, n=n)
         perms[[1, 4]] = np.arange(n)
-        null = _pooled(statistics, perms, 3)
+        null = _pooled(factored, perms, 3)
         observed = permutation_test(d, kx, LINEAR, PermutationConfig(9, 0.05, 5), threads=3)
         assert null[1] == observed.statistic.raw
         assert null[4] == observed.statistic.raw
@@ -316,16 +322,30 @@ class TestPermutedStatistics:
         monkeypatch.setattr(
             testing,
             "_gathered_statistics",
-            lambda kc, lc, p, out: sizes.append(len(p)) or gathered(kc, lc, p, out),
+            lambda kc, lc, p, out, work: sizes.append(len(p)) or gathered(kc, lc, p, out, work),
         )
         d = _random_dataset(n, n)
         kc = centered_gram_entries(KernelSpec("gaussian", 1.0), d.x_points)
         lc = centered_gram_entries(KernelSpec("laplace", 1.0), d.y_points)
         p = oracles.draw_permutations(seed=4, num=30, n=n)
-        expected = np.einsum("ij,bij->b", kc, lc[p[:, :, None], p[:, None, :]]) / (n * n)
-        assert np.array_equal(_permuted_statistics(kc, lc, p), expected)
+        expected = oracles.gathered_statistics(kc, lc, p)
+        assert np.array_equal(_statistics(_dense_null(kc, lc), p), expected)
         step = 100 // n
         assert sizes == [step] * (30 // step) + ([30 % step] if 30 % step else [])
+
+    @pytest.mark.parametrize("n", range(2, TAKE_MIN_N))
+    def test_two_takes_match_the_fancy_gather_bitwise(self, n, monkeypatch):
+        # A cap of three rows a half makes the null draw and gather its 31
+        # replicates in blocks of 3 rows, the last of them short.
+        monkeypatch.setattr(testing, "_GATHER_BLOCK_FLOATS", 3 * n * n)
+        d = _random_dataset(n, n)
+        kc = centered_gram_entries(KernelSpec("gaussian", 1.0), d.x_points)
+        lc = centered_gram_entries(KernelSpec("laplace", 1.0), d.y_points)
+        p = oracles.draw_permutations(seed=n, num=31, n=n)
+        null = _dense_null(kc, lc)
+        assert null.statistics.func is _gathered_statistics
+        assert null.words == 3 * n and null.floats(3) == 2 * 3 * n * n
+        assert np.array_equal(_statistics(null, p), oracles.gathered_statistics(kc, lc, p))
 
     def test_batches_join_seamlessly(self):
         # Chunked evaluation must not depend on the batch boundary.
@@ -333,10 +353,9 @@ class TestPermutedStatistics:
         kc = centered_gram_entries(KernelSpec("gaussian", 1.0), d.x_points)
         lc = centered_gram_entries(KernelSpec("gaussian", 1.0), d.y_points)
         perms = oracles.draw_permutations(seed=2, num=11, n=d.n)
-        whole = _permuted_statistics(kc, lc, perms)
-        parts = np.concatenate(
-            [_permuted_statistics(kc, lc, perms[:5]), _permuted_statistics(kc, lc, perms[5:])]
-        )
+        null = _dense_null(kc, lc)
+        whole = _statistics(null, perms)
+        parts = np.concatenate([_statistics(null, perms[:5]), _statistics(null, perms[5:])])
         assert np.array_equal(whole, parts)
 
 
@@ -354,14 +373,14 @@ class TestFactoredNull:
         d = _ring(seed, n)
         kx = resolve_bandwidth(GAUSS_MEDIAN, d.x_points)
         ky = resolve_bandwidth(KernelSpec(ky), d.y_points)
-        kc, lc, scale, statistics = _grams(d, kx, ky)
-        assert statistics.func is _factored_statistics
+        kc, lc, scale, null = _grams(d, kx, ky)
+        assert null.statistics.func is _factored_statistics
         perms = oracles.draw_permutations(seed, 99, n)
         identity = np.arange(n)[None, :]
-        factored = _pooled(statistics, perms, 2)
-        dense = _pooled(partial(_permuted_statistics, kc, lc), perms, 2)
-        obs_factored = statistics(identity)[0]
-        obs_dense = _permuted_statistics(kc, lc, identity)[0]
+        factored = _pooled(null, perms, 2)
+        dense = _pooled(_dense_null(kc, lc), perms, 2)
+        obs_factored = _statistics(null, identity)[0]
+        obs_dense = _statistics(_dense_null(kc, lc), identity)[0]
         # Each side's truncation moves a replicate by at most n * eps * scale.
         bound = 2 * n * EPS * scale
         assert np.abs(factored - dense).max() <= bound
@@ -374,14 +393,14 @@ class TestFactoredNull:
     def test_null_identical_for_1_2_3_threads(self, monkeypatch):
         monkeypatch.setattr(testing.os, "cpu_count", lambda: 8)
         # A small block makes every chunk span several gather blocks.
-        monkeypatch.setattr(testing, "_FACTOR_BLOCK_FLOATS", 1000)
+        monkeypatch.setattr(testing, "_GATHER_BLOCK_FLOATS", 1000)
         d = _ring(4, 200)
-        *_, statistics = _grams(d, resolve_bandwidth(GAUSS_MEDIAN, d.x_points), LINEAR)
-        assert statistics.func is _factored_statistics
+        *_, null = _grams(d, resolve_bandwidth(GAUSS_MEDIAN, d.x_points), LINEAR)
+        assert null.statistics.func is _factored_statistics
         perms = oracles.draw_permutations(seed=3, num=50, n=d.n)
-        lone = statistics(perms)
+        lone = _statistics(null, perms)
         for threads in (2, 3):
-            assert np.array_equal(_pooled(statistics, perms, threads), lone)
+            assert np.array_equal(_pooled(null, perms, threads), lone)
         cfg = PermutationConfig(50, 0.05, 3)
         results = [permutation_test(d, GAUSS_MEDIAN, LINEAR, cfg, threads=t) for t in (1, 2, 3)]
         assert results[0] == results[1] == results[2]
@@ -393,12 +412,10 @@ class TestFactoredNull:
         d = _ring(1, n)
         kx = resolve_bandwidth(GAUSS_MEDIAN, d.x_points)
         ky = resolve_bandwidth(LAPLACE_MEDIAN, d.y_points)
-        kc, lc, _, statistics = _grams(d, kx, ky)
-        assert statistics.func is _permuted_statistics
+        kc, lc, _, null = _grams(d, kx, ky)
+        assert null.statistics.func is _taken_statistics
         cfg = PermutationConfig(99, 0.05, 2)
-        null = _pooled(
-            partial(_permuted_statistics, kc, lc), oracles.draw_permutations(cfg.seed, 99, n), 2
-        )
+        null = _pooled(_dense_null(kc, lc), oracles.draw_permutations(cfg.seed, 99, n), 2)
         res = permutation_test(d, kx, ky, cfg, threads=2)
         assert res.statistic == hsic_biased(d, kx, ky)
         assert res.p_value == p_value_from_null(res.statistic.raw, null)
@@ -408,13 +425,13 @@ class TestFactoredNull:
     def test_constant_side_has_rank_zero(self, x_kernel):
         d = Dataset(np.full(200, 2.0), _ring(0, 200).y_points)
         ky = resolve_bandwidth(GAUSS_MEDIAN, d.y_points)
-        kc, lc, _, statistics = _grams(d, x_kernel, ky)
-        assert statistics.func is _factored_statistics
-        assert statistics.args[0].shape == (0, 200)
+        kc, lc, _, factored = _grams(d, x_kernel, ky)
+        assert factored.statistics.func is _factored_statistics
+        assert factored.statistics.args[0].shape == (0, 200)
         perms = oracles.draw_permutations(0, 99, 200)
-        for fn in (statistics, partial(_permuted_statistics, kc, lc)):
-            observed = fn(np.arange(200)[None, :])[0]
-            assert p_value_from_null(observed, fn(perms)) == 1.0
+        for null in (factored, _dense_null(kc, lc)):
+            observed = _statistics(null, np.arange(200)[None, :])[0]
+            assert p_value_from_null(observed, _statistics(null, perms)) == 1.0
         assert permutation_test(d, x_kernel, ky, PermutationConfig(99, 0.05, 0)).p_value == 1.0
 
     def test_tiny_scale_keeps_its_rank(self):
@@ -438,15 +455,15 @@ class TestFactoredNull:
         d = Dataset(d.x_points, y)
         kx = resolve_bandwidth(GAUSS_MEDIAN, d.x_points)
         ky = resolve_bandwidth(GAUSS_MEDIAN, d.y_points)
-        *_, statistics = _grams(d, kx, ky)
-        assert statistics.func is _factored_statistics
-        fy = statistics.args[1]
+        *_, null = _grams(d, kx, ky)
+        assert null.statistics.func is _factored_statistics
+        fy = null.statistics.args[1].T
         assert np.array_equal(fy[:, shift:], fy[:, : n - shift])
         swaps = np.tile(np.arange(n), (3, 1))
         for row, i in zip(swaps, (0, 17, n - shift - 1)):
             row[[i, i + shift]] = row[[i + shift, i]]
         identity = np.arange(n)[None, :]
-        assert np.all(statistics(swaps) == statistics(identity)[0])
+        assert np.all(_statistics(null, swaps) == _statistics(null, identity)[0])
 
     SCALES = st.sampled_from([1e-150, 1.0, 1e150])
     KERNELS = st.sampled_from(["gaussian:median", "gaussian:1.0", "laplace:median", "linear"])
@@ -486,13 +503,14 @@ class TestFactoredNull:
         out, err = io.StringIO(), io.StringIO()
         forced = []
 
-        def dense_null(data, kx, ky, *_):
+        def dense_null(data, kx, kys, *_):
             # Both sides dense, whatever their ranks; each call is recorded,
             # so a patch that stops applying fails the test below.
             forced.append(data.n)
             kx, kc, kc_max = centered_side(kx, data.x_points)
+            (ky,) = kys
             ky, lc, lc_max = centered_side(ky, data.y_points)
-            return kx, ky, kc_max * lc_max, partial(_permuted_statistics, kc, lc)
+            return kx, [ky], [kc_max * lc_max], [_dense_null(kc, lc)]
 
         with pytest.MonkeyPatch.context() as mp:
             if dense:
@@ -593,15 +611,15 @@ class TestGramFreeSide:
         d = _ring(1, n)
         shifted = Dataset(d.x_points, d.y_points + 1e6)
         kx = resolve_bandwidth(GAUSS_MEDIAN, d.x_points)
-        *_, statistics = testing._null_function(shifted, kx, LINEAR)
-        assert statistics.func is _factored_statistics
-        assert statistics.args[1].shape == (1, n)
+        *_, (null,) = testing._null_function(shifted, kx, [LINEAR])
+        assert null.statistics.func is _factored_statistics
+        assert null.statistics.args[1].T.shape == (1, n)
         kc, lc, _, _ = _grams(d, kx, LINEAR)
         perms = oracles.draw_permutations(0, 99, n)
-        dense = _permuted_statistics(kc, lc, perms)
+        dense = _statistics(_dense_null(kc, lc), perms)
         rounding = np.spacing(1e6)  # of each shifted y, and of their mean
         tolerance = 4 * rounding * np.sqrt(np.abs(lc).max()) * np.abs(kc).max()
-        assert np.abs(statistics(perms) - dense).max() <= tolerance
+        assert np.abs(_statistics(null, perms) - dense).max() <= tolerance
 
 
 class TestThreads:
@@ -615,8 +633,8 @@ class TestThreads:
         kc = centered_gram_entries(KernelSpec("gaussian", 1.0), d.x_points)
         lc = centered_gram_entries(KernelSpec("laplace", 1.0), d.y_points)
         perms = oracles.draw_permutations(seed=3, num=50, n=d.n)
-        dense = partial(_permuted_statistics, kc, lc)
-        lone = dense(perms)
+        dense = _dense_null(kc, lc)
+        lone = _statistics(dense, perms)
         for threads in (2, 3):
             assert np.array_equal(_pooled(dense, perms, threads), lone)
         cfg = PermutationConfig(50, 0.05, 3)
@@ -627,14 +645,14 @@ class TestThreads:
 
     @pytest.mark.parametrize(
         "ky,path",
-        [(GAUSS_MEDIAN, _factored_statistics), (LAPLACE_MEDIAN, _permuted_statistics)],
+        [(GAUSS_MEDIAN, _factored_statistics), (LAPLACE_MEDIAN, _taken_statistics)],
         ids=["factored", "dense"],
     )
     @pytest.mark.parametrize("n", [TAKE_MIN_N, 120])
     def test_results_identical_for_1_2_3_threads(self, many_cpus, ky, path, n):
         # The pool prepares both sides and the draw, then runs the null.
         d = _ring(n, n)
-        assert _grams(d, GAUSS_MEDIAN, ky)[3].func is path
+        assert _grams(d, GAUSS_MEDIAN, ky)[3].statistics.func is path
         cfg = PermutationConfig(61, 0.05, 9)
         results = [permutation_test(d, GAUSS_MEDIAN, ky, cfg, threads=t) for t in (1, 2, 3)]
         assert results[0] == results[1] == results[2]
@@ -704,7 +722,7 @@ class TestThreads:
         permutation_test(d, GAUSS_MEDIAN, GAUSS_MEDIAN, PermutationConfig(20, 0.05, 0), threads=10_000)
         spec = GeneratorSpec(GeneratorKind.RING_UNIFORM, seed=0)
         power_experiment(
-            spec, GAUSS_MEDIAN, GAUSS_MEDIAN, PermutationConfig(10, 0.05, 0),
+            spec, GAUSS_MEDIAN, [GAUSS_MEDIAN], PermutationConfig(10, 0.05, 0),
             num_trials=3, n=8, threads=10_000,
         )
         assert pool_sizes == [3, 4, 3]
@@ -723,7 +741,7 @@ class TestThreads:
         for threads in (0, -1):
             with pytest.raises(ValueError, match="threads"):
                 power_experiment(
-                    spec, GAUSS_MEDIAN, GAUSS_MEDIAN, cfg, num_trials=2, n=8, threads=threads
+                    spec, GAUSS_MEDIAN, [GAUSS_MEDIAN], cfg, num_trials=2, n=8, threads=threads
                 )
 
 
@@ -811,8 +829,8 @@ class TestPermutationTest:
         "n,ky,path",
         [
             (200, KernelSpec("gaussian", 0.5), _factored_statistics),
-            (200, KernelSpec("laplace", 0.5), _permuted_statistics),
-            (25, KernelSpec("gaussian", 0.5), _permuted_statistics),
+            (200, KernelSpec("laplace", 0.5), _taken_statistics),
+            (25, KernelSpec("gaussian", 0.5), _gathered_statistics),
         ],
         ids=["factored", "dense", "batched"],
     )
@@ -821,7 +839,7 @@ class TestPermutationTest:
         # these n, not to 0; that residue must not make a null of roundoff
         # noise with an arbitrary p-value, on any of the three null paths.
         x = np.full(n, 3.7)
-        assert _grams(Dataset(x, _ring(0, n).y_points), LINEAR, ky)[3].func is path
+        assert _grams(Dataset(x, _ring(0, n).y_points), LINEAR, ky)[3].statistics.func is path
         for seed in range(40):
             d = Dataset(x, _ring(seed, n).y_points)
             res = permutation_test(d, LINEAR, ky, PermutationConfig(99, 0.05, seed))
@@ -882,18 +900,85 @@ class TestExhaustive:
         assert mc.p_value == pytest.approx(exact.p_value, abs=0.02)
 
 
+class TestSharedTrials:
+    """Several y kernels on one draw: each result is the one its y kernel alone gives."""
+
+    RING = GeneratorSpec(GeneratorKind.RING_UNIFORM, seed=0)
+    CASES = [
+        (8, [LINEAR, GAUSS_MEDIAN]),
+        (45, [LINEAR, GAUSS_MEDIAN]),
+        (60, [GAUSS_MEDIAN, LAPLACE_MEDIAN]),  # one factored y side, one dense
+    ]
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("n,kys", CASES, ids=["n8", "n45", "n60-mixed"])
+    def test_power_matches_one_y_runs_bitwise(self, n, kys, threads, monkeypatch):
+        monkeypatch.setattr(testing.os, "cpu_count", lambda: 8)
+        cfg = PermutationConfig(70, 0.05, 4)
+        shared = power_experiment(self.RING, GAUSS_MEDIAN, kys, cfg, 5, n, threads=threads)
+        alone = [power_experiment(self.RING, GAUSS_MEDIAN, [ky], cfg, 5, n)[0] for ky in kys]
+        assert shared == alone
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("n,kys", CASES, ids=["n8", "n45", "n60-mixed"])
+    def test_results_match_one_y_tests_bitwise(self, n, kys, threads, monkeypatch):
+        # Statistic, null quantile and resolved kernels too, with the null
+        # on the test's pool from TAKE_MIN_N points on.
+        monkeypatch.setattr(testing.os, "cpu_count", lambda: 8)
+        d = _ring(n, n)
+        cfg = PermutationConfig(70, 0.05, 4)
+        shared = testing._monte_carlo(d, GAUSS_MEDIAN, kys, cfg, threads)
+        assert shared == [permutation_test(d, GAUSS_MEDIAN, ky, cfg) for ky in kys]
+
+    def test_mixed_sides_build_x_factor_and_gram_once(self, monkeypatch):
+        d = _ring(60, 60)
+        built = []
+        for name in ("gram_free_side", "centered_side"):
+            side = getattr(testing, name)
+            monkeypatch.setattr(
+                testing, name, lambda spec, pts, side=side, name=name: (
+                    built.append((name, spec.family.value)) or side(spec, pts)
+                ),
+            )
+        *_, nulls = testing._null_function(d, GAUSS_MEDIAN, [GAUSS_MEDIAN, LAPLACE_MEDIAN])
+        assert [null.statistics.func for null in nulls] == [_factored_statistics, _taken_statistics]
+        assert built == [
+            ("gram_free_side", "gaussian"), ("gram_free_side", "gaussian"),
+            ("gram_free_side", "laplace"), ("centered_side", "gaussian"),
+            ("centered_side", "laplace"),
+        ]
+
+    @pytest.mark.parametrize("n", [8, 45])
+    def test_each_trial_draws_once_per_chunk(self, n, monkeypatch):
+        draws = []
+        draw = testing._draw_rows
+        monkeypatch.setattr(
+            testing, "_draw_rows", lambda *args: draws.append(args[:2]) or draw(*args)
+        )
+        cfg = PermutationConfig(50, 0.05, 2)
+        power_experiment(self.RING, GAUSS_MEDIAN, [LINEAR, GAUSS_MEDIAN], cfg, 4, n)
+        # One chunk per trial (a trial's test runs on one thread), whatever
+        # the number of y kernels.
+        assert len(draws) == 4 and len(set(draws)) == 4
+
+    def test_no_y_kernel_refused(self):
+        cfg = PermutationConfig(10, 0.05, 0)
+        with pytest.raises(ValueError, match="y kernel"):
+            power_experiment(self.RING, GAUSS_MEDIAN, [], cfg, num_trials=2, n=8)
+
+
 class TestPowerExperiment:
     def test_thread_count_does_not_change_results(self):
         spec = GeneratorSpec(GeneratorKind.RING_UNIFORM, seed=0)
         cfg = PermutationConfig(60, 0.05, 3)
-        lone = power_experiment(spec, GAUSS_MEDIAN, GAUSS_MEDIAN, cfg, num_trials=6, n=30, threads=1)
-        pooled = power_experiment(spec, GAUSS_MEDIAN, GAUSS_MEDIAN, cfg, num_trials=6, n=30, threads=3)
+        lone = power_experiment(spec, GAUSS_MEDIAN, [GAUSS_MEDIAN], cfg, 6, 30, threads=1)
+        pooled = power_experiment(spec, GAUSS_MEDIAN, [GAUSS_MEDIAN], cfg, 6, 30, threads=3)
         assert lone == pooled
 
     def test_rate_summarizes_p_values(self):
         spec = GeneratorSpec(GeneratorKind.INDEPENDENT_GAUSSIAN, seed=0)
         cfg = PermutationConfig(50, 0.05, 1)
-        res = power_experiment(spec, GAUSS_MEDIAN, GAUSS_MEDIAN, cfg, num_trials=8, n=20)
+        (res,) = power_experiment(spec, GAUSS_MEDIAN, [GAUSS_MEDIAN], cfg, num_trials=8, n=20)
         assert res.trials == 8
         assert len(res.p_values) == 8
         expected_rate = np.mean([p <= cfg.alpha for p in res.p_values])
@@ -903,11 +988,11 @@ class TestPowerExperiment:
         spec = GeneratorSpec(GeneratorKind.RING_UNIFORM, seed=0)
         cfg = PermutationConfig(10, 0.05, 0)
         with pytest.raises(ValueError, match="num_trials"):
-            power_experiment(spec, GAUSS_MEDIAN, GAUSS_MEDIAN, cfg, num_trials=0, n=10)
+            power_experiment(spec, GAUSS_MEDIAN, [GAUSS_MEDIAN], cfg, num_trials=0, n=10)
 
     def test_sampler_seed_is_overridden_per_trial(self):
         # Trials must differ even though the sampler spec carries one seed.
         spec = GeneratorSpec(GeneratorKind.RING_UNIFORM, seed=123)
         cfg = PermutationConfig(30, 0.05, 0)
-        res = power_experiment(spec, GAUSS_MEDIAN, GAUSS_MEDIAN, cfg, num_trials=5, n=25)
+        (res,) = power_experiment(spec, GAUSS_MEDIAN, [GAUSS_MEDIAN], cfg, num_trials=5, n=25)
         assert len(set(res.p_values)) > 1

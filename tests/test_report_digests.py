@@ -29,7 +29,9 @@ EXPECTED = [
     "fa94391a302b57fa26c235002397773d674933a35091d069a3a3d98e524ff4e5",  # test ring_1000 y linear
     "228537a7ba587a6f7afedab4c96f0aac2126e48fc1b9944b2efbbaefdd7d69d3",  # test ring_1000 y laplace:median
     "2021b91567c104cdae878e00cfdf9db37c22ceebb4aaab3326aeb8fda5a6f298",  # reproduce-ring n=8
+    "64274b583fd885b7d2031a4fb1da523c1e80fa6ff31417d068df091045dbf4d2",  # reproduce-ring n=39
     "15c81290a06b8be17539274518424656ca4d811cfc0fd3f40761a7906ff91ad4",  # reproduce-ring n=45
+    "3a7a9172a5463a5977cee432792214cd3a63aae61a1494d63fb2d176c656c7be",  # reproduce-ring n=200 noise 0.1
     "f982955f69a033f6daaf9b4075072d42b4e0336373dedc496da689ed96e6b36c",  # oracle-sweep y gaussian:median
     "1803cf1abb22bb59c1ae803f30eefae42dd2fddf56adfd9bcae408e339cf496d",  # oracle-sweep y linear centered
 ]
