@@ -11,8 +11,8 @@ same numbers on every command of the corpus:
 * ``test`` on seeded ring CSVs at n = 8, 39, 40, 200 and 1000, with a
   ``gaussian:median`` x kernel against ``gaussian:median``, ``linear`` and
   ``laplace:median`` y kernels;
-* ``reproduce-ring`` at n = 8, 39 (the largest batched n) and 45, and at
-  n = 200 with radial noise 0.1 (factored sides);
+* ``reproduce-ring`` at n = 8, 39 (the largest n whose sides are never
+  factored) and 45, and at n = 200 with radial noise 0.1 (factored sides);
 * ``oracle-sweep`` on the 3x3 grid at resolution 4, with median Gaussian
   kernels, and with a linear y kernel on centered supports.
 

@@ -66,11 +66,7 @@ from hsictest.testing import (
 )
 
 KERNEL_X = "gaussian:median"
-NULL_PATHS = {
-    "_factored_statistics": "factored",
-    "_taken_statistics": "dense",
-    "_gathered_statistics": "batched",
-}
+NULL_PATHS = {"_factored_statistics": "factored", "_dense_statistics": "dense"}
 
 
 def write_ring_csv(path: Path, n: int, seed: int):
@@ -111,7 +107,7 @@ def one_split(data, kx, ky, args, pool, workers) -> dict:
     (*_, nulls), sides = timed(lambda: _null_function(data, kx, [ky], workers, 8 * b))
     observed = _run_chunks(nulls, np.arange(n, dtype=np.intp)[None, :])[0, 0]
     perms = _Rows(b, n, partial(_draw_rows, args.seed, n))
-    chunks = workers if n >= TAKE_MIN_N else 1  # a batched null runs on the calling thread
+    chunks = workers if n >= TAKE_MIN_N else 1  # below it the null runs on the calling thread
     null, null_s = timed(lambda: _run_chunks(nulls, perms, pool, chunks)[0])
     _, p_value = timed(lambda: (p_value_from_null(observed, null), np.quantile(null, 0.95)))
     return {

@@ -374,8 +374,9 @@ def centered_gram_entries(spec: KernelSpec, points) -> np.ndarray:
 def centered_product(kc: np.ndarray, lc: np.ndarray) -> float:
     """``sum(kc * lc) / n^2`` for two centered n x n Grams.
 
-    The reduction behind ``hsic_biased`` and each replicate of the
-    permutation tests' dense per-replicate null path.
+    The reduction behind ``hsic_biased``.  The permutation tests' dense null
+    reduces each replicate the same way, alone or, while n^2 <= 8192, in a
+    batched einsum that sums it in the same order.
     """
     n = kc.shape[0]
     return float(np.einsum("ij,ij->", kc, lc)) / (n * n)

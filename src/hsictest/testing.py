@@ -30,14 +30,10 @@ keys, is sorted again by the stable argsort of its full words, so every row
 is still exactly the stable argsort.  A non-finite observed or null statistic
 raises ``ArithmeticError`` rather than yielding a p-value.
 
-The null has three paths, and the observed statistic is always the null's
+The null has two paths, and the observed statistic is always the null's
 own function applied to the identity permutation, so the two share one
 reduction by construction:
 
-* Batched, below ``TAKE_MIN_N`` points: replicates are gathered many at a
-  time, by two contiguous ``take``s into one workspace per chunk (a column
-  take of the y-side Gram, then a row take of that), and reduced by one
-  einsum, since per-replicate Python overhead dominates tiny Grams.
 * Factored, from ``TAKE_MIN_N`` on when both sides are numerically low
   rank: each side is a centered factor from ``hsic.gram_free_side``,
   ``Kc ~= Fx' Fx`` and ``Lc ~= Fy' Fy``, and replicate p is
@@ -47,9 +43,11 @@ reduction by construction:
   :mod:`hsictest.hsic` docstring shows.  A side over the rank cap of
   ``hsic.gram_free_side``, or nearly constant, sends the test to the dense
   path.
-* Dense, from ``TAKE_MIN_N`` on otherwise: each replicate is a row ``take``
-  then a column ``take`` of the centered y-side Gram, reduced by
-  ``hsic.centered_product``.
+* Dense, below ``TAKE_MIN_N`` and otherwise: replicates are gathered a
+  block at a time, by two contiguous ``take``s into one workspace per
+  chunk (a column take of the centered y-side Gram, then a row take of
+  that), and reduced by one einsum per block, or per replicate where n^2
+  exceeds 8192, the elements numpy's einsum buffers.
 
 The path depends on the data alone, never on ``threads``.  From
 ``TAKE_MIN_N`` points on, a factored test holds nothing that grows with B,
@@ -64,21 +62,20 @@ resolved; with several y kernels, side x's Gram is built once, and only if
 a y side does not factor.  The permutations are never held: each chunk of
 the null draws its rows one block at a time (:func:`_draw_rows`) and
 reduces them at once.  Before a test starts, and again before a Gram path
-allocates its Grams, the bytes the path will hold (its Gram buffers, two
-take buffers per null worker on the dense path, and the B null statistics
-of each y side) are checked against ``MEMORY_BUDGET_BYTES``, capped by
-physical memory; over it, the test raises ``ValueError`` at once instead
-of running out of memory part-way.
+allocates its Grams, the bytes the path will hold (its Gram buffers, the
+gather workspace of each null worker on the dense path, and the B null
+statistics of each y side) are checked against ``MEMORY_BUDGET_BYTES``,
+capped by physical memory; over it, the test raises ``ValueError`` at once
+instead of running out of memory part-way.
 
 From ``TAKE_MIN_N`` points on, the null also runs on one thread pool of up
-to ``threads`` workers: the replicates of the two per-replicate paths are
-split into contiguous chunks, each drawing its own rows.  The sides are
-built on the calling thread.  Every replicate is computed the same way
-whatever the chunking, so no number depends on the thread count.  Every
-large array (each n x n Gram, and each chunk's block of rows and its one
-workspace) is allocated on the calling thread: allocated on a pool thread,
-it would come from that thread's own malloc arena and raise the peak
-memory.
+to ``threads`` workers: the replicates are split into contiguous chunks,
+each drawing its own rows.  The sides are built on the calling thread.
+Every replicate is computed the same way whatever the chunking, so no
+number depends on the thread count.  Every large array (each n x n Gram,
+and each chunk's block of rows and its one workspace) is allocated on the
+calling thread: allocated on a pool thread, it would come from that
+thread's own malloc arena and raise the peak memory.
 """
 
 from __future__ import annotations
@@ -98,7 +95,6 @@ from .hsic import (
     Dataset,
     Estimator,
     HsicValue,
-    centered_product,
     centered_side,
     gram_free_side,
 )
@@ -115,44 +111,34 @@ from .rng import (
 
 EXHAUSTIVE_MAX_N = 6
 
-# Smallest n whose null runs one replicate at a time by row-then-column take.
-# Measured single-threaded per replicate in blocks of 2^15 words (numpy 2.4,
-# 2-vCPU x86-64 VM), the batched gather by two takes vs take/take: 0.23 vs
-# 6.6 us at n=8, 3.0-3.3 vs 8.9-9.0 us at n=32, 3.7-4.1 vs 9.9-10.2 us at
-# n=36, 4.7-5.1 vs 10.3-10.6 us at n=40, 11-12 vs 16 us at n=64, and 44-50
-# vs 46-47 us at n=128.  A batched dense null would pay up to about n=128,
-# but the cutoff also starts the factored path and the test's pool, so moving
-# it would move the n = 40 reports pinned by the digests; it stays at 40.
+# Smallest n whose sides are factored and whose null runs on the test's pool.
+# Below it every test takes the dense null on the calling thread.  Moving it
+# would move the n = 40 reports pinned by the digests, since a factored null
+# differs from the dense one in the last bits.
 TAKE_MIN_N = 40
 
-# The factored and batched nulls gather in blocks of at most this many floats
-# (512 KB) per worker: the permuted y-side factor, or both halves of the
-# batched gather.  At n=1000 and rank 12, blocks of 2^16 floats ran the
-# factored null 1.2x faster than 2^18 and 1.8x faster than 2^20.
+# The nulls gather in blocks of at most this many floats (512 KB) per worker:
+# the permuted y-side factor, or each half of a dense gather.  At n=1000 and
+# rank 12, blocks of 2^16 floats ran the factored null 1.2x faster than 2^18
+# and 1.8x faster than 2^20.
 _GATHER_BLOCK_FLOATS = 1 << 16
 
-# Each chunk of the null draws its permutations in blocks of rows of at most
-# this many words (256 KB), and reduces each block before it draws the next,
-# so the block and the draw's temporaries (words, sorted keys) stay small next
-# to a Gram.  At n=1000 and B=500 the draw took about as long in blocks of
-# 2^15 words as in blocks of 2^16; in blocks of 2^13, the factored null with
-# its draw took 26.4 ms against 24.8 ms (Gaussian y) and 15.1 ms against
-# 13.2 ms (linear y), medians of 60 single-threaded runs.
-_DRAW_BLOCK_WORDS = 1 << 15
-
-# The dense null draws while it holds two Grams and two n x n take buffers
-# per chunk, so it draws smaller blocks: at n = 600 a block and its draw
+# Each chunk of the null draws its permutations in blocks of rows, and reduces
+# each block before it draws the next, so the block and the draw's
+# temporaries (words, sorted keys) stay small next to a Gram.  The dense null
+# draws blocks of at most 2^13 words (64 KB): at n = 600 a block and its draw
 # temporaries add 0.09 of a Gram to the test's peak, against 0.29 in blocks
-# of 2^15 words, and each replicate's two n x n takes dwarf the overhead of a
-# block.
+# of 2^15 words.  From n = 40 to 90, blocks of one gather's rows (n *
+# _gather_rows(n * n) words) ran slower than blocks of 2^13 words.
 _DENSE_DRAW_BLOCK_WORDS = 1 << 13
 
-# The factored null draws blocks of 2^14 words (128 KB), half the default:
-# a process running n = 1000 `test` commands on 2 threads peaked 1.1 MB
-# lower, as its pool threads kept smaller draw temporaries.  At n = 1000 and
-# B = 500 the null with its draw took 21.4 ms against 21.6 ms in blocks of
-# 2^15 single-threaded (Gaussian y; 10.3 against 10.4 ms, linear y) and
-# 17.3 against 15.7 ms on 2 threads (9.7 against 8.5 ms), medians of 60.
+# The factored null draws blocks of 2^14 words (128 KB): a process running
+# n = 1000 `test` commands on 2 threads peaked 1.1 MB lower than with blocks
+# of 2^15, as its pool threads kept smaller draw temporaries.  At n = 1000
+# and B = 500 the null with its draw took 21.4 ms against 21.6 ms in blocks
+# of 2^15 single-threaded (Gaussian y; 10.3 against 10.4 ms, linear y) and
+# 17.3 against 15.7 ms on 2 threads (9.7 against 8.5 ms), medians of 60; in
+# blocks of 2^13, 26.4 and 15.1 ms single-threaded against 24.8 and 13.2.
 _FACTOR_DRAW_BLOCK_WORDS = 1 << 14
 
 # A test whose n x n buffers and null statistics would take more than this
@@ -342,54 +328,64 @@ def _gather_rows(floats: int) -> int:
     return max(1, _GATHER_BLOCK_FLOATS // floats)
 
 
-def _gathered_statistics(
+def _dense_floats(n: int, rows: int) -> int:
+    """Floats of the dense null's workspace for ``rows`` rows: both halves of one gather."""
+    return 2 * min(rows, _gather_rows(n * n)) * n * n
+
+
+def _dense_statistics(
     kc: np.ndarray, lc: np.ndarray, perms: np.ndarray, out: np.ndarray, work: np.ndarray
 ) -> None:
-    """``out[b] = sum(kc * lc[p, p]) / n^2`` for each of the b rows p of ``perms``.
+    """``out[b] = sum(kc * lc[p, p]) / n^2`` for each row p of ``perms``.
 
-    The rows are gathered by two contiguous ``take``s into ``work``:
-    ``lc.take(p, axis=1)``, of shape (n, b, n), then its rows ``p * b +
-    arange(b)[:, None]``, which give ``lc[p[:, :, None], p[:, None, :]]``
-    bit for bit; one einsum reduces them.  The batched null draws blocks of
-    at most ``_GATHER_BLOCK_FLOATS // n^2`` rows, so each half of the gather
-    stays within ``_GATHER_BLOCK_FLOATS`` floats of the one workspace.  As
-    separate allocations, or as one workspace of half the size, the halves
-    were returned to the system after every test of a two-thread
+    Blocks of b = ``_gather_rows(n^2)`` rows are gathered by two contiguous
+    ``take``s into ``work``: ``lc.take(p, axis=1)``, of shape (n, b, n),
+    then its rows ``p * b + arange(b)[:, None]`` (computed once for all the
+    full blocks), which give ``lc[p[:, :, None], p[:, None, :]]`` bit for
+    bit.  A block of one row is taken rows first, which needs no indices
+    and ran 1.1-1.3x faster at n = 1000 to 1500.  While n^2 <= 8192, the
+    elements numpy's einsum buffers, one einsum reduces a block and sums
+    each replicate as ``einsum("ij,ij->")`` does; above that they sum in
+    different orders, so each replicate is reduced alone.  A replicate's
+    value never depends on its block or its thread.
+
+    As separate allocations, or as one workspace of half the size, the two
+    halves were returned to the system after every test of a two-thread
     ``reproduce-ring --n 8``: about 50 000 and 9 200 page faults per
-    command, against 8 in one 1 MB workspace.  Drawing blocks of that many
-    rows rather than of ``_DRAW_BLOCK_WORDS`` words also kept the draw's
-    temporaries small, and the command's peak RSS 0.5 MB lower.
+    command, against 8 in one 1 MB workspace.
     """
-    n, b = lc.shape[0], len(perms)
-    cols = work[: n * b * n].reshape(n, b, n)
-    both = work[n * b * n : 2 * n * b * n].reshape(b, n, n)
-    lc.take(perms, axis=1, out=cols, mode="clip")
-    cols.reshape(n * b, n).take(perms * b + np.arange(b)[:, None], axis=0, out=both, mode="clip")
-    out[:] = np.einsum("ij,bij->b", kc, both)
+    n, num = lc.shape[0], len(perms)
+    block = min(_gather_rows(n * n), num)
+    if block > 1:
+        index = perms * block + np.arange(num)[:, None] % block
+    for lo in range(0, num, block):
+        p = perms[lo : lo + block]
+        b = len(p)
+        cols = work[: n * b * n].reshape(n * b, n)  # (n, b, n), as rows
+        both = work[n * b * n : 2 * n * b * n].reshape(b, n, n)
+        # The indices are a permutation, so mode="clip" changes no value; it
+        # only lets ``take`` write into ``work`` without an extra buffered copy.
+        if b == 1:
+            lc.take(p[0], axis=0, out=cols, mode="clip")
+            cols.take(p[0], axis=1, out=both[0], mode="clip")
+        else:
+            lc.take(p, axis=1, out=cols.reshape(n, b, n), mode="clip")
+            rows = index[lo : lo + b] if b == block else p * b + np.arange(b)[:, None]
+            cols.take(rows, axis=0, out=both, mode="clip")
+        # Not np.getbufsize(): einsum ignores it, and it is set per thread.
+        if n * n <= 8192:
+            out[lo : lo + b] = np.einsum("ij,bij->b", kc, both)
+        else:
+            for j in range(b):
+                out[lo + j] = np.einsum("ij,ij->", kc, both[j])
     out /= n * n
 
 
-def _taken_statistics(
-    kc: np.ndarray, lc: np.ndarray, perms: np.ndarray, out: np.ndarray, work: np.ndarray
-) -> None:
-    """``out[b] = sum(kc * lc[p, p]) / n^2``, a replicate at a time by a row then a column take."""
-    n = lc.shape[0]
-    rows, both = work[: n * n].reshape(n, n), work[n * n : 2 * n * n].reshape(n, n)
-    # The indices are a permutation, so mode="clip" changes no value; it
-    # only lets ``take`` write into ``work`` without an extra buffered copy.
-    for b, p in enumerate(perms):
-        lc.take(p, axis=0, out=rows, mode="clip")
-        rows.take(p, axis=1, out=both, mode="clip")
-        out[b] = centered_product(kc, both)
-
-
 def _dense_null(kc: np.ndarray, lc: np.ndarray) -> _Null:
-    """The null of centered Grams: batched below ``TAKE_MIN_N`` points, then per replicate."""
+    """The null of centered Grams, for any number of points."""
     n = lc.shape[0]
-    if n < TAKE_MIN_N:
-        words = min(_DRAW_BLOCK_WORDS, n * _gather_rows(n * n))  # a gather's rows at most
-        return _Null(partial(_gathered_statistics, kc, lc), lambda size: 2 * n * n * size, words)
-    return _Null(partial(_taken_statistics, kc, lc), lambda _: 2 * n * n, _DENSE_DRAW_BLOCK_WORDS)
+    statistics = partial(_dense_statistics, kc, lc)
+    return _Null(statistics, partial(_dense_floats, n), _DENSE_DRAW_BLOCK_WORDS)
 
 
 def _factored_statistics(
@@ -437,9 +433,10 @@ def _memory_budget() -> int:
 def _check_memory(n: int, grams: int, held: int) -> None:
     """Refuse a test whose ``grams`` n x n float buffers would exceed the budget.
 
-    The estimate adds ``held`` bytes, the null statistics.  It is checked
-    before the buffers are allocated, so an oversized test fails at once
-    with ``ValueError`` rather than later with ``MemoryError``.
+    The estimate adds ``held`` bytes: the null statistics, and on the dense
+    path the null's workspaces.  It is checked before the buffers are
+    allocated, so an oversized test fails at once with ``ValueError``
+    rather than later with ``MemoryError``.
     """
     need = 8 * grams * n * n + held
     budget = _memory_budget()
@@ -461,10 +458,10 @@ def _null_function(
     each y side, and a y side that factors takes x's factor.  If any y side
     does not, or below ``TAKE_MIN_N``, side x's centered Gram is built once
     as well, and each such y side into a Gram buffer of its own, with any
-    bandwidth already resolved, after those Grams and ``workers`` chunks of
-    two take buffers, with ``held`` bytes already in use, are checked
-    against the memory budget.  Each side is the one a test of that y side
-    alone builds, so each null is too.
+    bandwidth already resolved, after those Grams and the dense null's
+    largest workspace for each of ``workers`` chunks, with ``held`` bytes
+    already in use, are checked against the memory budget.  Each side is
+    the one a test of that y side alone builds, so each null is too.
     """
     n, kys = data.n, list(kys)
     nulls, scales = [None] * len(kys), [0.0] * len(kys)
@@ -477,7 +474,8 @@ def _null_function(
         del fx  # not held into the dense nulls unless a factored null holds it
     dense = [i for i, null in enumerate(nulls) if null is None]
     if dense:
-        _check_memory(n, 1 + len(dense) + 2 * workers, held)
+        work = workers * _dense_floats(n, _gather_rows(n * n))
+        _check_memory(n, 1 + len(dense), held + 8 * work)
         kx, kc, kc_max = centered_side(kx, data.x_points)
         for i in dense:
             kys[i], lc, lc_max = centered_side(kys[i], data.y_points)
@@ -495,29 +493,18 @@ def _check_finite(null: np.ndarray) -> None:
         )
 
 
-def _calibrated(
-    data: Dataset,
-    kx: KernelSpec,
-    kys,
-    perms: _Rows,
-    alpha: float,
-    p_value,
-    *,
-    seed: int,
-    method: str,
-    rng: str,
-    threads: int = 1,
-) -> list[TestResult]:
-    """A test of ``data`` per y kernel of ``kys`` over the null of ``perms``.
+def _replicates(data: Dataset, kx: KernelSpec, kys, perms: _Rows, threads: int = 1):
+    """``(kx, kys, observed, null)``: the statistics of ``data`` and their nulls over ``perms``.
 
-    ``p_value(observed, null)`` gives each p-value.  Each side is resolved
-    and centered once, on the unpermuted data, and is frozen across
-    replicates; the marginal point sets are permutation invariant anyway.
-    Side x and each block of rows of ``perms`` serve every y side, so each
-    result is the one a test of its y side alone gives.  From ``TAKE_MIN_N``
+    The kernels come back resolved, with one observed ``HsicValue`` and one
+    row of ``null`` per y kernel of ``kys``.  Each side is resolved and
+    centered once, on the unpermuted data, and is frozen across replicates;
+    the marginal point sets are permutation invariant anyway.  Side x and
+    each block of rows of ``perms`` serve every y side, so each y side's
+    values are the ones a test of it alone gives.  From ``TAKE_MIN_N``
     points on, with ``threads`` above 1, the null's chunks, each drawing its
-    own rows of ``perms``, run on the test's pool.  The observed value is the
-    null function at the identity permutation, so an identity replicate
+    own rows of ``perms``, run on the test's pool.  The observed value is
+    the null function at the identity permutation, so an identity replicate
     reproduces it bitwise on every path.
     """
     workers = _pool_size(threads, perms.num)
@@ -532,6 +519,13 @@ def _calibrated(
     with ThreadPoolExecutor(max_workers=size) if size > 1 else nullcontext() as pool:
         null = _run_chunks(nulls, perms, pool, size)
     _check_finite(null)
+    return kx, kys, observed, null
+
+
+def _results(
+    kx, kys, observed, null, alpha: float, p_value, *, seed: int, method: str, rng: str
+) -> list[TestResult]:
+    """A ``TestResult`` per y side of :func:`_replicates`, by ``p_value(observed, null)``."""
     results = []
     for ky, statistic, replicates in zip(kys, observed, null):
         p = p_value(statistic.raw, replicates)
@@ -540,7 +534,7 @@ def _calibrated(
             p_value=p,
             reject=p <= alpha,
             null_quantile=float(np.quantile(replicates, 1.0 - alpha)),
-            num_permutations=perms.num,
+            num_permutations=len(replicates),
             seed=seed,
             alpha=alpha,
             method=method,
@@ -551,18 +545,13 @@ def _calibrated(
     return results
 
 
-def _monte_carlo(
-    data: Dataset, kx: KernelSpec, kys, cfg: PermutationConfig, threads: int = 1
-) -> list[TestResult]:
-    """The Monte Carlo test of ``data`` under each y kernel of ``kys``, on one draw."""
+def _monte_carlo(data: Dataset, kx: KernelSpec, kys, cfg: PermutationConfig, threads: int = 1):
+    """:func:`_replicates` of ``data`` under each y kernel of ``kys``, on one draw of ``cfg``."""
     if data.n < 2:
         raise ValueError("permutation test needs at least 2 paired samples")
     _check_memory(data.n, 0, 8 * cfg.num_permutations * len(kys))
     perms = _Rows(cfg.num_permutations, data.n, partial(_draw_rows, cfg.seed, data.n))
-    return _calibrated(
-        data, kx, kys, perms, cfg.alpha, p_value_from_null,
-        seed=cfg.seed, method="monte_carlo", rng=RNG_SCHEME, threads=threads,
-    )
+    return _replicates(data, kx, kys, perms, threads)
 
 
 def permutation_test(
@@ -579,7 +568,10 @@ def permutation_test(
     it.  A test too large for the memory budget raises
     ``ValueError`` before it allocates a Gram.
     """
-    return _monte_carlo(data, kx, [ky], cfg, threads)[0]
+    return _results(
+        *_monte_carlo(data, kx, [ky], cfg, threads), cfg.alpha, p_value_from_null,
+        seed=cfg.seed, method="monte_carlo", rng=RNG_SCHEME,
+    )[0]
 
 
 def _exact_p_value(observed: float, null: np.ndarray) -> float:
@@ -603,8 +595,8 @@ def exhaustive_permutation_test(
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must lie strictly between 0 and 1")
     perms = _as_rows(np.array(list(itertools.permutations(range(n))), dtype=np.intp))
-    return _calibrated(
-        data, kx, [ky], perms, alpha, _exact_p_value,
+    return _results(
+        *_replicates(data, kx, [ky], perms), alpha, _exact_p_value,
         seed=0, method="exhaustive", rng="exhaustive enumeration (no randomness)",
     )[0]
 
@@ -642,9 +634,11 @@ def power_experiment(
     workers = _pool_size(threads, num_trials)
 
     def one_trial(t: int) -> list[float]:
+        # A trial keeps only the p-values: no null quantile or TestResult.
         data_spec = replace(sampler, seed=derive_seed(cfg.seed, STREAM_TRIAL_DATA, t))
         trial_cfg = replace(cfg, seed=derive_seed(cfg.seed, STREAM_TRIAL_TEST, t))
-        return [r.p_value for r in _monte_carlo(sample(data_spec, n), kx, kys, trial_cfg)]
+        *_, observed, null = _monte_carlo(sample(data_spec, n), kx, kys, trial_cfg)
+        return [p_value_from_null(s.raw, replicates) for s, replicates in zip(observed, null)]
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

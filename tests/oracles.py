@@ -139,12 +139,12 @@ def draw_permutations(seed, num, n, out=None):
 
     ``out`` is a (num, n) intp buffer the caller owns (a new one when None).
     The rows come from ``testing._draw_rows`` in blocks of
-    ``testing._DRAW_BLOCK_WORDS`` words, read at call time.  A test never
+    ``testing._DENSE_DRAW_BLOCK_WORDS`` words, read at call time.  A test never
     holds all its rows at once; this whole array is for checking the stream
     against the rows a test draws.
     """
     perms = np.empty((num, n), dtype=np.intp) if out is None else out
-    block = np.empty((min(num, max(1, testing._DRAW_BLOCK_WORDS // n)), n), dtype=np.intp)
+    block = np.empty((min(num, max(1, testing._DENSE_DRAW_BLOCK_WORDS // n)), n), dtype=np.intp)
     for start, rows in testing._draw_rows(seed, n, 0, num, block):
         perms[start : start + len(rows)] = rows
     return perms
@@ -153,8 +153,9 @@ def draw_permutations(seed, num, n, out=None):
 def gathered_statistics(kc, lc, perms):
     """``sum(kc * lc[p, p]) / n^2`` for each row p of ``perms``, by one 3-D fancy-index gather.
 
-    The reference for the batched null, whose two contiguous takes must give
-    the same values bit for bit.
+    The reference for the dense null while n^2 <= 8192, numpy's einsum
+    buffer: its two contiguous takes and batched einsum must give the same
+    values bit for bit.
     """
     n = lc.shape[0]
     return np.einsum("ij,bij->b", kc, lc[perms[:, :, None], perms[:, None, :]]) / (n * n)

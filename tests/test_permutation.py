@@ -38,9 +38,8 @@ from hsictest.testing import (
     EXHAUSTIVE_MAX_N,
     TAKE_MIN_N,
     _dense_null,
+    _dense_statistics,
     _factored_statistics,
-    _gathered_statistics,
-    _taken_statistics,
 )
 
 GAUSS_MEDIAN = KernelSpec("gaussian")
@@ -211,7 +210,7 @@ class TestDrawPermutations:
     def test_blocks_join_seamlessly(self, n, monkeypatch):
         # A tiny block makes the draw span many blocks, and a block of fewer
         # words than one row still holds a row.
-        monkeypatch.setattr(testing, "_DRAW_BLOCK_WORDS", 24)
+        monkeypatch.setattr(testing, "_DENSE_DRAW_BLOCK_WORDS", 24)
         bits = rng_for(5, STREAM_PERMUTATION, 0).bit_generator.random_raw((13, n))
         expected = np.argsort(bits, axis=1, kind="stable")
         out = np.full((13, n), -1, dtype=np.intp)
@@ -263,9 +262,10 @@ class TestPermutedStatistics:
         assert _statistics(_dense_null(kc, lc), identity)[0] == observed.raw
 
     def test_matches_reindexed_datasets(self):
-        # Relabeling y and recomputing from scratch is the slow route; both
-        # null paths, on either side of the cutoff, must agree with it.
-        for seed, n in ((8, 10), (10, TAKE_MIN_N - 1), (11, TAKE_MIN_N)):
+        # Relabeling y and recomputing from scratch is the slow route; the
+        # dense null must agree with it on either side of the cutoff, with
+        # its reduction batched (n^2 <= 8192) or not.
+        for seed, n in ((8, 10), (10, TAKE_MIN_N - 1), (11, TAKE_MIN_N), (12, 64), (13, 128)):
             d = _random_dataset(seed, n)
             kx = resolve_bandwidth(GAUSS_MEDIAN, d.x_points)
             ky = resolve_bandwidth(LAPLACE_MEDIAN, d.y_points)
@@ -313,16 +313,16 @@ class TestPermutedStatistics:
 
     @pytest.mark.parametrize("n", [8, 20, TAKE_MIN_N - 1])
     def test_blocks_match_one_gather_bitwise(self, n, monkeypatch):
-        # The batched null gathers one block of rows at a time; blocks of
-        # 100 words split the 30 replicates into blocks of 12, 5 or 2 rows,
-        # and each value must equal one gather of all 30, bit for bit.
-        monkeypatch.setattr(testing, "_DRAW_BLOCK_WORDS", 100)
+        # The dense null draws one block of rows at a time; blocks of 100
+        # words split the 30 replicates into blocks of 12, 5 or 2 rows, and
+        # each value must equal one gather of all 30, bit for bit.
+        monkeypatch.setattr(testing, "_DENSE_DRAW_BLOCK_WORDS", 100)
         sizes = []
-        gathered = testing._gathered_statistics
+        dense = testing._dense_statistics
         monkeypatch.setattr(
             testing,
-            "_gathered_statistics",
-            lambda kc, lc, p, out, work: sizes.append(len(p)) or gathered(kc, lc, p, out, work),
+            "_dense_statistics",
+            lambda kc, lc, p, out, work: sizes.append(len(p)) or dense(kc, lc, p, out, work),
         )
         d = _random_dataset(n, n)
         kc = centered_gram_entries(KernelSpec("gaussian", 1.0), d.x_points)
@@ -333,19 +333,29 @@ class TestPermutedStatistics:
         step = 100 // n
         assert sizes == [step] * (30 // step) + ([30 % step] if 30 % step else [])
 
-    @pytest.mark.parametrize("n", range(2, TAKE_MIN_N))
+    @pytest.mark.parametrize("n", [*range(2, 129), 200])
     def test_two_takes_match_the_fancy_gather_bitwise(self, n, monkeypatch):
-        # A cap of three rows a half makes the null draw and gather its 31
-        # replicates in blocks of 3 rows, the last of them short.
-        monkeypatch.setattr(testing, "_GATHER_BLOCK_FLOATS", 3 * n * n)
+        # A cap of three rows a half makes the null gather its 31 replicates,
+        # drawn as one block, in blocks of 3 rows, the last of them short; a
+        # cap of one row takes them one at a time, rows first.  Above 8192
+        # floats a Gram, numpy's einsum buffer, the batched einsum sums in
+        # another order (from n = 91), so each replicate is reduced alone, as
+        # hsic_biased reduces the observed statistic.
         d = _random_dataset(n, n)
         kc = centered_gram_entries(KernelSpec("gaussian", 1.0), d.x_points)
         lc = centered_gram_entries(KernelSpec("laplace", 1.0), d.y_points)
         p = oracles.draw_permutations(seed=n, num=31, n=n)
-        null = _dense_null(kc, lc)
-        assert null.statistics.func is _gathered_statistics
-        assert null.words == 3 * n and null.floats(3) == 2 * 3 * n * n
-        assert np.array_equal(_statistics(null, p), oracles.gathered_statistics(kc, lc, p))
+        if n * n <= 8192:
+            expected = oracles.gathered_statistics(kc, lc, p)
+        else:  # lc[row][:, row] is laid out in column order, which sums differently
+            taken = (np.ascontiguousarray(lc[row][:, row]) for row in p)
+            expected = np.array([np.einsum("ij,ij->", kc, t) for t in taken]) / (n * n)
+        for rows in (3, 1):
+            monkeypatch.setattr(testing, "_GATHER_BLOCK_FLOATS", rows * n * n)
+            null = _dense_null(kc, lc)
+            assert null.statistics.func is _dense_statistics
+            assert null.floats(31) == 2 * rows * n * n
+            assert np.array_equal(_statistics(null, p), expected)
 
     def test_batches_join_seamlessly(self):
         # Chunked evaluation must not depend on the batch boundary.
@@ -413,7 +423,7 @@ class TestFactoredNull:
         kx = resolve_bandwidth(GAUSS_MEDIAN, d.x_points)
         ky = resolve_bandwidth(LAPLACE_MEDIAN, d.y_points)
         kc, lc, _, null = _grams(d, kx, ky)
-        assert null.statistics.func is _taken_statistics
+        assert null.statistics.func is _dense_statistics
         cfg = PermutationConfig(99, 0.05, 2)
         null = _pooled(_dense_null(kc, lc), oracles.draw_permutations(cfg.seed, 99, n), 2)
         res = permutation_test(d, kx, ky, cfg, threads=2)
@@ -643,9 +653,28 @@ class TestThreads:
         ]
         assert results[0] == results[1] == results[2]
 
+    @pytest.mark.parametrize("n", [64, 100])
+    def test_null_ignores_the_callers_einsum_buffer(self, many_cpus, n):
+        # np.setbufsize is per thread and einsum does not read it, so a
+        # larger one on the calling thread must move no replicate, on the
+        # calling thread or on the pool's.
+        d = _ring(n, n)
+        cfg = PermutationConfig(200, 0.05, 3)
+        runs = lambda: [  # noqa: E731
+            testing._monte_carlo(d, GAUSS_MEDIAN, [LAPLACE_MEDIAN], cfg, t)[3] for t in (1, 2)
+        ]
+        default = runs()
+        old = np.setbufsize(16384)
+        try:
+            larger = runs()
+        finally:
+            np.setbufsize(old)
+        for null in (*default, *larger):
+            assert np.array_equal(null, default[0])
+
     @pytest.mark.parametrize(
         "ky,path",
-        [(GAUSS_MEDIAN, _factored_statistics), (LAPLACE_MEDIAN, _taken_statistics)],
+        [(GAUSS_MEDIAN, _factored_statistics), (LAPLACE_MEDIAN, _dense_statistics)],
         ids=["factored", "dense"],
     )
     @pytest.mark.parametrize("n", [TAKE_MIN_N, 120])
@@ -689,6 +718,39 @@ class TestThreads:
         # median buffer, the held permutations or a factor kept alive into
         # the dense null would break them.
         assert self._peak_grams(600, ky, 200) <= before
+
+    @pytest.mark.parametrize("n,floats", [(40, 2 * 40 * 40 * 40), (600, 2 * 600 * 600)])
+    def test_memory_estimate_covers_the_dense_workspaces(self, many_cpus, monkeypatch, n, floats):
+        # At n = 40 a chunk gathers 40 rows at a time, two halves of 40 n x n
+        # blocks; at 600 it gathers one row, two n x n halves.  The estimate
+        # must cover both Grams, the null statistics and every chunk's
+        # workspace.
+        needs, works = [], []
+        check, run = testing._check_memory, testing._run_chunks
+        monkeypatch.setattr(
+            testing, "_check_memory",
+            lambda n, grams, held: needs.append(8 * grams * n * n + held) or check(n, grams, held),
+        )
+
+        def recording(nulls, perms, pool=None, workers=1):
+            seen = {}
+
+            def spy(null):
+                def statistics(rows, out, work):
+                    seen[id(work)] = work.size  # each chunk's one workspace
+                    null.statistics(rows, out, work)
+
+                return null._replace(statistics=statistics)
+
+            null = run([spy(null) for null in nulls], perms, pool, workers)
+            works.append(sum(seen.values()))
+            return null
+
+        monkeypatch.setattr(testing, "_run_chunks", recording)
+        cfg = PermutationConfig(600, 0.05, 0)
+        assert permutation_test(_ring(0, n), GAUSS_MEDIAN, LAPLACE_MEDIAN, cfg, threads=3).p_value
+        assert max(works) == 3 * floats
+        assert max(needs) >= 8 * (2 * n * n + cfg.num_permutations + max(works))
 
     def test_factored_peak_grows_with_n_not_n_squared(self):
         # Twice the points make four times the Gram, but a factored test's
@@ -829,15 +891,16 @@ class TestPermutationTest:
         "n,ky,path",
         [
             (200, KernelSpec("gaussian", 0.5), _factored_statistics),
-            (200, KernelSpec("laplace", 0.5), _taken_statistics),
-            (25, KernelSpec("gaussian", 0.5), _gathered_statistics),
+            (200, KernelSpec("laplace", 0.5), _dense_statistics),
+            (25, KernelSpec("gaussian", 0.5), _dense_statistics),
         ],
         ids=["factored", "dense", "batched"],
     )
     def test_inexactly_centered_constant_side_gives_p_one(self, n, ky, path):
         # 3.7 repeated centers to a uniform ~1.8e-15 under a linear kernel at
         # these n, not to 0; that residue must not make a null of roundoff
-        # noise with an arbitrary p-value, on any of the three null paths.
+        # noise with an arbitrary p-value, on either null path, with the
+        # dense one below the cutoff too.
         x = np.full(n, 3.7)
         assert _grams(Dataset(x, _ring(0, n).y_points), LINEAR, ky)[3].statistics.func is path
         for seed in range(40):
@@ -927,7 +990,10 @@ class TestSharedTrials:
         monkeypatch.setattr(testing.os, "cpu_count", lambda: 8)
         d = _ring(n, n)
         cfg = PermutationConfig(70, 0.05, 4)
-        shared = testing._monte_carlo(d, GAUSS_MEDIAN, kys, cfg, threads)
+        shared = testing._results(
+            *testing._monte_carlo(d, GAUSS_MEDIAN, kys, cfg, threads), cfg.alpha, p_value_from_null,
+            seed=cfg.seed, method="monte_carlo", rng=testing.RNG_SCHEME,
+        )
         assert shared == [permutation_test(d, GAUSS_MEDIAN, ky, cfg) for ky in kys]
 
     def test_mixed_sides_build_x_factor_and_gram_once(self, monkeypatch):
@@ -941,7 +1007,7 @@ class TestSharedTrials:
                 ),
             )
         *_, nulls = testing._null_function(d, GAUSS_MEDIAN, [GAUSS_MEDIAN, LAPLACE_MEDIAN])
-        assert [null.statistics.func for null in nulls] == [_factored_statistics, _taken_statistics]
+        assert [null.statistics.func for null in nulls] == [_factored_statistics, _dense_statistics]
         assert built == [
             ("gram_free_side", "gaussian"), ("gram_free_side", "gaussian"),
             ("gram_free_side", "laplace"), ("centered_side", "gaussian"),
