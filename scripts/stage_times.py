@@ -1,33 +1,33 @@
 #!/usr/bin/env python3
 """Stage split of one ``hsictest test`` on a ring CSV, printed as one JSON line.
 
-Each stage of a permutation test is timed on its own, in process, and the
-median over ``--repeats`` runs is reported:
+Each repeat runs one ``test`` command through ``hsictest.cli.main``, with
+timers patched in, for that call only, around the test's own stage calls:
 
-* ``sides``: ``testing._null_function``, which builds both sides as a test
-  does and factors them; a side that does not factor sends the test to the
-  dense path, which then builds both Grams;
-* ``null``: the B null statistics, chunked over the pool of ``--threads``,
-  each chunk drawing its own permutations block by block as a test does;
-* ``p_value``: the p-value and the null quantile.
+* ``sides``: ``testing._null_function``, which builds both sides and the
+  nulls their ranks choose; a side that does not factor sends the test to
+  the dense path, which then builds both Grams;
+* ``null``: ``testing._run_chunks``, the observed statistic (the null's
+  function at the identity permutation) and the B null statistics, each
+  chunk of the pool drawing its own permutations;
+* ``p_value``: ``testing._results``, the p-value and the null quantile.
 
-``split_s`` splits ``sides`` per side, as a test builds a side as a
-centered factor: ``median_x`` (the median bandwidth) and ``factoring_x``
-(``hsic.gram_free_side(spec, points)`` with the bandwidth resolved, under
-the rank cap it sets itself: the kernel matrix factored, by a pivoted
-Cholesky whose pivot columns are rows of it or by the data of a linear
-kernel, and the factor centered; for a side that does not factor, the cost
-of finding that out), and the same for y.  ``draw`` splits ``null``: the B
-permutations drawn alone, in the blocks the factored null draws.  The
-splits are left out of ``stage_sum_s``.  No stage holds an n x n array
-unless the test takes the dense path, or n <= 362, where the median
-bandwidth partitions the full distance matrix.
+``split_s`` splits ``sides`` per side, x first: ``median_x`` is the time in
+``kernels.median_heuristic``, and ``factoring_x`` the time in
+``testing.gram_free_side`` less the median inside it: the kernel matrix
+factored and the factor centered or, for a side that does not factor, the
+cost of finding that out.  It is 0 where the test does not try to factor,
+as at small n.  ``draw`` splits ``null``: the test's own permutation stream
+drawn again, alone and on one thread, by ``testing._run_chunks`` in the
+chunks and blocks the null drew it in, with no statistics.  The splits are
+left out of ``stage_sum_s``.
 
-``total_s`` is the median wall time of the whole ``test`` command through
-``hsictest.cli.main``, so it is not the sum of the stages: the command also
-parses the CSV, copies the data and writes its report.  ``peak_rss_mb`` is
-the peak resident memory of one more ``test`` command, run alone in a child
-process.
+``total_s`` is the wall time of the same command, so it holds the stages and
+also the CSV parsing, the data copy and the report.  Of the ``--repeats``
+runs (after one warm-up), the one whose ``total_s`` is the median (the lower
+middle one for an even count) is reported, so ``stage_sum_s <= total_s``.
+``peak_rss_mb`` is the peak resident memory of one more ``test`` command,
+run alone in a child process.
 
     PYTHONPATH=src python3 scripts/stage_times.py --n 1000 --permutations 500 --threads 2
 """
@@ -36,85 +36,35 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import inspect
 import io
 import json
 import os
 import resource
-import statistics as stats
 import subprocess
 import sys
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
-from functools import partial
+from collections import defaultdict
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
 import hsictest
-from hsictest import GeneratorKind, GeneratorSpec, cli, p_value_from_null, parse_kernel, sample
-from hsictest.hsic import gram_free_side
-from hsictest.kernels import as_points, resolve_bandwidth
-from hsictest.testing import (
-    _FACTOR_DRAW_BLOCK_WORDS,
-    TAKE_MIN_N,
-    _draw_rows,
-    _null_function,
-    _pool_size,
-    _Rows,
-    _run_chunks,
-)
+from hsictest import GeneratorKind, GeneratorSpec, cli, kernels, sample, testing
 
 KERNEL_X = "gaussian:median"
 NULL_PATHS = {"_factored_statistics": "factored", "_dense_statistics": "dense"}
 
 
-def write_ring_csv(path: Path, n: int, seed: int):
-    """n ring points from the package sampler; returns them and the CSV path."""
+def write_ring_csv(path: Path, n: int, seed: int) -> str:
+    """n ring points from the package sampler, as a CSV; returns its path."""
     data = sample(GeneratorSpec(GeneratorKind.RING_UNIFORM, seed=seed), n)
     pairs = zip(data.x_points[:, 0], data.y_points[:, 0])
     rows = "".join(f"{float(a)!r},{float(b)!r}\n" for a, b in pairs)
     path.write_text("x,y\n" + rows, encoding="utf-8")
-    return data, str(path)
-
-
-def timed(fn):
-    """``fn()`` and its wall time in seconds."""
-    start = time.perf_counter()
-    result = fn()
-    return result, time.perf_counter() - start
-
-
-def draw_alone(seed: int, b: int, n: int) -> None:
-    """The B permutations, drawn block by block and dropped."""
-    block = np.empty((min(b, max(1, _FACTOR_DRAW_BLOCK_WORDS // n)), n), dtype=np.intp)
-    for _ in _draw_rows(seed, n, 0, b, block):
-        pass
-
-
-def side_split(spec, points, name: str) -> dict:
-    """The stages of one side built as a test builds it, as a centered factor."""
-    pts = as_points(points)
-    spec, median = timed(lambda: resolve_bandwidth(spec, pts))
-    _, factoring = timed(lambda: gram_free_side(spec, pts))
-    return {f"median_{name}": median, f"factoring_{name}": factoring}
-
-
-def one_split(data, kx, ky, args, pool, workers) -> dict:
-    n, b = data.n, args.permutations
-    split = {**side_split(kx, data.x_points, "x"), **side_split(ky, data.y_points, "y")}
-    _, split["draw"] = timed(lambda: draw_alone(args.seed, b, n))
-    (*_, nulls), sides = timed(lambda: _null_function(data, kx, [ky], workers, 8 * b))
-    observed = _run_chunks(nulls, np.arange(n, dtype=np.intp)[None, :])[0, 0]
-    perms = _Rows(b, n, partial(_draw_rows, args.seed, n))
-    chunks = workers if n >= TAKE_MIN_N else 1  # below it the null runs on the calling thread
-    null, null_s = timed(lambda: _run_chunks(nulls, perms, pool, chunks)[0])
-    _, p_value = timed(lambda: (p_value_from_null(observed, null), np.quantile(null, 0.95)))
-    return {
-        "stages": {"sides": sides, "null": null_s, "p_value": p_value},
-        "split": split,
-        "null_path": NULL_PATHS[nulls[0].statistics.func.__name__],
-    }
+    return str(path)
 
 
 def command_argv(csv_path: str, args) -> list[str]:
@@ -126,20 +76,71 @@ def command_argv(csv_path: str, args) -> list[str]:
     ]
 
 
-def command_time(csv_path: str, args) -> float:
+def draw_alone(nulls, perms, workers: int) -> None:
+    """The rows of ``perms`` drawn by ``_run_chunks`` in the null's chunks and blocks, on one thread."""
+    idle = [null._replace(statistics=lambda rows, out, work: None, floats=lambda size: 0) for null in nulls]
+    testing._run_chunks(idle, perms, SimpleNamespace(map=map), workers)
+
+
+def one_run(csv_path: str, args) -> dict:
+    """One ``test`` command through ``cli.main``, split into its stages."""
+    spans, calls = defaultdict(list), defaultdict(list)  # per stage: seconds and arguments of each call
+
+    def timer(name, fn, less=None):
+        """``fn``, its calls' seconds added to ``spans[name]``, less those of ``less`` inside them."""
+        def timed(*a, **kw):
+            calls[name].append((a, kw))
+            inner, start = sum(spans[less]), time.perf_counter()
+            try:
+                return fn(*a, **kw)
+            finally:
+                spans[name].append(time.perf_counter() - start - (sum(spans[less]) - inner))
+        return timed
+
+    patches = [
+        (testing, "_null_function", timer("sides", testing._null_function)),
+        (testing, "_run_chunks", timer("null", testing._run_chunks)),
+        (testing, "_results", timer("p_value", testing._results)),
+        (kernels, "median_heuristic", timer("median", kernels.median_heuristic)),
+        (testing, "gram_free_side", timer("factoring", testing.gram_free_side, less="median")),
+    ]
     argv = command_argv(csv_path, args)
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        code, seconds = timed(lambda: cli.main(argv))
+    # Patched by hand: importing unittest.mock grew this process past a small
+    # test's own peak, which then floored peak_rss_mb (see child_peak_rss_mb).
+    with contextlib.ExitStack() as stack:
+        for module, name, new in patches:
+            stack.callback(setattr, module, name, getattr(module, name))
+            setattr(module, name, new)
+        stack.enter_context(contextlib.redirect_stdout(io.StringIO()))
+        stack.enter_context(contextlib.redirect_stderr(io.StringIO()))
+        start = time.perf_counter()
+        code = cli.main(argv)
+        total = time.perf_counter() - start
     if code != 0:
         raise SystemExit(f"exit {code}: {' '.join(argv)}")
-    return seconds
+    a, kw = calls["null"][-1]  # the null's run; the identity run comes first
+    null = inspect.signature(testing._run_chunks).bind(*a, **kw)
+    null.apply_defaults()
+    nulls = null.arguments["nulls"]
+    start = time.perf_counter()
+    draw_alone(nulls, null.arguments["perms"], null.arguments["workers"])
+    draw = time.perf_counter() - start
+    side = {name: dict(zip("xy", spans[name])) for name in ("median", "factoring")}
+    return {
+        "stages": {name: sum(spans[name]) for name in ("sides", "null", "p_value")},
+        "split": {**{f"{n}_{s}": side[n].get(s, 0.0) for s in "xy" for n in side}, "draw": draw},
+        "null_path": NULL_PATHS[nulls[0].statistics.func.__name__],
+        "total": total,
+    }
 
 
 def child_peak_rss_mb(csv_path: str, args) -> float:
     """Peak RSS in MB (2^20 bytes) of one ``test`` command in a child process.
 
     Must run before any other child, since ``RUSAGE_CHILDREN`` reports the
-    largest peak of all the children waited for.
+    largest peak of all the children waited for.  Linux also counts this
+    process's own RSS at the spawn as the child's, so the reading is at
+    least that: keep this process below a test's peak until then.
     """
     paths = [str(Path(hsictest.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
@@ -150,7 +151,7 @@ def child_peak_rss_mb(csv_path: str, args) -> float:
     return resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024  # KB on Linux
 
 
-def main() -> None:
+def parse_args(argv=None):
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
     ap.add_argument("--n", type=int, default=1000)
     ap.add_argument("--permutations", type=int, default=500)
@@ -158,32 +159,25 @@ def main() -> None:
     ap.add_argument("--kernel-y", default="gaussian:median")
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--repeats", type=int, default=7)
-    args = ap.parse_args()
-    kx, ky = parse_kernel(KERNEL_X), parse_kernel(args.kernel_y)
-    workers = _pool_size(args.threads, args.permutations)
-    with tempfile.TemporaryDirectory() as tmp, ThreadPoolExecutor(max_workers=workers) as pool:
-        data, csv_path = write_ring_csv(Path(tmp) / "ring.csv", args.n, args.seed)
+    return ap.parse_args(argv)
+
+
+def main() -> None:
+    args = parse_args()
+    with tempfile.TemporaryDirectory() as tmp:
+        csv_path = write_ring_csv(Path(tmp) / "ring.csv", args.n, args.seed)
         peak_rss_mb = child_peak_rss_mb(csv_path, args)
-        splits, totals = [], []
-        for _ in range(args.repeats + 1):  # the first round warms up and is dropped
-            splits.append(one_split(data, kx, ky, args, pool, workers))
-            totals.append(command_time(csv_path, args))
-    splits, totals = splits[1:], totals[1:]
-
-    def medians(part):
-        keys = splits[0][part]
-        return {key: round(stats.median(s[part][key] for s in splits), 5) for key in keys}
-
-    stages = medians("stages")
+        runs = [one_run(csv_path, args) for _ in range(args.repeats + 1)][1:]  # drop the warm-up
+    run = sorted(runs, key=lambda r: r["total"])[(len(runs) - 1) // 2]
     print(json.dumps({
         "n": args.n, "permutations": args.permutations, "threads": args.threads,
         "kernel_x": KERNEL_X, "kernel_y": args.kernel_y, "seed": args.seed,
         "repeats": args.repeats, "cpus": os.cpu_count(), "numpy": np.__version__,
-        "null_path": splits[0]["null_path"],
-        "stages_s": stages,
-        "split_s": medians("split"),
-        "stage_sum_s": round(sum(stages.values()), 5),
-        "total_s": round(stats.median(totals), 5),
+        "null_path": run["null_path"],
+        "stages_s": {key: round(s, 5) for key, s in run["stages"].items()},
+        "split_s": {key: round(s, 5) for key, s in run["split"].items()},
+        "stage_sum_s": round(sum(run["stages"].values()), 5),
+        "total_s": round(run["total"], 5),
         "peak_rss_mb": round(peak_rss_mb, 1),
     }))
 

@@ -50,7 +50,8 @@ def _say(msg: str) -> None:
 def load_csv_columns(path: str, x_columns: list[str], y_columns: list[str]):
     """Strict CSV reader: header required, selected names unique, cells numeric, no gaps."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        # utf-8-sig: a leading byte order mark is not part of the first name.
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             rows = list(csv.reader(fh))
     except OSError as exc:
         raise CliInputError(f"cannot read {path}: {exc}") from exc

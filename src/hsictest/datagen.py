@@ -54,10 +54,10 @@ class GeneratorSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", GeneratorKind(self.kind))
-        if self.radius <= 0.0:
-            raise ValueError("radius must be positive")
-        if self.noise < 0.0:
-            raise ValueError("noise must be non-negative")
+        if not (math.isfinite(self.radius) and self.radius > 0.0):
+            raise ValueError(f"radius must be positive and finite, got {self.radius}")
+        if not (math.isfinite(self.noise) and self.noise >= 0.0):
+            raise ValueError(f"noise must be non-negative and finite, got {self.noise}")
         if not (0.0 <= self.angle < TWO_PI):
             raise ValueError("angle must lie in [0, 2pi)")
         if self.dim_x < 1 or self.dim_y < 1:

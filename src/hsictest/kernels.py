@@ -101,7 +101,7 @@ class KernelSpec:
 
 
 def parse_kernel(text: str) -> KernelSpec:
-    """Parse the flag grammar ``family[:bandwidth|:median]``."""
+    """Parse the flag grammar ``family[:bandwidth|:median]``; ``linear`` takes no bandwidth."""
     name, sep, bw_text = text.strip().partition(":")
     try:
         family = KernelFamily(name.lower())
@@ -110,6 +110,8 @@ def parse_kernel(text: str) -> KernelSpec:
         raise ValueError(f"unknown kernel family {name!r} (known: {known})") from None
     if not sep:
         return KernelSpec(family)
+    if family is KernelFamily.LINEAR:
+        raise ValueError(f"the linear kernel takes no bandwidth, got {text!r}")
     if bw_text.lower() == MEDIAN_BANDWIDTH:
         return KernelSpec(family, MEDIAN_BANDWIDTH)
     try:
@@ -342,10 +344,21 @@ def _count_pass(pts: np.ndarray, t1: float, t2: float, at_thresholds: bool):
 
 
 def resolve_bandwidth(spec: KernelSpec, points) -> KernelSpec:
-    """Replace the median-heuristic sentinel with a concrete bandwidth."""
+    """Replace the median-heuristic sentinel with a concrete bandwidth.
+
+    A median of 0 (most pairs coincide) or inf (the squared distances
+    overflow) is no bandwidth, and raises ``ValueError`` that gives the
+    median and asks for an explicit bandwidth.
+    """
     if spec.is_resolved:
         return spec
-    return replace(spec, bandwidth=median_heuristic(points))
+    median = median_heuristic(points)
+    if not 0.0 < median < math.inf:
+        raise ValueError(
+            f"the median pairwise distance is {median!r}, which is no bandwidth (a bandwidth "
+            f"must be positive and finite); pass an explicit one, such as {spec.family.value}:1.0"
+        )
+    return replace(spec, bandwidth=median)
 
 
 def _gram_rows(spec: KernelSpec, rows: np.ndarray, pts: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -66,6 +66,11 @@ class TestCsvLoading:
         x, y = load_csv_columns(str(path), ["a", "c"], ["b"])
         assert np.array_equal(x, [[1.0, 3.0], [4.0, 6.0]])
         assert np.array_equal(y, [[2.0], [5.0]])
+        # Saved as Excel's "CSV UTF-8": a byte order mark and CRLF line ends.
+        excel = tmp_path / "excel.csv"
+        excel.write_bytes(b"\xef\xbb\xbfa,b,c\r\n1,2,3\r\n4,5,6\r\n")
+        xe, ye = load_csv_columns(str(excel), ["a", "c"], ["b"])
+        assert xe.tobytes() == x.tobytes() and ye.tobytes() == y.tobytes()
 
     @pytest.mark.parametrize(
         "content,message",
@@ -232,6 +237,7 @@ class TestTestCommand:
             ["--alpha", "1.5"],
             ["--x-columns", " , "],
             ["--threads", "0"],
+            ["--kernel-y", "linear:0.5"],
         ],
     )
     def test_bad_flags_exit_2(self, ring_csv, capsys, extra):
@@ -417,6 +423,7 @@ class TestOracleSweepCommand:
             # About 3.2e9 pmfs: refused up front instead of running for hours.
             ["--mx", "4", "--my", "4", "--resolution", "20"],
             ["--threads", "-1"],
+            ["--kernel-y", "linear:3"],
         ],
     )
     def test_bad_flags_exit_2(self, capsys, extra):
@@ -544,6 +551,21 @@ class TestExitCodes:
         assert code == 2
         assert report is None
         assert "bandwidth must be positive and finite" in err
+
+    def test_zero_median_bandwidth_exits_2(self, tmp_path, capsys):
+        # A 0/1 column split 80/20: 3350 of the 4950 pairs coincide, so the
+        # median distance is 0, which is no bandwidth.
+        path = tmp_path / "binary.csv"
+        path.write_text("x,y\n" + "".join(f"{int(i < 20)},{i}\n" for i in range(100)))
+        code, report, err = run_cli(
+            ["test", str(path), "--x-columns", "x", "--y-columns", "y",
+             "--kernel-x", "gaussian:median", "--permutations", "20"],
+            capsys,
+        )
+        assert code == 2
+        assert report is None
+        assert "median pairwise distance is 0.0" in err
+        assert "explicit" in err
 
 
 def _python(*args):

@@ -36,6 +36,10 @@ class TestGeneratorSpec:
             (dict(noise=-0.1), "noise"),
             (dict(dim_x=0), "dim"),
             (dict(angle=7.0), "angle"),
+            (dict(radius=float("nan")), "radius"),
+            (dict(radius=float("inf")), "radius"),
+            (dict(noise=float("inf")), "noise"),
+            (dict(noise=float("nan")), "noise"),
         ],
     )
     def test_validation(self, kwargs, match):

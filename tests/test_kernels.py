@@ -73,6 +73,11 @@ class TestParseKernel:
         with pytest.raises(ValueError, match="bad bandwidth"):
             parse_kernel("gaussian:wide")
 
+    @pytest.mark.parametrize("text", ["linear:0.5", "linear:3", "linear:median", "linear:", "LINEAR:1"])
+    def test_linear_takes_no_bandwidth(self, text):
+        with pytest.raises(ValueError, match="linear kernel takes no bandwidth"):
+            parse_kernel(text)
+
     @pytest.mark.parametrize("bw", [0.0, -1.0, float("nan"), float("inf")])
     def test_non_positive_bandwidth_rejected(self, bw):
         with pytest.raises(ValueError, match="bandwidth"):

@@ -1,12 +1,16 @@
 """``scripts/stage_times.py`` runs against the current code and reports every stage."""
 
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+from hsictest import testing
+
 ROOT = Path(__file__).resolve().parents[1]
+SCRIPT = ROOT / "scripts" / "stage_times.py"
 
 
 def _small_report(*extra):
@@ -14,7 +18,7 @@ def _small_report(*extra):
     paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     argv = [
-        sys.executable, str(ROOT / "scripts" / "stage_times.py"),
+        sys.executable, str(SCRIPT),
         "--n", "60", "--permutations", "20", "--repeats", "1", *extra,
     ]
     done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
@@ -34,3 +38,31 @@ def test_stage_script_runs_small():
 def test_stage_script_runs_the_dense_path():
     # A Laplace Gram is over the rank cap, so the test takes the dense null.
     assert _small_report("--kernel-y", "laplace:median")["null_path"] == "dense"
+
+
+def test_stage_script_does_not_factor_small_tests():
+    # Below the smallest factored n the test builds both Grams and factors
+    # nothing, so the factoring split is exactly 0.
+    report = _small_report("--n", "30")
+    assert report["null_path"] == "dense"
+    assert report["split_s"]["factoring_x"] == report["split_s"]["factoring_y"] == 0.0
+    assert report["stage_sum_s"] <= report["total_s"]
+
+
+def test_draw_split_draws_in_the_blocks_of_the_null(tmp_path, monkeypatch):
+    spec = importlib.util.spec_from_file_location("stage_times", SCRIPT)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    blocks = []  # the rows of each block of each draw, the test's and the split's
+    draw_rows = testing._draw_rows
+
+    def recording(seed, n, lo, hi, block):
+        blocks.append(len(block))
+        return draw_rows(seed, n, lo, hi, block)
+
+    monkeypatch.setattr(testing, "_draw_rows", recording)
+    args = script.parse_args(["--n", "60", "--permutations", "500", "--kernel-y", "laplace:median"])
+    run = script.one_run(script.write_ring_csv(tmp_path / "ring.csv", args.n, args.seed), args)
+    assert run["null_path"] == "dense"
+    assert len(blocks) >= 2 and len(set(blocks)) == 1
+    assert sum(run["stages"].values()) <= run["total"]
