@@ -27,7 +27,7 @@ also the CSV parsing, the data copy and the report.  Of the ``--repeats``
 runs (after one warm-up), the one whose ``total_s`` is the median (the lower
 middle one for an even count) is reported, so ``stage_sum_s <= total_s``.
 ``peak_rss_mb`` is the peak resident memory of one more ``test`` command,
-run alone in a child process.
+run alone in a child process of a small helper process.
 
     PYTHONPATH=src python3 scripts/stage_times.py --n 1000 --permutations 500 --threads 2
 """
@@ -40,7 +40,6 @@ import inspect
 import io
 import json
 import os
-import resource
 import subprocess
 import sys
 import tempfile
@@ -134,21 +133,35 @@ def one_run(csv_path: str, args) -> dict:
     }
 
 
+# Runs argv[1:] and prints its peak RSS in KB, read by wait4 from the
+# child's own rusage.  Linux counts a parent's RSS at the spawn as its
+# child's, so the reading is at least this small helper's RSS, never that
+# of the process running this script.
+_PEAK_HELPER = """\
+import os, sys
+pid = os.posix_spawn(sys.argv[1], sys.argv[1:], os.environ, file_actions=[
+    (os.POSIX_SPAWN_OPEN, fd, os.devnull, os.O_WRONLY, 0) for fd in (1, 2)])
+_, status, usage = os.wait4(pid, 0)
+print(usage.ru_maxrss)
+sys.exit(os.waitstatus_to_exitcode(status))
+"""
+
+
 def child_peak_rss_mb(csv_path: str, args) -> float:
     """Peak RSS in MB (2^20 bytes) of one ``test`` command in a child process.
 
-    Must run before any other child, since ``RUSAGE_CHILDREN`` reports the
-    largest peak of all the children waited for.  Linux also counts this
-    process's own RSS at the spawn as the child's, so the reading is at
-    least that: keep this process below a test's peak until then.
+    The child is spawned by a stdlib-only helper process, which reads the
+    child's peak by ``os.wait4``, so the reading does not depend on this
+    process's own memory.
     """
     paths = [str(Path(hsictest.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-    subprocess.run(
-        [sys.executable, "-m", "hsictest", *command_argv(csv_path, args)],
-        check=True, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    argv = [sys.executable, "-m", "hsictest", *command_argv(csv_path, args)]
+    done = subprocess.run(
+        [sys.executable, "-c", _PEAK_HELPER, *argv],
+        check=True, env=env, stdout=subprocess.PIPE, text=True,
     )
-    return resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024  # KB on Linux
+    return int(done.stdout) / 1024  # KB on Linux
 
 
 def parse_args(argv=None):

@@ -1,13 +1,24 @@
-"""Exact order statistics of the squared distances of 1-D points, in O(n log n) time.
+"""Pairwise distances, the block budget, and exact order statistics of the distances.
 
-On points sorted into s, the computed squared distances ``(s_j - s_i)^2``
-of the pairs i < j are nondecreasing along each row i and nonincreasing
-down each column j, because rounding is monotone.  So the pairs at or below
-a threshold are a prefix of each row, whose end is found without computing
-the row (:func:`_row_ends`), and the pairs between two thresholds are one
-range per row.  :mod:`hsictest.kernels` selects the median bandwidth of a
-1-D side here, and shares the pair sample's size and the thresholds drawn
-from it (:func:`_bracket`) with its passes over points of more coordinates.
+:func:`_pairwise` is the one place a pair of points becomes a distance: the
+Gram entries of :mod:`hsictest.kernels` are built from it and the median
+bandwidth is selected among its values, so the bandwidth is the median of
+exactly the distances the Gram uses.  ``_BLOCK_FLOATS`` is the one block
+budget, of distance and Gram rows and of the gathers of
+:mod:`hsictest.testing` alike (:func:`_block_rows`).
+
+:func:`_order_statistics` selects squared distances of given ranks exactly:
+from the full matrix while the pairs fit in one block (n <= 362), in
+passes over the upper triangle for points of d > 1 coordinates, and for
+1-D points by row counts over the sorted points.  On points sorted into s,
+the squared distances ``(s_j - s_i)^2`` of the pairs i < j are
+nondecreasing along each row i and nonincreasing down each column j,
+because rounding is monotone.  So the pairs at or below a threshold are a
+prefix of each row, whose end is found without computing the row
+(:func:`_row_ends`), and the pairs between two thresholds are one range per
+row: O(n log n) time and O(n) memory.  Both kinds of pass bracket their
+ranks from a fixed-seed sample of uniformly random pairs
+(:func:`_sampled_between`, :func:`_bracket`).
 """
 
 from __future__ import annotations
@@ -16,10 +27,123 @@ import math
 
 import numpy as np
 
+# Distances, Gram entries and the nulls' gathers are computed in row blocks
+# of at most this many floats (512 KB), each block used while it is in
+# cache.  At n = 5000, centering in such blocks ran 1.5x faster than three
+# whole-matrix passes, and blocks of 2^15 or 2^17 floats ran no faster; at
+# n = 1000 and rank 12, the factored null ran 1.2x faster than in blocks of
+# 2^18 and 1.8x faster than in blocks of 2^20.
+_BLOCK_FLOATS = 1 << 16
+
 # The bandwidth's pair sample has this many pairs per square root of the
 # pair count: at n = 1000, 5656 pairs, and a bracket holding about 5% of the
 # distances.
 _SAMPLE_PAIRS_PER_ROOT = 8
+
+
+def _block_rows(width: int) -> int:
+    """Rows of ``width`` floats each in a block of at most ``_BLOCK_FLOATS`` floats (at least one)."""
+    return max(1, _BLOCK_FLOATS // width)
+
+
+def _pairwise(a: np.ndarray, b: np.ndarray, squared: bool, out: np.ndarray) -> np.ndarray:
+    """Squared-Euclidean (or cityblock) distances between the points of ``a`` and ``b``, in ``out``.
+
+    ``a`` and ``b`` hold d-vectors on their last axis and broadcast to
+    ``out``: ``pts[lo:hi, None]`` against ``pts[None]`` gives rows lo..hi of
+    the distance matrix, and two (m, d) arrays give m pairs.  The first
+    coordinate is written straight into ``out``; each later one is added
+    through one diff buffer of ``out``'s size.  Coordinates are accumulated
+    one column at a time, in order, which is the summation order of scipy's
+    ``pdist``/``cdist``; the results agree bitwise (a single ``einsum`` over
+    the coordinate axis does not, from d = 3 on).  The distance of a pair
+    does not depend on the block it is computed in, and (i, j) and (j, i)
+    are computed from the same terms, so a matrix of them is exactly
+    symmetric.
+    """
+    d = a.shape[-1]
+    if not d:  # points without coordinates all coincide
+        out.fill(0.0)
+        return out
+    _difference(a[..., 0], b[..., 0], squared, out)
+    diff = np.empty_like(out) if d > 1 else None
+    for c in range(1, d):
+        out += _difference(a[..., c], b[..., c], squared, diff)
+    return out
+
+
+def _difference(a: np.ndarray, b: np.ndarray, squared: bool, out: np.ndarray) -> np.ndarray:
+    """``(a - b)^2`` or ``|a - b|``, broadcast into ``out``.
+
+    Computed as ``b - a``, exactly ``-(a - b)``, by copying ``b`` into
+    ``out`` and subtracting ``a`` in place: numpy subtracts a broadcast
+    column from a whole block about 1.2x faster than it broadcasts both.
+    """
+    np.copyto(out, b)
+    np.subtract(out, a, out=out)
+    if squared:
+        return np.multiply(out, out, out=out)
+    return np.abs(out, out=out)
+
+
+def _order_statistics(pts: np.ndarray, ranks: list[int]) -> list[float]:
+    """The squared distances of 0-based ``ranks`` among the m = n(n-1)/2 pairs i < j of (n, d) ``pts``.
+
+    ``ranks`` are ascending.  When the whole triangle fits in one block
+    there is no sample and no pass: the full matrix is partitioned
+    directly.  1-D points beyond that are selected by
+    :func:`_sorted_order_statistics`.  Points of more coordinates are
+    selected in passes over the upper triangle, row block by row block (see
+    :func:`_count_pass`).  Each pass brackets the ranks between two
+    thresholds t1 <= t2, counts the distances up to t1 and below t2, and
+    keeps those strictly between; a rank that falls between them is
+    selected from the kept values.  The thresholds are the ranks' estimated
+    positions in a sorted sample of ``8 * isqrt(m)`` uniformly random pairs,
+    widened by four standard deviations, so one pass does in practice.  The
+    later passes also count the distances at each threshold: a rank whose
+    count range covers a threshold is that threshold, so a value shared by
+    many pairs is never kept, and a rank beyond them lies in an open
+    interval below t1 or above t2, which the next pass brackets.  Each such
+    pass drops at least one sample value from the interval, and one with no
+    sample value left keeps the whole interval.
+    """
+    n = pts.shape[0]
+    m = n * (n - 1) // 2
+    if m <= _BLOCK_FLOATS:
+        # The matrix is exactly symmetric with a zero diagonal, so its sorted
+        # entries are n zeros, then each upper value twice: rank k is entry
+        # n + 2k.
+        flat = _pairwise(pts[:, None], pts[None], True, np.empty((n, n))).reshape(-1)
+        flat.partition([n + 2 * k for k in ranks])
+        return [flat[n + 2 * k] for k in ranks]
+    if pts.shape[1] == 1:
+        return _sorted_order_statistics(np.sort(pts[:, 0]), ranks)
+    size = _SAMPLE_PAIRS_PER_ROOT * math.isqrt(m)
+    rng = np.random.default_rng(0)
+    sample = _sampled_between(pts, np.arange(1, n + 1), np.full(n, n), m, size, rng)
+    lo, hi, below, inside = -np.inf, np.inf, 0, m  # ranks below..below+inside lie in (lo, hi)
+    found, exact = {}, False
+    while len(found) < len(ranks):
+        todo = [k for k in ranks if k not in found]
+        t1, t2 = _bracket(sample, lo, hi, (todo[0] - below) / inside, (todo[-1] - below) / inside)
+        kept, le1, lt2, lt1, le2 = _count_pass(pts, t1, t2, exact)
+        between = [k for k in todo if le1 <= k < lt2]
+        if between:
+            kept.partition([k - le1 for k in between])
+            found.update((k, kept[k - le1]) for k in between)
+        if not exact:  # the rest need the counts at the thresholds
+            exact = True
+            continue
+        for k in todo:
+            if lt1 <= k < le1:
+                found[k] = t1
+            elif lt2 <= k < le2:
+                found[k] = t2
+            elif k < lt1:
+                hi, inside = t1, lt1 - below
+            elif k >= le2:
+                lo, below, inside = t2, le2, below + inside - le2
+    return [found[k] for k in ranks]
 
 
 def _bracket(sample: np.ndarray, lo: float, hi: float, first: float, last: float):
@@ -36,16 +160,81 @@ def _bracket(sample: np.ndarray, lo: float, hi: float, first: float, last: float
     return (s[i] if i >= 0 else lo), (s[j] if j < len(s) else hi)
 
 
-def _sorted_order_statistics(s: np.ndarray, ranks: list[int], budget: int) -> list[float]:
+def _sampled_between(pts, lo_ends, hi_ends, inside: int, size: int, rng) -> np.ndarray:
+    """Sorted squared distances of ``size`` random pairs of the ``inside`` in the row ranges.
+
+    Row i's range is the pairs (i, j) of (n, d) ``pts`` with lo_ends[i] <=
+    j < hi_ends[i].  The ranges are laid end to end, and a pair is drawn by
+    its position there.
+    """
+    positions = rng.integers(inside, size=size)
+    positions.sort()  # searchsorted runs faster on sorted keys
+    ends = np.cumsum(hi_ends - lo_ends)
+    rows = np.searchsorted(ends, positions, "right")
+    positions -= ends[rows]  # minus the pairs from there to the end of the row's range
+    positions += hi_ends[rows]
+    sample = _pairwise(pts[rows], pts[positions], True, np.empty(size))
+    sample.sort()
+    return sample
+
+
+def _upper_blocks(n: int):
+    """Row ranges ``(lo, hi)`` covering the upper triangle, each block rows lo..hi by columns lo..n.
+
+    A block holds at most ``_BLOCK_FLOATS`` floats, or one row, and no more
+    rows than columns, so its leading square (where j <= i) is no larger.
+    """
+    lo = 0
+    while lo < n:
+        hi = lo + min(n - lo, _block_rows(n - lo))
+        yield lo, hi
+        lo = hi
+
+
+def _count_pass(pts: np.ndarray, t1: float, t2: float, at_thresholds: bool):
+    """``(kept, #<=t1, #<t2, #<t1, #<=t2)`` over the squared distances of all pairs i < j.
+
+    ``kept`` holds the distances strictly between t1 and t2.  The counts
+    that tell a value at a threshold from one beyond it, ``#<t1`` and
+    ``#<=t2``, are None unless ``at_thresholds``: a pass whose ranks fall
+    between the thresholds, the usual case, needs neither.  Each block's
+    entries with j <= i are set to NaN, which no comparison counts.
+    """
+    n = pts.shape[0]
+    buffer = np.empty(max(_BLOCK_FLOATS, n))  # a block has at least one row
+    le1 = lt2 = lt1 = le2 = 0
+    kept = []
+    for lo, hi in _upper_blocks(n):
+        rows, width = hi - lo, n - lo
+        block = buffer[: rows * width].reshape(rows, width)
+        _pairwise(pts[lo:hi, None], pts[None, lo:], True, block)
+        np.copyto(block[:, :rows], np.nan, where=np.tri(rows, dtype=bool))
+        above = block > t1
+        under = block < t2
+        le1 += rows * (2 * n - lo - hi - 1) // 2 - np.count_nonzero(above)
+        lt2 += np.count_nonzero(under)
+        if at_thresholds:
+            lt1 += np.count_nonzero(block < t1)
+            le2 += np.count_nonzero(block <= t2)
+        above &= under
+        kept.append(block[above])
+    if not at_thresholds:
+        lt1 = le2 = None
+    # The block buffer goes before the kept values are joined: holding both
+    # made the join the peak of a factored test at n = 2000.
+    del buffer, block, above, under
+    return np.concatenate(kept), le1, lt2, lt1, le2
+
+
+def _sorted_order_statistics(s: np.ndarray, ranks: list[int]) -> list[float]:
     """The squared distances of consecutive 0-based ``ranks`` among the pairs of sorted ``s``.
 
-    The first rank is selected by :func:`_sorted_select`, which holds at
-    most ``budget`` pair values at once.  Each later rank is the value of
-    the one before while more pairs than its rank are at or below that
-    value, and otherwise the least value above it: the smallest value at
-    the row ends of :func:`_row_ends`.
+    The first rank is selected by :func:`_sorted_select`.  Each later rank
+    is the value of the one before while more pairs than its rank are at or
+    below that value, and otherwise the least value above it: the smallest
+    value at the row ends of :func:`_row_ends`.
     """
-    values = [_sorted_select(s, ranks[0], budget)]
+    values = [_sorted_select(s, ranks[0])]
     for k in ranks[1:]:
         ends = _row_ends(s, values[-1], strict=False)
         if _pairs_before(ends) > k:
@@ -56,24 +245,19 @@ def _sorted_order_statistics(s: np.ndarray, ranks: list[int], budget: int) -> li
     return values
 
 
-def _sorted_select(s: np.ndarray, k: int, budget: int) -> float:
+def _sorted_select(s: np.ndarray, k: int) -> float:
     """The squared distance of 0-based rank ``k`` among the pairs i < j of sorted 1-D points ``s``.
 
-    Row i's values ``(s_j - s_i)^2``, j > i, are nondecreasing in j, since
-    rounding is monotone, so the pairs at or below a threshold are a prefix
-    of each row, found by :func:`_row_ends` in O(n log n), and those between
-    two thresholds are one range per row.  They are the values that
-    ``kernels._pairwise`` computes: a pair's difference is negated exactly,
-    whichever point comes first.  The selection keeps an interval (lo, hi) that holds rank k and
-    each row's range of pairs inside it, and narrows it while it holds more
-    than ``budget`` pairs, as ``kernels._order_statistics`` brackets its
+    The selection keeps an interval (lo, hi) that holds rank k and each
+    row's range of pairs inside it, and narrows it while it holds more than
+    ``_BLOCK_FLOATS`` pairs, as :func:`_order_statistics` brackets its
     ranks: the thresholds come from a fixed-seed sample of the pairs inside,
     ``8 * isqrt(p)`` of p pairs but at most n, so a pass costs O(n log n),
     and a rank at a threshold is that threshold.  Each pass drops at least
     one value from the interval; one whose sample is too small for a margin
     takes the sample's estimate of the rank as both thresholds.  The pairs
     left are then built from their row ranges and partitioned, so no more
-    than O(n + ``budget``) floats are held.
+    than O(n) floats and one block of values are held.
     """
     n = len(s)
     rng = np.random.default_rng(0)
@@ -87,8 +271,9 @@ def _sorted_select(s: np.ndarray, k: int, budget: int) -> float:
     below, inside = 0, _pairs_before(hi_ends)
     if k >= inside:
         return np.inf
-    while inside > budget:
-        sample = _sampled_between(s, lo_ends, hi_ends, inside, rng)
+    while inside > _BLOCK_FLOATS:
+        size = min(n, _SAMPLE_PAIRS_PER_ROOT * math.isqrt(inside))
+        sample = _sampled_between(s[:, None], lo_ends, hi_ends, inside, size, rng)
         f = (k - below) / inside  # rank k's place in the interval, as a fraction
         t1, t2 = _bracket(sample, lo, hi, f, f)
         if t1 == lo and t2 == hi:
@@ -115,10 +300,9 @@ def _sorted_select(s: np.ndarray, k: int, budget: int) -> float:
 
 
 def _sorted_values(s: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """``(s[cols] - s[rows])^2`` for pairs of 1-D points, as ``kernels._difference`` computes it."""
+    """``(s[cols] - s[rows])^2`` for pairs of sorted 1-D points, as :func:`_pairwise` computes it."""
     values = s[cols]
-    values -= s[rows]
-    return np.multiply(values, values, out=values)
+    return _difference(s[rows], values, True, values)
 
 
 def _pairs_before(ends: np.ndarray) -> int:
@@ -192,24 +376,6 @@ def _counted(s: np.ndarray, rows: np.ndarray, cols: np.ndarray, t: float, strict
     return values < t if strict else values <= t
 
 
-def _sampled_between(s, lo_ends, hi_ends, inside: int, rng) -> np.ndarray:
-    """Sorted values of ``min(8 * isqrt(inside), n)`` random pairs of the ``inside`` in the ranges.
-
-    Row i's range is lo_ends[i]..hi_ends[i].  The ranges are laid end to
-    end, and a pair is drawn by its position there.
-    """
-    size = min(len(s), _SAMPLE_PAIRS_PER_ROOT * math.isqrt(inside))
-    positions = rng.integers(inside, size=size)
-    positions.sort()  # searchsorted runs faster on sorted keys
-    ends = np.cumsum(hi_ends - lo_ends)
-    rows = np.searchsorted(ends, positions, "right")
-    positions -= ends[rows]  # minus the pairs from there to the end of the row's range
-    positions += hi_ends[rows]
-    sample = _sorted_values(s, rows, positions)
-    sample.sort()
-    return sample
-
-
 def _values_between(s, lo_ends, hi_ends) -> np.ndarray:
     """The values of every pair in the row ranges lo_ends..hi_ends, row by row."""
     widths = hi_ends - lo_ends
@@ -217,5 +383,4 @@ def _values_between(s, lo_ends, hi_ends) -> np.ndarray:
     cols += np.arange(len(cols))
     values = s[cols]
     del cols
-    values -= np.repeat(s, widths)  # as in _sorted_values
-    return np.multiply(values, values, out=values)
+    return _difference(np.repeat(s, widths), values, True, values)

@@ -48,7 +48,7 @@ def _say(msg: str) -> None:
 
 
 def load_csv_columns(path: str, x_columns: list[str], y_columns: list[str]):
-    """Strict CSV reader: header required, selected names unique, cells numeric, no gaps."""
+    """Strict CSV reader: header required, each selected name once in it, cells numeric, no gaps."""
     try:
         # utf-8-sig: a leading byte order mark is not part of the first name.
         with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -119,8 +119,8 @@ def load_csv_columns(path: str, x_columns: list[str], y_columns: list[str]):
 
 def _columns_flag(text: str) -> list[str]:
     cols = [c.strip() for c in text.split(",") if c.strip()]
-    if not cols:
-        raise CliInputError("column list is empty")
+    if not cols or len(set(cols)) < len(cols):
+        raise CliInputError(f"column list {text!r} is empty or names a column twice")
     return cols
 
 
@@ -198,10 +198,8 @@ def cmd_oracle_sweep(args) -> dict:
     distributions = enumerate_discrete(
         args.mx, args.my, args.resolution, centered_supports=args.centered_supports
     )
-    total = 0
-    dependent = 0
-    min_dependent = None
-    max_independent = None
+    total = dependent = 0
+    min_dependent = max_independent = None
     counterexamples = []
     both_characteristic = kx.claimed_characteristic and ky.claimed_characteristic
     x_support, y_support = integer_supports(args.mx, args.my, args.centered_supports)
@@ -222,10 +220,8 @@ def cmd_oracle_sweep(args) -> dict:
             if max_independent is None or value > max_independent:
                 max_independent = value
     if both_characteristic:
-        verdict = (
-            min_dependent is not None
-            and min_dependent > SWEEP_DEPENDENT_MIN
-            and (max_independent is None or max_independent < SWEEP_INDEPENDENT_MAX)
+        verdict = (min_dependent is None or min_dependent > SWEEP_DEPENDENT_MIN) and (
+            max_independent is None or max_independent < SWEEP_INDEPENDENT_MAX
         )
     else:
         verdict = None

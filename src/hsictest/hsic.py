@@ -50,10 +50,10 @@ from typing import Callable
 
 import numpy as np
 
+from ._selection import _block_rows
 from .kernels import (
     KernelFamily,
     KernelSpec,
-    _block_rows,
     _gram_rows,
     as_points,
     gram_diagonal,
@@ -130,7 +130,7 @@ class DiscreteJointDistribution:
     """Finite joint pmf over labeled support points.
 
     ``pmf[i, j]`` is the probability of the pair ``(x_support[i], y_support[j])``;
-    entries are non-negative and total 1 within roundoff, and the support
+    entries are finite, non-negative and total 1 within roundoff, and the support
     points are distinct within each side.
     """
 
@@ -147,8 +147,8 @@ class DiscreteJointDistribution:
                 f"pmf shape {pmf.shape} does not match supports "
                 f"({xs.shape[0]}, {ys.shape[0]})"
             )
-        if np.any(pmf < 0.0):
-            raise ValueError("pmf entries must be non-negative")
+        if not (pmf >= 0.0).all():  # not any(pmf < 0): NaN fails every comparison
+            raise ValueError("pmf entries must be finite and non-negative")
         mass = float(pmf.sum())
         if abs(mass - 1.0) > PMF_MASS_TOL:
             raise ValueError(f"pmf must sum to 1 (got {mass!r})")

@@ -56,7 +56,7 @@ so is side y.  A median bandwidth is selected exactly, from the sorted
 points by row counts in O(n) memory for a 1-D side, and in chunked passes
 over the distances otherwise; only while the n(n - 1)/2 pairs fit in one
 block of 2^16 floats (n <= 362) is the full n x n distance matrix, at most
-1 MB, partitioned instead (``kernels._order_statistics``).  Only the dense
+1 MB, partitioned instead (``_selection._order_statistics``).  Only the dense
 path holds Grams, one buffer per side, built with the bandwidths already
 resolved; with several y kernels, side x's Gram is built once, and only if
 a y side does not factor.  The permutations are never held: each chunk of
@@ -90,6 +90,7 @@ from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
+from ._selection import _block_rows
 from .datagen import GeneratorSpec, sample
 from .hsic import (
     Dataset,
@@ -117,19 +118,13 @@ EXHAUSTIVE_MAX_N = 6
 # differs from the dense one in the last bits.
 TAKE_MIN_N = 40
 
-# The nulls gather in blocks of at most this many floats (512 KB) per worker:
-# the permuted y-side factor, or each half of a dense gather.  At n=1000 and
-# rank 12, blocks of 2^16 floats ran the factored null 1.2x faster than 2^18
-# and 1.8x faster than 2^20.
-_GATHER_BLOCK_FLOATS = 1 << 16
-
 # Each chunk of the null draws its permutations in blocks of rows, and reduces
 # each block before it draws the next, so the block and the draw's
 # temporaries (words, sorted keys) stay small next to a Gram.  The dense null
 # draws blocks of at most 2^13 words (64 KB): at n = 600 a block and its draw
 # temporaries add 0.09 of a Gram to the test's peak, against 0.29 in blocks
 # of 2^15 words.  From n = 40 to 90, blocks of one gather's rows (n *
-# _gather_rows(n * n) words) ran slower than blocks of 2^13 words.
+# _block_rows(n * n) words) ran slower than blocks of 2^13 words.
 _DENSE_DRAW_BLOCK_WORDS = 1 << 13
 
 # The factored null draws blocks of 2^14 words (128 KB): a process running
@@ -323,14 +318,9 @@ def _run_chunks(nulls: list[_Null], perms, pool=None, workers: int = 1) -> np.nd
     return null
 
 
-def _gather_rows(floats: int) -> int:
-    """Rows a gather of ``floats`` floats a row takes at once, within ``_GATHER_BLOCK_FLOATS``."""
-    return max(1, _GATHER_BLOCK_FLOATS // floats)
-
-
 def _dense_floats(n: int, rows: int) -> int:
     """Floats of the dense null's workspace for ``rows`` rows: both halves of one gather."""
-    return 2 * min(rows, _gather_rows(n * n)) * n * n
+    return 2 * min(rows, _block_rows(n * n)) * n * n
 
 
 def _dense_statistics(
@@ -338,7 +328,7 @@ def _dense_statistics(
 ) -> None:
     """``out[b] = sum(kc * lc[p, p]) / n^2`` for each row p of ``perms``.
 
-    Blocks of b = ``_gather_rows(n^2)`` rows are gathered by two contiguous
+    Blocks of b = ``_block_rows(n^2)`` rows are gathered by two contiguous
     ``take``s into ``work``: ``lc.take(p, axis=1)``, of shape (n, b, n),
     then its rows ``p * b + arange(b)[:, None]`` (computed once for all the
     full blocks), which give ``lc[p[:, :, None], p[:, None, :]]`` bit for
@@ -355,7 +345,7 @@ def _dense_statistics(
     command, against 8 in one 1 MB workspace.
     """
     n, num = lc.shape[0], len(perms)
-    block = min(_gather_rows(n * n), num)
+    block = min(_block_rows(n * n), num)
     if block > 1:
         index = perms * block + np.arange(num)[:, None] % block
     for lo in range(0, num, block):
@@ -399,7 +389,7 @@ def _factored_statistics(
     it falls in.
     """
     (rx, n), ry = fx.shape, fy_cols.shape[1]
-    block = _gather_rows(n * max(ry, 1))
+    block = _block_rows(n * max(ry, 1))
     gathered = min(block, len(perms)) * n * ry  # then the products
     for lo in range(0, len(perms), block):
         hi = min(lo + block, len(perms))
@@ -416,7 +406,7 @@ def _factored_null(fx: np.ndarray, fy: np.ndarray) -> _Null:
     (rx, n), ry = fx.shape, fy.shape[0]
     return _Null(
         partial(_factored_statistics, fx, np.ascontiguousarray(fy.T)),
-        lambda size: min(size, _gather_rows(n * max(ry, 1))) * (n * ry + rx * ry),
+        lambda size: min(size, _block_rows(n * max(ry, 1))) * (n * ry + rx * ry),
         _FACTOR_DRAW_BLOCK_WORDS,
     )
 
@@ -474,7 +464,7 @@ def _null_function(
         del fx  # not held into the dense nulls unless a factored null holds it
     dense = [i for i, null in enumerate(nulls) if null is None]
     if dense:
-        work = workers * _dense_floats(n, _gather_rows(n * n))
+        work = workers * _dense_floats(n, _block_rows(n * n))
         _check_memory(n, 1 + len(dense), held + 8 * work)
         kx, kc, kc_max = centered_side(kx, data.x_points)
         for i in dense:

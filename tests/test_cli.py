@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -10,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hsictest import GeneratorKind, GeneratorSpec, discrete_ring, kernels, sample, testing
+import hsictest
+from hsictest import GeneratorKind, GeneratorSpec, _selection, discrete_ring, sample, testing
 from hsictest.cli import load_csv_columns, main
 
 RING_CSV_SEED = 3
@@ -208,13 +210,15 @@ class TestTestCommand:
         # Each median side of 200 points, built as a centered factor, makes
         # one distance pass for its bandwidth (one block of the upper
         # triangle) and one distance row per pivot column of K, 14 per side;
-        # the command itself resolves nothing.
+        # the command itself resolves nothing.  Every distance pass computes
+        # its distances by _selection._difference, once per coordinate: once
+        # per pass for these 1-D sides.
         calls = []
-        pairwise = kernels._pairwise
+        difference = _selection._difference
         monkeypatch.setattr(
-            kernels,
-            "_pairwise",
-            lambda a, b, squared, out: calls.append(squared) or pairwise(a, b, squared, out),
+            _selection,
+            "_difference",
+            lambda a, b, squared, out: calls.append(squared) or difference(a, b, squared, out),
         )
         code, report, _ = run_cli(
             [
@@ -238,6 +242,8 @@ class TestTestCommand:
             ["--x-columns", " , "],
             ["--threads", "0"],
             ["--kernel-y", "linear:0.5"],
+            ["--x-columns", "x,x"],
+            ["--y-columns", "y, y"],
         ],
     )
     def test_bad_flags_exit_2(self, ring_csv, capsys, extra):
@@ -393,6 +399,18 @@ class TestOracleSweepCommand:
             capsys,
         )
         assert code == 0
+        assert report["pass"] is True
+
+    def test_grid_without_dependent_pmfs_passes(self, capsys):
+        # With one x support point every pmf is a product, so no dependent
+        # pmf can fail the verdict: it holds vacuously.
+        code, report, _ = run_cli(
+            ["oracle-sweep", "--mx", "1", "--my", "3", "--resolution", "4"], capsys
+        )
+        assert code == 0
+        assert report["dependent_distributions"] == 0
+        assert report["min_hsic_dependent"] is None
+        assert report["max_hsic_independent"] < 1e-12
         assert report["pass"] is True
 
     def test_linear_side_surfaces_ring_counterexample(self, capsys):
@@ -587,3 +605,13 @@ def test_module_entry_point_runs():
     proc = _python("-m", "hsictest", "--version")
     assert proc.returncode == 0
     assert proc.stdout.strip()
+
+
+def test_version_matches_pyproject():
+    # Python 3.10 has no tomllib, so the one version line is read by a regex.
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text("utf-8")
+    declared = re.search(r'^version = "([^"]+)"$', pyproject, re.MULTILINE).group(1)
+    assert declared == hsictest.__version__
+    proc = _python("-m", "hsictest", "--version")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == declared

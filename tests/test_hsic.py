@@ -21,7 +21,7 @@ from hsictest import (
     sample,
     theta,
 )
-from hsictest import kernels
+from hsictest import _selection
 from hsictest.hsic import centered_gram_entries, centered_side
 
 GAUSS1 = KernelSpec("gaussian", 1.0)
@@ -129,6 +129,11 @@ class TestDiscreteJointDistribution:
     def test_negative_mass(self):
         pmf = np.array([[0.75, 0.35], [-0.1, 0.0]])
         with pytest.raises(ValueError, match="non-negative"):
+            DiscreteJointDistribution([0.0, 1.0], [0.0, 1.0], pmf)
+
+    def test_nan_mass(self):
+        pmf = np.array([[0.5, np.nan], [0.25, 0.25]])
+        with pytest.raises(ValueError, match="finite and non-negative"):
             DiscreteJointDistribution([0.0, 1.0], [0.0, 1.0], pmf)
 
     def test_total_mass(self):
@@ -241,12 +246,14 @@ class TestBiasedEstimator:
     def test_two_distance_passes_per_median_side(self, monkeypatch):
         # Each side of 7 points selects its median bandwidth in one distance
         # pass over the upper triangle, then builds its Gram in a second.
+        # Both passes compute their distances by _selection._difference,
+        # once per coordinate: once per pass for these 1-D sides.
         calls = []
-        pairwise = kernels._pairwise
+        difference = _selection._difference
         monkeypatch.setattr(
-            kernels,
-            "_pairwise",
-            lambda a, b, squared, out: calls.append(squared) or pairwise(a, b, squared, out),
+            _selection,
+            "_difference",
+            lambda a, b, squared, out: calls.append(squared) or difference(a, b, squared, out),
         )
         gm = KernelSpec("gaussian")
         d = Dataset(np.arange(7.0), np.arange(7.0) ** 2)

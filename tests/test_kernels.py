@@ -23,8 +23,9 @@ from hsictest import (
     sample,
     strict_pd_witness,
 )
-from hsictest import _selection, kernels
-from hsictest.kernels import _pairwise, as_points, gram_entries
+from hsictest import _selection
+from hsictest._selection import _pairwise
+from hsictest.kernels import as_points, gram_entries
 
 coords = st.floats(-20.0, 20.0, allow_nan=False, allow_infinity=False)
 bandwidths = st.floats(0.1, 10.0, allow_nan=False, allow_infinity=False)
@@ -174,7 +175,7 @@ class TestPairwiseDistances:
     def test_row_blocks(self, d, monkeypatch):
         # Blocks of 2 rows of 9 points split the Gram into five blocks, the
         # last one short.
-        monkeypatch.setattr(kernels, "_BLOCK_FLOATS", 18)
+        monkeypatch.setattr(_selection, "_BLOCK_FLOATS", 18)
         pts = np.random.default_rng(d).normal(size=(9, d))
         cases = (("gaussian", "sqeuclidean", -2.0 * 1.3**2), ("laplace", "cityblock", -1.3))
         for family, metric, scale in cases:
@@ -219,10 +220,16 @@ class TestMedianHeuristic:
             pts = np.round(pts, decimals)
         distances = pdist(pts)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(kernels, "_BLOCK_FLOATS", block)
+            mp.setattr(_selection, "_BLOCK_FLOATS", block)
             if skewed:
                 upper = np.sort(_distances(pts, True)[np.triu_indices(len(pts), 1)])
-                mp.setattr(kernels, "_sampled_squared", lambda p, m: upper[: m // 3])
+                sampled = _selection._sampled_between
+                mp.setattr(
+                    _selection, "_sampled_between",
+                    lambda p, lo, hi, m, size, rng: (
+                        upper[: m // 3] if p.shape[1] > 1 else sampled(p, lo, hi, m, size, rng)
+                    ),
+                )
             if not np.any(distances > 0.0):
                 with pytest.raises(AllPointsIdenticalError):
                     median_heuristic(pts)
@@ -301,7 +308,7 @@ class TestOneDimensionalMedian:
         def refused(*args):
             raise AssertionError("a 1-D median made a row-block pass")
 
-        monkeypatch.setattr(kernels, "_count_pass", refused)
+        monkeypatch.setattr(_selection, "_count_pass", refused)
 
     @pytest.mark.parametrize(
         "kind",
@@ -326,9 +333,9 @@ class TestOneDimensionalMedian:
         if decimals is not None:
             pts = np.round(pts, decimals)
         passes = []
-        sorted_statistics = kernels._sorted_order_statistics
+        sorted_statistics = _selection._sorted_order_statistics
         monkeypatch.setattr(
-            kernels,
+            _selection,
             "_sorted_order_statistics",
             lambda *args: passes.append(n) or sorted_statistics(*args),
         )
@@ -357,8 +364,8 @@ class TestOneDimensionalMedian:
             pts = np.round(pts, decimals)
         sampled = _selection._sampled_between
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(kernels, "_BLOCK_FLOATS", block)
-            mp.setattr(kernels, "_count_pass", None)  # never called in 1-D
+            mp.setattr(_selection, "_BLOCK_FLOATS", block)
+            mp.setattr(_selection, "_count_pass", None)  # never called in 1-D
             if skewed:
                 mp.setattr(
                     _selection, "_sampled_between",
@@ -422,9 +429,9 @@ class TestOneDimensionalMedian:
 
     def test_count_pass_serves_only_several_dimensions(self, monkeypatch):
         calls = []
-        count_pass = kernels._count_pass
+        count_pass = _selection._count_pass
         monkeypatch.setattr(
-            kernels, "_count_pass", lambda *args: calls.append(args) or count_pass(*args)
+            _selection, "_count_pass", lambda *args: calls.append(args) or count_pass(*args)
         )
         ring = sample(GeneratorSpec(GeneratorKind.RING_UNIFORM, seed=0), 1000)
         median_heuristic(ring.x_points)
@@ -556,12 +563,15 @@ class TestStrictPdWitness:
 
     def test_two_distance_passes_for_a_median_gaussian(self, monkeypatch):
         # The median bandwidth is selected in one distance pass over the
-        # upper triangle, and the Gram is built in a second.
+        # upper triangle, and the Gram is built in a second.  Both passes
+        # compute their distances by _selection._difference, once per
+        # coordinate: once per pass for these 1-D points.
         calls = []
+        difference = _selection._difference
         monkeypatch.setattr(
-            kernels,
-            "_pairwise",
-            lambda a, b, squared, out: calls.append(squared) or _pairwise(a, b, squared, out),
+            _selection,
+            "_difference",
+            lambda a, b, squared, out: calls.append(squared) or difference(a, b, squared, out),
         )
         assert strict_pd_witness(KernelSpec("gaussian"), [0.0, 1.0, 5.0]).strictly_pd
         assert calls == [True, True]

@@ -30,7 +30,7 @@ from hsictest import (
     resolve_bandwidth,
     sample,
 )
-from hsictest import cli, hsic, testing
+from hsictest import _selection, cli, hsic, testing
 from hsictest.hsic import centered_gram_entries, centered_side, gram_free_side
 from hsictest.kernels import gram_entries
 from hsictest.rng import STREAM_PERMUTATION, rng_for
@@ -351,7 +351,7 @@ class TestPermutedStatistics:
             taken = (np.ascontiguousarray(lc[row][:, row]) for row in p)
             expected = np.array([np.einsum("ij,ij->", kc, t) for t in taken]) / (n * n)
         for rows in (3, 1):
-            monkeypatch.setattr(testing, "_GATHER_BLOCK_FLOATS", rows * n * n)
+            monkeypatch.setattr(_selection, "_BLOCK_FLOATS", rows * n * n)
             null = _dense_null(kc, lc)
             assert null.statistics.func is _dense_statistics
             assert null.floats(31) == 2 * rows * n * n
@@ -403,7 +403,7 @@ class TestFactoredNull:
     def test_null_identical_for_1_2_3_threads(self, monkeypatch):
         monkeypatch.setattr(testing.os, "cpu_count", lambda: 8)
         # A small block makes every chunk span several gather blocks.
-        monkeypatch.setattr(testing, "_GATHER_BLOCK_FLOATS", 1000)
+        monkeypatch.setattr(_selection, "_BLOCK_FLOATS", 1000)
         d = _ring(4, 200)
         *_, null = _grams(d, resolve_bandwidth(GAUSS_MEDIAN, d.x_points), LINEAR)
         assert null.statistics.func is _factored_statistics

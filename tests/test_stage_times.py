@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from hsictest import testing
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -49,10 +51,16 @@ def test_stage_script_does_not_factor_small_tests():
     assert report["stage_sum_s"] <= report["total_s"]
 
 
-def test_draw_split_draws_in_the_blocks_of_the_null(tmp_path, monkeypatch):
+def _script():
+    """The script, imported as a module."""
     spec = importlib.util.spec_from_file_location("stage_times", SCRIPT)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def test_draw_split_draws_in_the_blocks_of_the_null(tmp_path, monkeypatch):
+    script = _script()
     blocks = []  # the rows of each block of each draw, the test's and the split's
     draw_rows = testing._draw_rows
 
@@ -66,3 +74,15 @@ def test_draw_split_draws_in_the_blocks_of_the_null(tmp_path, monkeypatch):
     assert run["null_path"] == "dense"
     assert len(blocks) >= 2 and len(set(blocks)) == 1
     assert sum(run["stages"].values()) <= run["total"]
+
+
+def test_peak_rss_is_not_floored_by_the_calling_process(tmp_path):
+    # Linux counts a parent's RSS at a spawn as its child's.  100 MB held
+    # here, every page written, must not show in the peak of an n = 30 test
+    # (about 38 MB).
+    script = _script()
+    args = script.parse_args(["--n", "30", "--permutations", "20"])
+    csv_path = script.write_ring_csv(tmp_path / "ring.csv", args.n, args.seed)
+    ballast = np.ones(100 << 17)
+    peak = script.child_peak_rss_mb(csv_path, args)
+    assert 0.0 < peak < ballast.nbytes / 2**20
