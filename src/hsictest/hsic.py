@@ -54,7 +54,9 @@ from ._selection import _block_rows
 from .kernels import (
     KernelFamily,
     KernelSpec,
+    _finite,
     _gram_rows,
+    _two_sigma_squared,
     as_points,
     gram_diagonal,
     gram_entries,
@@ -90,11 +92,7 @@ class HsicValue:
 
     @classmethod
     def from_raw(cls, raw: float, estimator: Estimator, scale: float = 1.0) -> "HsicValue":
-        raw = float(raw)
-        if not math.isfinite(raw):
-            raise ArithmeticError(
-                "non-finite HSIC statistic: the kernel values overflowed or are undefined"
-            )
+        raw = _finite(float(raw))
         scale = max(float(scale), 1.0)
         value = 0.0 if -1e-12 * scale <= raw < 0.0 else raw
         return cls(value=value, raw=raw, scale=scale, estimator=estimator)
@@ -220,8 +218,7 @@ def centered_side(spec: KernelSpec, points) -> tuple[KernelSpec, np.ndarray, flo
     :func:`kernels.median_heuristic`).  A side constant to working precision
     (see :func:`_constant`) is set to exact zero and its scale to 0.0:
     leaving the residue would make the statistic and every permuted one
-    roundoff noise.  A non-finite Gram is not zeroed: its NaN scale is left
-    for the statistic's own check to refuse.
+    roundoff noise.  A non-finite Gram raises ``ArithmeticError``.
     """
     pts = as_points(points)
     n = pts.shape[0]
@@ -240,16 +237,14 @@ def centered_side(spec: KernelSpec, points) -> tuple[KernelSpec, np.ndarray, flo
             block -= row_means[lo : lo + rows, None]
         grand_mean = row_means.mean()
         # Finish centering, to ((k_ij - r_i) - r_j) + g, and take each
-        # block's max and min while it is in cache; once NaN, the scale
-        # stays NaN.
+        # block's max and min while it is in cache.
         scale = 0.0
         for lo in range(0, n, rows):
             block = out[lo : lo + rows]
             block -= row_means[None, :]
             block += grand_mean
-            block_scale = float(np.maximum(block.max(), -block.min()))
-            if scale == scale and not block_scale <= scale:
-                scale = block_scale
+            block_scale = _finite(float(np.maximum(block.max(), -block.min())))
+            scale = max(scale, block_scale)
         if _constant(scale, k_diagonal):
             out.fill(0.0)
             scale = 0.0
@@ -299,8 +294,6 @@ def _pivoted_cholesky(
     in a fixed order, so equal rows of ``a`` (repeated points) get
     bitwise-equal factor columns and keep their exact null ties.
     """
-    if not math.isfinite(max_abs):
-        return None  # the dense path reports the overflow
     n = len(diagonal)
     floor = n * _EPS * max_abs
     residual = diagonal.copy()
@@ -331,11 +324,10 @@ def gram_free_side(spec: KernelSpec, points) -> tuple[KernelSpec, np.ndarray | N
     then centered, ``Fc = F H``, and the scale max|HKH| is Fc's largest
     squared column norm: the largest entry of a PSD matrix is on its
     diagonal.  A side constant to working precision (see :func:`_constant`)
-    gets a factor of no rows and scale 0.0.  ``Fc`` is None, for the test to
-    take the dense path, when K needs more than ``cap`` rows, when the scale
-    is not finite (the dense path reports the overflow), or when a Gaussian
-    or Laplace scale is below ``FACTOR_MIN_SCALE * max K_ii``.  The scale is
-    then NaN if K did not factor.
+    gets a factor of no rows and scale 0.0, and a non-finite scale raises
+    ``ArithmeticError``.  ``Fc`` is None, for the dense path, when K needs
+    more than ``cap`` rows or a Gaussian 2 sigma^2 overflows (scale NaN), or
+    when a Gaussian or Laplace scale is below ``FACTOR_MIN_SCALE * max K_ii``.
     """
     pts = as_points(points)
     n, d = pts.shape
@@ -346,7 +338,7 @@ def gram_free_side(spec: KernelSpec, points) -> tuple[KernelSpec, np.ndarray | N
         linear = spec.family is KernelFamily.LINEAR
         if linear:
             f = pts.T if d <= cap else None
-        elif spec.family is KernelFamily.GAUSSIAN and math.isinf(2.0 * spec.bandwidth**2):
+        elif spec.family is KernelFamily.GAUSSIAN and math.isinf(_two_sigma_squared(spec.bandwidth)):
             # K is then NaN wherever a squared distance overflows too, which
             # the pivot columns need not show; the dense path reports it.
             f = None
@@ -356,9 +348,7 @@ def gram_free_side(spec: KernelSpec, points) -> tuple[KernelSpec, np.ndarray | N
         if f is None:
             return spec, None, math.nan
         fc = f - f.mean(axis=1, keepdims=True)
-        scale = float(np.einsum("ij,ij->j", fc, fc).max())
-    if not math.isfinite(scale):
-        return spec, None, scale
+        scale = _finite(float(np.einsum("ij,ij->j", fc, fc).max()))
     if _constant(scale, k_diagonal):
         return spec, fc[:0], 0.0
     if not linear and scale < FACTOR_MIN_SCALE * k_diagonal.max():

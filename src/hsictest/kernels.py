@@ -180,6 +180,23 @@ def resolve_bandwidth(spec: KernelSpec, points) -> KernelSpec:
     return replace(spec, bandwidth=median)
 
 
+def _finite(values):
+    """``values`` (a side's scale, a statistic or a null) if all finite; else ``ArithmeticError``."""
+    if not (math.isfinite(values) if isinstance(values, float) else np.isfinite(values).all()):
+        raise ArithmeticError(
+            "non-finite HSIC statistic: the kernel values overflowed or are undefined"
+        )
+    return values
+
+
+def _two_sigma_squared(bandwidth: float) -> float:
+    """A Gaussian's ``2 sigma^2``: inf where it overflows, and refused where it rounds to 0."""
+    try:  # a 0 would make every K_ii exp(-0 / 0), undefined
+        return 2.0 * bandwidth**2 or _finite(math.nan)
+    except OverflowError:  # ``**`` raises it from sigma near 1.34e154 on
+        return math.inf
+
+
 def _gram_rows(spec: KernelSpec, rows: np.ndarray, pts: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Gram entries ``k(rows[i], pts[j])`` of a resolved ``spec``, in ``out`` (len(rows) x len(pts)).
 
@@ -194,7 +211,7 @@ def _gram_rows(spec: KernelSpec, rows: np.ndarray, pts: np.ndarray, out: np.ndar
         return np.einsum("id,jd->ij", rows, pts, out=out)
     squared = spec.family is KernelFamily.GAUSSIAN
     _pairwise(rows[:, None], pts[None], squared, out)
-    np.divide(out, -2.0 * spec.bandwidth**2 if squared else -spec.bandwidth, out=out)
+    np.divide(out, -_two_sigma_squared(spec.bandwidth) if squared else -spec.bandwidth, out=out)
     return np.exp(out, out=out)
 
 

@@ -9,7 +9,9 @@ The stream tag and the index share the other key word, 16 and 48 bits, and
 are refused outside [0, 2**16) and [0, 2**48), so distinct cells never share
 a key.  Permutation replicates share one cell and are addressed by word
 offset inside it (see ``RNG_SCHEME``); Philox is counter-based, so any offset
-is reachable without drawing what precedes it.
+is reachable without drawing what precedes it.  One draw is not from Philox:
+``_selection`` brackets an exact median by a ``np.random.default_rng(0)``
+(PCG64) sample of pairs, which sets a median's passes, never its value.
 """
 
 from __future__ import annotations

@@ -27,8 +27,8 @@ are a prefix of those of any larger B, and each one is reachable on its own by
 high bits with its column index in the low ``(n - 1).bit_length()`` bits.
 A row whose high parts repeat, found by an adjacent compare of the sorted
 keys, is sorted again by the stable argsort of its full words, so every row
-is still exactly the stable argsort.  A non-finite observed or null statistic
-raises ``ArithmeticError`` rather than yielding a p-value.
+is still exactly the stable argsort.  A non-finite side, observed statistic or
+null statistic raises ``ArithmeticError`` rather than yielding a p-value.
 
 The null has two paths, and the observed statistic is always the null's
 own function applied to the identity permutation, so the two share one
@@ -99,7 +99,7 @@ from .hsic import (
     centered_side,
     gram_free_side,
 )
-from .kernels import KernelSpec
+from .kernels import KernelSpec, _finite
 from .rng import (
     RNG_SCHEME,
     SEED_BOUND,
@@ -473,16 +473,6 @@ def _null_function(
     return kx, kys, scales, nulls
 
 
-def _check_finite(null: np.ndarray) -> None:
-    # A NaN null statistic never counts as an exceedance, so it would pull p
-    # toward 1/(B+1), a confident wrong rejection.  The observed value is
-    # checked when its HsicValue is built.
-    if not np.isfinite(null).all():
-        raise ArithmeticError(
-            "non-finite HSIC statistic: the kernel values overflowed or are undefined"
-        )
-
-
 def _replicates(data: Dataset, kx: KernelSpec, kys, perms: _Rows, threads: int = 1):
     """``(kx, kys, observed, null)``: the statistics of ``data`` and their nulls over ``perms``.
 
@@ -508,8 +498,9 @@ def _replicates(data: Dataset, kx: KernelSpec, kys, perms: _Rows, threads: int =
     size = workers if data.n >= TAKE_MIN_N else 1
     with ThreadPoolExecutor(max_workers=size) if size > 1 else nullcontext() as pool:
         null = _run_chunks(nulls, perms, pool, size)
-    _check_finite(null)
-    return kx, kys, observed, null
+    # A NaN null statistic would count as no exceedance and pull p toward
+    # 1/(B+1); the observed value is checked when its HsicValue is built.
+    return kx, kys, observed, _finite(null)
 
 
 def _results(

@@ -6,13 +6,14 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import hsictest
-from hsictest import GeneratorKind, GeneratorSpec, _selection, discrete_ring, sample, testing
+from hsictest import GeneratorKind, GeneratorSpec, _selection, discrete_ring, hsic, sample, testing
 from hsictest.cli import load_csv_columns, main
 
 RING_CSV_SEED = 3
@@ -309,6 +310,22 @@ class TestMemoryGuard:
         assert code == 2 and report is None
         assert f"about {self.estimate(4) / 2**20:.1f} MiB" in err
 
+    def test_overflowing_side_exits_3_within_the_factored_budget(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # A linear y of 1e200 overflows its factor's scale.  Refused where
+        # it is built, it exits 3 under a budget that holds the factored
+        # path (the null statistics) but not the dense fallback's two Grams
+        # and their workspace, which it would otherwise try first.
+        data = sample(GeneratorSpec(GeneratorKind.RING_UNIFORM, seed=RING_CSV_SEED), self.N)
+        pairs = zip(data.x_points[:, 0], data.y_points[:, 0])
+        path = tmp_path / "huge.csv"
+        path.write_text("x,y\n" + "".join(f"{float(a)!r},{float(b) * 1e200!r}\n" for a, b in pairs))
+        monkeypatch.setattr(testing, "MEMORY_BUDGET_BYTES", self.estimate(2))
+        code, report, err = run_cli(self.argv(str(path), "linear"), capsys)
+        assert code == 3 and report is None
+        assert "non-finite" in err and "memory budget" not in err
+
     def test_permutations_beyond_memory_exit_2(self, ring_csv, capsys):
         # 10^12 permutations of 200 points would take 1.6 PB; the test must
         # refuse them before it allocates them, not fail with MemoryError.
@@ -551,6 +568,44 @@ class TestExitCodes:
         assert code == 3
         assert report is None
         assert "non-finite" in err
+
+    @pytest.mark.parametrize("n", [3, 60], ids=["dense", "factored"])
+    def test_gaussian_bandwidths_at_the_float_limits(self, n, tmp_path, capsys, monkeypatch):
+        # 2 sigma^2 overflows from sigma near 9.48e153 on (Python's ** raises
+        # from 1.34e154) and rounds to 0 below about 1.57e-162.  Overflowed,
+        # it is inf, and 1.35e154 reads as 1.3e154 does: K is 1 at every
+        # finite distance, so p = 1.  Rounded to 0, it would make K_ii =
+        # exp(-0 / 0): the test exits 3 before any pivot column is built,
+        # and warns of nothing.
+        path = tmp_path / "data.csv"
+        if n == 3:
+            path.write_text("x,y\n1,2\n2,3\n3,5\n")
+        else:
+            write_ring_csv(path, n=n)
+        pivots, pivoted = [], hsic._pivoted_cholesky
+        monkeypatch.setattr(
+            hsic, "_pivoted_cholesky", lambda *args: pivots.append(args) or pivoted(*args)
+        )
+
+        def run(bandwidth):
+            argv = [
+                "test", str(path), "--x-columns", "x", "--y-columns", "y",
+                "--kernel-x", f"gaussian:{bandwidth}", "--permutations", "20",
+            ]
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                result = run_cli(argv, capsys)
+            assert not caught, [str(w.message) for w in caught]
+            return result
+
+        finite, overflowed, tiny = run("1.3e154"), run("1.35e154"), run("2e-162")
+        for code, report, _ in (finite, overflowed, tiny):
+            assert code == 0 and report["p_value"] == 1.0
+        assert overflowed[1]["statistic"] == finite[1]["statistic"] == 0.0
+        pivots.clear()
+        code, report, err = run("1e-162")
+        assert code == 3 and report is None
+        assert "non-finite" in err and not pivots
 
     def test_overflowing_median_bandwidth_exits_2(self, tmp_path, capsys):
         # 400 points, past the full-matrix median: the squared distances of

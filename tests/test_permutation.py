@@ -582,11 +582,10 @@ class TestGramFreeSide:
         cfg = PermutationConfig(99, 0.05, 0)
         assert permutation_test(d, GAUSS_MEDIAN, LINEAR, cfg).p_value == 1.0
 
-    def test_overflowing_linear_side_falls_back_to_dense_and_exits_3(self, tmp_path, capsys):
+    def test_overflowing_linear_side_refused_at_the_side_exits_3(self, tmp_path, capsys):
         d = _ring(0, 60)
-        _, fc, scale = gram_free_side(LINEAR, d.y_points * 1e200)
-        assert not math.isfinite(scale)
-        assert fc is None
+        with pytest.raises(ArithmeticError, match="non-finite"):
+            gram_free_side(LINEAR, d.y_points * 1e200)
         path = tmp_path / "huge.csv"
         pairs = zip(d.x_points[:, 0], d.y_points[:, 0])
         rows = "".join(f"{float(a)!r},{float(b) * 1e200!r}\n" for a, b in pairs)
@@ -687,17 +686,23 @@ class TestThreads:
         assert results[0] == results[1] == results[2]
 
     @staticmethod
+    def _traced_peak(run):
+        """Traced peak bytes of ``run()``, called once before so first-call allocations stay out."""
+        run()
+        tracemalloc.start()
+        try:
+            run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak
+
+    @staticmethod
     def _peak_grams(n, ky, permutations):
         """Traced peak of one test of n ring points, in units of one n x n float Gram."""
         d = _ring(0, n)
         cfg = PermutationConfig(permutations, 0.05, 0)
-        permutation_test(d, GAUSS_MEDIAN, ky, cfg)  # first-call allocations stay out
-        tracemalloc.start()
-        try:
-            permutation_test(d, GAUSS_MEDIAN, ky, cfg)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = TestThreads._traced_peak(lambda: permutation_test(d, GAUSS_MEDIAN, ky, cfg))
         return peak / (n * n * 8)
 
     @pytest.mark.parametrize(
@@ -718,6 +723,20 @@ class TestThreads:
         # median buffer, the held permutations or a factor kept alive into
         # the dense null would break them.
         assert self._peak_grams(600, ky, 200) <= before
+
+    def test_overflowing_side_refused_below_one_gram(self):
+        # A linear y of 1e200 overflows its factor's scale and is refused
+        # there, before the dense fallback's two Grams and gather workspace
+        # (a 4-Gram peak) are allocated only to find the overflow.
+        n = 600
+        d = _ring(0, n)
+        d = Dataset(d.x_points, d.y_points * 1e200)
+
+        def run():
+            with pytest.raises(ArithmeticError, match="non-finite"):
+                permutation_test(d, GAUSS_MEDIAN, LINEAR, PermutationConfig(200, 0.05, 0))
+
+        assert self._traced_peak(run) < n * n * 8
 
     @pytest.mark.parametrize("n,floats", [(40, 2 * 40 * 40 * 40), (600, 2 * 600 * 600)])
     def test_memory_estimate_covers_the_dense_workspaces(self, many_cpus, monkeypatch, n, floats):
@@ -861,8 +880,8 @@ class TestPermutationTest:
             permutation_test(d, GAUSS_MEDIAN, GAUSS_MEDIAN, PermutationConfig(20, 0.05, 0))
 
     def test_overflowing_gram_is_not_factored(self):
-        # An infinite Gram entry must reach the dense path and its error,
-        # not a rank-0 factor and a confident p = 1.
+        # An infinite Gram entry must be refused where its side is built,
+        # not read as a rank-0 factor and a confident p = 1.
         x = np.linspace(-1.0, 1.0, TAKE_MIN_N)
         d = Dataset(x * 1e200, x**2)
         with pytest.raises(ArithmeticError, match="non-finite"):
