@@ -70,11 +70,13 @@ def corpus(workdir: Path) -> list[list[str]]:
 
 
 def digest(argv: list[str]) -> str:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    """The report's digest; a command that fails raises ``SystemExit`` with its last stderr line."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
     if code != 0:
-        raise SystemExit(f"exit {code}: {' '.join(argv)}")
+        reason = (err.getvalue().strip().splitlines() or ["(no stderr)"])[-1]
+        raise SystemExit(f"exit {code}: {' '.join(argv)}: {reason}")
     report = json.loads(out.getvalue())
     report.pop("duration_seconds")
     report.pop("version")

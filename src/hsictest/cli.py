@@ -30,7 +30,7 @@ from .datagen import (
     integer_supports,
 )
 from .hsic import Dataset, population_hsic, theta
-from .kernels import KernelFamily, KernelSpec, parse_kernel, resolve_bandwidth
+from .kernels import parse_kernel, resolve_bandwidth
 from .testing import PermutationConfig, permutation_test, power_experiment
 
 # Sweep verdict thresholds: dependent pmfs must clear the first, independent
@@ -141,8 +141,8 @@ def cmd_test(args) -> dict:
     )
     return {
         "n": data.n,
-        "resolved_bandwidth_x": _bandwidth_or_none(result.kernel_x),
-        "resolved_bandwidth_y": _bandwidth_or_none(result.kernel_y),
+        "resolved_bandwidth_x": result.kernel_x.bandwidth,
+        "resolved_bandwidth_y": result.kernel_y.bandwidth,
         "statistic": result.statistic.value,
         "statistic_raw": result.statistic.raw,
         "p_value": result.p_value,
@@ -152,10 +152,6 @@ def cmd_test(args) -> dict:
         "seed": result.seed,
         "rng": result.rng,
     }
-
-
-def _bandwidth_or_none(spec: KernelSpec):
-    return None if spec.family is KernelFamily.LINEAR else spec.bandwidth
 
 
 def cmd_reproduce_ring(args) -> dict:
@@ -234,8 +230,8 @@ def cmd_oracle_sweep(args) -> dict:
         )
     )
     report = {
-        "resolved_bandwidth_x": _bandwidth_or_none(kx_res),
-        "resolved_bandwidth_y": _bandwidth_or_none(ky_res),
+        "resolved_bandwidth_x": kx_res.bandwidth,
+        "resolved_bandwidth_y": ky_res.bandwidth,
         "total_distributions": total,
         "dependent_distributions": dependent,
         "independent_distributions": total - dependent,

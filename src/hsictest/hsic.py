@@ -56,7 +56,6 @@ from .kernels import (
     KernelSpec,
     _finite,
     _gram_rows,
-    _two_sigma_squared,
     as_points,
     gram_diagonal,
     gram_entries,
@@ -325,9 +324,9 @@ def gram_free_side(spec: KernelSpec, points) -> tuple[KernelSpec, np.ndarray | N
     squared column norm: the largest entry of a PSD matrix is on its
     diagonal.  A side constant to working precision (see :func:`_constant`)
     gets a factor of no rows and scale 0.0, and a non-finite scale raises
-    ``ArithmeticError``.  ``Fc`` is None, for the dense path, when K needs
-    more than ``cap`` rows or a Gaussian 2 sigma^2 overflows (scale NaN), or
-    when a Gaussian or Laplace scale is below ``FACTOR_MIN_SCALE * max K_ii``.
+    ``ArithmeticError``, as :func:`kernels.resolve_bandwidth` does.  ``Fc``
+    is None, for the dense path, only when K needs more than ``cap`` rows or
+    a Gaussian or Laplace scale is below ``FACTOR_MIN_SCALE * max K_ii``.
     """
     pts = as_points(points)
     n, d = pts.shape
@@ -338,10 +337,6 @@ def gram_free_side(spec: KernelSpec, points) -> tuple[KernelSpec, np.ndarray | N
         linear = spec.family is KernelFamily.LINEAR
         if linear:
             f = pts.T if d <= cap else None
-        elif spec.family is KernelFamily.GAUSSIAN and math.isinf(_two_sigma_squared(spec.bandwidth)):
-            # K is then NaN wherever a squared distance overflows too, which
-            # the pivot columns need not show; the dense path reports it.
-            f = None
         else:
             column = lambda j: _gram_rows(spec, pts[j : j + 1], pts, np.empty((1, n)))[0]  # noqa: E731
             f = _pivoted_cholesky(k_diagonal, column, float(k_diagonal.max()), cap)

@@ -62,16 +62,20 @@ class KernelSpec:
 
     ``bandwidth`` is a positive float or the sentinel :data:`MEDIAN_BANDWIDTH`,
     meaning "resolve via the median heuristic before use".  The linear kernel
-    ignores the bandwidth entirely.
+    has none: its bandwidth is None, and a float is refused.
     """
 
     family: KernelFamily
-    bandwidth: float | str = MEDIAN_BANDWIDTH
+    bandwidth: float | str | None = MEDIAN_BANDWIDTH
 
     def __post_init__(self):
         object.__setattr__(self, "family", KernelFamily(self.family))
         bw = self.bandwidth
-        if isinstance(bw, str):
+        if self.family is KernelFamily.LINEAR:
+            if bw not in (None, MEDIAN_BANDWIDTH):
+                raise ValueError(f"the linear kernel takes no bandwidth, got {bw!r}")
+            object.__setattr__(self, "bandwidth", None)
+        elif isinstance(bw, str):
             if bw != MEDIAN_BANDWIDTH:
                 raise ValueError(f"unknown bandwidth sentinel: {bw!r}")
         else:
@@ -87,13 +91,11 @@ class KernelSpec:
 
     @property
     def is_resolved(self) -> bool:
-        return self.family is KernelFamily.LINEAR or isinstance(self.bandwidth, float)
+        return self.bandwidth != MEDIAN_BANDWIDTH
 
     def describe(self) -> str:
         """Flag-grammar form, e.g. ``gaussian:0.5`` or ``linear``."""
-        if self.family is KernelFamily.LINEAR:
-            return self.family.value
-        return f"{self.family.value}:{self.bandwidth}"
+        return self.family.value if self.bandwidth is None else f"{self.family.value}:{self.bandwidth}"
 
 
 def parse_kernel(text: str) -> KernelSpec:
@@ -163,21 +165,36 @@ def median_heuristic(points) -> float:
 
 
 def resolve_bandwidth(spec: KernelSpec, points) -> KernelSpec:
-    """Replace the median-heuristic sentinel with a concrete bandwidth.
+    """``spec`` with a median-heuristic sentinel replaced, once floats can compute it on ``points``.
 
     A median of 0 (most pairs coincide) or inf (the squared distances
     overflow) is no bandwidth, and raises ``ValueError`` that gives the
-    median and asks for an explicit bandwidth.
+    median and asks for an explicit bandwidth.  Floats would compute another
+    kernel, so :func:`_finite` refuses a Gaussian whose ``2 sigma^2``
+    overflows (sigma from about 9.48e153) or rounds to 0, and a Gaussian or
+    Laplace side whose largest distance overflows.  That distance is bounded
+    by the coordinate ranges, summed as :func:`_selection._pairwise` sums
+    them: exactly for 1-D points, as rounding is monotone.
     """
-    if spec.is_resolved:
+    if not spec.is_resolved:
+        median = median_heuristic(points)
+        if not 0.0 < median < math.inf:
+            raise ValueError(
+                f"the median pairwise distance is {median!r}, which is no bandwidth (a bandwidth "
+                f"must be positive and finite); pass an explicit one, such as {spec.family.value}:1.0"
+            )
+        spec = replace(spec, bandwidth=median)
+    if spec.family is KernelFamily.LINEAR:
         return spec
-    median = median_heuristic(points)
-    if not 0.0 < median < math.inf:
-        raise ValueError(
-            f"the median pairwise distance is {median!r}, which is no bandwidth (a bandwidth "
-            f"must be positive and finite); pass an explicit one, such as {spec.family.value}:1.0"
-        )
-    return replace(spec, bandwidth=median)
+    squared = spec.family is KernelFamily.GAUSSIAN
+    # Capped where 2 sigma^2 overflows already: ``**`` raises from sigma near 1.34e154 on.
+    divisor = 2.0 * min(spec.bandwidth, 1e154) ** 2 if squared else spec.bandwidth
+    pts = np.asarray(points, dtype=float).reshape(len(points), -1)
+    largest = 0.0  # in Python floats, which overflow to inf without a warning
+    for hi, lo in zip(pts.max(axis=0).tolist(), pts.min(axis=0).tolist()):
+        largest += (hi - lo) * (hi - lo) if squared else hi - lo
+    _finite(largest if 0.0 < divisor < math.inf else math.nan)
+    return spec
 
 
 def _finite(values):
@@ -187,14 +204,6 @@ def _finite(values):
             "non-finite HSIC statistic: the kernel values overflowed or are undefined"
         )
     return values
-
-
-def _two_sigma_squared(bandwidth: float) -> float:
-    """A Gaussian's ``2 sigma^2``: inf where it overflows, and refused where it rounds to 0."""
-    try:  # a 0 would make every K_ii exp(-0 / 0), undefined
-        return 2.0 * bandwidth**2 or _finite(math.nan)
-    except OverflowError:  # ``**`` raises it from sigma near 1.34e154 on
-        return math.inf
 
 
 def _gram_rows(spec: KernelSpec, rows: np.ndarray, pts: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -211,7 +220,7 @@ def _gram_rows(spec: KernelSpec, rows: np.ndarray, pts: np.ndarray, out: np.ndar
         return np.einsum("id,jd->ij", rows, pts, out=out)
     squared = spec.family is KernelFamily.GAUSSIAN
     _pairwise(rows[:, None], pts[None], squared, out)
-    np.divide(out, -_two_sigma_squared(spec.bandwidth) if squared else -spec.bandwidth, out=out)
+    np.divide(out, -(2.0 * spec.bandwidth**2) if squared else -spec.bandwidth, out=out)
     return np.exp(out, out=out)
 
 

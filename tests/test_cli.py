@@ -13,7 +13,9 @@ import numpy as np
 import pytest
 
 import hsictest
-from hsictest import GeneratorKind, GeneratorSpec, _selection, discrete_ring, hsic, sample, testing
+from hsictest import (
+    GeneratorKind, GeneratorSpec, _selection, discrete_ring, hsic, median_heuristic, sample, testing,
+)
 from hsictest.cli import load_csv_columns, main
 
 RING_CSV_SEED = 3
@@ -326,6 +328,27 @@ class TestMemoryGuard:
         assert code == 3 and report is None
         assert "non-finite" in err and "memory budget" not in err
 
+    def test_overflowing_two_sigma_squared_exits_3_below_one_gram(
+        self, big_csv, capsys, monkeypatch
+    ):
+        # gaussian:1e154 overflows 2 sigma^2.  Refused as its bandwidth is
+        # resolved, the test exits 3 under a budget that holds the factored
+        # path but not the dense one, which it took before (and at n = 20 000
+        # exited 2 for the dense estimate).  The traced peak is taken as
+        # TestThreads._traced_peak takes it, on a second run.
+        monkeypatch.setattr(testing, "MEMORY_BUDGET_BYTES", self.estimate(2))
+        argv = self.argv(big_csv, "gaussian:median") + ["--kernel-x", "gaussian:1e154"]
+        run_cli(argv, capsys)
+        tracemalloc.start()
+        try:
+            code, report, err = run_cli(argv, capsys)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 3 and report is None
+        assert "non-finite" in err and "memory budget" not in err
+        assert peak < 8 * self.N**2
+
     def test_permutations_beyond_memory_exit_2(self, ring_csv, capsys):
         # 10^12 permutations of 200 points would take 1.6 PB; the test must
         # refuse them before it allocates them, not fail with MemoryError.
@@ -466,6 +489,13 @@ class TestOracleSweepCommand:
         assert code == 2
         assert report is None
 
+    def test_overflowing_two_sigma_squared_exits_3(self, capsys):
+        # Resolved with the supports, before any pmf: gaussian:1e154 would
+        # make every K 1, and every population HSIC 0.
+        code, report, err = run_cli(["oracle-sweep", "--kernel-x", "gaussian:1e154"], capsys)
+        assert code == 3 and report is None
+        assert "non-finite" in err
+
     def test_median_bandwidth_on_one_support_point_exits_2(self, capsys):
         code, report, err = run_cli(
             ["oracle-sweep", "--mx", "1", "--kernel-x", "gaussian:median"], capsys
@@ -573,10 +603,12 @@ class TestExitCodes:
     def test_gaussian_bandwidths_at_the_float_limits(self, n, tmp_path, capsys, monkeypatch):
         # 2 sigma^2 overflows from sigma near 9.48e153 on (Python's ** raises
         # from 1.34e154) and rounds to 0 below about 1.57e-162.  Overflowed,
-        # it is inf, and 1.35e154 reads as 1.3e154 does: K is 1 at every
-        # finite distance, so p = 1.  Rounded to 0, it would make K_ii =
-        # exp(-0 / 0): the test exits 3 before any pivot column is built,
-        # and warns of nothing.
+        # it would make K 1 at every finite distance, a kernel that is not
+        # characteristic (on dependent u in [0, 1.3e154] it gave p = 1);
+        # rounded to 0, it would make K_ii = exp(-0 / 0).  Either way the
+        # test exits 3 as the bandwidth is resolved, before any pivot column
+        # is built, and warns of nothing.  Just inside both limits K is 1,
+        # or the identity, to working precision on these points: p = 1.
         path = tmp_path / "data.csv"
         if n == 3:
             path.write_text("x,y\n1,2\n2,3\n3,5\n")
@@ -598,14 +630,80 @@ class TestExitCodes:
             assert not caught, [str(w.message) for w in caught]
             return result
 
-        finite, overflowed, tiny = run("1.3e154"), run("1.35e154"), run("2e-162")
-        for code, report, _ in (finite, overflowed, tiny):
+        finite, tiny = run("9.4e153"), run("2e-162")
+        for code, report, _ in (finite, tiny):
             assert code == 0 and report["p_value"] == 1.0
-        assert overflowed[1]["statistic"] == finite[1]["statistic"] == 0.0
+        assert finite[1]["statistic"] == 0.0
         pivots.clear()
-        code, report, err = run("1e-162")
+        for bandwidth in ("9.5e153", "1.3e154", "1.35e154", "1e-162"):
+            code, report, err = run(bandwidth)
+            assert code == 3 and report is None
+            assert "non-finite" in err and not pivots
+
+    @staticmethod
+    def _refused(path, capsys, flags, **columns):
+        """Run ``test`` on a CSV of ``columns`` with ``flags``; assert it exits 3 as non-finite."""
+        rows = zip(*columns.values())
+        lines = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in rows)
+        path.write_text(",".join(columns) + "\n" + lines)
+        argv = ["test", str(path), "--y-columns", "y", "--permutations", "50", *flags]
+        code, report, err = run_cli(argv, capsys)
         assert code == 3 and report is None
-        assert "non-finite" in err and not pivots
+        assert "non-finite" in err
+
+    @pytest.mark.parametrize("n", [30, 60], ids=["dense", "factored"])
+    def test_overflowing_two_sigma_squared_exits_3(self, n, tmp_path, capsys):
+        # Dependent u in [0, 1.3e154]: every squared distance is finite, but
+        # 2 sigma^2 of gaussian:1e154 overflows, which made K 1 everywhere and
+        # gave statistic 0 and p = 1.  u / 1.3e154 under gaussian:0.769 gives
+        # p = 0.005 at n = 200 with 200 permutations.
+        t = np.random.default_rng(n).uniform(size=n)
+        y = np.cos(2 * np.pi * t)
+        self._refused(
+            tmp_path / "u.csv", capsys, ["--x-columns", "x", "--kernel-x", "gaussian:1e154"],
+            x=t * 1.3e154, y=y,
+        )
+
+    @pytest.mark.parametrize("n", [30, 60], ids=["dense", "factored"])
+    def test_overflowing_squared_distances_exit_3(self, n, tmp_path, capsys):
+        # x = 1e154 z: the median bandwidth is finite and so is its 2 sigma^2,
+        # but the squared distances of the widest pairs overflow, and their
+        # K entries came out 0 where the true ones are e^-11 to e^-15.  The
+        # factored side then blew up: p = 0.035 for a statistic of 817 at
+        # n = 60 with 200 permutations.
+        rng = np.random.default_rng(0)
+        z = rng.normal(size=n)
+        with np.errstate(over="ignore"):
+            assert 7e153 < median_heuristic(z * 1e154) < 9.4e153
+        self._refused(
+            tmp_path / "z.csv", capsys, ["--x-columns", "x"],
+            x=z * 1e154, y=z * z + 0.1 * rng.normal(size=n),
+        )
+
+    @pytest.mark.parametrize("n", [30, 60], ids=["dense", "factored"])
+    def test_overflowing_laplace_range_exits_3(self, n, tmp_path, capsys):
+        # The cityblock distances of the widest pairs, up to 3e308, overflow
+        # under laplace:1e308, and their K entries came out 0 where the true
+        # ones are e^-1.8 to e^-3.
+        t = np.random.default_rng(n).uniform(-1.0, 1.0, size=n)
+        assert np.ptp(t) * 1.5 > 1.8
+        self._refused(
+            tmp_path / "laplace.csv", capsys, ["--x-columns", "x", "--kernel-x", "laplace:1e308"],
+            x=t * 1.5e308, y=np.abs(t),
+        )
+
+    @pytest.mark.parametrize("n", [30, 60], ids=["dense", "factored"])
+    def test_two_coordinates_whose_squared_ranges_overflow_exit_3(self, n, tmp_path, capsys):
+        # Each coordinate's squared range is finite, about 1.4e308, but their
+        # sum is not: the side is refused on that bound, before any distance.
+        u = np.random.default_rng(n).uniform(size=(n, 2))
+        squares = np.ptp(u, axis=0) ** 2 * 1.44  # in units of 1e308
+        assert squares.max() < 1.79 < squares.sum()
+        self._refused(
+            tmp_path / "plane.csv", capsys,
+            ["--x-columns", "x1,x2", "--kernel-x", "gaussian:5e153"],
+            x1=u[:, 0] * 1.2e154, x2=u[:, 1] * 1.2e154, y=u[:, 0] * u[:, 1],
+        )
 
     def test_overflowing_median_bandwidth_exits_2(self, tmp_path, capsys):
         # 400 points, past the full-matrix median: the squared distances of

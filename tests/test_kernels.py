@@ -32,6 +32,11 @@ bandwidths = st.floats(0.1, 10.0, allow_nan=False, allow_infinity=False)
 families = st.sampled_from(["gaussian", "laplace", "linear"])
 
 
+def _spec(family, bandwidth):
+    """``KernelSpec(family, bandwidth)``, but the linear kernel takes no bandwidth."""
+    return KernelSpec(family) if family == "linear" else KernelSpec(family, bandwidth)
+
+
 @st.composite
 def vector_pairs(draw):
     d = draw(st.integers(1, 4))
@@ -57,7 +62,7 @@ class TestParseKernel:
             ("gaussian:median", KernelFamily.GAUSSIAN, MEDIAN_BANDWIDTH),
             ("laplace:2", KernelFamily.LAPLACE, 2.0),
             ("laplace:MEDIAN", KernelFamily.LAPLACE, MEDIAN_BANDWIDTH),
-            ("linear", KernelFamily.LINEAR, MEDIAN_BANDWIDTH),
+            ("linear", KernelFamily.LINEAR, None),
             ("  GAUSSIAN:1.5 ", KernelFamily.GAUSSIAN, 1.5),
         ],
     )
@@ -112,6 +117,12 @@ class TestKernelSpec:
     def test_accepts_family_by_string(self):
         assert KernelSpec("laplace", 1.0).family is KernelFamily.LAPLACE
 
+    def test_linear_holds_no_bandwidth(self):
+        assert KernelSpec(KernelFamily.LINEAR).bandwidth is None
+        assert KernelSpec("linear", None) == KernelSpec("linear")
+        with pytest.raises(ValueError, match="linear kernel takes no bandwidth"):
+            KernelSpec("linear", 0.5)
+
 
 class TestKernelEval:
     """k(x, y) read off the 2 x 2 Gram of the pair [x, y]."""
@@ -119,13 +130,13 @@ class TestKernelEval:
     @given(vector_pairs(), families, bandwidths)
     def test_matches_scalar_formulas(self, pair, family, bw):
         x, y = pair
-        spec = KernelSpec(family, bw)
+        spec = _spec(family, bw)
         expected = oracles.kernel_value(family, bw, x, y)
         assert gram_entries(spec, [x, y])[0, 1] == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
     @given(vector_pairs(), families, bandwidths)
     def test_symmetric_exactly(self, pair, family, bw):
-        entries = gram_entries(KernelSpec(family, bw), list(pair))
+        entries = gram_entries(_spec(family, bw), list(pair))
         assert entries[0, 1] == entries[1, 0]
 
     @given(vector_pairs(), st.sampled_from(["gaussian", "laplace"]), bandwidths)
@@ -268,6 +279,30 @@ class TestMedianHeuristic:
         assert resolved.bandwidth == 2.0
         concrete = KernelSpec(KernelFamily.LAPLACE, 0.3)
         assert resolve_bandwidth(concrete, [0.0, 1.0]) is concrete
+
+    def test_resolve_refuses_kernels_floats_cannot_compute(self):
+        # The largest distance of 1-D points is their range, squared for the
+        # Gaussian: the bound is exact, so the widest computable side passes
+        # and one ulp wider does not.
+        edge = math.sqrt(np.finfo(float).max)  # edge * edge is finite
+        gaussian, laplace = KernelSpec("gaussian", 1.0), KernelSpec("laplace", 1e308)
+        assert resolve_bandwidth(gaussian, [0.0, edge]) is gaussian
+        assert resolve_bandwidth(laplace, [-1e308, 7e307]) is laplace
+        refused = [
+            (gaussian, [0.0, math.nextafter(edge, math.inf)]),
+            (laplace, [-1e308, 8e307]),
+            (gaussian, [[0.0, 0.0], [edge, edge]]),  # each squared range finite, their sum not
+            (KernelSpec("gaussian", 9.5e153), [0.0, 1.0]),  # 2 sigma^2 overflows
+            (KernelSpec("gaussian", 1.35e154), [0.0, 1.0]),  # sigma**2 raises OverflowError
+            (KernelSpec("gaussian", 1e-162), [0.0, 1.0]),  # 2 sigma^2 rounds to 0
+        ]
+        for spec, pts in refused:
+            with pytest.raises(ArithmeticError, match="non-finite"):
+                resolve_bandwidth(spec, pts)
+        with pytest.raises(ArithmeticError, match="non-finite"):
+            strict_pd_witness(KernelSpec("gaussian", 1e154), [0.0, 1.0])
+        linear = KernelSpec("linear")
+        assert resolve_bandwidth(linear, [1e300, -1e300]) is linear
 
 
 def _tied_across(n_each=700):
@@ -459,7 +494,7 @@ class TestOneDimensionalMedian:
 class TestGram:
     @given(point_clouds(max_points=10), families, bandwidths)
     def test_matches_entrywise_loops(self, pts, family, bw):
-        entries = gram_entries(KernelSpec(family, bw), pts)
+        entries = gram_entries(_spec(family, bw), pts)
         expected = oracles.gram_by_loops(family, bw, pts)
         assert np.max(np.abs(entries - expected)) <= 1e-12 * max(
             1.0, np.abs(expected).max()
@@ -467,7 +502,7 @@ class TestGram:
 
     @given(point_clouds(max_points=15), families, bandwidths)
     def test_exactly_symmetric(self, pts, family, bw):
-        entries = gram_entries(KernelSpec(family, bw), pts)
+        entries = gram_entries(_spec(family, bw), pts)
         assert np.array_equal(entries, entries.T)
 
     @pytest.mark.parametrize("family", ["gaussian", "laplace", "linear"])
@@ -478,7 +513,7 @@ class TestGram:
         # entries equal those versions' output as well as their transpose.
         for n in (37, 200):
             pts = np.random.default_rng(n + d).normal(size=(n, d)) * 3.0 + 1.0
-            entries = gram_entries(KernelSpec(family, 1.3), pts)
+            entries = gram_entries(_spec(family, 1.3), pts)
             assert np.array_equal(entries, entries.T)
             mirrored = np.triu(entries) + np.triu(entries, 1).T
             assert np.array_equal(mirrored, entries)
@@ -508,7 +543,7 @@ class TestGram:
 
     @given(point_clouds(max_points=12), families, bandwidths)
     def test_psd_within_tolerance(self, pts, family, bw):
-        entries = gram_entries(KernelSpec(family, bw), pts)
+        entries = gram_entries(_spec(family, bw), pts)
         # A scale-aware floor: eigenvalue roundoff grows with n * max|entry|.
         tolerance = 1e-8 * entries.shape[0] * np.abs(entries).max()
         assert np.linalg.eigvalsh(entries)[0] >= -tolerance

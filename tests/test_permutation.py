@@ -870,10 +870,11 @@ class TestPermutationTest:
             permutation_test(d, linear, linear, PermutationConfig(20, 0.05, 0))
 
     def test_overflowing_gaussian_bandwidth_is_not_factored(self):
-        # With 2 sigma^2 overflowed, K is 1 wherever a squared distance is
-        # finite and NaN where it overflows too (between the two clusters).
-        # The pivot column of the point at 0 holds no NaN, so a factor would
-        # find the side constant and give p = 1.
+        # The median bandwidth is 1e154, whose 2 sigma^2 overflows: K would be
+        # 1 wherever a squared distance is finite and NaN where it overflows
+        # too (between the two clusters), and the pivot column of the point
+        # at 0, which holds no NaN, would find the side constant and give
+        # p = 1.  The kernel is refused as the bandwidth is resolved.
         x = np.array([0.0] + [1e154] * 20 + [-1e154] * 20)
         d = Dataset(x, np.sin(np.arange(41.0)))
         with pytest.raises(ArithmeticError, match="non-finite"):
