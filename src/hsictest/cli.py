@@ -29,8 +29,8 @@ from .datagen import (
     enumerate_discrete,
     integer_supports,
 )
-from .hsic import Dataset, population_hsic, theta
-from .kernels import parse_kernel, resolve_bandwidth
+from .hsic import Dataset, theta, theta_product
+from .kernels import gram_entries, parse_kernel, resolve_bandwidth
 from .testing import PermutationConfig, permutation_test, power_experiment
 
 # Sweep verdict thresholds: dependent pmfs must clear the first, independent
@@ -201,10 +201,12 @@ def cmd_oracle_sweep(args) -> dict:
     x_support, y_support = integer_supports(args.mx, args.my, args.centered_supports)
     kx_res = resolve_bandwidth(kx, x_support)
     ky_res = resolve_bandwidth(ky, y_support)
+    kx_gram, ky_gram = gram_entries(kx_res, x_support), gram_entries(ky_res, y_support)
     for dist in distributions:
-        value = population_hsic(dist, kx_res, ky_res).value
+        t = theta(dist)
+        value = theta_product(t, kx_gram, ky_gram).value
         total += 1
-        if np.abs(theta(dist)).max() >= DEPENDENCE_TOL:
+        if np.abs(t).max() >= DEPENDENCE_TOL:
             dependent += 1
             if min_dependent is None or value < min_dependent:
                 min_dependent = value

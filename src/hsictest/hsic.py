@@ -7,7 +7,7 @@ distribution it is the exact quadruple sum
 
     sum_{i,j,i',j'} theta[i,j] theta[i',j'] kx(x_i, x_i') ky(y_j, y_j')
 
-which this module evaluates in matrix form as ``sum(Kx * (Theta Ky Theta'))``.
+which :func:`theta_product` evaluates as ``sum(Kx * (Theta Ky Theta'))``.
 The empirical statistic is the standard biased V-statistic
 ``tr(K H L H) / n^2`` with centering matrix ``H = I - (1/n) 11'``.  Each side
 of a sample enters it, and the permutation null of :mod:`hsictest.testing`,
@@ -55,9 +55,9 @@ from .kernels import (
     KernelFamily,
     KernelSpec,
     _finite,
+    _gram_diagonal,
     _gram_rows,
     as_points,
-    gram_diagonal,
     gram_entries,
     resolve_bandwidth,
 )
@@ -182,21 +182,12 @@ def population_hsic(
 ) -> HsicValue:
     """Exact population HSIC of a finite discrete joint distribution.
 
-    Matrix form of the quadruple sum over the support: with ``T = theta(dist)``,
-    the value is ``sum(Kx * (T Ky T'))``.  Exact up to floating point; requires
-    resolved bandwidths since there is no sample to take a median over.
+    :func:`theta_product` of ``theta(dist)`` and the support Grams, built by
+    :func:`kernels.gram_entries`: a median bandwidth is resolved over each
+    support, and every kernel is checked.  Exact up to floating point.
     """
-    for side, spec in (("x", kx), ("y", ky)):
-        if not spec.is_resolved:
-            raise ValueError(f"kernel for {side} has an unresolved bandwidth sentinel")
-    t = theta(dist)
-    # An overflowing kernel gives a NaN sum, which from_raw refuses.
-    with np.errstate(over="ignore", invalid="ignore"):
-        kx_entries = gram_entries(kx, dist.x_support)
-        ky_entries = gram_entries(ky, dist.y_support)
-        raw = float(np.einsum("ik,ik->", kx_entries, t @ ky_entries @ t.T))
-    scale = float(np.abs(kx_entries).max() * np.abs(ky_entries).max())
-    return HsicValue.from_raw(raw, Estimator.POPULATION_EXACT, scale)
+    kx_gram, ky_gram = gram_entries(kx, dist.x_support), gram_entries(ky, dist.y_support)
+    return theta_product(theta(dist), kx_gram, ky_gram)
 
 
 def _constant(scale: float, k_diagonal: np.ndarray) -> bool:
@@ -333,7 +324,7 @@ def gram_free_side(spec: KernelSpec, points) -> tuple[KernelSpec, np.ndarray | N
     cap = FACTOR_RANK_CAP_PER_ROOT * math.isqrt(n)
     with np.errstate(over="ignore", invalid="ignore"):
         spec = resolve_bandwidth(spec, pts)
-        k_diagonal = gram_diagonal(spec, pts)
+        k_diagonal = _gram_diagonal(spec, pts)
         linear = spec.family is KernelFamily.LINEAR
         if linear:
             f = pts.T if d <= cap else None
@@ -365,6 +356,13 @@ def centered_product(kc: np.ndarray, lc: np.ndarray) -> float:
     """
     n = kc.shape[0]
     return float(np.einsum("ij,ij->", kc, lc)) / (n * n)
+
+
+def theta_product(t: np.ndarray, k: np.ndarray, l: np.ndarray) -> HsicValue:
+    """``sum(k * (t l t'))``: population HSIC of the signed measure ``t`` on support Grams k, l."""
+    raw = float(np.einsum("ik,ik->", k, t @ l @ t.T))
+    scale = float(np.abs(k).max()) * float(np.abs(l).max())  # inf, not a warning, on overflow
+    return HsicValue.from_raw(raw, Estimator.POPULATION_EXACT, scale)
 
 
 def hsic_biased(data: Dataset, kx: KernelSpec, ky: KernelSpec) -> HsicValue:

@@ -16,7 +16,9 @@ factored side in :mod:`hsictest.hsic` alike; each entry depends only on its
 pair, so rows built alone equal those of the whole matrix bit for bit.  The
 distances come from :mod:`hsictest._selection`, which also holds the block
 budget and selects the median bandwidth (:func:`median_heuristic`) exactly
-among the same distances.
+among the same distances.  Every public function that computes kernel values
+resolves its spec on the points it evaluates by :func:`resolve_bandwidth`: a
+median bandwidth is resolved over them, and every kernel is checked.
 
 A kernel is characteristic when its mean embedding is injective on probability
 measures; that is the property the test needs of each marginal kernel.  Two
@@ -224,7 +226,7 @@ def _gram_rows(spec: KernelSpec, rows: np.ndarray, pts: np.ndarray, out: np.ndar
     return np.exp(out, out=out)
 
 
-def gram_diagonal(spec: KernelSpec, pts: np.ndarray) -> np.ndarray:
+def _gram_diagonal(spec: KernelSpec, pts: np.ndarray) -> np.ndarray:
     """The diagonal of the Gram of a resolved ``spec`` on (n, d) ``pts``: ``|x_i|^2`` for linear, else 1.
 
     A Gaussian or Laplace kernel is 1 at distance zero, as :func:`_gram_rows`
@@ -236,22 +238,21 @@ def gram_diagonal(spec: KernelSpec, pts: np.ndarray) -> np.ndarray:
 
 
 def gram_entries(spec: KernelSpec, points) -> np.ndarray:
-    """Raw (writable) Gram matrix entries of a resolved ``spec`` on ``points``.
+    """Raw (writable) Gram matrix entries of ``spec``, resolved and checked on ``points``.
 
-    Filled in row blocks by :func:`_gram_rows`.  Exactly symmetric by
-    construction.
+    Filled in row blocks by :func:`_gram_rows`; exactly symmetric by
+    construction.  An overflowing linear Gram raises ``ArithmeticError``.
     """
-    if not spec.is_resolved:
-        raise ValueError("bandwidth sentinel is unresolved; call resolve_bandwidth first")
     pts = as_points(points)
+    spec = resolve_bandwidth(spec, pts)
     n = pts.shape[0]
     out = np.empty((n, n))
     rows = _block_rows(n)
-    if rows >= n:  # one block, as for every support of the oracle sweep
-        return _gram_rows(spec, pts, pts, out)
-    for lo in range(0, n, rows):
-        _gram_rows(spec, pts[lo : lo + rows], pts, out[lo : lo + rows])
-    return out
+    # A distance that overflows over a tiny bandwidth gives exp(-inf) = 0.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, n, rows):
+            _gram_rows(spec, pts[lo : lo + rows], pts, out[lo : lo + rows])
+    return _finite(out)
 
 
 @dataclass(frozen=True)
@@ -274,7 +275,8 @@ class StrictPdWitness:
 def strict_pd_witness(spec: KernelSpec, support) -> StrictPdWitness:
     """Probe whether ``spec`` separates all signed measures on a finite support.
 
-    The support points must be pairwise distinct.  A strictly positive
+    The support points must be pairwise distinct, and a median bandwidth
+    is resolved over them by :func:`gram_entries`.  A strictly positive
     definite Gram matrix is sufficient for the kernel to be characteristic on
     the support, not necessary: characteristicness concerns only signed
     measures whose entries sum to zero (see the module docstring), so a
@@ -284,9 +286,7 @@ def strict_pd_witness(spec: KernelSpec, support) -> StrictPdWitness:
     pts = as_points(support)
     if np.unique(pts, axis=0).shape[0] != pts.shape[0]:
         raise ValueError("support points must be pairwise distinct")
-    if pts.shape[0] < 2 and not spec.is_resolved:
-        raise ValueError("cannot resolve bandwidth on a single support point")
-    entries = gram_entries(resolve_bandwidth(spec, pts), pts)
+    entries = gram_entries(spec, pts)
     eigenvalues, eigenvectors = np.linalg.eigh(entries)
     lam_min = float(eigenvalues[0])
     tol = 1e-10 * pts.shape[0] * float(np.abs(entries).max())

@@ -430,6 +430,18 @@ class TestOracleSweepCommand:
         assert report["resolved_bandwidth_x"] == 1.0
         assert "counterexamples" not in report
 
+    def test_each_support_gram_built_once(self, capsys, monkeypatch):
+        # Every pmf shares both supports, so a sweep builds two Grams, not
+        # two per pmf.
+        calls = []
+        gram_entries = hsictest.kernels.gram_entries
+        counted = lambda *args: calls.append(args) or gram_entries(*args)  # noqa: E731
+        for module in (hsictest.kernels, hsic, hsictest.cli):
+            monkeypatch.setattr(module, "gram_entries", counted, raising=False)
+        code, report, _ = run_cli(["oracle-sweep"], capsys)
+        assert code == 0 and report["total_distributions"] == 35
+        assert len(calls) == 2
+
     def test_laplace_sweep_passes(self, capsys):
         code, report, _ = run_cli(
             [

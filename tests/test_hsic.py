@@ -202,16 +202,25 @@ class TestPopulationHsic:
         laplace = population_hsic(ring, LAPLACE1, LAPLACE1)
         assert laplace.value == pytest.approx(oracles.RING_LAPLACE_LAPLACE, abs=1e-15)
 
-    def test_requires_resolved_kernels(self):
-        with pytest.raises(ValueError, match="unresolved"):
-            population_hsic(discrete_ring(), KernelSpec("gaussian"), GAUSS1)
+    def test_median_resolved_over_the_supports(self):
+        # As the oracle sweep resolves it: once on each support.
+        dist = DiscreteJointDistribution(
+            [0.0, 1.0, 5.0], [[0.0, 0.0], [2.0, 1.0], [3.0, 3.0]], np.eye(3) / 3.0
+        )
+        median = KernelSpec("gaussian")
+        kx = resolve_bandwidth(median, dist.x_support)
+        ky = resolve_bandwidth(median, dist.y_support)
+        assert (kx.bandwidth, ky.bandwidth) == (4.0, np.sqrt(5.0))
+        assert population_hsic(dist, median, median) == population_hsic(dist, kx, ky)
 
     def test_overflow_raises(self):
-        # The linear Gram of 1e200 overflows to inf and the quadruple sum to NaN.
-        points = [1e200, -1e200, 3e200]
-        dist = DiscreteJointDistribution(points, points, np.eye(3) / 3.0)
-        with pytest.raises(ArithmeticError, match="non-finite"):
-            population_hsic(dist, LINEAR, LINEAR)
+        # The linear Gram of 1e200 overflows to inf.  That of 1e153 is
+        # finite, but the quadruple sum and the scale overflow: refused
+        # too, with no RuntimeWarning on the way.
+        for points in ([1e200, -1e200, 3e200], [1e153, -1e153, 1.3e153]):
+            dist = DiscreteJointDistribution(points, points, np.eye(3) / 3.0)
+            with pytest.raises(ArithmeticError, match="non-finite"):
+                population_hsic(dist, LINEAR, LINEAR)
 
     def test_estimator_tag(self):
         value = population_hsic(discrete_ring(), GAUSS1, GAUSS1)

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -13,12 +14,14 @@ import oracles
 from hsictest import (
     MEDIAN_BANDWIDTH,
     AllPointsIdenticalError,
+    DiscreteJointDistribution,
     GeneratorKind,
     GeneratorSpec,
     KernelFamily,
     KernelSpec,
     median_heuristic,
     parse_kernel,
+    population_hsic,
     resolve_bandwidth,
     sample,
     strict_pd_witness,
@@ -147,8 +150,13 @@ class TestKernelEval:
         assert 0.0 <= entries[0, 1] <= 1.0
 
     def test_requires_resolved_bandwidth(self):
-        with pytest.raises(ValueError, match="unresolved"):
-            gram_entries(KernelSpec(KernelFamily.GAUSSIAN), [0.0, 1.0])
+        # A median spec is resolved on the pair itself: the bandwidth is
+        # |x - y|, so k(x, y) is exp(-1/2) for a Gaussian and exp(-1) for a Laplace.
+        for x, y in ((0.0, 1.0), (-3.0, 4.5), (1e-3, 2e-3)):
+            gaussian = gram_entries(KernelSpec(KernelFamily.GAUSSIAN), [x, y])
+            laplace = gram_entries(KernelSpec(KernelFamily.LAPLACE), [[x], [y]])
+            assert gaussian[0, 1] == pytest.approx(math.exp(-0.5), rel=1e-15)
+            assert laplace[0, 1] == pytest.approx(math.exp(-1.0), rel=1e-15)
 
 
 class TestAsPoints:
@@ -296,9 +304,21 @@ class TestMedianHeuristic:
             (KernelSpec("gaussian", 1.35e154), [0.0, 1.0]),  # sigma**2 raises OverflowError
             (KernelSpec("gaussian", 1e-162), [0.0, 1.0]),  # 2 sigma^2 rounds to 0
         ]
+        # Every function that computes kernel values refuses them too, with
+        # neither a bare OverflowError nor a RuntimeWarning; the population
+        # oracle sees each on the x support of a dependent pmf.
         for spec, pts in refused:
-            with pytest.raises(ArithmeticError, match="non-finite"):
-                resolve_bandwidth(spec, pts)
+            dist = DiscreteJointDistribution(pts, [0.0, 1.0], np.eye(2) / 2.0)
+            for compute in (
+                lambda: resolve_bandwidth(spec, pts),
+                lambda: gram_entries(spec, pts),
+                lambda: population_hsic(dist, spec, gaussian),
+            ):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises(ArithmeticError, match="non-finite") as refusal:
+                        compute()
+                assert type(refusal.value) is ArithmeticError
         with pytest.raises(ArithmeticError, match="non-finite"):
             strict_pd_witness(KernelSpec("gaussian", 1e154), [0.0, 1.0])
         linear = KernelSpec("linear")
@@ -554,8 +574,13 @@ class TestGram:
         assert np.array_equal(a, b)
 
     def test_requires_resolved_bandwidth(self):
-        with pytest.raises(ValueError, match="unresolved"):
-            gram_entries(KernelSpec(KernelFamily.LAPLACE), [[0.0], [1.0]])
+        # The Gram is built with a resolved bandwidth: a median spec is
+        # resolved on the points the Gram is built on.
+        clouds = ([0.0, 1.0], [[0.0], [1.0], [5.0]], np.random.default_rng(3).normal(size=(40, 2)))
+        for spec in (KernelSpec("gaussian"), KernelSpec("laplace")):
+            for pts in clouds:
+                expected = gram_entries(resolve_bandwidth(spec, pts), pts)
+                assert np.array_equal(gram_entries(spec, pts), expected)
 
 
 class TestStrictPdWitness:
@@ -634,5 +659,5 @@ class TestStrictPdWitness:
         assert w.min_eigenvalue == pytest.approx(1.0)
 
     def test_single_point_with_sentinel_rejected(self):
-        with pytest.raises(ValueError, match="single support point"):
+        with pytest.raises(ValueError, match="at least 2 points"):
             strict_pd_witness(KernelSpec("gaussian"), [3.0])

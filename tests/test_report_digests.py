@@ -9,6 +9,8 @@ the current digests, run ``PYTHONPATH=src python3 scripts/report_digests.py``.
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "report_digests.py"
 
 # One digest per corpus command, in corpus order.
@@ -36,6 +38,29 @@ EXPECTED = [
     "1803cf1abb22bb59c1ae803f30eefae42dd2fddf56adfd9bcae408e339cf496d",  # oracle-sweep y linear centered
 ]
 
+# The host facts the digests above were taken with.  numpy's X86_V4
+# (AVX-512) loops give ``np.exp`` other bits than its AVX2 ones, and the
+# OpenBLAS kernels move factored statistics in the last bits.
+PINNED_HOST = {
+    "numpy": "2.4.6",
+    "numpy X86_V4 dispatch": True,
+    "OpenBLAS build": "OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH NO_AFFINITY Haswell MAX_THREADS=64",
+}
+
+
+def host_facts() -> dict:
+    """This process's values of the facts in ``PINNED_HOST``."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__
+    blas = np.show_config(mode="dicts")["Build Dependencies"].get("blas", {})
+    return {
+        "numpy": np.__version__,
+        "numpy X86_V4 dispatch": bool(__cpu_features__.get("X86_V4")),
+        "OpenBLAS build": blas.get("openblas configuration"),
+    }
+
 
 def test_every_corpus_report_is_bitwise_unchanged(tmp_path):
     spec = importlib.util.spec_from_file_location("report_digests", SCRIPT)
@@ -48,4 +73,8 @@ def test_every_corpus_report_is_bitwise_unchanged(tmp_path):
         for argv, expected in zip(commands, EXPECTED)
         if script.digest(argv) != expected
     ]
-    assert not changed, f"reports changed: {changed}"
+    assert not changed, (
+        f"reports changed: {changed}\n"
+        f"digests pinned on: {PINNED_HOST}\n"
+        f"this host:         {host_facts()}"
+    )
