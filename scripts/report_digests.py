@@ -18,6 +18,9 @@ same numbers on every command of the corpus:
 
     PYTHONPATH=src python3 scripts/report_digests.py
 
+With ``--reports`` it prints each report itself instead, as one line of
+JSON with sorted keys, without the fields the digest leaves out.
+
 Uses only the standard library and numpy besides ``hsictest``.
 """
 
@@ -27,6 +30,7 @@ import contextlib
 import hashlib
 import io
 import json
+import sys
 import tempfile
 from pathlib import Path
 
@@ -69,27 +73,38 @@ def corpus(workdir: Path) -> list[list[str]]:
     return commands
 
 
-def digest(argv: list[str]) -> str:
-    """The report's digest; a command that fails raises ``SystemExit`` with its last stderr line."""
+def report(argv: list[str]) -> dict:
+    """The command's report, without the fields that differ between runs.
+
+    A command that fails raises ``SystemExit`` with its last stderr line.
+    """
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
     if code != 0:
         reason = (err.getvalue().strip().splitlines() or ["(no stderr)"])[-1]
         raise SystemExit(f"exit {code}: {' '.join(argv)}: {reason}")
-    report = json.loads(out.getvalue())
-    report.pop("duration_seconds")
-    report.pop("version")
-    report["parameters"].pop("csv", None)
-    return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+    fields = json.loads(out.getvalue())
+    fields.pop("duration_seconds")
+    fields.pop("version")
+    fields["parameters"].pop("csv", None)
+    return fields
 
 
-def main() -> None:
+def digest(argv: list[str]) -> str:
+    """The sha256 of :func:`report`, serialized with sorted keys."""
+    return hashlib.sha256(json.dumps(report(argv), sort_keys=True).encode()).hexdigest()
+
+
+def main(argv: list[str]) -> None:
     with tempfile.TemporaryDirectory() as tmp:
-        for argv in corpus(Path(tmp)):
-            shown = [Path(a).name if a.startswith(tmp) else a for a in argv]
-            print(digest(argv), " ".join(shown))
+        for command in corpus(Path(tmp)):
+            if argv == ["--reports"]:
+                print(json.dumps(report(command), sort_keys=True))
+            else:
+                shown = [Path(a).name if a.startswith(tmp) else a for a in command]
+                print(digest(command), " ".join(shown))
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

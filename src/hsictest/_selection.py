@@ -8,8 +8,7 @@ budget, of distance and Gram rows and of the gathers of
 :mod:`hsictest.testing` alike (:func:`_block_rows`).
 
 :func:`_order_statistics` selects squared distances of given ranks exactly:
-from the full matrix while the pairs fit in one block (n <= 362), in
-passes over the upper triangle for points of d > 1 coordinates, and for
+in passes over the upper triangle for points of d > 1 coordinates, and for
 1-D points by row counts over the sorted points.  On points sorted into s,
 the squared distances ``(s_j - s_i)^2`` of the pairs i < j are
 nondecreasing along each row i and nonincreasing down each column j,
@@ -18,7 +17,10 @@ prefix of each row, whose end is found without computing the row
 (:func:`_row_ends`), and the pairs between two thresholds are one range per
 row: O(n log n) time and O(n) memory.  Both kinds of pass bracket their
 ranks from a fixed-seed sample of uniformly random pairs
-(:func:`_sampled_between`, :func:`_bracket`).
+(:func:`_sampled_between`, :func:`_bracket`).  Small inputs draw no
+sample: the upper triangle of d > 1 points is partitioned directly while
+it is one block (n <= 256), and the pairs of 1-D points are built once and
+partitioned while they fit in one block (n <= 362).
 """
 
 from __future__ import annotations
@@ -89,35 +91,33 @@ def _difference(a: np.ndarray, b: np.ndarray, squared: bool, out: np.ndarray) ->
 def _order_statistics(pts: np.ndarray, ranks: list[int]) -> list[float]:
     """The squared distances of 0-based ``ranks`` among the m = n(n-1)/2 pairs i < j of (n, d) ``pts``.
 
-    ``ranks`` are ascending.  When the whole triangle fits in one block
-    there is no sample and no pass: the full matrix is partitioned
-    directly.  1-D points beyond that are selected by
+    ``ranks`` are ascending.  1-D points are selected by
     :func:`_sorted_order_statistics`.  Points of more coordinates are
     selected in passes over the upper triangle, row block by row block (see
     :func:`_count_pass`).  Each pass brackets the ranks between two
     thresholds t1 <= t2, counts the distances up to t1 and below t2, and
-    keeps those strictly between; a rank that falls between them is
-    selected from the kept values.  The thresholds are the ranks' estimated
-    positions in a sorted sample of ``8 * isqrt(m)`` uniformly random pairs,
-    widened by four standard deviations, so one pass does in practice.  The
-    later passes also count the distances at each threshold: a rank whose
-    count range covers a threshold is that threshold, so a value shared by
-    many pairs is never kept, and a rank beyond them lies in an open
-    interval below t1 or above t2, which the next pass brackets.  Each such
-    pass drops at least one sample value from the interval, and one with no
-    sample value left keeps the whole interval.
+    keeps those strictly between; a rank that falls between them is selected
+    from the kept values.  While the upper triangle is one block (n <= 256)
+    there is no sample and no count: that block is built once, and its
+    values above the diagonal are partitioned at the ranks.  Beyond that,
+    the thresholds are the ranks' estimated positions in a sorted sample of
+    ``8 * isqrt(m)`` uniformly random pairs, widened by four standard
+    deviations, so one pass does in practice.  The later passes also count
+    the distances at each threshold: a rank whose count range covers a
+    threshold is that threshold, so a value shared by many pairs is never
+    kept, and a rank beyond them lies in an open interval below t1 or above
+    t2, which the next pass brackets.  Each such pass drops at least one
+    sample value from the interval, and one with no sample value left keeps
+    the whole interval.
     """
-    n = pts.shape[0]
-    m = n * (n - 1) // 2
-    if m <= _BLOCK_FLOATS:
-        # The matrix is exactly symmetric with a zero diagonal, so its sorted
-        # entries are n zeros, then each upper value twice: rank k is entry
-        # n + 2k.
-        flat = _pairwise(pts[:, None], pts[None], True, np.empty((n, n))).reshape(-1)
-        flat.partition([n + 2 * k for k in ranks])
-        return [flat[n + 2 * k] for k in ranks]
     if pts.shape[1] == 1:
         return _sorted_order_statistics(np.sort(pts[:, 0]), ranks)
+    n = pts.shape[0]
+    m = n * (n - 1) // 2
+    if n * n <= _BLOCK_FLOATS:  # the one block a pass would build: partition its upper values
+        rows = np.arange(n)
+        block = _pairwise(pts[:, None], pts[None], True, np.empty((n, n)))
+        return _at_ranks(block[rows > rows[:, None]], ranks)
     size = _SAMPLE_PAIRS_PER_ROOT * math.isqrt(m)
     rng = np.random.default_rng(0)
     sample = _sampled_between(pts, np.arange(1, n + 1), np.full(n, n), m, size, rng)
@@ -129,8 +129,7 @@ def _order_statistics(pts: np.ndarray, ranks: list[int]) -> list[float]:
         kept, le1, lt2, lt1, le2 = _count_pass(pts, t1, t2, exact)
         between = [k for k in todo if le1 <= k < lt2]
         if between:
-            kept.partition([k - le1 for k in between])
-            found.update((k, kept[k - le1]) for k in between)
+            found.update(zip(between, _at_ranks(kept, [k - le1 for k in between])))
         if not exact:  # the rest need the counts at the thresholds
             exact = True
             continue
@@ -144,6 +143,12 @@ def _order_statistics(pts: np.ndarray, ranks: list[int]) -> list[float]:
             elif k >= le2:
                 lo, below, inside = t2, le2, below + inside - le2
     return [found[k] for k in ranks]
+
+
+def _at_ranks(values: np.ndarray, ranks: list[int]) -> list[float]:
+    """The values of 0-based ascending ``ranks`` among ``values``, partitioned in place."""
+    values.partition(ranks)
+    return [values[k] for k in ranks]
 
 
 def _bracket(sample: np.ndarray, lo: float, hi: float, first: float, last: float):
@@ -202,7 +207,8 @@ def _count_pass(pts: np.ndarray, t1: float, t2: float, at_thresholds: bool):
     """
     n = pts.shape[0]
     buffer = np.empty(max(_BLOCK_FLOATS, n))  # a block has at least one row
-    le1 = lt2 = lt1 = le2 = 0
+    le1 = lt2 = 0
+    lt1 = le2 = 0 if at_thresholds else None
     kept = []
     for lo, hi in _upper_blocks(n):
         rows, width = hi - lo, n - lo
@@ -218,8 +224,6 @@ def _count_pass(pts: np.ndarray, t1: float, t2: float, at_thresholds: bool):
             le2 += np.count_nonzero(block <= t2)
         above &= under
         kept.append(block[above])
-    if not at_thresholds:
-        lt1 = le2 = None
     # The block buffer goes before the kept values are joined: holding both
     # made the join the peak of a factored test at n = 2000.
     del buffer, block, above, under
@@ -229,18 +233,23 @@ def _count_pass(pts: np.ndarray, t1: float, t2: float, at_thresholds: bool):
 def _sorted_order_statistics(s: np.ndarray, ranks: list[int]) -> list[float]:
     """The squared distances of consecutive 0-based ``ranks`` among the pairs of sorted ``s``.
 
-    The first rank is selected by :func:`_sorted_select`.  Each later rank
-    is the value of the one before while more pairs than its rank are at or
-    below that value, and otherwise the least value above it: the smallest
-    value at the row ends of :func:`_row_ends`.
+    While the pairs fit in one block they are built once, with no sample,
+    and partitioned at every rank.  Beyond that the first rank is selected
+    by :func:`_sorted_select`.  Each later rank is the value of the one
+    before while more pairs than its rank are at or below that value, and
+    otherwise the least value above it: the smallest value at the row ends
+    of :func:`_row_ends`.
     """
+    n = len(s)
+    if n * (n - 1) // 2 <= _BLOCK_FLOATS:
+        return _at_ranks(_values_between(s, np.arange(1, n + 1), np.full(n, n)), ranks)
     values = [_sorted_select(s, ranks[0])]
     for k in ranks[1:]:
         ends = _row_ends(s, values[-1], strict=False)
         if _pairs_before(ends) > k:
             values.append(values[-1])
         else:
-            rows = np.flatnonzero(ends < len(s))
+            rows = np.flatnonzero(ends < n)
             values.append(_sorted_values(s, rows, ends[rows]).min())
     return values
 
@@ -260,17 +269,14 @@ def _sorted_select(s: np.ndarray, k: int) -> float:
     than O(n) floats and one block of values are held.
     """
     n = len(s)
-    rng = np.random.default_rng(0)
     lo, hi, lo_ends = -np.inf, np.inf, np.arange(1, n + 1)
     # Every pair is below inf unless the largest value, the first row's
     # last, overflowed.
-    if (s[-1] - s[0]) ** 2 < np.inf:
-        hi_ends = np.full(n, n)
-    else:
-        hi_ends = _row_ends(s, np.inf, strict=True)
+    hi_ends = np.full(n, n) if (s[-1] - s[0]) ** 2 < np.inf else _row_ends(s, np.inf, strict=True)
     below, inside = 0, _pairs_before(hi_ends)
     if k >= inside:
         return np.inf
+    rng = np.random.default_rng(0) if inside > _BLOCK_FLOATS else None
     while inside > _BLOCK_FLOATS:
         size = min(n, _SAMPLE_PAIRS_PER_ROOT * math.isqrt(inside))
         sample = _sampled_between(s[:, None], lo_ends, hi_ends, inside, size, rng)
@@ -294,9 +300,7 @@ def _sorted_select(s: np.ndarray, k: int) -> float:
             lo, hi, lo_ends, hi_ends = t1, t2, le1, lt2
         below = _pairs_before(lo_ends)
         inside = _pairs_before(hi_ends) - below
-    kept = _values_between(s, lo_ends, hi_ends)
-    kept.partition(k - below)
-    return kept[k - below]
+    return _at_ranks(_values_between(s, lo_ends, hi_ends), [k - below])[0]
 
 
 def _sorted_values(s: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -379,7 +383,7 @@ def _counted(s: np.ndarray, rows: np.ndarray, cols: np.ndarray, t: float, strict
 def _values_between(s, lo_ends, hi_ends) -> np.ndarray:
     """The values of every pair in the row ranges lo_ends..hi_ends, row by row."""
     widths = hi_ends - lo_ends
-    cols = np.repeat(lo_ends - (np.cumsum(widths) - widths), widths)
+    cols = np.repeat(hi_ends - np.cumsum(widths), widths)  # lo_ends less each row's first place
     cols += np.arange(len(cols))
     values = s[cols]
     del cols

@@ -199,8 +199,23 @@ def _constant(scale: float, k_diagonal: np.ndarray) -> bool:
     return scale <= len(k_diagonal) * _EPS * k_diagonal.max()
 
 
-def centered_side(spec: KernelSpec, points) -> tuple[KernelSpec, np.ndarray, float]:
-    """One side of a test: ``spec`` resolved on ``points``, H K H for its Gram K, and max|H K H|.
+def _identity(spec: KernelSpec, grand_mean: float, n: int) -> bool:
+    """Whether a Gram of ``spec`` on n points, of mean entry ``grand_mean``, is the identity.
+
+    The identity to working precision, that is, and only a Gaussian or
+    Laplace Gram can be one.  Its entries are nonnegative and its diagonal
+    is 1, so its off-diagonal entries E sum to ``n^2 g - n`` for g its mean
+    entry, and it is taken for the identity when that sum is at most ``n^2 *
+    eps``.  Against any centered Lc, E then moves ``sum(Kc * Lc) / n^2`` by
+    at most ``eps * max|Lc|``, less than the ``n * eps * scale`` by which
+    factoring a side may move it (see the module docstring); the rest,
+    ``tr(H Lc) / n^2``, is the same for every permutation of Lc.
+    """
+    return spec.family is not KernelFamily.LINEAR and n * grand_mean - 1.0 <= n * _EPS
+
+
+def centered_side(spec: KernelSpec, points) -> tuple[KernelSpec, np.ndarray, float, bool]:
+    """One side of a test: ``spec`` resolved on ``points``, H K H for its Gram K, max|H K H|, a tie.
 
     The one place a sample becomes a centered Gram.  It is built and centered
     in one n x n buffer, one row block at a time while the block is in
@@ -208,7 +223,10 @@ def centered_side(spec: KernelSpec, points) -> tuple[KernelSpec, np.ndarray, flo
     :func:`kernels.median_heuristic`).  A side constant to working precision
     (see :func:`_constant`) is set to exact zero and its scale to 0.0:
     leaving the residue would make the statistic and every permuted one
-    roundoff noise.  A non-finite Gram raises ``ArithmeticError``.
+    roundoff noise.  The last value tells whether K is the identity to
+    working precision (see :func:`_identity`): every permuted statistic
+    against such a side is then the observed one, which the permutation
+    tests make an exact tie.  A non-finite Gram raises ``ArithmeticError``.
     """
     pts = as_points(points)
     n = pts.shape[0]
@@ -238,7 +256,7 @@ def centered_side(spec: KernelSpec, points) -> tuple[KernelSpec, np.ndarray, flo
         if _constant(scale, k_diagonal):
             out.fill(0.0)
             scale = 0.0
-    return spec, out, scale
+    return spec, out, scale, _identity(spec, grand_mean, n)
 
 
 # A Gaussian or Laplace side is factored only when its scale max|HKH| is at
@@ -375,6 +393,6 @@ def hsic_biased(data: Dataset, kx: KernelSpec, ky: KernelSpec) -> HsicValue:
     """
     if data.n < 2:
         raise ValueError("hsic_biased needs at least 2 paired samples")
-    _, kc, kc_max = centered_side(kx, data.x_points)
-    _, lc, lc_max = centered_side(ky, data.y_points)
+    _, kc, kc_max, _ = centered_side(kx, data.x_points)
+    _, lc, lc_max, _ = centered_side(ky, data.y_points)
     return HsicValue.from_raw(centered_product(kc, lc), Estimator.BIASED_V, kc_max * lc_max)

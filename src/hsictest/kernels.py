@@ -143,8 +143,8 @@ def median_heuristic(points) -> float:
     Zero distances stay in the median pool; only the fully degenerate case
     (every pair coincident) raises :class:`AllPointsIdenticalError`.  The two
     middle squared distances (one for an odd count) are selected exactly
-    by :func:`_selection._order_statistics`, which holds the n x n matrix
-    only for n <= 362, and selects those of 1-D points in O(n log n) time
+    by :func:`_selection._order_statistics`, which holds at most one block
+    of 2^16 distances, and selects those of 1-D points in O(n log n) time
     and O(n) memory; only they are square-rooted, and they are averaged as
     ``np.median`` averages them.  sqrt is correctly rounded and so
     monotone: the square roots of the middle squared distances are the

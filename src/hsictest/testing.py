@@ -13,7 +13,10 @@ side's result is the one a test of it alone gives, bit for bit.  A power
 experiment runs each trial that way for all its y kernels, so a trial
 samples, builds x and draws once, not once per y kernel.  A constant side is
 centered to exact zero, so its statistic and every replicate are 0 and p = 1
-on every path.
+on every path.  Against a side whose Gram is the identity to working
+precision every replicate equals the statistic up to roundoff, and is set to
+it exactly (:func:`_tied_null`), so p = 1 there too, whatever loops the host
+rounds with.
 
 p-values use the add-one estimator (1 + #{T_b >= T_0}) / (B + 1), counting
 ties as exceedances; it never returns 0 and stays valid under exchangeability.
@@ -51,22 +54,20 @@ reduction by construction:
 
 The path depends on the data alone, never on ``threads``.  From
 ``TAKE_MIN_N`` points on, a factored test holds nothing that grows with B,
-and from n = 363 on no n x n array: side x is factored, and if it factors,
-so is side y.  A median bandwidth is selected exactly, from the sorted
-points by row counts in O(n) memory for a 1-D side, and in chunked passes
-over the distances otherwise; only while the n(n - 1)/2 pairs fit in one
-block of 2^16 floats (n <= 362) is the full n x n distance matrix, at most
-1 MB, partitioned instead (``_selection._order_statistics``).  Only the dense
-path holds Grams, one buffer per side, built with the bandwidths already
-resolved; with several y kernels, side x's Gram is built once, and only if
-a y side does not factor.  The permutations are never held: each chunk of
-the null draws its rows one block at a time (:func:`_draw_rows`) and
-reduces them at once.  Before a test starts, and again before a Gram path
-allocates its Grams, the bytes the path will hold (its Gram buffers, the
-gather workspace of each null worker on the dense path, and the B null
-statistics of each y side) are checked against ``MEMORY_BUDGET_BYTES``,
-capped by physical memory; over it, the test raises ``ValueError`` at once
-instead of running out of memory part-way.
+and no n x n array larger than one block of 2^16 floats (512 KB): side x is
+factored, and if it factors, so is side y.  A median bandwidth is selected
+exactly (``_selection._order_statistics``), from the sorted points by row
+counts in O(n) memory for a 1-D side, and in passes over the distances, one
+block at a time, otherwise.  Only the dense path holds Grams, one buffer per
+side, built with the bandwidths already resolved; with several y kernels,
+side x's Gram is built once, and only if a y side does not factor.  The
+permutations are never held: each chunk of the null draws its rows one block
+at a time (:func:`_draw_rows`) and reduces them at once.  Before a test
+starts, and again before a Gram path allocates its Grams, the bytes the path
+will hold (its Gram buffers, the gather workspace of each null worker on the
+dense path, and the B null statistics of each y side) are checked against
+``MEMORY_BUDGET_BYTES``, capped by physical memory; over it, the test raises
+``ValueError`` at once instead of running out of memory part-way.
 
 From ``TAKE_MIN_N`` points on, the null also runs on one thread pool of up
 to ``threads`` workers: the replicates are split into contiguous chunks,
@@ -96,6 +97,7 @@ from .hsic import (
     Dataset,
     Estimator,
     HsicValue,
+    centered_product,
     centered_side,
     gram_free_side,
 )
@@ -378,6 +380,19 @@ def _dense_null(kc: np.ndarray, lc: np.ndarray) -> _Null:
     return _Null(statistics, partial(_dense_floats, n), _DENSE_DRAW_BLOCK_WORDS)
 
 
+def _tied_null(kc: np.ndarray, lc: np.ndarray) -> _Null:
+    """The null against a side whose Gram is the identity: each replicate is the observed statistic.
+
+    Then ``Kc = H`` (or ``Lc = H``) to working precision, and ``tr(H Lc_p)``
+    is ``tr(Lc)`` for every permutation p, so the replicates differ from the
+    observed statistic only by roundoff.  Each is set to it exactly, as a
+    constant side's are all exactly 0, so the p-value is 1 on any host.
+    """
+    observed = centered_product(kc, lc)
+    fill = lambda rows, out, work: out.fill(observed)  # noqa: E731
+    return _Null(fill, lambda rows: 0, _DENSE_DRAW_BLOCK_WORDS)
+
+
 def _factored_statistics(
     fx: np.ndarray, fy_cols: np.ndarray, perms: np.ndarray, out: np.ndarray, work: np.ndarray
 ) -> None:
@@ -466,10 +481,11 @@ def _null_function(
     if dense:
         work = workers * _dense_floats(n, _block_rows(n * n))
         _check_memory(n, 1 + len(dense), held + 8 * work)
-        kx, kc, kc_max = centered_side(kx, data.x_points)
+        kx, kc, kc_max, x_tied = centered_side(kx, data.x_points)
         for i in dense:
-            kys[i], lc, lc_max = centered_side(kys[i], data.y_points)
-            nulls[i], scales[i] = _dense_null(kc, lc), kc_max * lc_max
+            kys[i], lc, lc_max, y_tied = centered_side(kys[i], data.y_points)
+            null = _tied_null(kc, lc) if x_tied or y_tied else _dense_null(kc, lc)
+            nulls[i], scales[i] = null, kc_max * lc_max
     return kx, kys, scales, nulls
 
 

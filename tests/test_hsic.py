@@ -350,7 +350,7 @@ class TestCenteredSide:
     )
     def test_scale_is_the_max_abs_entry_bitwise(self, spec):
         pts = np.random.default_rng(3).normal(size=(50, 2))
-        _, kc, scale = centered_side(spec, pts)
+        _, kc, scale, _ = centered_side(spec, pts)
         assert type(scale) is float
         assert scale > 0.0
         assert scale == float(np.abs(kc).max())
@@ -358,6 +358,6 @@ class TestCenteredSide:
     def test_constant_side_has_scale_zero(self):
         # 3.7 does not center exactly under a linear kernel; the residue is
         # cleared and the scale reports the cleared Gram.
-        _, kc, scale = centered_side(LINEAR, np.full((6, 1), 3.7))
+        _, kc, scale, _ = centered_side(LINEAR, np.full((6, 1), 3.7))
         assert scale == 0.0
         assert not kc.any()

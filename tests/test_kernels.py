@@ -202,6 +202,17 @@ class TestPairwiseDistances:
             assert np.array_equal(entries, np.exp(cdist(pts, pts, metric) / scale))
 
 
+def _recording(monkeypatch, *names):
+    """Names of the ``_selection`` functions ``names``, and of ``np.random.default_rng``, as called."""
+    calls = []
+    for module, name in [(_selection, name) for name in names] + [(np.random, "default_rng")]:
+        real = getattr(module, name)
+        monkeypatch.setattr(
+            module, name, lambda *args, real=real, name=name: calls.append(name) or real(*args)
+        )
+    return calls
+
+
 class TestMedianHeuristic:
     @pytest.mark.parametrize(
         "points,expected",
@@ -272,6 +283,17 @@ class TestMedianHeuristic:
                 median_heuristic(pts)
         else:
             assert median_heuristic(pts) == float(np.median(distances))
+
+    @pytest.mark.parametrize("n", [256, 257])
+    def test_one_block_triangle_is_partitioned_directly(self, n, monkeypatch):
+        # The upper triangle of 256 points is one block of 2^16 floats: it is
+        # built once and its values above the diagonal are partitioned at
+        # the middle ranks, with no pair sample, no generator and no
+        # row-block pass.  257 points take two blocks, and the sampled passes.
+        pts = np.round(np.random.default_rng(n).normal(size=(n, 3)), 1)
+        calls = _recording(monkeypatch, "_count_pass", "_sampled_between")
+        assert median_heuristic(pts) == float(np.median(pdist(pts)))
+        assert (calls == []) == (n == 256)
 
     def test_all_identical_raises(self):
         with pytest.raises(AllPointsIdenticalError):
@@ -381,21 +403,28 @@ class TestOneDimensionalMedian:
 
     @pytest.mark.parametrize("n", [362, 363])
     @pytest.mark.parametrize("decimals", [None, 1])
-    def test_at_the_full_matrix_bound(self, n, decimals, monkeypatch):
-        # 362 points make 65 341 pairs and partition the full matrix; 363
-        # make 65 703, one block too many, and take the row counts.
+    def test_at_the_one_block_bound(self, n, decimals, monkeypatch):
+        # 362 points make 65 341 pairs, which fit in one block: they are
+        # built once and partitioned, with no pair sample and no generator.
+        # 363 make 65 703, one block too many, and narrow them from a sample.
+        # Both take the sorted points, never a row-block pass; points of
+        # three coordinates take the row-block passes at both.
         pts = _one_dimensional("normal", n)
+        cloud = np.random.default_rng(n).normal(size=(n, 3))
         if decimals is not None:
-            pts = np.round(pts, decimals)
-        passes = []
-        sorted_statistics = _selection._sorted_order_statistics
-        monkeypatch.setattr(
-            _selection,
-            "_sorted_order_statistics",
-            lambda *args: passes.append(n) or sorted_statistics(*args),
+            pts, cloud = np.round(pts, decimals), np.round(cloud, decimals)
+        calls = _recording(
+            monkeypatch, "_sorted_order_statistics", "_count_pass", "_sampled_between"
         )
         assert median_heuristic(pts) == float(np.median(pdist(pts[:, None])))
-        assert passes == ([] if n == 362 else [363])
+        assert calls[0] == "_sorted_order_statistics" and "_count_pass" not in calls
+        if n == 362:
+            assert calls == ["_sorted_order_statistics"]
+        else:
+            assert "_sampled_between" in calls
+        calls.clear()
+        assert median_heuristic(cloud) == float(np.median(pdist(cloud)))
+        assert "_count_pass" in calls and "_sorted_order_statistics" not in calls
 
     def test_coincident_points_raise(self, no_count_pass):
         with pytest.raises(AllPointsIdenticalError):

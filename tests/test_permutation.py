@@ -70,8 +70,8 @@ def _pooled(null, perms, workers):
 
 def _grams(d, kx, ky):
     """Centered Grams, their scale max|Kc| * max|Lc|, and the null a test of ky picks."""
-    _, kc, kc_max = centered_side(kx, d.x_points)
-    _, lc, lc_max = centered_side(ky, d.y_points)
+    _, kc, kc_max, _ = centered_side(kx, d.x_points)
+    _, lc, lc_max, _ = centered_side(ky, d.y_points)
     *_, (null,) = testing._null_function(d, kx, [ky])
     return kc, lc, kc_max * lc_max, null
 
@@ -517,9 +517,9 @@ class TestFactoredNull:
             # Both sides dense, whatever their ranks; each call is recorded,
             # so a patch that stops applying fails the test below.
             forced.append(data.n)
-            kx, kc, kc_max = centered_side(kx, data.x_points)
+            kx, kc, kc_max, _ = centered_side(kx, data.x_points)
             (ky,) = kys
-            ky, lc, lc_max = centered_side(ky, data.y_points)
+            ky, lc, lc_max, _ = centered_side(ky, data.y_points)
             return kx, [ky], [kc_max * lc_max], [_dense_null(kc, lc)]
 
         with pytest.MonkeyPatch.context() as mp:
@@ -558,7 +558,7 @@ class TestGramFreeSide:
         recording = lambda *args: caps.append(args[-1]) or pivoted(*args)  # noqa: E731
         monkeypatch.setattr(hsic, "_pivoted_cholesky", recording)
         spec, fc, scale = gram_free_side(KernelSpec(family), pts)
-        dense_spec, kc, dense_scale = centered_side(KernelSpec(family), pts)
+        dense_spec, kc, dense_scale, _ = centered_side(KernelSpec(family), pts)
         assert spec == dense_spec
         assert family == "linear" or spec.bandwidth == float(np.median(pdist(pts)))
         k = gram_entries(spec, pts)
@@ -927,6 +927,31 @@ class TestPermutationTest:
             d = Dataset(x, _ring(seed, n).y_points)
             res = permutation_test(d, LINEAR, ky, PermutationConfig(99, 0.05, seed))
             assert res.p_value == 1.0 and res.statistic.raw == 0.0
+
+
+    @pytest.mark.parametrize("n", [3, 25, 60])
+    @pytest.mark.parametrize("bandwidth", [0.02, 0.1], ids=["identity", "within_eps"])
+    @pytest.mark.parametrize("side", ["x", "y"])
+    def test_identity_gram_gives_p_one(self, side, bandwidth, n):
+        # Points 1 apart: under gaussian:0.02 every off-diagonal K entry is
+        # e^-1250, 0 in floats; under gaussian:0.1 it is e^-50, within
+        # working precision of 0.  Every replicate then equals the observed
+        # statistic tr(Lc) / n^2 up to roundoff, and is set to it exactly.
+        identity = KernelSpec("gaussian", bandwidth)
+        assert centered_side(identity, np.arange(n))[3]
+        assert not centered_side(GAUSS_MEDIAN, np.arange(n))[3]
+        for seed in range(10):
+            ring = _ring(seed, n).y_points
+            d = Dataset(np.arange(n), ring) if side == "x" else Dataset(ring, np.arange(n))
+            kx, ky = (identity, GAUSS_MEDIAN) if side == "x" else (GAUSS_MEDIAN, identity)
+            res = permutation_test(d, kx, ky, PermutationConfig(99, 0.05, seed))
+            assert res.p_value == 1.0 and res.null_quantile == res.statistic.raw
+            assert res.statistic.raw == hsic_biased(d, kx, ky).raw
+            if n <= EXHAUSTIVE_MAX_N:
+                assert exhaustive_permutation_test(d, kx, ky, 0.05).p_value == 1.0
+        # A linear Gram of orthonormal points is the identity too, but no
+        # tie is claimed for a kernel whose entries may be negative.
+        assert not centered_side(LINEAR, np.eye(3))[3]
 
 
 class TestExhaustive:

@@ -1,17 +1,31 @@
-"""Every report of the ``scripts/report_digests.py`` corpus, pinned bit for bit.
+"""Every report of the ``scripts/report_digests.py`` corpus, pinned bit for bit, and portably.
 
 A change that moves any reported number, even in the last bit, fails here.
 The digests were taken with numpy 2.4.6 on OpenBLAS 0.3.31 (scipy-openblas,
 x86-64); another BLAS may move low-rank statistics in the last bits.  To see
 the current digests, run ``PYTHONPATH=src python3 scripts/report_digests.py``.
+
+Beside that bitwise check, the corpus is run again in child processes on the
+other numpy and OpenBLAS kernels this host can switch to.  There only the
+statistics may move, by less than their roundoff bound, and every other
+reported field (p-values, rejections, bandwidths, counts, p-value lists,
+counterexamples) must be identical.
 """
 
+import ctypes
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "report_digests.py"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPT = ROOT / "scripts" / "report_digests.py"
+EPS = float(np.finfo(float).eps)
 
 # One digest per corpus command, in corpus order.
 EXPECTED = [
@@ -40,12 +54,39 @@ EXPECTED = [
 
 # The host facts the digests above were taken with.  numpy's X86_V4
 # (AVX-512) loops give ``np.exp`` other bits than its AVX2 ones, and the
-# OpenBLAS kernels move factored statistics in the last bits.
+# OpenBLAS kernels move factored statistics in the last bits.  A
+# DYNAMIC_ARCH OpenBLAS picks its kernels for the CPU it runs on, so the
+# core it picked is recorded beside the build.
 PINNED_HOST = {
     "numpy": "2.4.6",
     "numpy X86_V4 dispatch": True,
     "OpenBLAS build": "OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH NO_AFFINITY Haswell MAX_THREADS=64",
+    "OpenBLAS core": "SkylakeX",
 }
+
+# The other kernels this host can run: OpenBLAS's Haswell kernels, and
+# numpy's loops without AVX-512.  Each variable is set in a child only.
+HOST_VARIANTS = {
+    "openblas_haswell": {"OPENBLAS_CORETYPE": "Haswell"},
+    "numpy_avx2": {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"},
+}
+
+# The reported numbers that rounding may move.  Each is within 2 n eps of
+# max(|statistic_raw|, |null_quantile|): a statistic within the ``n * eps *
+# scale`` of each side (``hsictest.hsic`` docstring), and every replicate, so
+# the quantile, likewise.
+ROUNDED = {"statistic", "statistic_raw", "null_quantile"}
+
+
+def openblas_core() -> str | None:
+    """The core whose kernels numpy's bundled OpenBLAS runs, or None where it does not say."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        corename = getattr(ctypes.CDLL(str(path)), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.restype = ctypes.c_char_p
+            return corename().decode()
+    return None
 
 
 def host_facts() -> dict:
@@ -59,7 +100,51 @@ def host_facts() -> dict:
         "numpy": np.__version__,
         "numpy X86_V4 dispatch": bool(__cpu_features__.get("X86_V4")),
         "OpenBLAS build": blas.get("openblas configuration"),
+        "OpenBLAS core": openblas_core(),
     }
+
+
+def _child(args: list[str], variables: dict) -> str:
+    """The stdout of ``python *args`` in a child with ``variables`` set, importing ``src``."""
+    paths = [str(ROOT / "src"), str(ROOT / "tests"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, **variables, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    proc = subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.fixture(scope="module")
+def host_reports(tmp_path_factory):
+    """The corpus reports on this host's kernels, in corpus order."""
+    spec = importlib.util.spec_from_file_location("report_digests", SCRIPT)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return [script.report(argv) for argv in script.corpus(tmp_path_factory.mktemp("corpus"))]
+
+
+@pytest.mark.parametrize("variables", HOST_VARIANTS.values(), ids=HOST_VARIANTS)
+def test_corpus_reports_hold_on_other_kernels(variables, host_reports):
+    lines = _child([str(SCRIPT), "--reports"], variables).splitlines()
+    assert len(lines) == len(host_reports)
+    for here, there in zip(host_reports, map(json.loads, lines)):
+        here = dict(here)
+        scale = max(abs(here.get("statistic_raw", 0.0)), abs(here.get("null_quantile", 0.0)))
+        bound = 2 * here.get("n", 0) * EPS * scale
+        for key in ROUNDED & here.keys():
+            assert abs(there.pop(key) - here.pop(key)) <= bound, (key, here)
+        assert there == here
+
+
+def test_host_facts_read_the_openblas_core_at_run_time():
+    # OPENBLAS_CORETYPE picks the core in a child; where numpy's OpenBLAS
+    # does not say which core it runs, both read None.
+    child = _child(
+        ["-c", "from test_report_digests import openblas_core; print(openblas_core())"],
+        HOST_VARIANTS["openblas_haswell"],
+    )
+    assert child.strip() == ("None" if openblas_core() is None else "Haswell")
 
 
 def test_every_corpus_report_is_bitwise_unchanged(tmp_path):
