@@ -46,7 +46,6 @@ import tempfile
 import time
 from collections import defaultdict
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -76,9 +75,18 @@ def command_argv(csv_path: str, args) -> list[str]:
 
 
 def draw_alone(nulls, perms, workers: int) -> None:
-    """The rows of ``perms`` drawn by ``_run_chunks`` in the null's chunks and blocks, on one thread."""
+    """The rows of ``perms`` drawn by ``_run_chunks`` in the null's chunks and blocks, on one thread.
+
+    ``testing._map`` is patched for this call to run every chunk inline, on
+    the calling thread, as it runs a lone chunk.
+    """
     idle = [null._replace(statistics=lambda rows, out, work: None, floats=lambda size: 0) for null in nulls]
-    testing._run_chunks(idle, perms, SimpleNamespace(map=map), workers)
+    run = testing._map
+    testing._map = lambda fn, tasks, workers: run(fn, tasks, 1)
+    try:
+        testing._run_chunks(idle, perms, workers)
+    finally:
+        testing._map = run
 
 
 def one_run(csv_path: str, args) -> dict:

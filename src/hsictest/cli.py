@@ -48,16 +48,21 @@ def _say(msg: str) -> None:
 
 
 def load_csv_columns(path: str, x_columns: list[str], y_columns: list[str]):
-    """Strict CSV reader: header required, each selected name once in it, cells numeric, no gaps."""
+    """Strict CSV reader: header required, each selected name once in it, cells numeric, no gaps.
+
+    Blank lines, rows with no cells, are skipped wherever they are: they
+    hold no values, so no x/y pair can shift.  Messages give the file's own
+    row numbers.
+    """
     try:
         # utf-8-sig: a leading byte order mark is not part of the first name.
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            rows = list(csv.reader(fh))
+            rows = [(number, row) for number, row in enumerate(csv.reader(fh), 1) if row]
     except OSError as exc:
         raise CliInputError(f"cannot read {path}: {exc}") from exc
     if not rows:
         raise CliInputError(f"{path}: empty file (a header row is required)")
-    header, data_rows = rows[0], rows[1:]
+    (_, header), data_rows = rows[0], rows[1:]
     if not data_rows:
         raise CliInputError(f"{path}: no data rows")
     index = {name: i for i, name in enumerate(header)}
@@ -76,43 +81,42 @@ def load_csv_columns(path: str, x_columns: list[str], y_columns: list[str]):
 
     def pull(columns: list[str]) -> np.ndarray:
         # Whole columns first: ``float`` ignores the surrounding whitespace
-        # that the cell-by-cell pass strips, so the values are the same.  On
-        # any failure that pass runs instead and names the first bad cell.
+        # that the cell-by-cell pass strips, so the two passes fail on the
+        # same cells.  On any failure that pass runs instead and raises,
+        # naming the first bad cell.
         out = np.empty((len(data_rows), len(columns)))
         try:
             for c, name in enumerate(columns):
                 col = index[name]
                 out[:, c] = np.fromiter(
-                    (float(row[col]) for row in data_rows), float, len(data_rows)
+                    (float(row[col]) for _, row in data_rows), float, len(data_rows)
                 )
             if np.isfinite(out).all():
                 return out
         except (ValueError, IndexError):
             pass
-        for r, row in enumerate(data_rows):
-            for c, name in enumerate(columns):
+        for number, row in data_rows:
+            for name in columns:
                 col = index[name]
                 if col >= len(row):
-                    raise CliInputError(f"{path}: row {r + 2} is too short")
+                    raise CliInputError(f"{path}: row {number} is too short")
                 cell = row[col].strip()
                 if not cell:
                     raise CliInputError(
-                        f"{path}: missing value at row {r + 2}, column {name!r}"
+                        f"{path}: missing value at row {number}, column {name!r}"
                     )
                 try:
                     value = float(cell)
                 except ValueError:
                     raise CliInputError(
-                        f"{path}: non-numeric value {cell!r} at row {r + 2}, "
+                        f"{path}: non-numeric value {cell!r} at row {number}, "
                         f"column {name!r}"
                     ) from None
                 if not math.isfinite(value):
                     raise CliInputError(
-                        f"{path}: non-finite value {cell!r} at row {r + 2}, "
+                        f"{path}: non-finite value {cell!r} at row {number}, "
                         f"column {name!r}"
                     )
-                out[r, c] = value
-        return out
 
     return pull(x_columns), pull(y_columns)
 

@@ -69,14 +69,16 @@ dense path, and the B null statistics of each y side) are checked against
 ``MEMORY_BUDGET_BYTES``, capped by physical memory; over it, the test raises
 ``ValueError`` at once instead of running out of memory part-way.
 
-From ``TAKE_MIN_N`` points on, the null also runs on one thread pool of up
-to ``threads`` workers: the replicates are split into contiguous chunks,
-each drawing its own rows.  The sides are built on the calling thread.
-Every replicate is computed the same way whatever the chunking, so no
-number depends on the thread count.  Every large array (each n x n Gram,
-and each chunk's block of rows and its one workspace) is allocated on the
-calling thread: allocated on a pool thread, it would come from that
-thread's own malloc arena and raise the peak memory.
+From ``TAKE_MIN_N`` points on, the null also runs on up to ``threads``
+threads: the replicates are split into contiguous chunks, each drawing its
+own rows, and :func:`_map`, the module's one way to run work on threads,
+runs one chunk per thread; a power experiment runs its trials through it
+too.  The sides are built on the calling thread.  Every replicate is
+computed the same way whatever the chunking, so no number depends on the
+thread count.  Every large array (each n x n Gram, and each chunk's block
+of rows and its one workspace) is allocated on the calling thread:
+allocated on a pool thread, it would come from that thread's own malloc
+arena and raise the peak memory.
 """
 
 from __future__ import annotations
@@ -84,7 +86,6 @@ from __future__ import annotations
 import itertools
 import os
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Iterator, NamedTuple
@@ -244,6 +245,18 @@ def _pool_size(threads: int, tasks: int) -> int:
     return min(threads, tasks, os.cpu_count() or 1)
 
 
+def _map(fn: Callable, tasks, workers: int) -> list:
+    """``[fn(task) for task in tasks]``, on a pool of ``workers`` threads when that is above 1.
+
+    The one place work leaves the calling thread: one worker runs the tasks
+    inline, in order, and starts no thread.
+    """
+    if workers == 1:
+        return [fn(task) for task in tasks]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, tasks))
+
+
 class _Rows(NamedTuple):
     """``num`` permutations of range(n) as a stream.
 
@@ -283,12 +296,12 @@ class _Null(NamedTuple):
     words: int
 
 
-def _run_chunks(nulls: list[_Null], perms, pool=None, workers: int = 1) -> np.ndarray:
+def _run_chunks(nulls: list[_Null], perms, workers: int = 1) -> np.ndarray:
     """The statistics of ``perms`` under each of ``nulls``, one row of the result per null.
 
     ``perms`` is a :class:`_Rows` stream or a (num, n) array.  Its rows are
-    split into ``workers`` contiguous chunks on ``pool`` (a lone chunk runs
-    on the calling thread, and ``pool`` may then be None).  Each chunk takes
+    split into up to ``workers`` contiguous chunks, which :func:`_map` runs
+    one per thread (a lone chunk on the calling thread).  Each chunk takes
     its rows a block at a time, drawn as it goes, at the smallest ``words``
     of the nulls, and reduces each block under every null before it takes
     the next, so the rows are drawn once for all the nulls and no (num, n)
@@ -313,10 +326,7 @@ def _run_chunks(nulls: list[_Null], perms, pool=None, workers: int = 1) -> np.nd
         size = min(step, hi - lo)
         work = np.empty(max(side.floats(size) for side in nulls))
         calls.append((lo, hi, np.empty((size, n), dtype=np.intp), work))
-    if len(calls) == 1:
-        chunk(*calls[0])
-    else:
-        list(pool.map(lambda call: chunk(*call), calls))
+    _map(lambda call: chunk(*call), calls, workers)
     return null
 
 
@@ -332,10 +342,10 @@ def _dense_statistics(
 
     Blocks of b = ``_block_rows(n^2)`` rows are gathered by two contiguous
     ``take``s into ``work``: ``lc.take(p, axis=1)``, of shape (n, b, n),
-    then its rows ``p * b + arange(b)[:, None]`` (computed once for all the
-    full blocks), which give ``lc[p[:, :, None], p[:, None, :]]`` bit for
-    bit.  A block of one row is taken rows first, which needs no indices
-    and ran 1.1-1.3x faster at n = 1000 to 1500.  While n^2 <= 8192, the
+    then its rows ``p * b + arange(b)[:, None]``, built for each block,
+    which give ``lc[p[:, :, None], p[:, None, :]]`` bit for bit.  A block
+    of one row is taken rows first, which needs no indices and ran
+    1.1-1.3x faster at n = 1000 to 1500.  While n^2 <= 8192, the
     elements numpy's einsum buffers, one einsum reduces a block and sums
     each replicate as ``einsum("ij,ij->")`` does; above that they sum in
     different orders, so each replicate is reduced alone.  A replicate's
@@ -347,9 +357,7 @@ def _dense_statistics(
     command, against 8 in one 1 MB workspace.
     """
     n, num = lc.shape[0], len(perms)
-    block = min(_block_rows(n * n), num)
-    if block > 1:
-        index = perms * block + np.arange(num)[:, None] % block
+    block = _block_rows(n * n)
     for lo in range(0, num, block):
         p = perms[lo : lo + block]
         b = len(p)
@@ -362,8 +370,7 @@ def _dense_statistics(
             cols.take(p[0], axis=1, out=both[0], mode="clip")
         else:
             lc.take(p, axis=1, out=cols.reshape(n, b, n), mode="clip")
-            rows = index[lo : lo + b] if b == block else p * b + np.arange(b)[:, None]
-            cols.take(rows, axis=0, out=both, mode="clip")
+            cols.take(p * b + np.arange(b)[:, None], axis=0, out=both, mode="clip")
         # Not np.getbufsize(): einsum ignores it, and it is set per thread.
         if n * n <= 8192:
             out[lo : lo + b] = np.einsum("ij,bij->b", kc, both)
@@ -501,19 +508,21 @@ def _replicates(data: Dataset, kx: KernelSpec, kys, perms: _Rows, threads: int =
     points on, with ``threads`` above 1, the null's chunks, each drawing its
     own rows of ``perms``, run on the test's pool.  The observed value is
     the null function at the identity permutation, so an identity replicate
-    reproduces it bitwise on every path.
+    reproduces it bitwise on every path.  Fewer than 2 points, or null
+    statistics over the memory budget, are refused before any side is built.
     """
-    workers = _pool_size(threads, perms.num)
+    if data.n < 2:
+        raise ValueError("permutation test needs at least 2 paired samples")
     held = 8 * perms.num * len(kys)
+    _check_memory(data.n, 0, held)
+    workers = _pool_size(threads, perms.num if data.n >= TAKE_MIN_N else 1)
     kx, kys, scales, nulls = _null_function(data, kx, kys, workers, held)
     identity = np.arange(data.n, dtype=np.intp)[None, :]
     observed = [
         HsicValue.from_raw(raw, Estimator.BIASED_V, scale)
         for raw, scale in zip(_run_chunks(nulls, identity)[:, 0], scales)
     ]
-    size = workers if data.n >= TAKE_MIN_N else 1
-    with ThreadPoolExecutor(max_workers=size) if size > 1 else nullcontext() as pool:
-        null = _run_chunks(nulls, perms, pool, size)
+    null = _run_chunks(nulls, perms, workers)
     # A NaN null statistic would count as no exceedance and pull p toward
     # 1/(B+1); the observed value is checked when its HsicValue is built.
     return kx, kys, observed, _finite(null)
@@ -544,9 +553,6 @@ def _results(
 
 def _monte_carlo(data: Dataset, kx: KernelSpec, kys, cfg: PermutationConfig, threads: int = 1):
     """:func:`_replicates` of ``data`` under each y kernel of ``kys``, on one draw of ``cfg``."""
-    if data.n < 2:
-        raise ValueError("permutation test needs at least 2 paired samples")
-    _check_memory(data.n, 0, 8 * cfg.num_permutations * len(kys))
     perms = _Rows(cfg.num_permutations, data.n, partial(_draw_rows, cfg.seed, data.n))
     return _replicates(data, kx, kys, perms, threads)
 
@@ -585,8 +591,6 @@ def exhaustive_permutation_test(
     converges to this value as the replicate count grows.
     """
     n = data.n
-    if n < 2:
-        raise ValueError("permutation test needs at least 2 paired samples")
     if n > EXHAUSTIVE_MAX_N:
         raise ValueError(f"exhaustive enumeration is limited to n <= {EXHAUSTIVE_MAX_N}")
     if not (0.0 < alpha < 1.0):
@@ -637,11 +641,7 @@ def power_experiment(
         *_, observed, null = _monte_carlo(sample(data_spec, n), kx, kys, trial_cfg)
         return [p_value_from_null(s.raw, replicates) for s, replicates in zip(observed, null)]
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            trials = list(pool.map(one_trial, range(num_trials)))
-    else:
-        trials = [one_trial(t) for t in range(num_trials)]
+    trials = _map(one_trial, range(num_trials), workers)
     return [
         PowerResult(
             rejection_rate=sum(p <= cfg.alpha for p in p_values) / num_trials,

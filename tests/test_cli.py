@@ -94,6 +94,11 @@ class TestCsvLoading:
             ("x,y\n1,2\n3, \n", "missing value at row 3, column 'y'"),
             ("x,y\n1,2\n3,4\nx5,6\n", "non-numeric value 'x5' at row 4, column 'x'"),
             ("x,y\n1,nan\n-inf,4\n", "non-finite value '-inf' at row 3, column 'x'"),
+            # Blank lines are skipped, and rows keep their numbers in the file.
+            ("x,y\n\n\r\n", "no data rows"),
+            ("\n\n", "empty file"),
+            ("x,y\n1,2\n\n3\n", "row 4 is too short"),
+            ("\nx,y\n\n1,2\n\n3,abc\n\n", "non-numeric value 'abc' at row 6, column 'y'"),
         ],
     )
     def test_bad_inputs_exit_2(self, tmp_path, capsys, content, message):
@@ -105,6 +110,22 @@ class TestCsvLoading:
         assert code == 2
         assert report is None
         assert message in err
+
+    def test_blank_rows_skipped(self, tmp_path, capsys):
+        # csv.reader yields [] for a blank line; such a row holds no values,
+        # wherever it is, and is skipped rather than read as too short.
+        path = tmp_path / "blank.csv"
+        path.write_text("x,y\n1,2\n2,3\n3,5\n\n")
+        x, y = load_csv_columns(str(path), ["x"], ["y"])
+        assert x.tobytes() == np.array([[1.0], [2.0], [3.0]]).tobytes()
+        assert y.tobytes() == np.array([[2.0], [3.0], [5.0]]).tobytes()
+        spaced = tmp_path / "spaced.csv"
+        spaced.write_text("\r\nx,y\r\n\r\n1,2\n2,3\n\n\n3,5\n\n")
+        xs, ys = load_csv_columns(str(spaced), ["x"], ["y"])
+        assert xs.tobytes() == x.tobytes() and ys.tobytes() == y.tobytes()
+        argv = ["test", str(path), "--x-columns", "x", "--y-columns", "y"]
+        code, report, _ = run_cli(argv, capsys)
+        assert code == 0 and report["n"] == 3
 
     def test_whitespace_padded_cells_read_as_stripped(self, tmp_path):
         # Columns convert whole; a padded cell must give the value of its
@@ -366,6 +387,14 @@ class TestMemoryGuard:
         assert testing._memory_budget() == 4096 * 1000
         monkeypatch.setattr(testing, "MEMORY_BUDGET_BYTES", 4096)
         assert testing._memory_budget() == 4096
+        # Where physical memory cannot be read (an unknown name raises
+        # ValueError, an unsupported one OSError), the budget is the constant.
+        for error in (ValueError, OSError):
+            def unreadable(name, error=error):
+                raise error(name)
+
+            monkeypatch.setattr(testing.os, "sysconf", unreadable)
+            assert testing._memory_budget() == 4096
 
 
 class TestReproduceRingCommand:

@@ -165,6 +165,19 @@ class TestAsPoints:
         with pytest.raises(ValueError, match="finite"):
             as_points([[0.0, 1.0], [bad, 2.0]])
 
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            (1.0, "sequence of vectors"),
+            (np.zeros((2, 2, 2)), "share one dimension"),
+            ([], "at least one point"),
+        ],
+        ids=["scalar", "3-d", "empty"],
+    )
+    def test_shapes_rejected(self, bad, message):
+        with pytest.raises(ValueError, match=message):
+            as_points(bad)
+
 
 def _distances(pts, squared, out=None):
     """The full matrix of pairwise distances, from one call of ``_pairwise``."""
@@ -294,6 +307,39 @@ class TestMedianHeuristic:
         calls = _recording(monkeypatch, "_count_pass", "_sampled_between")
         assert median_heuristic(pts) == float(np.median(pdist(pts)))
         assert (calls == []) == (n == 256)
+
+    @pytest.mark.parametrize("case", ["rank_at_t2", "ranks_below_t1"])
+    def test_exact_pass_settles_ranks_outside_the_kept_values(self, case, monkeypatch):
+        # 257 points of d = 3 take the sampled passes.  While the interval
+        # is the whole line (the counting pass and its exact repeat) the
+        # bracket returns chosen thresholds: t2 at the upper middle value,
+        # which the exact pass then returns as that rank, or both
+        # thresholds above the middle values, which narrows the interval to
+        # (-inf, t1) for the sampled bracket to split.
+        pts = np.random.default_rng(3).normal(size=(257, 3))
+        distances = pdist(pts, "sqeuclidean")
+        m = len(distances)
+        ranks = [m // 2 - 1, m // 2]
+        ordered = np.sort(distances)
+        chosen = {
+            "rank_at_t2": (ordered[m // 2 - 50], ordered[m // 2]),
+            "ranks_below_t1": (ordered[m // 2 + 50], ordered[m // 2 + 100]),
+        }[case]
+        intervals, bracket = [], _selection._bracket
+
+        def chosen_first(sample, lo, hi, first, last):
+            intervals.append((lo, hi))
+            whole = (lo, hi) == (-np.inf, np.inf)
+            return chosen if whole else bracket(sample, lo, hi, first, last)
+
+        monkeypatch.setattr(_selection, "_bracket", chosen_first)
+        selected = _selection._order_statistics(pts, ranks)
+        assert selected == list(np.partition(distances, ranks)[ranks])
+        whole = [(-np.inf, np.inf)] * 2
+        if case == "rank_at_t2":
+            assert intervals == whole and selected[1] == chosen[1]
+        else:
+            assert intervals[:3] == whole + [(-np.inf, chosen[0])]
 
     def test_all_identical_raises(self):
         with pytest.raises(AllPointsIdenticalError):

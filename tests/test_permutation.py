@@ -57,15 +57,14 @@ def _ring(seed, n):
     return sample(GeneratorSpec(GeneratorKind.RING_UNIFORM, seed=seed), n)
 
 
-def _statistics(null, perms, pool=None, workers=1):
-    """The statistics of ``perms`` under one null, in ``workers`` chunks on ``pool``."""
-    return testing._run_chunks([null], perms, pool, workers)[0]
+def _statistics(null, perms, workers=1):
+    """The statistics of ``perms`` under one null, in ``workers`` chunks, one thread each."""
+    return testing._run_chunks([null], perms, workers)[0]
 
 
 def _pooled(null, perms, workers):
     """The statistics of ``perms`` in ``workers`` chunks on a pool of that many threads."""
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return _statistics(null, perms, pool, workers)
+    return _statistics(null, perms, workers)
 
 
 def _grams(d, kx, ky):
@@ -751,7 +750,7 @@ class TestThreads:
             lambda n, grams, held: needs.append(8 * grams * n * n + held) or check(n, grams, held),
         )
 
-        def recording(nulls, perms, pool=None, workers=1):
+        def recording(nulls, perms, workers=1):
             seen = {}
 
             def spy(null):
@@ -761,7 +760,7 @@ class TestThreads:
 
                 return null._replace(statistics=statistics)
 
-            null = run([spy(null) for null in nulls], perms, pool, workers)
+            null = run([spy(null) for null in nulls], perms, workers)
             works.append(sum(seen.values()))
             return null
 
@@ -860,6 +859,8 @@ class TestPermutationTest:
                 Dataset([1.0], [1.0]), GAUSS_MEDIAN, GAUSS_MEDIAN,
                 PermutationConfig(10, 0.05, 0),
             )
+        with pytest.raises(ValueError, match="at least 2"):
+            exhaustive_permutation_test(Dataset([1.0], [1.0]), GAUSS_MEDIAN, GAUSS_MEDIAN, 0.05)
 
     def test_overflowing_statistic_raises(self):
         # A linear kernel on 1e200 overflows to inf and the statistic to NaN;

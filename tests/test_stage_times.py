@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -62,18 +63,32 @@ def _script():
 def test_draw_split_draws_in_the_blocks_of_the_null(tmp_path, monkeypatch):
     script = _script()
     blocks = []  # the rows of each block of each draw, the test's and the split's
-    draw_rows = testing._draw_rows
+    threads = []  # the thread each chunk of each draw ran on
+    split = []  # where the split's chunks start in those lists
+    draw_rows, draw_alone = testing._draw_rows, script.draw_alone
 
     def recording(seed, n, lo, hi, block):
         blocks.append(len(block))
+        threads.append(threading.get_ident())
         return draw_rows(seed, n, lo, hi, block)
 
+    def marked(*args):
+        split.append(len(threads))
+        return draw_alone(*args)
+
     monkeypatch.setattr(testing, "_draw_rows", recording)
+    monkeypatch.setattr(script, "draw_alone", marked)
+    # Two CPUs, so the test's own null runs its two chunks on pool threads.
+    monkeypatch.setattr(testing.os, "cpu_count", lambda: 2)
     args = script.parse_args(["--n", "60", "--permutations", "500", "--kernel-y", "laplace:median"])
     run = script.one_run(script.write_ring_csv(tmp_path / "ring.csv", args.n, args.seed), args)
     assert run["null_path"] == "dense"
     assert len(blocks) >= 2 and len(set(blocks)) == 1
     assert sum(run["stages"].values()) <= run["total"]
+    (start,) = split
+    assert len(threads) == 2 * start == 4
+    assert threading.get_ident() not in threads[:start]
+    assert threads[start:] == [threading.get_ident()] * start
 
 
 def test_peak_rss_is_not_floored_by_the_calling_process(tmp_path):
