@@ -1,7 +1,7 @@
 """Kernel independence testing: HSIC statistics, an exact discrete population
 oracle, permutation calibration, and reproducible samplers."""
 
-__version__ = "0.22.0"
+__version__ = "0.23.0"
 
 from .datagen import (
     GeneratorKind,
@@ -22,7 +22,6 @@ from .hsic import (
 )
 from .kernels import (
     MEDIAN_BANDWIDTH,
-    AllPointsIdenticalError,
     KernelFamily,
     KernelSpec,
     StrictPdWitness,
@@ -43,7 +42,6 @@ from .testing import (
 
 __all__ = [
     "__version__",
-    "AllPointsIdenticalError",
     "Dataset",
     "DiscreteJointDistribution",
     "Estimator",

@@ -6,7 +6,10 @@ command's handler returns its own report fields, and :func:`main` wraps them
 in the envelope every report shares: ``command``, ``version``, ``parameters``
 and ``duration_seconds``, in that order.  One JSON document goes to stdout;
 human-readable notes go to stderr.  Exit codes: 0 = ran, 2 = input error,
-3 = internal numerical failure.
+3 = internal numerical failure.  Bad input raises ``ValueError``, from the
+CLI's own checks of files and flags and from the library's checks alike, and
+:func:`main` reports each as one ``error: ...`` line with exit 2;
+``ArithmeticError`` and ``LinAlgError`` report a numerical failure, exit 3.
 """
 
 from __future__ import annotations
@@ -39,10 +42,6 @@ SWEEP_DEPENDENT_MIN = 1e-10
 SWEEP_INDEPENDENT_MAX = 1e-12
 
 
-class CliInputError(Exception):
-    """Bad user input (file, columns, flags): reported on stderr, exit 2."""
-
-
 def _say(msg: str) -> None:
     print(msg, file=sys.stderr)
 
@@ -58,23 +57,21 @@ def load_csv_columns(path: str, x_columns: list[str], y_columns: list[str]):
         # utf-8-sig: a leading byte order mark is not part of the first name.
         with open(path, newline="", encoding="utf-8-sig") as fh:
             rows = [(number, row) for number, row in enumerate(csv.reader(fh), 1) if row]
-    except OSError as exc:
-        raise CliInputError(f"cannot read {path}: {exc}") from exc
+    except (OSError, UnicodeError) as exc:
+        raise ValueError(f"cannot read {path}: {exc}") from exc
     if not rows:
-        raise CliInputError(f"{path}: empty file (a header row is required)")
+        raise ValueError(f"{path}: empty file (a header row is required)")
     (_, header), data_rows = rows[0], rows[1:]
     if not data_rows:
-        raise CliInputError(f"{path}: no data rows")
+        raise ValueError(f"{path}: no data rows")
     index = {name: i for i, name in enumerate(header)}
     missing = [c for c in x_columns + y_columns if c not in index]
     if missing:
-        raise CliInputError(
-            f"{path}: unknown column(s) {missing}; available: {header}"
-        )
+        raise ValueError(f"{path}: unknown column(s) {missing}; available: {header}")
     for name in dict.fromkeys(x_columns + y_columns):
         positions = [str(i + 1) for i, cell in enumerate(header) if cell == name]
         if len(positions) > 1:
-            raise CliInputError(
+            raise ValueError(
                 f"{path}: column {name!r} appears more than once in the header, "
                 f"at positions {', '.join(positions)}"
             )
@@ -99,21 +96,19 @@ def load_csv_columns(path: str, x_columns: list[str], y_columns: list[str]):
             for name in columns:
                 col = index[name]
                 if col >= len(row):
-                    raise CliInputError(f"{path}: row {number} is too short")
+                    raise ValueError(f"{path}: row {number} is too short")
                 cell = row[col].strip()
                 if not cell:
-                    raise CliInputError(
-                        f"{path}: missing value at row {number}, column {name!r}"
-                    )
+                    raise ValueError(f"{path}: missing value at row {number}, column {name!r}")
                 try:
                     value = float(cell)
                 except ValueError:
-                    raise CliInputError(
+                    raise ValueError(
                         f"{path}: non-numeric value {cell!r} at row {number}, "
                         f"column {name!r}"
                     ) from None
                 if not math.isfinite(value):
-                    raise CliInputError(
+                    raise ValueError(
                         f"{path}: non-finite value {cell!r} at row {number}, "
                         f"column {name!r}"
                     )
@@ -124,7 +119,7 @@ def load_csv_columns(path: str, x_columns: list[str], y_columns: list[str]):
 def _columns_flag(text: str) -> list[str]:
     cols = [c.strip() for c in text.split(",") if c.strip()]
     if not cols or len(set(cols)) < len(cols):
-        raise CliInputError(f"column list {text!r} is empty or names a column twice")
+        raise ValueError(f"column list {text!r} is empty or names a column twice")
     return cols
 
 
@@ -319,9 +314,6 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         fields = args.handler(args)
-    except CliInputError as exc:
-        _say(f"error: {exc}")
-        return 2
     except (np.linalg.LinAlgError, ArithmeticError) as exc:
         _say(f"numerical failure: {exc}")
         return 3

@@ -54,10 +54,6 @@ class KernelFamily(str, enum.Enum):
 _CHARACTERISTIC_FAMILIES = frozenset({KernelFamily.GAUSSIAN, KernelFamily.LAPLACE})
 
 
-class AllPointsIdenticalError(ValueError):
-    """All pairwise distances are zero; the median heuristic is undefined."""
-
-
 @dataclass(frozen=True)
 class KernelSpec:
     """A kernel family plus bandwidth.
@@ -138,48 +134,47 @@ def as_points(points) -> np.ndarray:
 
 
 def median_heuristic(points) -> float:
-    """Median of the n(n-1)/2 pairwise Euclidean distances, bitwise ``np.median`` of them.
+    """The median of all n(n-1)/2 pairwise Euclidean distances, bitwise ``np.median`` of ``pdist``.
 
-    Zero distances stay in the median pool; only the fully degenerate case
-    (every pair coincident) raises :class:`AllPointsIdenticalError`.  The two
-    middle squared distances (one for an odd count) are selected exactly
-    by :func:`_selection._order_statistics`, which holds at most one block
-    of 2^16 distances, and selects those of 1-D points in O(n log n) time
-    and O(n) memory; only they are square-rooted, and they are averaged as
-    ``np.median`` averages them.  sqrt is correctly rounded and so
-    monotone: the square roots of the middle squared distances are the
-    middle distances.  A squared distance that overflows is inf, as in
-    scipy's ``pdist``, so the median can be inf.
+    That holds in every case: the median is 0.0 when more than half the pairs
+    coincide, as when all points do, and inf when the squared distances
+    overflow, as they do in ``pdist``; :func:`resolve_bandwidth` refuses
+    both as a bandwidth.  The two middle squared distances (one for an odd
+    count) are selected exactly by :func:`_selection._order_statistics`,
+    which holds at most one block of 2^16 distances, and selects those of
+    1-D points in O(n log n) time and O(n) memory; only they are
+    square-rooted, and they are averaged as ``np.median`` averages them.
+    sqrt is correctly rounded and so monotone: the square roots of the
+    middle squared distances are the middle distances.
     """
     pts = as_points(points)
     n = pts.shape[0]
     if n < 2:
         raise ValueError("median heuristic needs at least 2 points")
     m = n * (n - 1) // 2
-    middle = _order_statistics(pts, sorted({(m - 1) // 2, m // 2}))
-    # Only a zero upper middle leaves the question open.  A squared distance
-    # sums nonnegative terms, and the largest term of a coordinate is its
-    # squared range, so every squared distance is zero iff every squared
-    # range is.
-    if not middle[-1] > 0.0 and not np.any(np.square(np.ptp(pts, axis=0)) > 0.0):
-        raise AllPointsIdenticalError("all pairwise distances are zero")
+    with np.errstate(over="ignore"):  # a squared distance that overflows is inf
+        middle = _order_statistics(pts, sorted({(m - 1) // 2, m // 2}))
     return float(np.mean(np.sqrt(middle)))
 
 
 def resolve_bandwidth(spec: KernelSpec, points) -> KernelSpec:
     """``spec`` with a median-heuristic sentinel replaced, once floats can compute it on ``points``.
 
-    A median of 0 (most pairs coincide) or inf (the squared distances
-    overflow) is no bandwidth, and raises ``ValueError`` that gives the
-    median and asks for an explicit bandwidth.  Floats would compute another
-    kernel, so :func:`_finite` refuses a Gaussian whose ``2 sigma^2``
-    overflows (sigma from about 9.48e153) or rounds to 0, and a Gaussian or
-    Laplace side whose largest distance overflows.  That distance is bounded
-    by the coordinate ranges, summed as :func:`_selection._pairwise` sums
-    them: exactly for 1-D points, as rounding is monotone.
+    The points are checked by :func:`as_points`, so empty or non-finite
+    points raise its ``ValueError`` under every spec.  A median of 0 (more
+    than half the pairs coincide, as when all points do) or inf (the
+    squared distances overflow) is no bandwidth, and raises ``ValueError``
+    that gives the median and asks for an explicit bandwidth: this is the
+    one place either is refused.  Floats would compute another kernel, so
+    :func:`_finite` refuses a Gaussian whose ``2 sigma^2`` overflows (sigma
+    from about 9.48e153) or rounds to 0, and a Gaussian or Laplace side
+    whose largest distance overflows.  That distance is bounded by the
+    coordinate ranges, summed as :func:`_selection._pairwise` sums them:
+    exactly for 1-D points, as rounding is monotone.
     """
+    pts = as_points(points)
     if not spec.is_resolved:
-        median = median_heuristic(points)
+        median = median_heuristic(pts)
         if not 0.0 < median < math.inf:
             raise ValueError(
                 f"the median pairwise distance is {median!r}, which is no bandwidth (a bandwidth "
@@ -191,7 +186,6 @@ def resolve_bandwidth(spec: KernelSpec, points) -> KernelSpec:
     squared = spec.family is KernelFamily.GAUSSIAN
     # Capped where 2 sigma^2 overflows already: ``**`` raises from sigma near 1.34e154 on.
     divisor = 2.0 * min(spec.bandwidth, 1e154) ** 2 if squared else spec.bandwidth
-    pts = np.asarray(points, dtype=float).reshape(len(points), -1)
     largest = 0.0  # in Python floats, which overflow to inf without a warning
     for hi, lo in zip(pts.max(axis=0).tolist(), pts.min(axis=0).tolist()):
         largest += (hi - lo) * (hi - lo) if squared else hi - lo

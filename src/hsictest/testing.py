@@ -84,6 +84,7 @@ arena and raise the peak memory.
 from __future__ import annotations
 
 import itertools
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -152,6 +153,10 @@ class PermutationConfig:
     seed: int
 
     def __post_init__(self):
+        # Stored as plain ints, as ``rng_for`` takes its seed: a float raises
+        # ``TypeError`` here rather than inside the null.
+        object.__setattr__(self, "num_permutations", operator.index(self.num_permutations))
+        object.__setattr__(self, "seed", operator.index(self.seed))
         if self.num_permutations < 1:
             raise ValueError("num_permutations must be at least 1")
         if not (0.0 < self.alpha < 1.0):

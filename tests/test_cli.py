@@ -99,17 +99,25 @@ class TestCsvLoading:
             ("\n\n", "empty file"),
             ("x,y\n1,2\n\n3\n", "row 4 is too short"),
             ("\nx,y\n\n1,2\n\n3,abc\n\n", "non-numeric value 'abc' at row 6, column 'y'"),
+            # Bytes that are not UTF-8 name the file, as every read failure does.
+            pytest.param(
+                "x,y\n1,2\n3,4\n".encode("utf-16"), "cannot read {path}: 'utf-8' codec", id="utf-16"
+            ),
+            pytest.param(b"\xffx,y\n1,2\n3,4\n", "cannot read {path}: 'utf-8' codec", id="0xff"),
         ],
     )
     def test_bad_inputs_exit_2(self, tmp_path, capsys, content, message):
         path = tmp_path / "bad.csv"
-        path.write_text(content)
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content)
         code, report, err = run_cli(
             ["test", str(path), "--x-columns", "x", "--y-columns", "y"], capsys
         )
         assert code == 2
         assert report is None
-        assert message in err
+        assert message.replace("{path}", str(path)) in err
 
     def test_blank_rows_skipped(self, tmp_path, capsys):
         # csv.reader yields [] for a blank line; such a row holds no values,

@@ -13,7 +13,6 @@ from scipy.spatial.distance import cdist, pdist
 import oracles
 from hsictest import (
     MEDIAN_BANDWIDTH,
-    AllPointsIdenticalError,
     DiscreteJointDistribution,
     GeneratorKind,
     GeneratorSpec,
@@ -273,11 +272,7 @@ class TestMedianHeuristic:
                         upper[: m // 3] if p.shape[1] > 1 else sampled(p, lo, hi, m, size, rng)
                     ),
                 )
-            if not np.any(distances > 0.0):
-                with pytest.raises(AllPointsIdenticalError):
-                    median_heuristic(pts)
-            else:
-                assert median_heuristic(pts) == float(np.median(distances))
+            assert median_heuristic(pts) == float(np.median(distances))
 
     @pytest.mark.parametrize("kind", ["normal", "ties", "tie_at_the_middle", "coincident"])
     def test_chunked_median_over_many_blocks(self, kind):
@@ -290,12 +285,7 @@ class TestMedianHeuristic:
             "tie_at_the_middle": np.repeat(rng.normal(size=(4, 3)), [700, 100, 100, 100], axis=0),
             "coincident": np.full((1000, 2), 0.25),
         }[kind]
-        distances = pdist(pts)
-        if kind == "coincident":
-            with pytest.raises(AllPointsIdenticalError):
-                median_heuristic(pts)
-        else:
-            assert median_heuristic(pts) == float(np.median(distances))
+        assert median_heuristic(pts) == float(np.median(pdist(pts)))
 
     @pytest.mark.parametrize("n", [256, 257])
     def test_one_block_triangle_is_partitioned_directly(self, n, monkeypatch):
@@ -342,8 +332,11 @@ class TestMedianHeuristic:
             assert intervals[:3] == whole + [(-np.inf, chosen[0])]
 
     def test_all_identical_raises(self):
-        with pytest.raises(AllPointsIdenticalError):
-            median_heuristic([2.0, 2.0, 2.0])
+        # The median of coincident points is 0.0, as np.median gives it;
+        # resolve_bandwidth refuses it as a bandwidth.
+        assert median_heuristic([2.0, 2.0, 2.0]) == float(np.median(pdist([[2.0]] * 3))) == 0.0
+        with pytest.raises(ValueError, match="median pairwise distance is 0.0"):
+            resolve_bandwidth(KernelSpec("gaussian"), [2.0, 2.0, 2.0])
 
     def test_needs_two_points(self):
         with pytest.raises(ValueError):
@@ -391,6 +384,42 @@ class TestMedianHeuristic:
             strict_pd_witness(KernelSpec("gaussian", 1e154), [0.0, 1.0])
         linear = KernelSpec("linear")
         assert resolve_bandwidth(linear, [1e300, -1e300]) is linear
+
+    def test_coincident_cloud_is_refused_as_a_bandwidth(self):
+        # Points of d = 2, over many blocks: test_chunked_median_over_many_blocks
+        # checks their median of 0.0; no median spec takes it.
+        pts = np.full((1000, 2), 0.25)
+        for family in ("gaussian", "laplace"):
+            with pytest.raises(ValueError, match="median pairwise distance is 0.0"):
+                resolve_bandwidth(KernelSpec(family), pts)
+
+    @pytest.mark.parametrize("shape", [(5, 1), (400, 1), (5, 3)])
+    def test_overflowing_median_is_inf_and_refused(self, shape):
+        # The squared distances overflow, as in pdist, without a warning;
+        # every door that resolves a median spec refuses the inf median.
+        pts = np.random.default_rng(shape[0]).normal(size=shape) * 1e200
+        assert median_heuristic(pts) == float(np.median(pdist(pts))) == math.inf
+        dist = DiscreteJointDistribution(pts, [0.0, 1.0], np.full((shape[0], 2), 0.5 / shape[0]))
+        for spec in (KernelSpec("gaussian"), KernelSpec("laplace")):
+            for compute in (
+                lambda: resolve_bandwidth(spec, pts),
+                lambda: gram_entries(spec, pts),
+                lambda: strict_pd_witness(spec, pts),
+                lambda: population_hsic(dist, spec, KernelSpec("gaussian", 1.0)),
+            ):
+                with pytest.raises(ValueError, match="median pairwise distance is inf"):
+                    compute()
+
+    @pytest.mark.parametrize("spec", ["gaussian:1.0", "laplace:1.0", "linear"])
+    @pytest.mark.parametrize(
+        "points", [[0.0, np.nan], [[0.0], [np.inf]], []], ids=["nan", "inf", "empty"]
+    )
+    def test_resolve_checks_points_as_every_door_does(self, spec, points):
+        with pytest.raises(ValueError) as expected:
+            as_points(points)
+        with pytest.raises(ValueError) as refusal:
+            resolve_bandwidth(parse_kernel(spec), points)
+        assert type(refusal.value) is ValueError and str(refusal.value) == str(expected.value)
 
 
 def _tied_across(n_each=700):
@@ -444,7 +473,7 @@ class TestOneDimensionalMedian:
         pts = _one_dimensional(kind)
         with np.errstate(over="ignore"):
             expected = float(np.median(pdist(pts[:, None])))
-            assert median_heuristic(pts) == expected
+        assert median_heuristic(pts) == expected
         assert np.isinf(expected) == kind.endswith("overflowing")
 
     @pytest.mark.parametrize("n", [362, 363])
@@ -473,8 +502,10 @@ class TestOneDimensionalMedian:
         assert "_count_pass" in calls and "_sorted_order_statistics" not in calls
 
     def test_coincident_points_raise(self, no_count_pass):
-        with pytest.raises(AllPointsIdenticalError):
-            median_heuristic(np.full(500, -2.5))
+        pts = np.full(500, -2.5)
+        assert median_heuristic(pts) == float(np.median(pdist(pts[:, None]))) == 0.0
+        with pytest.raises(ValueError, match="median pairwise distance is 0.0"):
+            resolve_bandwidth(KernelSpec("laplace"), pts)
 
     @given(
         st.integers(0, 2**31 - 1),
@@ -501,12 +532,7 @@ class TestOneDimensionalMedian:
                     _selection, "_sampled_between",
                     lambda *args: (s := sampled(*args))[: len(s) // 3 + 1],
                 )
-            distances = pdist(pts[:, None])
-            if not np.any(distances > 0.0):
-                with pytest.raises(AllPointsIdenticalError):
-                    median_heuristic(pts)
-            else:
-                assert median_heuristic(pts) == float(np.median(distances))
+            assert median_heuristic(pts) == float(np.median(pdist(pts[:, None])))
 
     def test_skewed_sample_counts_at_a_threshold(self, monkeypatch):
         counts = []

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import itertools
 import json
 import math
 import tracemalloc
@@ -94,6 +95,17 @@ class TestPermutationConfig:
 
     def test_largest_seed_accepted(self):
         assert PermutationConfig(100, 0.05, 2**64 - 1).seed == 2**64 - 1
+
+    @pytest.mark.parametrize("num_permutations,seed", [(99, 1.5), (9.5, 1), (99.0, 1), (99, 1.0)])
+    def test_non_integers_refused_when_built(self, num_permutations, seed):
+        # Refused here, as rng_for refuses a seed, not inside the null.
+        with pytest.raises(TypeError):
+            PermutationConfig(num_permutations, 0.05, seed)
+
+    def test_numpy_integers_kept_as_ints(self):
+        cfg = PermutationConfig(np.int32(99), 0.05, np.uint64(2**64 - 1))
+        assert type(cfg.num_permutations) is int and type(cfg.seed) is int
+        assert (cfg.num_permutations, cfg.seed) == (99, 2**64 - 1)
 
 
 class TestPValueFromNull:
@@ -1007,6 +1019,74 @@ class TestExhaustive:
             d, GAUSS_MEDIAN, GAUSS_MEDIAN, PermutationConfig(20_000, 0.05, 0)
         )
         assert mc.p_value == pytest.approx(exact.p_value, abs=0.02)
+
+
+def _exact_mean(kc, lc):
+    """The mean statistic over all n! relabelings of centered Grams: tr(Kc) tr(Lc) / (n^2 (n - 1)).
+
+    A centered Gram's rows sum to zero, so its off-diagonal entries sum to
+    minus its trace; a relabeling sends a diagonal entry of Lc to the
+    diagonal, and an off-diagonal one uniformly among the off-diagonal.
+    """
+    n = len(kc)
+    return np.trace(kc) * np.trace(lc) / (n * n * (n - 1))
+
+
+def _nulls_built(monkeypatch):
+    """The names of the null constructors :mod:`hsictest.testing` calls from now on, in order."""
+    built = []
+    for name in ("_factored_null", "_dense_null", "_tied_null"):
+        make = getattr(testing, name)
+        monkeypatch.setattr(
+            testing, name, lambda *args, make=make, name=name: built.append(name) or make(*args)
+        )
+    return built
+
+
+class TestExactPermutationMean:
+    """Every null path against its exact permutation mean, computed without any null kernel."""
+
+    @pytest.mark.parametrize(
+        "ky", [GAUSS_MEDIAN, LAPLACE_MEDIAN, LINEAR], ids=lambda k: k.family.value
+    )
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_exhaustive_null_mean_is_exact(self, n, ky, monkeypatch):
+        d = _random_dataset(n, n)
+        perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+        built = _nulls_built(monkeypatch)
+        kx, (ky,), _, (null,) = testing._replicates(d, GAUSS_MEDIAN, [ky], testing._as_rows(perms))
+        assert built == ["_dense_null"] and len(null) == math.factorial(n)
+        exact = _exact_mean(centered_side(kx, d.x_points)[1], centered_side(ky, d.y_points)[1])
+        assert abs(null.mean() - exact) <= 1e-14 * abs(exact)
+
+    CASES = {
+        "factored_gaussian": (lambda: _ring(1, 200), GAUSS_MEDIAN, "_factored_null"),
+        "factored_linear": (lambda: _ring(1, 200), LINEAR, "_factored_null"),
+        "dense_from_take_min_n": (lambda: _ring(1, 200), LAPLACE_MEDIAN, "_dense_null"),
+        "dense_n8": (lambda: _ring(1, 8), GAUSS_MEDIAN, "_dense_null"),
+        "dense_below_take_min_n": (lambda: _ring(1, TAKE_MIN_N - 1), GAUSS_MEDIAN, "_dense_null"),
+        "identity_tie": (
+            lambda: Dataset(_ring(1, 25).x_points, np.arange(25.0)),
+            KernelSpec("gaussian", 0.02),
+            "_tied_null",
+        ),
+        "d3": (lambda: _random_dataset(1, 60, dx=3, dy=3), GAUSS_MEDIAN, "_dense_null"),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_monte_carlo_null_mean_within_five_standard_errors(self, case, monkeypatch):
+        # B = 2000 replicates at a fixed seed.  Each side's factor moves a
+        # replicate by at most n * eps * max|Kc| * max|Lc|.
+        make, ky, path = self.CASES[case]
+        d, cfg = make(), PermutationConfig(2000, 0.05, 1)
+        built = _nulls_built(monkeypatch)
+        kx, (ky,), _, (null,) = testing._monte_carlo(d, GAUSS_MEDIAN, [ky], cfg)
+        assert built == [path]
+        _, kc, kc_max, _ = centered_side(kx, d.x_points)
+        _, lc, lc_max, _ = centered_side(ky, d.y_points)
+        standard_error = null.std(ddof=1) / math.sqrt(len(null))
+        roundoff = 2 * d.n * EPS * kc_max * lc_max
+        assert abs(null.mean() - _exact_mean(kc, lc)) <= 5 * standard_error + roundoff
 
 
 class TestSharedTrials:
