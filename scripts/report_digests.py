@@ -12,7 +12,8 @@ same numbers on every command of the corpus:
   ``gaussian:median`` x kernel against ``gaussian:median``, ``linear`` and
   ``laplace:median`` y kernels;
 * ``reproduce-ring`` at n = 8, 39 (the largest n whose sides are never
-  factored) and 45, and at n = 200 with radial noise 0.1 (factored sides);
+  factored) and 45, and at n = 200 with independent N(0, 0.1^2) noise on
+  each coordinate (factored sides);
 * ``oracle-sweep`` on the 3x3 grid at resolution 4, with median Gaussian
   kernels, and with a linear y kernel on centered supports.
 
@@ -20,6 +21,9 @@ same numbers on every command of the corpus:
 
 With ``--reports`` it prints each report itself instead, as one line of
 JSON with sorted keys, without the fields the digest leaves out.
+:func:`host_facts` names the facts of a host that the last bits of the
+reports depend on; ``tests/test_report_digests.py`` pins the digests with
+them, and the stage matrix of ``scripts/stage_times.py`` records them.
 
 Uses only the standard library and numpy besides ``hsictest``.
 """
@@ -27,6 +31,7 @@ Uses only the standard library and numpy besides ``hsictest``.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import hashlib
 import io
 import json
@@ -48,6 +53,38 @@ def write_ring_csv(path: Path, n: int, seed: int) -> str:
     rows = "".join(f"{float(a)!r},{float(b)!r}\n" for a, b in zip(np.cos(angles), np.sin(angles)))
     path.write_text("x,y\n" + rows, encoding="utf-8")
     return str(path)
+
+
+def openblas_core() -> str | None:
+    """The core whose kernels numpy's bundled OpenBLAS runs, or None where it does not say."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        corename = getattr(ctypes.CDLL(str(path)), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.restype = ctypes.c_char_p
+            return corename().decode()
+    return None
+
+
+def host_facts() -> dict:
+    """The facts of this host that the reports' last bits depend on.
+
+    numpy's X86_V4 (AVX-512) loops give ``np.exp`` other bits than its AVX2
+    ones, and the OpenBLAS kernels move factored statistics in the last
+    bits.  A DYNAMIC_ARCH OpenBLAS picks its kernels for the CPU it runs on,
+    so the core it picked is given beside the build.
+    """
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__
+    blas = np.show_config(mode="dicts")["Build Dependencies"].get("blas", {})
+    return {
+        "numpy": np.__version__,
+        "numpy X86_V4 dispatch": bool(__cpu_features__.get("X86_V4")),
+        "OpenBLAS build": blas.get("openblas configuration"),
+        "OpenBLAS core": openblas_core(),
+    }
 
 
 def corpus(workdir: Path) -> list[list[str]]:

@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
-"""Rejection rate on the ring as a function of the radial noise level.
+"""Rejection rate on the ring as a function of the noise level.
 
-At noise 0 the ring sits exactly on the circle and the linear kernel's
-moment cancellation makes the Gaussian/Linear test blind to the dependence,
-so its rejection rate hugs the test level while Gaussian/Gaussian detects
-the ring reliably. Radial noise perturbs the exact cancellation, so the
-sweep shows how the failure mode degrades rather than being knife-edge.
+The noise is independent N(0, s^2) on each coordinate, as
+``hsictest.datagen.sample`` adds it. At noise 0 the ring sits exactly on
+the circle and the linear kernel's moment cancellation makes the
+Gaussian/Linear test blind to the dependence, so its rejection rate hugs
+the test level while Gaussian/Gaussian detects the ring reliably. Noise
+perturbs the exact cancellation, so the sweep shows how the failure mode
+degrades rather than being knife-edge.
 
 Writes one JSON document to stdout; progress lines go to stderr.
 """

@@ -7,9 +7,9 @@ timers patched in, for that call only, around the test's own stage calls:
 * ``sides``: ``testing._null_function``, which builds both sides and the
   nulls their ranks choose; a side that does not factor sends the test to
   the dense path, which then builds both Grams;
-* ``null``: ``testing._run_chunks``, the observed statistic (the null's
-  function at the identity permutation) and the B null statistics, each
-  chunk of the pool drawing its own permutations;
+* ``null``: ``testing._run_chunks``, the B null statistics, each chunk of
+  the pool drawing its own permutations (the observed statistic, the
+  null's value at the identity permutation, is computed with the sides);
 * ``p_value``: ``testing._results``, the p-value and the null quantile.
 
 ``split_s`` splits ``sides`` per side, x first: ``median_x`` is the time in
@@ -30,6 +30,17 @@ middle one for an even count) is reported, so ``stage_sum_s <= total_s``.
 run alone in a child process of a small helper process.
 
     PYTHONPATH=src python3 scripts/stage_times.py --n 1000 --permutations 500 --threads 2
+
+With ``--matrix PATH`` it writes the stage matrix to PATH instead, as one
+JSON document: ``host``, the facts of this host that the report digests
+depend on (``report_digests.host_facts``) with ``nproc`` and
+``OPENBLAS_NUM_THREADS``, and ``cells``, one record as above per cell of
+``MATRIX`` at each of ``--threads`` 1 and 2, with the other flags as given.
+Its d = 3 cells hold dependent normal points (:func:`write_normal_csv`) in
+place of the ring:
+
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/stage_times.py \
+        --permutations 200 --repeats 3 --matrix BENCH_0.24.0.json
 """
 
 from __future__ import annotations
@@ -50,24 +61,60 @@ from pathlib import Path
 import numpy as np
 
 import hsictest
+import report_digests  # scripts/ is sys.path[0] when this runs as a script
 from hsictest import GeneratorKind, GeneratorSpec, cli, kernels, sample, testing
 
 KERNEL_X = "gaussian:median"
 NULL_PATHS = {"_factored_statistics": "factored", "_dense_statistics": "dense"}
 
+# The cells of the stage matrix, as (dim, n, kernel y): the ring (dim 1),
+# factored under a Gaussian or linear y and dense under a Laplace y, and the
+# dependent normal points of write_normal_csv, dense under Gaussians.
+MATRIX = (
+    (1, 1000, "gaussian:median"),
+    (1, 20_000, "gaussian:median"),
+    (1, 100_000, "gaussian:median"),
+    (1, 1000, "linear"),
+    (1, 1000, "laplace:median"),
+    (1, 2000, "laplace:median"),
+    (3, 1000, "gaussian:median"),
+    (3, 2000, "gaussian:median"),
+)
+
+
+def columns(side: str, dim: int) -> list[str]:
+    return [f"{side}{j}" for j in range(1, dim + 1)]
+
+
+def write_csv(path: Path, x: np.ndarray, y: np.ndarray) -> str:
+    """Paired points as a CSV, with columns x1, x2, ... then y1, y2, ...; returns its path."""
+    header = columns("x", x.shape[1]) + columns("y", y.shape[1])
+    rows = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in np.hstack((x, y)))
+    path.write_text(",".join(header) + "\n" + rows, encoding="utf-8")
+    return str(path)
+
 
 def write_ring_csv(path: Path, n: int, seed: int) -> str:
     """n ring points from the package sampler, as a CSV; returns its path."""
     data = sample(GeneratorSpec(GeneratorKind.RING_UNIFORM, seed=seed), n)
-    pairs = zip(data.x_points[:, 0], data.y_points[:, 0])
-    rows = "".join(f"{float(a)!r},{float(b)!r}\n" for a, b in pairs)
-    path.write_text("x,y\n" + rows, encoding="utf-8")
-    return str(path)
+    return write_csv(path, data.x_points, data.y_points)
+
+
+def write_normal_csv(path: Path, n: int, seed: int, dim: int) -> str:
+    """n dependent points of ``dim`` coordinates a side, as a CSV; returns its path.
+
+    x and y are standard normal, except y1 = x1^2 + 0.5 * noise.
+    """
+    x, y = np.random.default_rng(seed).standard_normal((2, n, dim))
+    y[:, 0] = x[:, 0] ** 2 + 0.5 * y[:, 0]
+    return write_csv(path, x, y)
 
 
 def command_argv(csv_path: str, args) -> list[str]:
     return [
-        "test", csv_path, "--x-columns", "x", "--y-columns", "y",
+        "test", csv_path,
+        "--x-columns", ",".join(columns("x", args.dim)),
+        "--y-columns", ",".join(columns("y", args.dim)),
         "--kernel-x", KERNEL_X, "--kernel-y", args.kernel_y,
         "--permutations", str(args.permutations), "--seed", str(args.seed),
         "--threads", str(args.threads),
@@ -125,7 +172,7 @@ def one_run(csv_path: str, args) -> dict:
         total = time.perf_counter() - start
     if code != 0:
         raise SystemExit(f"exit {code}: {' '.join(argv)}")
-    a, kw = calls["null"][-1]  # the null's run; the identity run comes first
+    [(a, kw)] = calls["null"]  # the null's one run
     null = inspect.signature(testing._run_chunks).bind(*a, **kw)
     null.apply_defaults()
     nulls = null.arguments["nulls"]
@@ -180,18 +227,24 @@ def parse_args(argv=None):
     ap.add_argument("--kernel-y", default="gaussian:median")
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--repeats", type=int, default=7)
+    ap.add_argument("--matrix", metavar="PATH", help="write the stage matrix to PATH")
+    ap.set_defaults(dim=1)  # coordinates a side, set by the matrix's cells: 1 is the ring
     return ap.parse_args(argv)
 
 
-def main() -> None:
-    args = parse_args()
+def measure(args) -> dict:
+    """The record of one cell: the median repeat's stages, and the peak of one more command."""
     with tempfile.TemporaryDirectory() as tmp:
-        csv_path = write_ring_csv(Path(tmp) / "ring.csv", args.n, args.seed)
+        path = Path(tmp) / "points.csv"
+        if args.dim == 1:
+            csv_path = write_ring_csv(path, args.n, args.seed)
+        else:
+            csv_path = write_normal_csv(path, args.n, args.seed, args.dim)
         peak_rss_mb = child_peak_rss_mb(csv_path, args)
         runs = [one_run(csv_path, args) for _ in range(args.repeats + 1)][1:]  # drop the warm-up
     run = sorted(runs, key=lambda r: r["total"])[(len(runs) - 1) // 2]
-    print(json.dumps({
-        "n": args.n, "permutations": args.permutations, "threads": args.threads,
+    return {
+        "n": args.n, "dim": args.dim, "permutations": args.permutations, "threads": args.threads,
         "kernel_x": KERNEL_X, "kernel_y": args.kernel_y, "seed": args.seed,
         "repeats": args.repeats, "cpus": os.cpu_count(), "numpy": np.__version__,
         "null_path": run["null_path"],
@@ -200,7 +253,30 @@ def main() -> None:
         "stage_sum_s": round(sum(run["stages"].values()), 5),
         "total_s": round(run["total"], 5),
         "peak_rss_mb": round(peak_rss_mb, 1),
-    }))
+    }
+
+
+def host_facts() -> dict:
+    """``report_digests.host_facts()``, with ``nproc`` and ``OPENBLAS_NUM_THREADS``."""
+    return {
+        **report_digests.host_facts(),
+        "nproc": len(os.sched_getaffinity(0)),
+        "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+    }
+
+
+def main(argv=None) -> None:
+    args = parse_args(argv)
+    if args.matrix is None:
+        print(json.dumps(measure(args)))
+        return
+    cells = [
+        measure(argparse.Namespace(**{**vars(args), "dim": dim, "n": n, "kernel_y": ky, "threads": t}))
+        for dim, n, ky in MATRIX
+        for t in (1, 2)
+    ]
+    text = json.dumps({"host": host_facts(), "cells": cells}, indent=1)
+    Path(args.matrix).write_text(text + "\n", encoding="utf-8")
 
 
 if __name__ == "__main__":

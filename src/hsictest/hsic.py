@@ -9,9 +9,11 @@ distribution it is the exact quadruple sum
 
 which :func:`theta_product` evaluates as ``sum(Kx * (Theta Ky Theta'))``.
 The empirical statistic is the standard biased V-statistic
-``tr(K H L H) / n^2`` with centering matrix ``H = I - (1/n) 11'``.  Each side
-of a sample enters it, and the permutation null of :mod:`hsictest.testing`,
-through one of two builders, each of which turns a kernel spec and a point
+``tr(K H L H) / n^2`` with centering matrix ``H = I - (1/n) 11'``.
+:func:`hsic_biased` is the permutation test's own observed statistic: the
+null function of :mod:`hsictest.testing` at the identity permutation, on
+the test's path and within its memory budget.  Each side of a sample enters
+it through one of two builders, each of which turns a kernel spec and a point
 set into a resolved spec, a centered side and that side's scale
 ``max|HKH|``, with a side that is constant to working precision centered
 to exact zero.  :func:`centered_side` builds the centered Gram HKH.
@@ -365,17 +367,6 @@ def centered_gram_entries(spec: KernelSpec, points) -> np.ndarray:
     return centered_side(spec, points)[1]
 
 
-def centered_product(kc: np.ndarray, lc: np.ndarray) -> float:
-    """``sum(kc * lc) / n^2`` for two centered n x n Grams.
-
-    The reduction behind ``hsic_biased``.  The permutation tests' dense null
-    reduces each replicate the same way, alone or, while n^2 <= 8192, in a
-    batched einsum that sums it in the same order.
-    """
-    n = kc.shape[0]
-    return float(np.einsum("ij,ij->", kc, lc)) / (n * n)
-
-
 def theta_product(t: np.ndarray, k: np.ndarray, l: np.ndarray) -> HsicValue:
     """``sum(k * (t l t'))``: population HSIC of the signed measure ``t`` on support Grams k, l."""
     raw = float(np.einsum("ik,ik->", k, t @ l @ t.T))
@@ -386,13 +377,14 @@ def theta_product(t: np.ndarray, k: np.ndarray, l: np.ndarray) -> HsicValue:
 def hsic_biased(data: Dataset, kx: KernelSpec, ky: KernelSpec) -> HsicValue:
     """Biased V-statistic estimate of HSIC: ``tr(K H L H) / n^2``.
 
-    Median-heuristic bandwidths resolve per side from that side's points.
-    Computed as the centered elementwise sum ``sum(HKH * HLH) / n^2`` over
-    the sides of :func:`centered_side`, which equals the trace form exactly
-    and keeps the degenerate constant-side case an exact zero.
+    The permutation test's own observed statistic, bit for bit: median
+    bandwidths resolve per side from that side's points, and the value is
+    the test's null function at the identity permutation, factored from
+    ``testing.TAKE_MIN_N`` points on where both sides are low rank, and
+    otherwise ``sum(HKH * HLH) / n^2`` over the two centered Grams.  Those
+    Grams are checked against the test's memory budget, so a dense input
+    over it raises ``ValueError`` before either is allocated.
     """
-    if data.n < 2:
-        raise ValueError("hsic_biased needs at least 2 paired samples")
-    _, kc, kc_max, _ = centered_side(kx, data.x_points)
-    _, lc, lc_max, _ = centered_side(ky, data.y_points)
-    return HsicValue.from_raw(centered_product(kc, lc), Estimator.BIASED_V, kc_max * lc_max)
+    from .testing import _observed  # testing imports this module
+
+    return _observed(data, kx, [ky])[2][0]

@@ -236,6 +236,9 @@ def gram_entries(spec: KernelSpec, points) -> np.ndarray:
 
     Filled in row blocks by :func:`_gram_rows`; exactly symmetric by
     construction.  An overflowing linear Gram raises ``ArithmeticError``.
+    The n x n array is allocated with no memory-budget check, unlike the
+    Grams of :mod:`hsictest.testing`: the package calls this only on the
+    finite supports of discrete distributions, whose Grams are small.
     """
     pts = as_points(points)
     spec = resolve_bandwidth(spec, pts)

@@ -34,8 +34,11 @@ is still exactly the stable argsort.  A non-finite side, observed statistic or
 null statistic raises ``ArithmeticError`` rather than yielding a p-value.
 
 The null has two paths, and the observed statistic is always the null's
-own function applied to the identity permutation, so the two share one
-reduction by construction:
+own value at the identity permutation (:func:`_observed`, which
+``hsic.hsic_biased`` returns too), so the two share one reduction by
+construction.  The factored null computes it as one replicate; the dense
+null sums ``sum(Kc * Lc) / n^2`` directly, the identity replicate's value
+bit for bit with no gather, so it needs no workspace:
 
 * Factored, from ``TAKE_MIN_N`` on when both sides are numerically low
   rank: each side is a centered factor from ``hsic.gram_free_side``,
@@ -49,8 +52,10 @@ reduction by construction:
 * Dense, below ``TAKE_MIN_N`` and otherwise: replicates are gathered a
   block at a time, by two contiguous ``take``s into one workspace per
   chunk (a column take of the centered y-side Gram, then a row take of
-  that), and reduced by one einsum per block, or per replicate where n^2
-  exceeds 8192, the elements numpy's einsum buffers.
+  that), and each is reduced as ``sum(Kc * Lc_p) / n^2``, by
+  ``einsum("ij,ij->")`` alone where n^2 exceeds 8192, the elements numpy's
+  einsum buffers, and otherwise in one batched einsum per block that sums
+  it in the same order.
 
 The path depends on the data alone, never on ``threads``.  From
 ``TAKE_MIN_N`` points on, a factored test holds nothing that grows with B,
@@ -72,13 +77,15 @@ dense path, and the B null statistics of each y side) are checked against
 From ``TAKE_MIN_N`` points on, the null also runs on up to ``threads``
 threads: the replicates are split into contiguous chunks, each drawing its
 own rows, and :func:`_map`, the module's one way to run work on threads,
-runs one chunk per thread; a power experiment runs its trials through it
-too.  The sides are built on the calling thread.  Every replicate is
-computed the same way whatever the chunking, so no number depends on the
-thread count.  Every large array (each n x n Gram, and each chunk's block
-of rows and its one workspace) is allocated on the calling thread:
-allocated on a pool thread, it would come from that thread's own malloc
-arena and raise the peak memory.
+runs one chunk per thread; a power experiment of that many points runs its
+trials through it too.  Below it a test or a trial is many small numpy
+calls, which threads would mostly spend handing the GIL to each other, so
+it runs on the calling thread.  The sides are built on the calling thread.
+Every replicate is computed the same way whatever the chunking, so no
+number depends on the thread count.  Every large array (each n x n Gram,
+and each chunk's block of rows and its one workspace) is allocated on the
+calling thread: allocated on a pool thread, it would come from that
+thread's own malloc arena and raise the peak memory.
 """
 
 from __future__ import annotations
@@ -99,7 +106,6 @@ from .hsic import (
     Dataset,
     Estimator,
     HsicValue,
-    centered_product,
     centered_side,
     gram_free_side,
 )
@@ -294,11 +300,14 @@ class _Null(NamedTuple):
     ``out``, using ``work``, a flat float workspace of at least
     ``floats(len(rows))`` entries.  ``words`` caps the words of a drawn
     block.  Each replicate's value does not depend on its block.
+    ``observed`` is the raw statistic of the identity permutation, bit for
+    bit the value ``statistics`` gives it.
     """
 
     statistics: Callable[[np.ndarray, np.ndarray, np.ndarray], None]
     floats: Callable[[int], int]
     words: int
+    observed: float
 
 
 def _run_chunks(nulls: list[_Null], perms, workers: int = 1) -> np.ndarray:
@@ -385,11 +394,18 @@ def _dense_statistics(
     out /= n * n
 
 
+def _dense_observed(kc: np.ndarray, lc: np.ndarray) -> float:
+    """``sum(kc * lc) / n^2``, summed as :func:`_dense_statistics` sums the identity, with no gather."""
+    return float(np.einsum("ij,ij->", kc, lc)) / kc.size
+
+
 def _dense_null(kc: np.ndarray, lc: np.ndarray) -> _Null:
     """The null of centered Grams, for any number of points."""
     n = lc.shape[0]
     statistics = partial(_dense_statistics, kc, lc)
-    return _Null(statistics, partial(_dense_floats, n), _DENSE_DRAW_BLOCK_WORDS)
+    return _Null(
+        statistics, partial(_dense_floats, n), _DENSE_DRAW_BLOCK_WORDS, _dense_observed(kc, lc)
+    )
 
 
 def _tied_null(kc: np.ndarray, lc: np.ndarray) -> _Null:
@@ -400,9 +416,9 @@ def _tied_null(kc: np.ndarray, lc: np.ndarray) -> _Null:
     observed statistic only by roundoff.  Each is set to it exactly, as a
     constant side's are all exactly 0, so the p-value is 1 on any host.
     """
-    observed = centered_product(kc, lc)
+    observed = _dense_observed(kc, lc)
     fill = lambda rows, out, work: out.fill(observed)  # noqa: E731
-    return _Null(fill, lambda rows: 0, _DENSE_DRAW_BLOCK_WORDS)
+    return _Null(fill, lambda rows: 0, _DENSE_DRAW_BLOCK_WORDS, observed)
 
 
 def _factored_statistics(
@@ -431,11 +447,11 @@ def _factored_statistics(
 def _factored_null(fx: np.ndarray, fy: np.ndarray) -> _Null:
     """The null of centered factors, ``Kc ~= Fx' Fx`` and ``Lc ~= Fy' Fy``."""
     (rx, n), ry = fx.shape, fy.shape[0]
-    return _Null(
-        partial(_factored_statistics, fx, np.ascontiguousarray(fy.T)),
-        lambda size: min(size, _block_rows(n * max(ry, 1))) * (n * ry + rx * ry),
-        _FACTOR_DRAW_BLOCK_WORDS,
-    )
+    statistics = partial(_factored_statistics, fx, np.ascontiguousarray(fy.T))
+    floats = lambda size: min(size, _block_rows(n * max(ry, 1))) * (n * ry + rx * ry)  # noqa: E731
+    observed = np.empty(1)
+    statistics(np.arange(n, dtype=np.intp)[None, :], observed, np.empty(floats(1)))
+    return _Null(statistics, floats, _FACTOR_DRAW_BLOCK_WORDS, float(observed[0]))
 
 
 def _memory_budget() -> int:
@@ -476,7 +492,8 @@ def _null_function(
     does not, or below ``TAKE_MIN_N``, side x's centered Gram is built once
     as well, and each such y side into a Gram buffer of its own, with any
     bandwidth already resolved, after those Grams and the dense null's
-    largest workspace for each of ``workers`` chunks, with ``held`` bytes
+    largest workspace for each of the ``workers`` chunks that will run it
+    (none where only the observed statistic is wanted), with ``held`` bytes
     already in use, are checked against the memory budget.  Each side is
     the one a test of that y side alone builds, so each null is too.
     """
@@ -501,32 +518,42 @@ def _null_function(
     return kx, kys, scales, nulls
 
 
+def _observed(data: Dataset, kx: KernelSpec, kys, workers: int = 0, held: int = 0):
+    """``(kx, kys, observed, nulls)``: the statistics of ``data`` and the nulls that reduce them.
+
+    The kernels come back resolved, with one observed ``HsicValue`` and one
+    null of :func:`_null_function` per y kernel of ``kys``, which ``workers``
+    chunks will run.  The observed value is the null's own value at the
+    identity permutation, so an identity replicate reproduces it bitwise on
+    every path.  Fewer than 2 points, or ``held`` bytes over the memory
+    budget, are refused before any side is built; a dense side over the
+    budget is refused before its Gram is.
+    """
+    if data.n < 2:
+        raise ValueError("HSIC needs at least 2 paired samples")
+    _check_memory(data.n, 0, held)
+    kx, kys, scales, nulls = _null_function(data, kx, kys, workers, held)
+    observed = [
+        HsicValue.from_raw(null.observed, Estimator.BIASED_V, scale)
+        for null, scale in zip(nulls, scales)
+    ]
+    return kx, kys, observed, nulls
+
+
 def _replicates(data: Dataset, kx: KernelSpec, kys, perms: _Rows, threads: int = 1):
     """``(kx, kys, observed, null)``: the statistics of ``data`` and their nulls over ``perms``.
 
-    The kernels come back resolved, with one observed ``HsicValue`` and one
-    row of ``null`` per y kernel of ``kys``.  Each side is resolved and
-    centered once, on the unpermuted data, and is frozen across replicates;
-    the marginal point sets are permutation invariant anyway.  Side x and
-    each block of rows of ``perms`` serve every y side, so each y side's
-    values are the ones a test of it alone gives.  From ``TAKE_MIN_N``
-    points on, with ``threads`` above 1, the null's chunks, each drawing its
-    own rows of ``perms``, run on the test's pool.  The observed value is
-    the null function at the identity permutation, so an identity replicate
-    reproduces it bitwise on every path.  Fewer than 2 points, or null
-    statistics over the memory budget, are refused before any side is built.
+    :func:`_observed`, with one row of ``null`` per y kernel of ``kys`` and
+    the B null statistics counted against the memory budget.  Each side is
+    resolved and centered once, on the unpermuted data, and is frozen across
+    replicates; the marginal point sets are permutation invariant anyway.
+    Side x and each block of rows of ``perms`` serve every y side, so each y
+    side's values are the ones a test of it alone gives.  From
+    ``TAKE_MIN_N`` points on, with ``threads`` above 1, the null's chunks,
+    each drawing its own rows of ``perms``, run on the test's pool.
     """
-    if data.n < 2:
-        raise ValueError("permutation test needs at least 2 paired samples")
-    held = 8 * perms.num * len(kys)
-    _check_memory(data.n, 0, held)
     workers = _pool_size(threads, perms.num if data.n >= TAKE_MIN_N else 1)
-    kx, kys, scales, nulls = _null_function(data, kx, kys, workers, held)
-    identity = np.arange(data.n, dtype=np.intp)[None, :]
-    observed = [
-        HsicValue.from_raw(raw, Estimator.BIASED_V, scale)
-        for raw, scale in zip(_run_chunks(nulls, identity)[:, 0], scales)
-    ]
+    kx, kys, observed, nulls = _observed(data, kx, kys, workers, 8 * perms.num * len(kys))
     null = _run_chunks(nulls, perms, workers)
     # A NaN null statistic would count as no exceedance and pull p toward
     # 1/(B+1); the observed value is checked when its HsicValue is built.
@@ -631,13 +658,15 @@ def power_experiment(
     identical whatever the thread count.  Each trial samples once, builds
     side x once and draws its permutations once for all of ``kys``, so the
     result for each y kernel is the one a run of that kernel alone gives.
+    From ``TAKE_MIN_N`` points on the trials run on up to ``threads``
+    threads; below it, on the calling thread, as a test's null does.
     """
     kys = list(kys)
     if num_trials < 1:
         raise ValueError("num_trials must be at least 1")
     if not kys:
         raise ValueError("power_experiment needs at least one y kernel")
-    workers = _pool_size(threads, num_trials)
+    workers = _pool_size(threads, num_trials if n >= TAKE_MIN_N else 1)
 
     def one_trial(t: int) -> list[float]:
         # A trial keeps only the p-values: no null quantile or TestResult.

@@ -1,5 +1,7 @@
 """Population HSIC oracle, the biased estimator, and their data types."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,14 +16,16 @@ from hsictest import (
     GeneratorSpec,
     HsicValue,
     KernelSpec,
+    PermutationConfig,
     discrete_ring,
     hsic_biased,
+    permutation_test,
     population_hsic,
     resolve_bandwidth,
     sample,
     theta,
 )
-from hsictest import _selection
+from hsictest import _selection, hsic, testing
 from hsictest.hsic import centered_gram_entries, centered_side
 
 GAUSS1 = KernelSpec("gaussian", 1.0)
@@ -272,11 +276,12 @@ class TestBiasedEstimator:
     def test_no_full_abs_pass(self, abs_shapes):
         # centered_side takes max|HKH| as max(max, -min), with no n x n abs
         # temporary, and returns it with the Gram; the statistic's scale
-        # does not rescan the Grams.
-        d = sample(GeneratorSpec(GeneratorKind.RING_UNIFORM, seed=0), 200)
+        # does not rescan the Grams.  Below the cutoff both sides are Grams.
+        n = testing.TAKE_MIN_N - 1
+        d = sample(GeneratorSpec(GeneratorKind.RING_UNIFORM, seed=0), n)
         gm = KernelSpec("gaussian")
         hsic_biased(d, gm, gm)
-        assert abs_shapes.count((200, 200)) == 0
+        assert abs_shapes.count((n, n)) == 0
 
     def test_median_resolution_matches_manual(self):
         rng = np.random.default_rng(1)
@@ -311,6 +316,82 @@ class TestBiasedEstimator:
     def test_needs_two_samples(self):
         with pytest.raises(ValueError, match="at least 2"):
             hsic_biased(Dataset([1.0], [2.0]), GAUSS1, GAUSS1)
+
+    @pytest.mark.parametrize(
+        "ky", [KernelSpec("gaussian"), LINEAR, KernelSpec("laplace")], ids=KernelSpec.describe
+    )
+    @pytest.mark.parametrize("n", [8, 39, 40, 200, 1000])
+    def test_is_the_permutation_tests_statistic(self, n, ky):
+        # Dense below the cutoff, factored from it on (Laplace stays dense):
+        # either way the whole HsicValue is the test's, bit for bit.  Against
+        # the plain sum(HKH * HLH) / n^2 it is exact on the dense path and
+        # within each side's truncation, 2 n eps scale, on the factored one.
+        d = sample(GeneratorSpec(GeneratorKind.RING_UNIFORM, seed=n), n)
+        gm = KernelSpec("gaussian")
+        test = permutation_test(d, gm, ky, PermutationConfig(9, 0.05, 0))
+        value = hsic_biased(d, gm, ky)
+        assert value == test.statistic
+        _, kc, kc_max, _ = centered_side(gm, d.x_points)
+        _, lc, lc_max, _ = centered_side(ky, d.y_points)
+        reference = float(np.einsum("ij,ij->", kc, lc)) / n**2
+        assert value.scale == max(kc_max * lc_max, 1.0)
+        if n < testing.TAKE_MIN_N or ky.family == "laplace":
+            assert value.raw == reference
+        else:
+            assert abs(value.raw - reference) <= 2 * n * np.finfo(float).eps * value.scale
+
+    @pytest.mark.parametrize("n", [8, 60])
+    def test_is_the_tests_statistic_on_ties_and_constants(self, n):
+        # An identity Gram (points 1 apart under gaussian:0.02) and a
+        # constant side, each on either side of the cutoff.
+        ring = sample(GeneratorSpec(GeneratorKind.RING_UNIFORM, seed=n), n).y_points
+        cases = [
+            (Dataset(np.arange(n), ring), KernelSpec("gaussian", 0.02), KernelSpec("gaussian")),
+            (Dataset(ring, np.full(n, 3.7)), KernelSpec("gaussian"), LINEAR),
+        ]
+        for d, kx, ky in cases:
+            test = permutation_test(d, kx, ky, PermutationConfig(9, 0.05, 0))
+            assert hsic_biased(d, kx, ky) == test.statistic
+
+    def test_factored_ring_builds_no_centered_gram(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("centered_side called")
+
+        for module in (hsic, testing):
+            monkeypatch.setattr(module, "centered_side", refused)
+        d = sample(GeneratorSpec(GeneratorKind.RING_UNIFORM, seed=0), 200)
+        gm = KernelSpec("gaussian")
+        assert hsic_biased(d, gm, gm).value > 1e-3
+
+    def test_dense_input_over_the_budget_refused_before_any_gram(self, monkeypatch):
+        # A Laplace y does not factor, so the two Grams would be dense; with
+        # a budget of one Gram the input is refused before either is built.
+        n = 600
+        built = []
+        side = testing.centered_side
+        for module in (hsic, testing):
+            monkeypatch.setattr(module, "centered_side", lambda *a: built.append(a) or side(*a))
+        monkeypatch.setattr(testing, "MEMORY_BUDGET_BYTES", 8 * n * n)
+        d = sample(GeneratorSpec(GeneratorKind.RING_UNIFORM, seed=0), n)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="memory budget"):
+                hsic_biased(d, KernelSpec("gaussian"), KernelSpec("laplace"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert built == []
+        assert peak < 8 * n * n
+
+    def test_dense_input_within_two_grams_is_computed(self, monkeypatch):
+        # hsic_biased runs no null, so it reserves no null workspace: a
+        # budget of exactly its two Grams holds it.
+        n = 600
+        monkeypatch.setattr(testing, "MEMORY_BUDGET_BYTES", 2 * 8 * n * n)
+        d = sample(GeneratorSpec(GeneratorKind.RING_UNIFORM, seed=0), n)
+        gm, lm = KernelSpec("gaussian"), KernelSpec("laplace")
+        kc, lc = centered_gram_entries(gm, d.x_points), centered_gram_entries(lm, d.y_points)
+        assert hsic_biased(d, gm, lm).raw == float(np.einsum("ij,ij->", kc, lc)) / n**2
 
     def test_centered_gram_rows_sum_to_zero(self):
         rng = np.random.default_rng(2)

@@ -18,8 +18,10 @@ from scipy.stats import chisquare
 import oracles
 from hsictest import (
     Dataset,
+    Estimator,
     GeneratorKind,
     GeneratorSpec,
+    HsicValue,
     KernelSpec,
     PermutationConfig,
     exhaustive_permutation_test,
@@ -263,14 +265,22 @@ class TestDrawPermutations:
 
 class TestPermutedStatistics:
     def test_identity_row_reproduces_observed_bitwise(self):
-        d = _random_dataset(7, 25)
-        kx = resolve_bandwidth(GAUSS_MEDIAN, d.x_points)
-        ky = resolve_bandwidth(GAUSS_MEDIAN, d.y_points)
-        observed = hsic_biased(d, kx, ky)
-        kc = centered_gram_entries(kx, d.x_points)
-        lc = centered_gram_entries(ky, d.y_points)
-        identity = np.arange(d.n, dtype=np.intp)[None, :]
-        assert _statistics(_dense_null(kc, lc), identity)[0] == observed.raw
+        # The plain sum(Kc * Lc) / n^2 is the reference: the identity row,
+        # batched (n^2 <= 8192) or reduced alone, and the dense null's own
+        # observed value must equal it bit for bit, as must hsic_biased on
+        # the dense path below the cutoff.
+        for n in (25, 91, 128):
+            d = _random_dataset(7, n)
+            kx = resolve_bandwidth(GAUSS_MEDIAN, d.x_points)
+            ky = resolve_bandwidth(GAUSS_MEDIAN, d.y_points)
+            kc = centered_gram_entries(kx, d.x_points)
+            lc = centered_gram_entries(ky, d.y_points)
+            reference = float(np.einsum("ij,ij->", kc, lc)) / n**2
+            identity = np.arange(n, dtype=np.intp)[None, :]
+            null = _dense_null(kc, lc)
+            assert _statistics(null, identity)[0] == null.observed == reference
+            if n < TAKE_MIN_N:
+                assert hsic_biased(d, kx, ky).raw == reference
 
     def test_matches_reindexed_datasets(self):
         # Relabeling y and recomputing from scratch is the slow route; the
@@ -285,8 +295,9 @@ class TestPermutedStatistics:
             perms = oracles.draw_permutations(seed=1, num=30, n=d.n)
             fast = _pooled(_dense_null(kc, lc), perms, 2)
             for row, value in zip(perms, fast):
-                slow = hsic_biased(Dataset(d.x_points, d.y_points[row]), kx, ky)
-                assert value == pytest.approx(slow.raw, abs=1e-12)
+                lc_row = centered_gram_entries(ky, d.y_points[row])
+                slow = float(np.einsum("ij,ij->", kc, lc_row)) / n**2
+                assert value == pytest.approx(slow, abs=1e-12)
 
     @pytest.mark.parametrize("n", [5, TAKE_MIN_N - 1, TAKE_MIN_N, 64])
     def test_identity_mid_batch_and_mid_chunk_is_observed(self, n, monkeypatch):
@@ -296,14 +307,14 @@ class TestPermutedStatistics:
         d = _random_dataset(n, n)
         kx = resolve_bandwidth(GAUSS_MEDIAN, d.x_points)
         ky = resolve_bandwidth(LAPLACE_MEDIAN, d.y_points)
-        observed = hsic_biased(d, kx, ky)
         kc = centered_gram_entries(kx, d.x_points)
         lc = centered_gram_entries(ky, d.y_points)
+        observed = float(np.einsum("ij,ij->", kc, lc)) / n**2
         perms = oracles.draw_permutations(seed=5, num=9, n=n)
         perms[[1, 4]] = np.arange(n)
         null = _pooled(_dense_null(kc, lc), perms, 3)
-        assert null[1] == observed.raw
-        assert null[4] == observed.raw
+        assert null[1] == observed
+        assert null[4] == observed
 
     @pytest.mark.parametrize("n", [TAKE_MIN_N, 64, 200])
     def test_identity_mid_chunk_is_observed_low_rank(self, n, monkeypatch):
@@ -351,7 +362,7 @@ class TestPermutedStatistics:
         # cap of one row takes them one at a time, rows first.  Above 8192
         # floats a Gram, numpy's einsum buffer, the batched einsum sums in
         # another order (from n = 91), so each replicate is reduced alone, as
-        # hsic_biased reduces the observed statistic.
+        # the dense null reduces its observed statistic.
         d = _random_dataset(n, n)
         kc = centered_gram_entries(KernelSpec("gaussian", 1.0), d.x_points)
         lc = centered_gram_entries(KernelSpec("laplace", 1.0), d.y_points)
@@ -429,16 +440,17 @@ class TestFactoredNull:
     @pytest.mark.parametrize("n", [TAKE_MIN_N, 200])
     def test_high_rank_stays_dense_and_unchanged(self, n):
         # Laplace Grams on the ring are full rank: the test must report what
-        # the dense null and hsic_biased give, bit for bit.
+        # the dense null and the plain sum(Kc * Lc) / n^2 give, bit for bit.
         d = _ring(1, n)
         kx = resolve_bandwidth(GAUSS_MEDIAN, d.x_points)
         ky = resolve_bandwidth(LAPLACE_MEDIAN, d.y_points)
-        kc, lc, _, null = _grams(d, kx, ky)
+        kc, lc, scale, null = _grams(d, kx, ky)
         assert null.statistics.func is _dense_statistics
         cfg = PermutationConfig(99, 0.05, 2)
         null = _pooled(_dense_null(kc, lc), oracles.draw_permutations(cfg.seed, 99, n), 2)
         res = permutation_test(d, kx, ky, cfg, threads=2)
-        assert res.statistic == hsic_biased(d, kx, ky)
+        observed = float(np.einsum("ij,ij->", kc, lc)) / n**2
+        assert res.statistic == HsicValue.from_raw(observed, Estimator.BIASED_V, scale)
         assert res.p_value == p_value_from_null(res.statistic.raw, null)
         assert res.null_quantile == float(np.quantile(null, 0.95))
 
@@ -815,13 +827,20 @@ class TestThreads:
         spec = GeneratorSpec(GeneratorKind.RING_UNIFORM, seed=0)
         power_experiment(
             spec, GAUSS_MEDIAN, [GAUSS_MEDIAN], PermutationConfig(10, 0.05, 0),
-            num_trials=3, n=8, threads=10_000,
+            num_trials=3, n=TAKE_MIN_N, threads=10_000,
         )
         assert pool_sizes == [3, 4, 3]
 
     def test_small_null_starts_no_pool(self, pool_sizes):
+        # Below the cutoff a test or a trial is many small numpy calls, which
+        # two threads mostly spend handing the GIL back and forth.
         d = _random_dataset(2, TAKE_MIN_N - 1)
         permutation_test(d, GAUSS_MEDIAN, GAUSS_MEDIAN, PermutationConfig(20, 0.05, 0), threads=4)
+        spec = GeneratorSpec(GeneratorKind.RING_UNIFORM, seed=0)
+        power_experiment(
+            spec, GAUSS_MEDIAN, [GAUSS_MEDIAN], PermutationConfig(10, 0.05, 0),
+            num_trials=3, n=8, threads=4,
+        )
         assert pool_sizes == []
 
     def test_threads_below_one_refused(self):
@@ -959,7 +978,8 @@ class TestPermutationTest:
             kx, ky = (identity, GAUSS_MEDIAN) if side == "x" else (GAUSS_MEDIAN, identity)
             res = permutation_test(d, kx, ky, PermutationConfig(99, 0.05, seed))
             assert res.p_value == 1.0 and res.null_quantile == res.statistic.raw
-            assert res.statistic.raw == hsic_biased(d, kx, ky).raw
+            kc, lc = centered_side(kx, d.x_points)[1], centered_side(ky, d.y_points)[1]
+            assert res.statistic.raw == float(np.einsum("ij,ij->", kc, lc)) / n**2
             if n <= EXHAUSTIVE_MAX_N:
                 assert exhaustive_permutation_test(d, kx, ky, 0.05).p_value == 1.0
         # A linear Gram of orthonormal points is the identity too, but no
@@ -1160,12 +1180,16 @@ class TestSharedTrials:
 
 
 class TestPowerExperiment:
-    def test_thread_count_does_not_change_results(self):
+    def test_thread_count_does_not_change_results(self, monkeypatch):
+        # Below the cutoff every trial runs on the calling thread; from it
+        # on, the trials run on a pool of 3.
+        monkeypatch.setattr(testing.os, "cpu_count", lambda: 8)
         spec = GeneratorSpec(GeneratorKind.RING_UNIFORM, seed=0)
         cfg = PermutationConfig(60, 0.05, 3)
-        lone = power_experiment(spec, GAUSS_MEDIAN, [GAUSS_MEDIAN], cfg, 6, 30, threads=1)
-        pooled = power_experiment(spec, GAUSS_MEDIAN, [GAUSS_MEDIAN], cfg, 6, 30, threads=3)
-        assert lone == pooled
+        for n in (30, TAKE_MIN_N):
+            lone = power_experiment(spec, GAUSS_MEDIAN, [GAUSS_MEDIAN], cfg, 6, n, threads=1)
+            pooled = power_experiment(spec, GAUSS_MEDIAN, [GAUSS_MEDIAN], cfg, 6, n, threads=3)
+            assert lone == pooled
 
     def test_rate_summarizes_p_values(self):
         spec = GeneratorSpec(GeneratorKind.INDEPENDENT_GAUSSIAN, seed=0)

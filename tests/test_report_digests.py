@@ -12,7 +12,6 @@ reported field (p-values, rejections, bandwidths, counts, p-value lists,
 counterexamples) must be identical.
 """
 
-import ctypes
 import importlib.util
 import json
 import os
@@ -26,6 +25,11 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "scripts" / "report_digests.py"
 EPS = float(np.finfo(float).eps)
+
+_spec = importlib.util.spec_from_file_location("report_digests", SCRIPT)
+script = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(script)
+openblas_core, host_facts = script.openblas_core, script.host_facts
 
 # One digest per corpus command, in corpus order.
 EXPECTED = [
@@ -52,11 +56,7 @@ EXPECTED = [
     "1803cf1abb22bb59c1ae803f30eefae42dd2fddf56adfd9bcae408e339cf496d",  # oracle-sweep y linear centered
 ]
 
-# The host facts the digests above were taken with.  numpy's X86_V4
-# (AVX-512) loops give ``np.exp`` other bits than its AVX2 ones, and the
-# OpenBLAS kernels move factored statistics in the last bits.  A
-# DYNAMIC_ARCH OpenBLAS picks its kernels for the CPU it runs on, so the
-# core it picked is recorded beside the build.
+# The host facts (``host_facts``) the digests above were taken with.
 PINNED_HOST = {
     "numpy": "2.4.6",
     "numpy X86_V4 dispatch": True,
@@ -78,32 +78,6 @@ HOST_VARIANTS = {
 ROUNDED = {"statistic", "statistic_raw", "null_quantile"}
 
 
-def openblas_core() -> str | None:
-    """The core whose kernels numpy's bundled OpenBLAS runs, or None where it does not say."""
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for path in sorted(libs.glob("*openblas*")):
-        corename = getattr(ctypes.CDLL(str(path)), "scipy_openblas_get_corename64_", None)
-        if corename is not None:
-            corename.restype = ctypes.c_char_p
-            return corename().decode()
-    return None
-
-
-def host_facts() -> dict:
-    """This process's values of the facts in ``PINNED_HOST``."""
-    try:
-        from numpy._core._multiarray_umath import __cpu_features__
-    except ImportError:  # numpy 1.x
-        from numpy.core._multiarray_umath import __cpu_features__
-    blas = np.show_config(mode="dicts")["Build Dependencies"].get("blas", {})
-    return {
-        "numpy": np.__version__,
-        "numpy X86_V4 dispatch": bool(__cpu_features__.get("X86_V4")),
-        "OpenBLAS build": blas.get("openblas configuration"),
-        "OpenBLAS core": openblas_core(),
-    }
-
-
 def _child(args: list[str], variables: dict) -> str:
     """The stdout of ``python *args`` in a child with ``variables`` set, importing ``src``."""
     paths = [str(ROOT / "src"), str(ROOT / "tests"), os.environ.get("PYTHONPATH")]
@@ -118,9 +92,6 @@ def _child(args: list[str], variables: dict) -> str:
 @pytest.fixture(scope="module")
 def host_reports(tmp_path_factory):
     """The corpus reports on this host's kernels, in corpus order."""
-    spec = importlib.util.spec_from_file_location("report_digests", SCRIPT)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
     return [script.report(argv) for argv in script.corpus(tmp_path_factory.mktemp("corpus"))]
 
 
@@ -148,9 +119,6 @@ def test_host_facts_read_the_openblas_core_at_run_time():
 
 
 def test_every_corpus_report_is_bitwise_unchanged(tmp_path):
-    spec = importlib.util.spec_from_file_location("report_digests", SCRIPT)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
     commands = script.corpus(tmp_path)
     assert len(commands) == len(EXPECTED)
     changed = [

@@ -52,8 +52,9 @@ def test_stage_script_does_not_factor_small_tests():
     assert report["stage_sum_s"] <= report["total_s"]
 
 
-def _script():
-    """The script, imported as a module."""
+def _script(monkeypatch):
+    """The script, imported as a module, with its directory on sys.path as when it runs."""
+    monkeypatch.syspath_prepend(str(SCRIPT.parent))
     spec = importlib.util.spec_from_file_location("stage_times", SCRIPT)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
@@ -61,7 +62,7 @@ def _script():
 
 
 def test_draw_split_draws_in_the_blocks_of_the_null(tmp_path, monkeypatch):
-    script = _script()
+    script = _script(monkeypatch)
     blocks = []  # the rows of each block of each draw, the test's and the split's
     threads = []  # the thread each chunk of each draw ran on
     split = []  # where the split's chunks start in those lists
@@ -91,13 +92,31 @@ def test_draw_split_draws_in_the_blocks_of_the_null(tmp_path, monkeypatch):
     assert threads[start:] == [threading.get_ident()] * start
 
 
-def test_peak_rss_is_not_floored_by_the_calling_process(tmp_path):
+def test_peak_rss_is_not_floored_by_the_calling_process(tmp_path, monkeypatch):
     # Linux counts a parent's RSS at a spawn as its child's.  100 MB held
     # here, every page written, must not show in the peak of an n = 30 test
     # (about 38 MB).
-    script = _script()
+    script = _script(monkeypatch)
     args = script.parse_args(["--n", "30", "--permutations", "20"])
     csv_path = script.write_ring_csv(tmp_path / "ring.csv", args.n, args.seed)
     ballast = np.ones(100 << 17)
     peak = script.child_peak_rss_mb(csv_path, args)
     assert 0.0 < peak < ballast.nbytes / 2**20
+
+
+def test_matrix_records_the_host_and_each_cell_at_1_and_2_threads(tmp_path, monkeypatch):
+    # One small cell of d = 3 points, written as the matrix's own d = 3 cells are.
+    script = _script(monkeypatch)
+    monkeypatch.setattr(script, "MATRIX", ((3, 60, "gaussian:median"),))
+    path = tmp_path / "matrix.json"
+    script.main(["--matrix", str(path), "--permutations", "20", "--repeats", "1"])
+    matrix = json.loads(path.read_text())
+    digest_host = script.report_digests.host_facts()
+    assert set(matrix["host"]) == {*digest_host, "nproc", "OPENBLAS_NUM_THREADS"}
+    assert matrix["host"]["nproc"] >= 1
+    assert [cell["threads"] for cell in matrix["cells"]] == [1, 2]
+    for cell in matrix["cells"]:
+        assert (cell["dim"], cell["n"], cell["kernel_y"]) == (3, 60, "gaussian:median")
+        assert set(cell["stages_s"]) == {"sides", "null", "p_value"}
+        assert cell["stage_sum_s"] <= cell["total_s"]
+        assert cell["peak_rss_mb"] > 0.0
