@@ -3,9 +3,12 @@
 :func:`_pairwise` is the one place a pair of points becomes a distance: the
 Gram entries of :mod:`hsictest.kernels` are built from it and the median
 bandwidth is selected among its values, so the bandwidth is the median of
-exactly the distances the Gram uses.  ``_BLOCK_FLOATS`` is the one block
-budget, of distance and Gram rows and of the gathers of
-:mod:`hsictest.testing` alike (:func:`_block_rows`).
+exactly the distances the Gram uses, and :func:`_largest` is the largest
+of them.  ``_BLOCK_FLOATS`` is the one block budget, of distance and Gram
+rows and of every gather of :mod:`hsictest.testing` alike
+(:func:`_block_rows`): a factored null's block of gathered factor rows,
+and each of the dense null's two gather blocks, whole permuted Grams up to
+n = 90 and a row block of one permuted Gram above that.
 
 :func:`_order_statistics` selects squared distances of given ranks exactly:
 in passes over the upper triangle for points of d > 1 coordinates, and for
@@ -194,6 +197,22 @@ def _upper_blocks(n: int):
         hi = lo + min(n - lo, _block_rows(n - lo))
         yield lo, hi
         lo = hi
+
+
+def _largest(pts: np.ndarray, squared: bool) -> float:
+    """The largest squared-Euclidean (or cityblock) distance among the pairs of (n, d) ``pts``.
+
+    Computed by :func:`_pairwise` over the upper triangle, one block of
+    :func:`_upper_blocks` at a time, so it is the largest entry of exactly
+    the distances a Gram is built from; a distance that overflows is inf.
+    """
+    n = pts.shape[0]
+    buffer = np.empty(max(_BLOCK_FLOATS, n))
+    largest = 0.0
+    for lo, hi in _upper_blocks(n):
+        block = buffer[: (hi - lo) * (n - lo)].reshape(hi - lo, n - lo)
+        largest = max(largest, _pairwise(pts[lo:hi, None], pts[None, lo:], squared, block).max())
+    return float(largest)
 
 
 def _count_pass(pts: np.ndarray, t1: float, t2: float, at_thresholds: bool):

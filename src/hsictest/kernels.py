@@ -40,7 +40,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._selection import _block_rows, _order_statistics, _pairwise
+from ._selection import _block_rows, _largest, _order_statistics, _pairwise
 
 MEDIAN_BANDWIDTH = "median"
 
@@ -170,7 +170,10 @@ def resolve_bandwidth(spec: KernelSpec, points) -> KernelSpec:
     from about 9.48e153) or rounds to 0, and a Gaussian or Laplace side
     whose largest distance overflows.  That distance is bounded by the
     coordinate ranges, summed as :func:`_selection._pairwise` sums them:
-    exactly for 1-D points, as rounding is monotone.
+    exactly for 1-D points, as rounding is monotone.  For d > 1 the bound
+    can overflow where no distance does, so only then is the largest
+    distance itself taken, in the blocks of :func:`_selection._largest`,
+    and the side refused only if that overflows.
     """
     pts = as_points(points)
     if not spec.is_resolved:
@@ -189,6 +192,9 @@ def resolve_bandwidth(spec: KernelSpec, points) -> KernelSpec:
     largest = 0.0  # in Python floats, which overflow to inf without a warning
     for hi, lo in zip(pts.max(axis=0).tolist(), pts.min(axis=0).tolist()):
         largest += (hi - lo) * (hi - lo) if squared else hi - lo
+    if largest == math.inf and pts.shape[1] > 1:  # the bound over-counts: take the distance itself
+        with np.errstate(over="ignore"):
+            largest = _largest(pts, squared)
     _finite(largest if 0.0 < divisor < math.inf else math.nan)
     return spec
 

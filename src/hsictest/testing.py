@@ -37,8 +37,9 @@ The null has two paths, and the observed statistic is always the null's
 own value at the identity permutation (:func:`_observed`, which
 ``hsic.hsic_biased`` returns too), so the two share one reduction by
 construction.  The factored null computes it as one replicate; the dense
-null sums ``sum(Kc * Lc) / n^2`` directly, the identity replicate's value
-bit for bit with no gather, so it needs no workspace:
+null sums ``sum(Kc * Lc) / n^2`` directly, in the row blocks it sums a
+replicate in, the identity replicate's value bit for bit with no gather, so
+it needs no workspace:
 
 * Factored, from ``TAKE_MIN_N`` on when both sides are numerically low
   rank: each side is a centered factor from ``hsic.gram_free_side``,
@@ -49,13 +50,18 @@ bit for bit with no gather, so it needs no workspace:
   :mod:`hsictest.hsic` docstring shows.  A side over the rank cap of
   ``hsic.gram_free_side``, or nearly constant, sends the test to the dense
   path.
-* Dense, below ``TAKE_MIN_N`` and otherwise: replicates are gathered a
-  block at a time, by two contiguous ``take``s into one workspace per
-  chunk (a column take of the centered y-side Gram, then a row take of
-  that), and each is reduced as ``sum(Kc * Lc_p) / n^2``, by
-  ``einsum("ij,ij->")`` alone where n^2 exceeds 8192, the elements numpy's
-  einsum buffers, and otherwise in one batched einsum per block that sums
-  it in the same order.
+* Dense, below ``TAKE_MIN_N`` and otherwise: replicate p is ``sum(Kc *
+  Lc_p) / n^2``, gathered from the centered y-side Gram by two contiguous
+  ``take``s into one workspace per chunk, on one of two paths split where
+  n^2 passes 8192, the elements numpy's einsum buffers.  Up to there (n <=
+  90), a block of replicates is gathered whole (a column take, then a row
+  take of that) and reduced by one batched einsum, which sums each
+  replicate as ``einsum("ij,ij->")`` does.  Above it the batched einsum
+  sums in another order, so each replicate is reduced alone, a row block
+  at a time: rows ``p[lo:hi]`` of Lc, then their columns p, into a k x n
+  block with k = ``_block_rows(n)``, reduced against ``Kc[lo:hi]`` by
+  ``einsum("ij,ij->")``, the block sums added in row order.  Nothing n x n
+  is written per replicate.
 
 The path depends on the data alone, never on ``threads``.  From
 ``TAKE_MIN_N`` points on, a factored test holds nothing that grows with B,
@@ -65,12 +71,13 @@ exactly (``_selection._order_statistics``), from the sorted points by row
 counts in O(n) memory for a 1-D side, and in passes over the distances, one
 block at a time, otherwise.  Only the dense path holds Grams, one buffer per
 side, built with the bandwidths already resolved; with several y kernels,
-side x's Gram is built once, and only if a y side does not factor.  The
+side x's Gram is built once, and only if a y side does not factor.  Its
+null gathers into two blocks of at most 2^16 floats per chunk (1 MB).  The
 permutations are never held: each chunk of the null draws its rows one block
 at a time (:func:`_draw_rows`) and reduces them at once.  Before a test
 starts, and again before a Gram path allocates its Grams, the bytes the path
-will hold (its Gram buffers, the gather workspace of each null worker on the
-dense path, and the B null statistics of each y side) are checked against
+will hold (its Gram buffers, the two gather blocks of each null worker on
+the dense path, and the B null statistics of each y side) are checked against
 ``MEMORY_BUDGET_BYTES``, capped by physical memory; over it, the test raises
 ``ValueError`` at once instead of running out of memory part-way.
 
@@ -345,25 +352,52 @@ def _run_chunks(nulls: list[_Null], perms, workers: int = 1) -> np.ndarray:
 
 
 def _dense_floats(n: int, rows: int) -> int:
-    """Floats of the dense null's workspace for ``rows`` rows: both halves of one gather."""
-    return 2 * min(rows, _block_rows(n * n)) * n * n
+    """Floats of the dense null's workspace for ``rows`` rows: two blocks of at most 2^16 floats."""
+    return 2 * (min(rows, _block_rows(n * n)) * n if n * n <= 8192 else _block_rows(n)) * n
+
+
+def _dense_value(kc: np.ndarray, lc: np.ndarray, p=None, work=None) -> float:
+    """``sum(kc * lc[p][:, p]) / n^2`` in row blocks; with no ``p``, the observed statistic.
+
+    Blocks of k = ``_block_rows(n)`` rows, the last one short, are each
+    reduced against ``kc[lo:hi]`` by ``einsum("ij,ij->")``, and their sums
+    are added in row order.  A replicate's block is gathered into ``work``,
+    rows ``p[lo:hi]`` of lc and then their columns p, by two contiguous
+    ``take``s; the observed value reduces rows ``lo:hi`` of lc itself, the
+    same values in the same layout, so it is the identity replicate bit for
+    bit with no gather and no workspace.  Up to n = 256 one block is the
+    whole matrix.
+    """
+    n, k = len(kc), _block_rows(len(kc))
+    total = 0.0
+    for lo in range(0, n, k):
+        block = lc[lo : lo + k]
+        if p is not None:
+            # The indices are a permutation, so mode="clip" changes no value; it
+            # only lets ``take`` write into ``work`` without an extra buffered copy.
+            rows, block = work[: 2 * len(block) * n].reshape(2, len(block), n)
+            lc.take(p[lo : lo + k], axis=0, out=rows, mode="clip")
+            rows.take(p, axis=1, out=block, mode="clip")
+        total += np.einsum("ij,ij->", kc[lo : lo + k], block)
+    return float(total) / (n * n)
 
 
 def _dense_statistics(
     kc: np.ndarray, lc: np.ndarray, perms: np.ndarray, out: np.ndarray, work: np.ndarray
 ) -> None:
-    """``out[b] = sum(kc * lc[p, p]) / n^2`` for each row p of ``perms``.
+    """``out[b] = sum(kc * lc[p, p]) / n^2`` for each row p of ``perms``, on one of two paths.
 
-    Blocks of b = ``_block_rows(n^2)`` rows are gathered by two contiguous
-    ``take``s into ``work``: ``lc.take(p, axis=1)``, of shape (n, b, n),
-    then its rows ``p * b + arange(b)[:, None]``, built for each block,
-    which give ``lc[p[:, :, None], p[:, None, :]]`` bit for bit.  A block
-    of one row is taken rows first, which needs no indices and ran
-    1.1-1.3x faster at n = 1000 to 1500.  While n^2 <= 8192, the
-    elements numpy's einsum buffers, one einsum reduces a block and sums
-    each replicate as ``einsum("ij,ij->")`` does; above that they sum in
-    different orders, so each replicate is reduced alone.  A replicate's
-    value never depends on its block or its thread.
+    They split where n^2 passes 8192, the elements numpy's einsum buffers.
+    Up to there a replicate is a few hundred floats and one einsum over a
+    block of them sums each as ``einsum("ij,ij->")`` does, so blocks of b =
+    ``_block_rows(n^2)`` rows are gathered by two contiguous ``take``s into
+    ``work``: ``lc.take(p, axis=1)``, of shape (n, b, n), then its rows ``p
+    * b + arange(b)[:, None]``, built for each block, which give ``lc[p[:,
+    :, None], p[:, None, :]]`` bit for bit, and one batched einsum reduces
+    them.  Above it the batched einsum sums in another order, so each
+    replicate is reduced alone, a row block at a time, by
+    :func:`_dense_value`, and nothing n x n is written.  A replicate's value
+    never depends on its block or its thread.
 
     As separate allocations, or as one workspace of half the size, the two
     halves were returned to the system after every test of a two-thread
@@ -371,40 +405,25 @@ def _dense_statistics(
     command, against 8 in one 1 MB workspace.
     """
     n, num = lc.shape[0], len(perms)
+    # Not np.getbufsize(): einsum ignores it, and it is set per thread.
+    if n * n > 8192:
+        out[:] = [_dense_value(kc, lc, p, work) for p in perms]
+        return
     block = _block_rows(n * n)
     for lo in range(0, num, block):
         p = perms[lo : lo + block]
         b = len(p)
-        cols = work[: n * b * n].reshape(n * b, n)  # (n, b, n), as rows
-        both = work[n * b * n : 2 * n * b * n].reshape(b, n, n)
-        # The indices are a permutation, so mode="clip" changes no value; it
-        # only lets ``take`` write into ``work`` without an extra buffered copy.
-        if b == 1:
-            lc.take(p[0], axis=0, out=cols, mode="clip")
-            cols.take(p[0], axis=1, out=both[0], mode="clip")
-        else:
-            lc.take(p, axis=1, out=cols.reshape(n, b, n), mode="clip")
-            cols.take(p * b + np.arange(b)[:, None], axis=0, out=both, mode="clip")
-        # Not np.getbufsize(): einsum ignores it, and it is set per thread.
-        if n * n <= 8192:
-            out[lo : lo + b] = np.einsum("ij,bij->b", kc, both)
-        else:
-            for j in range(b):
-                out[lo + j] = np.einsum("ij,ij->", kc, both[j])
-    out /= n * n
-
-
-def _dense_observed(kc: np.ndarray, lc: np.ndarray) -> float:
-    """``sum(kc * lc) / n^2``, summed as :func:`_dense_statistics` sums the identity, with no gather."""
-    return float(np.einsum("ij,ij->", kc, lc)) / kc.size
+        cols, both = work[: 2 * b * n * n].reshape(2, b, n, n)  # cols holds (n, b, n)
+        lc.take(p, axis=1, out=cols.reshape(n, b, n), mode="clip")
+        cols.reshape(n * b, n).take(p * b + np.arange(b)[:, None], axis=0, out=both, mode="clip")
+        out[lo : lo + b] = np.einsum("ij,bij->b", kc, both) / (n * n)
 
 
 def _dense_null(kc: np.ndarray, lc: np.ndarray) -> _Null:
     """The null of centered Grams, for any number of points."""
-    n = lc.shape[0]
-    statistics = partial(_dense_statistics, kc, lc)
     return _Null(
-        statistics, partial(_dense_floats, n), _DENSE_DRAW_BLOCK_WORDS, _dense_observed(kc, lc)
+        partial(_dense_statistics, kc, lc), partial(_dense_floats, len(kc)),
+        _DENSE_DRAW_BLOCK_WORDS, _dense_value(kc, lc),
     )
 
 
@@ -416,7 +435,7 @@ def _tied_null(kc: np.ndarray, lc: np.ndarray) -> _Null:
     observed statistic only by roundoff.  Each is set to it exactly, as a
     constant side's are all exactly 0, so the p-value is 1 on any host.
     """
-    observed = _dense_observed(kc, lc)
+    observed = _dense_value(kc, lc)
     fill = lambda rows, out, work: out.fill(observed)  # noqa: E731
     return _Null(fill, lambda rows: 0, _DENSE_DRAW_BLOCK_WORDS, observed)
 
@@ -492,9 +511,10 @@ def _null_function(
     does not, or below ``TAKE_MIN_N``, side x's centered Gram is built once
     as well, and each such y side into a Gram buffer of its own, with any
     bandwidth already resolved, after those Grams and the dense null's
-    largest workspace for each of the ``workers`` chunks that will run it
-    (none where only the observed statistic is wanted), with ``held`` bytes
-    already in use, are checked against the memory budget.  Each side is
+    largest workspace, two gather blocks, for each of the ``workers``
+    chunks that will run it (none where only the observed statistic is
+    wanted), with ``held`` bytes already in use, are checked against the
+    memory budget.  Each side is
     the one a test of that y side alone builds, so each null is too.
     """
     n, kys = data.n, list(kys)
@@ -508,8 +528,7 @@ def _null_function(
         del fx  # not held into the dense nulls unless a factored null holds it
     dense = [i for i, null in enumerate(nulls) if null is None]
     if dense:
-        work = workers * _dense_floats(n, _block_rows(n * n))
-        _check_memory(n, 1 + len(dense), held + 8 * work)
+        _check_memory(n, 1 + len(dense), held + 8 * workers * _dense_floats(n, _block_rows(n * n)))
         kx, kc, kc_max, x_tied = centered_side(kx, data.x_points)
         for i in dense:
             kys[i], lc, lc_max, y_tied = centered_side(kys[i], data.y_points)

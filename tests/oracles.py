@@ -159,3 +159,19 @@ def gathered_statistics(kc, lc, perms):
     """
     n = lc.shape[0]
     return np.einsum("ij,bij->b", kc, lc[perms[:, :, None], perms[:, None, :]]) / (n * n)
+
+
+def row_block_statistic(kc, lc, rows, perm=None):
+    """``sum(kc * lc[p, p]) / n^2`` for one permutation p (the identity when None), in row blocks.
+
+    Rows ``lo:lo + rows`` of ``kc`` are reduced by ``einsum("ij,ij->")``
+    against the same rows of the permuted Lc, taken by one fancy-index
+    gather, and the block sums are added in row order.  The reference for
+    the dense null where n^2 > 8192, with ``rows`` = ``_block_rows(n)``.
+    """
+    n = lc.shape[0]
+    p = np.arange(n) if perm is None else perm
+    total = 0.0
+    for lo in range(0, n, rows):
+        total += np.einsum("ij,ij->", kc[lo : lo + rows], lc[p[lo : lo + rows, None], p])
+    return float(total) / (n * n)

@@ -1,6 +1,7 @@
 """CLI behavior: parsing, JSON reports, exit codes, reproducibility."""
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -301,9 +302,13 @@ class TestMemoryGuard:
             "--kernel-y", kernel_y, "--permutations", str(self.B), "--threads", "1",
         ]
 
-    def estimate(self, grams):
-        """Bytes of ``grams`` n x n buffers and the B null statistics."""
-        return 8 * grams * self.N**2 + 8 * self.B
+    def estimate(self, grams, work=0):
+        """Bytes of ``grams`` n x n buffers, ``work`` workspace floats and the B null statistics."""
+        return 8 * grams * self.N**2 + 8 * work + 8 * self.B
+
+    def dense_estimate(self):
+        """The dense test's: two Grams and one chunk's two row blocks of 109 x 600 floats."""
+        return self.estimate(2, 2 * 109 * self.N)
 
     def test_budget_below_one_gram_exits_2_before_allocating(
         self, big_csv, capsys, monkeypatch
@@ -323,7 +328,7 @@ class TestMemoryGuard:
         assert code == 0 and report_minus_volatile(report) == report_minus_volatile(unpatched)
         laplace_code, laplace_report, err = laplace
         assert laplace_code == 2 and laplace_report is None and (
-            f"about {self.estimate(4) / 2**20:.1f} MiB" in err and "memory budget" in err
+            f"about {self.dense_estimate() / 2**20:.1f} MiB" in err and "memory budget" in err
         )
         assert peak < 8 * self.N**2
 
@@ -332,14 +337,14 @@ class TestMemoryGuard:
     ):
         # Exactly the factored estimate, the null statistics alone: a
         # Gaussian y factors and runs; a Laplace y does not factor, and the
-        # dense path's two Grams and one chunk's two take buffers are
+        # dense path's two Grams and one chunk's two row blocks are
         # refused, not met by MemoryError.
         monkeypatch.setattr(testing, "MEMORY_BUDGET_BYTES", self.estimate(0))
         code, report, _ = run_cli(self.argv(big_csv, "gaussian:median"), capsys)
         assert code == 0 and report["n"] == self.N
         code, report, err = run_cli(self.argv(big_csv, "laplace:median"), capsys)
         assert code == 2 and report is None
-        assert f"about {self.estimate(4) / 2**20:.1f} MiB" in err
+        assert f"about {self.dense_estimate() / 2**20:.1f} MiB" in err
 
     def test_overflowing_side_exits_3_within_the_factored_budget(
         self, tmp_path, capsys, monkeypatch
@@ -744,14 +749,34 @@ class TestExitCodes:
     @pytest.mark.parametrize("n", [30, 60], ids=["dense", "factored"])
     def test_two_coordinates_whose_squared_ranges_overflow_exit_3(self, n, tmp_path, capsys):
         # Each coordinate's squared range is finite, about 1.4e308, but their
-        # sum is not: the side is refused on that bound, before any distance.
+        # sum is not, and neither is the largest squared distance, which is
+        # taken only because that bound overflows: the side is refused.
         u = np.random.default_rng(n).uniform(size=(n, 2))
         squares = np.ptp(u, axis=0) ** 2 * 1.44  # in units of 1e308
         assert squares.max() < 1.79 < squares.sum()
+        assert ((u[:, None] - u[None]) ** 2).sum(axis=2).max() * 1.44 > 1.8
         self._refused(
             tmp_path / "plane.csv", capsys,
             ["--x-columns", "x1,x2", "--kernel-x", "gaussian:5e153"],
             x1=u[:, 0] * 1.2e154, x2=u[:, 1] * 1.2e154, y=u[:, 0] * u[:, 1],
+        )
+
+    def test_two_coordinates_refused_only_where_a_distance_overflows(self, tmp_path, capsys):
+        # The squared ranges of this diamond sum to 2 r^2 = 2.88e308, which
+        # overflows, but no squared distance does (the largest is r^2 =
+        # 1.44e308): the test runs to a finite statistic.  Two points 1.34e154
+        # apart in each coordinate are 3.6e308 apart, and still exit 3.
+        r = 1.2e154
+        path = tmp_path / "diamond.csv"
+        rows = [(0.0, r / 2), (r, r / 2), (r / 2, 0.0), (r / 2, r)]
+        lines = "".join(f"{a!r},{b!r},{i}\n" for i, (a, b) in enumerate(rows))
+        path.write_text("x1,x2,y\n" + lines)
+        flags = ["--x-columns", "x1,x2", "--kernel-x", "gaussian:5e153"]
+        argv = ["test", str(path), "--y-columns", "y", "--permutations", "50", *flags]
+        code, report, _ = run_cli(argv, capsys)
+        assert code == 0 and 0.0 < report["statistic"] < math.inf
+        self._refused(
+            tmp_path / "pair.csv", capsys, flags, x1=[0.0, 1.34e154], x2=[0.0, 1.34e154], y=[0, 1]
         )
 
     def test_overflowing_median_bandwidth_exits_2(self, tmp_path, capsys):

@@ -320,12 +320,14 @@ class TestBiasedEstimator:
     @pytest.mark.parametrize(
         "ky", [KernelSpec("gaussian"), LINEAR, KernelSpec("laplace")], ids=KernelSpec.describe
     )
-    @pytest.mark.parametrize("n", [8, 39, 40, 200, 1000])
+    @pytest.mark.parametrize("n", [8, 39, 40, 200, 257, 300, 1000])
     def test_is_the_permutation_tests_statistic(self, n, ky):
-        # Dense below the cutoff, factored from it on (Laplace stays dense):
-        # either way the whole HsicValue is the test's, bit for bit.  Against
-        # the plain sum(HKH * HLH) / n^2 it is exact on the dense path and
-        # within each side's truncation, 2 n eps scale, on the factored one.
+        # Dense below the cutoff, factored from it on (Laplace stays dense,
+        # and from n = 257 is reduced in several row blocks): either way the
+        # whole HsicValue is the test's, bit for bit.  Against sum(HKH * HLH)
+        # / n^2, summed in the dense null's row blocks, it is exact on the
+        # dense path and within each side's truncation, 2 n eps scale, on
+        # the factored one.
         d = sample(GeneratorSpec(GeneratorKind.RING_UNIFORM, seed=n), n)
         gm = KernelSpec("gaussian")
         test = permutation_test(d, gm, ky, PermutationConfig(9, 0.05, 0))
@@ -333,7 +335,7 @@ class TestBiasedEstimator:
         assert value == test.statistic
         _, kc, kc_max, _ = centered_side(gm, d.x_points)
         _, lc, lc_max, _ = centered_side(ky, d.y_points)
-        reference = float(np.einsum("ij,ij->", kc, lc)) / n**2
+        reference = oracles.row_block_statistic(kc, lc, _selection._block_rows(n))
         assert value.scale == max(kc_max * lc_max, 1.0)
         if n < testing.TAKE_MIN_N or ky.family == "laplace":
             assert value.raw == reference
@@ -385,13 +387,14 @@ class TestBiasedEstimator:
 
     def test_dense_input_within_two_grams_is_computed(self, monkeypatch):
         # hsic_biased runs no null, so it reserves no null workspace: a
-        # budget of exactly its two Grams holds it.
+        # budget of exactly its two Grams holds it.  Its value is the dense
+        # null's identity replicate, summed in row blocks of 109 rows.
         n = 600
         monkeypatch.setattr(testing, "MEMORY_BUDGET_BYTES", 2 * 8 * n * n)
         d = sample(GeneratorSpec(GeneratorKind.RING_UNIFORM, seed=0), n)
         gm, lm = KernelSpec("gaussian"), KernelSpec("laplace")
         kc, lc = centered_gram_entries(gm, d.x_points), centered_gram_entries(lm, d.y_points)
-        assert hsic_biased(d, gm, lm).raw == float(np.einsum("ij,ij->", kc, lc)) / n**2
+        assert hsic_biased(d, gm, lm).raw == oracles.row_block_statistic(kc, lc, 109)
 
     def test_centered_gram_rows_sum_to_zero(self):
         rng = np.random.default_rng(2)

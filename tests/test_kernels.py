@@ -25,7 +25,7 @@ from hsictest import (
     sample,
     strict_pd_witness,
 )
-from hsictest import _selection
+from hsictest import _selection, kernels
 from hsictest._selection import _pairwise
 from hsictest.kernels import as_points, gram_entries
 
@@ -384,6 +384,34 @@ class TestMedianHeuristic:
             strict_pd_witness(KernelSpec("gaussian", 1e154), [0.0, 1.0])
         linear = KernelSpec("linear")
         assert resolve_bandwidth(linear, [1e300, -1e300]) is linear
+
+    def test_d_above_1_refused_only_where_a_distance_overflows(self, monkeypatch):
+        # The summed squared ranges of this diamond, 2 r^2 = 2.88e308,
+        # overflow, but its largest squared distance, r^2 = 1.44e308, does
+        # not: the side is computable, and its Gram finite.  The cityblock
+        # ranges of the wider one sum to inf, its largest distance to
+        # 1.6e308.  Two points whose one distance overflows are refused.
+        r, w = 1.2e154, 1.6e308
+        gaussian, laplace = KernelSpec("gaussian", 5e153), KernelSpec("laplace", 1e308)
+        for spec, pts in (
+            (gaussian, [[0.0, r / 2], [r, r / 2], [r / 2, 0.0], [r / 2, r]]),
+            (laplace, [[0.0, w / 2], [w, w / 2], [w / 2, 0.0], [w / 2, w]]),
+        ):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert resolve_bandwidth(spec, pts) is spec
+                assert np.isfinite(gram_entries(spec, pts)).all()
+        for spec, pts in (
+            (gaussian, [[0.0, 0.0], [1.34e154, 1.34e154]]),
+            (laplace, [[0.0, 0.0], [w, w]]),
+        ):
+            with pytest.raises(ArithmeticError, match="non-finite"):
+                resolve_bandwidth(spec, pts)
+        # 1-D points, and d > 1 points whose bound is finite, take no distances.
+        monkeypatch.setattr(kernels, "_largest", lambda *args: pytest.fail("distances taken"))
+        resolve_bandwidth(gaussian, [[0.0, 0.0], [r, 0.0]])
+        with pytest.raises(ArithmeticError, match="non-finite"):
+            resolve_bandwidth(KernelSpec("gaussian", 1.0), [0.0, 1.4e154])
 
     def test_coincident_cloud_is_refused_as_a_bandwidth(self):
         # Points of d = 2, over many blocks: test_chunked_median_over_many_blocks

@@ -357,12 +357,14 @@ class TestPermutedStatistics:
 
     @pytest.mark.parametrize("n", [*range(2, 129), 200])
     def test_two_takes_match_the_fancy_gather_bitwise(self, n, monkeypatch):
-        # A cap of three rows a half makes the null gather its 31 replicates,
-        # drawn as one block, in blocks of 3 rows, the last of them short; a
-        # cap of one row takes them one at a time, rows first.  Above 8192
-        # floats a Gram, numpy's einsum buffer, the batched einsum sums in
-        # another order (from n = 91), so each replicate is reduced alone, as
-        # the dense null reduces its observed statistic.
+        # Up to n = 90, a budget of three or one replicates a half makes the
+        # null gather its 31 replicates, drawn as one block, in blocks of 3
+        # rows, the last of them short, or one at a time.  Above 8192 floats
+        # a Gram, numpy's einsum buffer, the batched einsum sums in another
+        # order (from n = 91), so each replicate is reduced alone, in row
+        # blocks of 3n or n rows: the whole matrix, as the dense null
+        # reduces its observed statistic.  On either path the workspace is
+        # two blocks of the budget.
         d = _random_dataset(n, n)
         kc = centered_gram_entries(KernelSpec("gaussian", 1.0), d.x_points)
         lc = centered_gram_entries(KernelSpec("laplace", 1.0), d.y_points)
@@ -376,8 +378,42 @@ class TestPermutedStatistics:
             monkeypatch.setattr(_selection, "_BLOCK_FLOATS", rows * n * n)
             null = _dense_null(kc, lc)
             assert null.statistics.func is _dense_statistics
-            assert null.floats(31) == 2 * rows * n * n
+            assert null.floats(31) == 2 * _selection._BLOCK_FLOATS
             assert np.array_equal(_statistics(null, p), expected)
+
+    @pytest.mark.parametrize("n", [90, 91, 181, 182, 256, 257, 300, 1000])
+    def test_observed_is_the_identity_replicate_bitwise(self, n):
+        # d = 3 Gaussian x against a Laplace y: a dense null whose
+        # replicates, up to n = 90, are batched, and from 91 on are reduced
+        # in row blocks, one block while n <= 256 and more from 257 on.  The
+        # observed value sums the same blocks of Kc * Lc with no gather.
+        d = _random_dataset(n, n, dx=3, dy=1)
+        kc = centered_gram_entries(GAUSS_MEDIAN, d.x_points)
+        lc = centered_gram_entries(LAPLACE_MEDIAN, d.y_points)
+        identity = np.arange(n, dtype=np.intp)[None, :]
+        observed = testing._dense_value(kc, lc)
+        assert _statistics(_dense_null(kc, lc), identity)[0] == observed
+        assert observed == oracles.row_block_statistic(kc, lc, _selection._block_rows(n))
+        assert (_selection._block_rows(n) < n) == (n > 256)
+
+    def test_row_blocks_do_not_depend_on_the_chunk(self):
+        # At n = 300 a replicate is reduced in row blocks of 218 and 82
+        # rows.  31 replicates reduced as one chunk and one at a time give
+        # the same bits, each the row-block sum of a fancy-index gather.
+        n = 300
+        d = _random_dataset(3, n, dx=3, dy=1)
+        kc = centered_gram_entries(GAUSS_MEDIAN, d.x_points)
+        lc = centered_gram_entries(LAPLACE_MEDIAN, d.y_points)
+        p = oracles.draw_permutations(seed=3, num=31, n=n)
+        work = np.empty(_dense_null(kc, lc).floats(31))
+        whole, alone = np.empty(31), np.empty(31)
+        _dense_statistics(kc, lc, p, whole, work)
+        for j in range(31):
+            _dense_statistics(kc, lc, p[j : j + 1], alone[j : j + 1], work)
+        assert np.array_equal(whole, alone)
+        rows = _selection._block_rows(n)
+        expected = [oracles.row_block_statistic(kc, lc, rows, row) for row in p]
+        assert np.array_equal(whole, expected)
 
     def test_batches_join_seamlessly(self):
         # Chunked evaluation must not depend on the batch boundary.
@@ -699,7 +735,7 @@ class TestThreads:
         [(GAUSS_MEDIAN, _factored_statistics), (LAPLACE_MEDIAN, _dense_statistics)],
         ids=["factored", "dense"],
     )
-    @pytest.mark.parametrize("n", [TAKE_MIN_N, 120])
+    @pytest.mark.parametrize("n", [TAKE_MIN_N, 120, 300])
     def test_results_identical_for_1_2_3_threads(self, many_cpus, ky, path, n):
         # The pool prepares both sides and the draw, then runs the null.
         d = _ring(n, n)
@@ -729,7 +765,7 @@ class TestThreads:
         return peak / (n * n * 8)
 
     @pytest.mark.parametrize(
-        "ky,before", [(GAUSS_MEDIAN, 0.55), (LAPLACE_MEDIAN, 4.10)], ids=["factored", "dense"]
+        "ky,before", [(GAUSS_MEDIAN, 0.55), (LAPLACE_MEDIAN, 2.46)], ids=["factored", "dense"]
     )
     def test_peak_memory_no_higher_than_before(self, ky, before):
         # The factored test holds no Gram: it factors each side from rows of
@@ -740,11 +776,13 @@ class TestThreads:
         # 0.54 with blocks of twice as many drawn words, and at
         # 1.09 while it held a Gram, 1.93 with a median buffer (0.5) and all
         # the permutations (0.33), and 3.33 while both Grams were held.  The
-        # dense test peaks near 4.09: two Grams, its null's two chunk
-        # buffers and a block of drawn rows.  The bounds leave 0.005 to 0.01
-        # of a unit for small Python objects; a Gram on the factored path, a
-        # median buffer, the held permutations or a factor kept alive into
-        # the dense null would break them.
+        # dense test peaks near 2.454: two Grams, its null's two row blocks
+        # of 109 x 600 floats (0.36) and a block of drawn rows; it peaked
+        # near 4.09 while it gathered whole n x n replicates.  The bounds
+        # leave 0.005 to 0.01 of a unit for small Python objects; a Gram on
+        # the factored path, a median buffer, the held permutations, a
+        # factor kept alive into the dense null or an n x n gather would
+        # break them.
         assert self._peak_grams(600, ky, 200) <= before
 
     def test_overflowing_side_refused_below_one_gram(self):
@@ -761,12 +799,12 @@ class TestThreads:
 
         assert self._traced_peak(run) < n * n * 8
 
-    @pytest.mark.parametrize("n,floats", [(40, 2 * 40 * 40 * 40), (600, 2 * 600 * 600)])
+    @pytest.mark.parametrize("n,floats", [(40, 2 * 40 * 40 * 40), (600, 2 * 109 * 600)])
     def test_memory_estimate_covers_the_dense_workspaces(self, many_cpus, monkeypatch, n, floats):
-        # At n = 40 a chunk gathers 40 rows at a time, two halves of 40 n x n
-        # blocks; at 600 it gathers one row, two n x n halves.  The estimate
-        # must cover both Grams, the null statistics and every chunk's
-        # workspace.
+        # At n = 40 a chunk gathers 40 replicates at a time, two halves of
+        # 40 n x n blocks; at 600 it gathers one replicate a row block at a
+        # time, two blocks of 109 rows.  The estimate must cover both Grams,
+        # the null statistics and every chunk's workspace.
         needs, works = [], []
         check, run = testing._check_memory, testing._run_chunks
         monkeypatch.setattr(
@@ -1091,7 +1129,15 @@ class TestExactPermutationMean:
             "_tied_null",
         ),
         "d3": (lambda: _random_dataset(1, 60, dx=3, dy=3), GAUSS_MEDIAN, "_dense_null"),
+        "dense_row_blocks": (lambda: _ring(1, 300), LAPLACE_MEDIAN, "_dense_null"),
     }
+
+    def test_row_block_case_reduces_blocks_shorter_than_n(self):
+        make, ky, _ = self.CASES["dense_row_blocks"]
+        d = make()
+        *_, (null,) = testing._null_function(d, GAUSS_MEDIAN, [ky])
+        assert null.statistics.func is _dense_statistics
+        assert _selection._block_rows(d.n) < d.n
 
     @pytest.mark.parametrize("case", list(CASES))
     def test_monte_carlo_null_mean_within_five_standard_errors(self, case, monkeypatch):

@@ -47,7 +47,7 @@ EXPECTED = [
     "a644630eb74fbad7ac6b520016aa0130c611f4f81e19f33412dbf9be83a29f4e",  # test ring_200 y laplace:median
     "e97789eda6db53a9a289280135e8235832bf7b1f40be69629e88089b4852bc0b",  # test ring_1000 y gaussian:median
     "fa94391a302b57fa26c235002397773d674933a35091d069a3a3d98e524ff4e5",  # test ring_1000 y linear
-    "228537a7ba587a6f7afedab4c96f0aac2126e48fc1b9944b2efbbaefdd7d69d3",  # test ring_1000 y laplace:median
+    "b7f8cc5aab1e3b6054f8aad6b13b4cf426d08f57b73993d9a66538932c0e9d28",  # test ring_1000 y laplace:median
     "2021b91567c104cdae878e00cfdf9db37c22ceebb4aaab3326aeb8fda5a6f298",  # reproduce-ring n=8
     "64274b583fd885b7d2031a4fb1da523c1e80fa6ff31417d068df091045dbf4d2",  # reproduce-ring n=39
     "15c81290a06b8be17539274518424656ca4d811cfc0fd3f40761a7906ff91ad4",  # reproduce-ring n=45
