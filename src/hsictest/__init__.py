@@ -1,7 +1,7 @@
 """Kernel independence testing: HSIC statistics, an exact discrete population
 oracle, permutation calibration, and reproducible samplers."""
 
-__version__ = "0.25.0"
+__version__ = "0.26.0"
 
 from .datagen import (
     GeneratorKind,
@@ -24,11 +24,10 @@ from .kernels import (
     MEDIAN_BANDWIDTH,
     KernelFamily,
     KernelSpec,
-    StrictPdWitness,
     median_heuristic,
     parse_kernel,
     resolve_bandwidth,
-    strict_pd_witness,
+    zero_sum_probe,
 )
 from .testing import (
     PermutationConfig,
@@ -53,7 +52,6 @@ __all__ = [
     "MEDIAN_BANDWIDTH",
     "PermutationConfig",
     "PowerResult",
-    "StrictPdWitness",
     "TestResult",
     "discrete_ring",
     "enumerate_discrete",
@@ -68,6 +66,6 @@ __all__ = [
     "power_experiment",
     "resolve_bandwidth",
     "sample",
-    "strict_pd_witness",
     "theta",
+    "zero_sum_probe",
 ]

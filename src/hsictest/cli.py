@@ -33,7 +33,7 @@ from .datagen import (
     integer_supports,
 )
 from .hsic import Dataset, theta, theta_product
-from .kernels import gram_entries, parse_kernel, resolve_bandwidth
+from .kernels import gram_entries, parse_kernel, resolve_bandwidth, zero_sum_probe
 from .testing import PermutationConfig, permutation_test, power_experiment
 
 # Sweep verdict thresholds: dependent pmfs must clear the first, independent
@@ -196,11 +196,12 @@ def cmd_oracle_sweep(args) -> dict:
     total = dependent = 0
     min_dependent = max_independent = None
     counterexamples = []
-    both_characteristic = kx.claimed_characteristic and ky.claimed_characteristic
     x_support, y_support = integer_supports(args.mx, args.my, args.centered_supports)
     kx_res = resolve_bandwidth(kx, x_support)
     ky_res = resolve_bandwidth(ky, y_support)
     kx_gram, ky_gram = gram_entries(kx_res, x_support), gram_entries(ky_res, y_support)
+    # The verdict is the paper's: both marginal kernels characteristic on their supports.
+    both_characteristic = zero_sum_probe(kx_gram)[1] is None and zero_sum_probe(ky_gram)[1] is None
     for dist in distributions:
         t = theta(dist)
         value = theta_product(t, kx_gram, ky_gram).value

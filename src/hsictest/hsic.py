@@ -37,10 +37,14 @@ residual.  For a Gaussian or Laplace side the ratio is 0.65 on the ring at
 the median bandwidth, and the side is factored only while it is at least
 ``FACTOR_MIN_SCALE``.
 
-With both kernels characteristic the population value is zero iff the
-distribution is an exact product (independence); with a non-characteristic
-kernel on either side there are dependent distributions with value exactly
-zero, and :mod:`hsictest.datagen` ships the canonical one.
+Theta has zero row and column sums, so only the zero-sum directions of each
+marginal Gram enter the sum.  A dependent pmf of population value exactly
+zero exists where a marginal kernel has a zero-sum null direction on its
+support (:func:`hsictest.kernels.zero_sum_probe` finds one), and only there.
+With both marginal kernels characteristic on their supports the value is
+zero iff the distribution is an exact product, even where the product kernel
+is not characteristic on the joint support; :mod:`hsictest.datagen` ships
+the canonical dependent pmf of value zero under a linear kernel.
 """
 
 from __future__ import annotations

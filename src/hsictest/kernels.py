@@ -22,14 +22,14 @@ median bandwidth is resolved over them, and every kernel is checked.
 
 A kernel is characteristic when its mean embedding is injective on probability
 measures; that is the property the test needs of each marginal kernel.  Two
-distributions on a finite support differ by a signed measure with total mass
-zero, so on that support the kernel is characteristic iff ``c' K c > 0`` for
-every nonzero coefficient vector c whose entries sum to zero.  Strict positive
-definiteness of the Gram matrix, which :func:`strict_pd_witness` probes, asks
-this of every nonzero c: it is sufficient, not necessary.  The linear kernel on
-{0, 1} is not strictly positive definite, yet it separates the distributions
-there: its one null direction (1, 0) has mass 1, and the zero-sum direction
-(1, -1) / sqrt(2) gives ``c' K c = 0.5``.
+distributions on a finite support of distinct points differ by a signed
+measure of total mass zero, so on that support the kernel is characteristic
+iff ``c' K c > 0`` for every nonzero c whose entries sum to zero, which
+:func:`zero_sum_probe` checks on the Gram.  Directions with mass do not
+count: the linear kernel on {0, 1} has the null direction (1, 0), yet its one
+zero-sum direction (1, -1) / sqrt(2) gives ``c' K c = 0.5``, so it separates
+the distributions there.  Floats can lose the property a family has on R^d:
+``gaussian:1e150`` on {0, 1} rounds K to all ones.
 """
 
 from __future__ import annotations
@@ -49,9 +49,6 @@ class KernelFamily(str, enum.Enum):
     GAUSSIAN = "gaussian"
     LAPLACE = "laplace"
     LINEAR = "linear"
-
-
-_CHARACTERISTIC_FAMILIES = frozenset({KernelFamily.GAUSSIAN, KernelFamily.LAPLACE})
 
 
 @dataclass(frozen=True)
@@ -81,11 +78,6 @@ class KernelSpec:
             if not np.isfinite(bw) or bw <= 0.0:
                 raise ValueError("bandwidth must be positive and finite")
             object.__setattr__(self, "bandwidth", bw)
-
-    @property
-    def claimed_characteristic(self) -> bool:
-        """Derived from the family, never user-set."""
-        return self.family in _CHARACTERISTIC_FAMILIES
 
     @property
     def is_resolved(self) -> bool:
@@ -258,41 +250,29 @@ def gram_entries(spec: KernelSpec, points) -> np.ndarray:
     return _finite(out)
 
 
-@dataclass(frozen=True)
-class StrictPdWitness:
-    """Outcome of the finite-support strict positive definiteness probe.
+# A zero-sum eigenvalue of at most this many ``m * eps * max|K|`` is roundoff.
+_PROBE_ROUNDOFF = 8.0
 
-    When ``strictly_pd`` is false, ``witness`` is a unit-norm coefficient
-    vector c with c' K c = min_eigenvalue: a signed measure on the support
-    whose kernel embedding has near-zero norm.  It shows that the kernel
-    fails to separate two distributions only when its entries sum to zero;
-    otherwise it only shows that the Gram matrix is singular.
+
+def zero_sum_probe(gram) -> tuple[float, np.ndarray | None]:
+    """``(min_eigenvalue, witness)``: is ``gram``'s kernel characteristic on its m support points?
+
+    ``min_eigenvalue`` is the least eigenvalue of ``Q' K Q``, with Q an
+    orthonormal basis of the zero-sum vectors: the least ``c' K c`` over
+    unit zero-sum c (see the module docstring).  ``witness`` is the unit
+    zero-sum ``Q v`` that attains it, a signed measure of mass zero whose
+    embedding vanishes to roundoff, when that eigenvalue is at most
+    ``_PROBE_ROUNDOFF * m * eps * max|K|``; otherwise None, and the kernel
+    is characteristic on the support.  The support points must be
+    distinct, or the difference of two copies is a witness.  One point has
+    no zero-sum direction: ``(inf, None)``.
     """
-
-    strictly_pd: bool
-    min_eigenvalue: float
-    tolerance: float
-    witness: np.ndarray | None
-
-
-def strict_pd_witness(spec: KernelSpec, support) -> StrictPdWitness:
-    """Probe whether ``spec`` separates all signed measures on a finite support.
-
-    The support points must be pairwise distinct, and a median bandwidth
-    is resolved over them by :func:`gram_entries`.  A strictly positive
-    definite Gram matrix is sufficient for the kernel to be characteristic on
-    the support, not necessary: characteristicness concerns only signed
-    measures whose entries sum to zero (see the module docstring), so a
-    near-null direction shows a failure only when its entries sum to zero.
-    The eigenvalue threshold scales with ``n * max|entry|``.
-    """
-    pts = as_points(support)
-    if np.unique(pts, axis=0).shape[0] != pts.shape[0]:
-        raise ValueError("support points must be pairwise distinct")
-    entries = gram_entries(spec, pts)
-    eigenvalues, eigenvectors = np.linalg.eigh(entries)
-    lam_min = float(eigenvalues[0])
-    tol = 1e-10 * pts.shape[0] * float(np.abs(entries).max())
-    strictly = lam_min > tol
-    witness = None if strictly else eigenvectors[:, 0].copy()
-    return StrictPdWitness(strictly, lam_min, tol, witness)
+    k = np.asarray(gram, dtype=float)
+    m = k.shape[0]
+    if m < 2:
+        return math.inf, None
+    q = np.linalg.qr(np.ones((m, 1)), mode="complete")[0][:, 1:]
+    eigenvalues, eigenvectors = np.linalg.eigh(q.T @ k @ q)
+    lam = float(eigenvalues[0])
+    tol = _PROBE_ROUNDOFF * m * np.finfo(float).eps * float(np.abs(k).max())
+    return lam, (q @ eigenvectors[:, 0] if lam <= tol else None)

@@ -34,11 +34,12 @@ RING_MAX_ABS_THETA = 0.25
 N2_CLOSED_FORM = (1.0 - math.exp(-0.5)) ** 2 / 4.0
 N2_CLOSED_FORM_VALUE = 0.03870453043654387
 
-# Smallest Gram eigenvalues on a few fixed supports, from eigvalsh applied
-# to matrices assembled entrywise with kernel_value.
-LAM_MIN_GAUSS_01 = 0.3934693402873666
-LAM_MIN_GAUSS_012 = 0.20723879966502273
-LAM_MIN_LAPLACE_012 = 0.5430254052367803
+# Least zero-sum eigenvalues (least c'Kc over unit zero-sum c) on a few fixed
+# supports with bandwidth 1.0, from zero_sum_min_eigenvalue applied to
+# matrices assembled entrywise with kernel_value.  On {0, 1} it is 1 - e^{-1/2}.
+ZERO_SUM_MIN_GAUSS_01 = 0.39346934028736646
+ZERO_SUM_MIN_GAUSS_012 = 0.23640421479535953
+ZERO_SUM_MIN_LAPLACE_012 = 0.5546058395169478
 
 
 def kernel_value(family, bandwidth, x, y):
@@ -64,6 +65,27 @@ def gram_by_loops(family, bandwidth, points):
         for j in range(n):
             out[i, j] = kernel_value(family, bandwidth, pts[i], pts[j])
     return out
+
+
+def helmert_basis(m):
+    """An orthonormal basis of the zero-sum vectors in R^m, as the columns of an m x (m-1) array.
+
+    Column k - 1 is k ones, then -k, then zeros, over sqrt(k (k + 1)),
+    written out entry by entry.
+    """
+    q = np.zeros((m, m - 1))
+    for k in range(1, m):
+        scale = math.sqrt(k * (k + 1))
+        for i in range(k):
+            q[i, k - 1] = 1.0 / scale
+        q[k, k - 1] = -k / scale
+    return q
+
+
+def zero_sum_min_eigenvalue(gram):
+    """The least c'Kc over unit zero-sum c: eigvalsh of Q'KQ, Q the Helmert basis."""
+    q = helmert_basis(gram.shape[0])
+    return float(np.linalg.eigvalsh(q.T @ gram @ q)[0])
 
 
 def quadruple_sum_hsic(x_support, y_support, pmf, kernel_x, kernel_y):

@@ -29,8 +29,8 @@ from hsictest import (
     population_hsic,
     power_experiment,
     sample,
-    strict_pd_witness,
     theta,
+    zero_sum_probe,
 )
 from hsictest.cli import main
 from hsictest.kernels import gram_entries
@@ -265,34 +265,34 @@ def test_criterion_7_cli_reruns_bitwise_identical(tmp_path, capsys):
 
 
 def test_criterion_8_characteristicness_witness():
-    """Strict-pd probe: true for Gaussian/Laplace, false with witness for linear."""
+    """Zero-sum probe: no witness for Gaussian/Laplace, a zero-sum witness for linear on the line."""
     rng = np.random.default_rng(808)
     for i in range(100):
         n = int(rng.integers(2, 11))
         d = int(rng.integers(1, 4))
         pts = _separated_points(rng, n, d)
         # The Gaussian bandwidth is tied to the smallest pairwise gap: with
-        # bandwidth far above the point spacing the Gram matrix is strictly
-        # pd in exact arithmetic but numerically singular (eigenvalues decay
-        # below double-precision resolution), which is exactly what the
-        # tolerance is there to refuse to certify. Laplace Gram matrices
-        # stay well conditioned, so that side uses the median heuristic.
+        # bandwidth far above the point spacing the kernel is characteristic
+        # in exact arithmetic but its zero-sum eigenvalues decay below
+        # double-precision resolution, which is exactly what the tolerance
+        # is there to refuse to certify. Laplace Gram matrices stay well
+        # conditioned, so that side uses the median heuristic.
         gauss_bw = float(rng.uniform(0.5, 1.25)) * float(pdist(pts).min())
         for family, spec in (
             ("gaussian", KernelSpec("gaussian", gauss_bw)),
             ("laplace", KernelSpec("laplace")),
         ):
-            probe = strict_pd_witness(spec, pts)
-            assert probe.strictly_pd, (family, i, n, d)
-            assert probe.witness is None
+            lam, witness = zero_sum_probe(gram_entries(spec, pts))
+            assert witness is None, (family, i, n, d, lam)
+    eps = np.finfo(float).eps
     for i in range(100):
         n = int(rng.integers(3, 11))
         pts = _separated_points(rng, n, 1)
-        probe = strict_pd_witness(KernelSpec("linear"), pts)
-        assert not probe.strictly_pd
-        assert probe.witness is not None
-        assert np.linalg.norm(probe.witness) == pytest.approx(1.0, abs=1e-9)
         entries = gram_entries(KernelSpec("linear"), pts)
-        energy = float(probe.witness @ entries @ probe.witness)
-        assert energy <= probe.tolerance
+        _, witness = zero_sum_probe(entries)
+        assert witness is not None
+        assert np.linalg.norm(witness) == pytest.approx(1.0, abs=1e-9)
+        assert abs(witness.sum()) <= 2 * n * eps
+        energy = float(witness @ entries @ witness)
+        assert energy <= 8.0 * n * eps * float(np.abs(entries).max())
     print("criterion 8: 200 characteristic probes, 100 linear witnesses: PASS")

@@ -526,6 +526,42 @@ class TestOracleSweepCommand:
         assert hits
         assert all(c["population_hsic"] < 1e-12 for c in report["counterexamples"])
 
+    def test_gaussian_that_rounds_to_ones_has_no_verdict(self, capsys):
+        # Under gaussian:1e150 every K entry on {0, 1} rounds to 1, so the
+        # x kernel is not characteristic in floats: every dependent pmf has
+        # population HSIC 0.  The verdict is no verdict, not a failed pass.
+        code, report, _ = run_cli(["oracle-sweep", "--kernel-x", "gaussian:1e150"], capsys)
+        assert code == 0
+        assert report["pass"] is None
+        assert len(report["counterexamples"]) == report["dependent_distributions"] == 18
+        assert all(c["population_hsic"] == 0.0 for c in report["counterexamples"])
+
+    def test_linear_kernel_on_two_points_passes(self, capsys):
+        # The linear kernel on {0, 1} is characteristic there (its zero-sum
+        # eigenvalue is 0.5), so the sweep gives a verdict, and it holds.
+        code, report, _ = run_cli(
+            ["oracle-sweep", "--mx", "2", "--my", "2", "--kernel-y", "linear"], capsys
+        )
+        assert code == 0
+        assert report["pass"] is True
+        assert report["min_hsic_dependent"] > 1e-10
+        assert "counterexamples" not in report
+
+    def test_wide_gaussian_on_four_points_passes(self, capsys):
+        # The zero-sum eigenvalue of gaussian:100 on {0, 1, 2, 3} is 3.0e-13,
+        # small but hundreds of times the probe's roundoff tolerance: both
+        # kernels are characteristic, and every dependent pmf clears 1e-10.
+        code, report, _ = run_cli(
+            [
+                "oracle-sweep", "--mx", "4", "--my", "4", "--resolution", "2",
+                "--kernel-x", "gaussian:100", "--kernel-y", "gaussian:100",
+            ],
+            capsys,
+        )
+        assert code == 0
+        assert report["pass"] is True
+        assert "counterexamples" not in report
+
     @pytest.mark.parametrize(
         "extra",
         [
@@ -727,8 +763,7 @@ class TestExitCodes:
         # n = 60 with 200 permutations.
         rng = np.random.default_rng(0)
         z = rng.normal(size=n)
-        with np.errstate(over="ignore"):
-            assert 7e153 < median_heuristic(z * 1e154) < 9.4e153
+        assert 7e153 < median_heuristic(z * 1e154) < 9.4e153
         self._refused(
             tmp_path / "z.csv", capsys, ["--x-columns", "x"],
             x=z * 1e154, y=z * z + 0.1 * rng.normal(size=n),
@@ -787,12 +822,11 @@ class TestExitCodes:
         rows = "".join(f"{float(a)!r},{b}\n" for b, a in enumerate(x))
         path = tmp_path / "huge.csv"
         path.write_text("x,y\n" + rows)
-        with np.errstate(over="ignore"):
-            code, report, err = run_cli(
-                ["test", str(path), "--x-columns", "x", "--y-columns", "y",
-                 "--kernel-x", "gaussian:median", "--permutations", "20"],
-                capsys,
-            )
+        code, report, err = run_cli(
+            ["test", str(path), "--x-columns", "x", "--y-columns", "y",
+             "--kernel-x", "gaussian:median", "--permutations", "20"],
+            capsys,
+        )
         assert code == 2
         assert report is None
         assert "bandwidth must be positive and finite" in err

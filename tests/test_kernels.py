@@ -1,4 +1,4 @@
-"""Kernel evaluation, bandwidth resolution, Gram assembly, strict-pd probing."""
+"""Kernel evaluation, bandwidth resolution, Gram assembly, the zero-sum probe."""
 
 import math
 import tracemalloc
@@ -23,7 +23,7 @@ from hsictest import (
     population_hsic,
     resolve_bandwidth,
     sample,
-    strict_pd_witness,
+    zero_sum_probe,
 )
 from hsictest import _selection, kernels
 from hsictest._selection import _pairwise
@@ -105,11 +105,6 @@ class TestParseKernel:
 
 
 class TestKernelSpec:
-    def test_claimed_characteristic_follows_family(self):
-        assert KernelSpec(KernelFamily.GAUSSIAN).claimed_characteristic
-        assert KernelSpec(KernelFamily.LAPLACE).claimed_characteristic
-        assert not KernelSpec(KernelFamily.LINEAR).claimed_characteristic
-
     def test_is_resolved(self):
         assert not KernelSpec(KernelFamily.GAUSSIAN).is_resolved
         assert KernelSpec(KernelFamily.GAUSSIAN, 1.0).is_resolved
@@ -380,8 +375,6 @@ class TestMedianHeuristic:
                     with pytest.raises(ArithmeticError, match="non-finite") as refusal:
                         compute()
                 assert type(refusal.value) is ArithmeticError
-        with pytest.raises(ArithmeticError, match="non-finite"):
-            strict_pd_witness(KernelSpec("gaussian", 1e154), [0.0, 1.0])
         linear = KernelSpec("linear")
         assert resolve_bandwidth(linear, [1e300, -1e300]) is linear
 
@@ -432,7 +425,6 @@ class TestMedianHeuristic:
             for compute in (
                 lambda: resolve_bandwidth(spec, pts),
                 lambda: gram_entries(spec, pts),
-                lambda: strict_pd_witness(spec, pts),
                 lambda: population_hsic(dist, spec, KernelSpec("gaussian", 1.0)),
             ):
                 with pytest.raises(ValueError, match="median pairwise distance is inf"):
@@ -670,17 +662,22 @@ class TestGram:
     @pytest.mark.parametrize("family", ["gaussian", "laplace", "linear"])
     @pytest.mark.parametrize("d", [1, 2, 5])
     def test_resolved_gram_is_bitwise_the_separate_passes(self, family, d):
-        # The Gram strict_pd_witness resolves and builds is bit for bit the
-        # one of a separate resolve_bandwidth and gram_entries, and the
-        # in-place Gaussian equals the out-of-place formula.
+        # The Gram gram_entries resolves and builds from a median spec is bit
+        # for bit the one of a separate resolve_bandwidth and gram_entries,
+        # and the in-place Gaussian equals the out-of-place formula.  The
+        # probe of that Gram gives the Helmert-basis eigenvalue to within its
+        # tolerance, and any witness attains it.
         for n in (2, 39, 200):
             pts = np.random.default_rng(n * d).normal(size=(n, d)) * 2.0 + 0.5
             spec = resolve_bandwidth(KernelSpec(family), pts)
             entries = gram_entries(spec, pts)
-            eigenvalues, eigenvectors = np.linalg.eigh(entries)
-            w = strict_pd_witness(KernelSpec(family), pts)
-            assert w.min_eigenvalue == eigenvalues[0]
-            assert w.witness is None or np.array_equal(w.witness, eigenvectors[:, 0])
+            assert np.array_equal(gram_entries(KernelSpec(family), pts), entries)
+            lam, witness = zero_sum_probe(entries)
+            tol = _tolerance(entries)
+            assert abs(lam - oracles.zero_sum_min_eigenvalue(entries)) <= tol
+            if witness is not None:
+                _assert_zero_sum_witness(witness, entries, tol)
+                assert abs(witness @ entries @ witness - lam) <= tol
             if family == "gaussian":
                 formula = np.exp(_distances(pts, squared=True) / (-2.0 * spec.bandwidth**2))
                 assert np.array_equal(entries, formula)
@@ -712,49 +709,71 @@ class TestGram:
                 assert np.array_equal(gram_entries(spec, pts), expected)
 
 
+def _tolerance(entries):
+    """The probe's roundoff tolerance on a Gram: ``8 * m * eps * max|K|``."""
+    assert kernels._PROBE_ROUNDOFF == 8.0
+    return 8.0 * len(entries) * np.finfo(float).eps * float(np.abs(entries).max())
+
+
+def _assert_zero_sum_witness(witness, entries, tol):
+    """A unit vector, summing to zero within roundoff, whose energy ``c'Kc`` is at most ``tol``."""
+    m = len(witness)
+    assert np.linalg.norm(witness) == pytest.approx(1.0, abs=1e-12)
+    assert abs(witness.sum()) <= 2 * m * np.finfo(float).eps
+    assert float(witness @ entries @ witness) <= tol
+
+
 class TestStrictPdWitness:
+    """The zero-sum probe, :func:`kernels.zero_sum_probe`.
+
+    It replaced the strict positive-definiteness witness, which asked
+    ``c'Kc > 0`` of every c rather than of zero-sum c; the class keeps that
+    probe's name so that its tests keep their ids.  Frozen eigenvalues are
+    the oracle's, over a hand-written Helmert basis.
+    """
+
     def test_gaussian_frozen_eigenvalues(self):
-        w = strict_pd_witness(KernelSpec("gaussian", 1.0), [0.0, 1.0])
-        assert w.strictly_pd
-        assert w.witness is None
-        assert w.min_eigenvalue == pytest.approx(oracles.LAM_MIN_GAUSS_01, abs=1e-12)
-        w = strict_pd_witness(KernelSpec("gaussian", 1.0), [0.0, 1.0, 2.0])
-        assert w.min_eigenvalue == pytest.approx(oracles.LAM_MIN_GAUSS_012, abs=1e-12)
+        lam, witness = zero_sum_probe(gram_entries(KernelSpec("gaussian", 1.0), [0.0, 1.0]))
+        assert witness is None
+        assert lam == pytest.approx(oracles.ZERO_SUM_MIN_GAUSS_01, abs=1e-12)
+        lam, witness = zero_sum_probe(gram_entries(KernelSpec("gaussian", 1.0), [0.0, 1.0, 2.0]))
+        assert witness is None
+        assert lam == pytest.approx(oracles.ZERO_SUM_MIN_GAUSS_012, abs=1e-12)
 
     def test_laplace_frozen_eigenvalue(self):
-        w = strict_pd_witness(KernelSpec("laplace", 1.0), [0.0, 1.0, 2.0])
-        assert w.strictly_pd
-        assert w.min_eigenvalue == pytest.approx(oracles.LAM_MIN_LAPLACE_012, abs=1e-12)
+        lam, witness = zero_sum_probe(gram_entries(KernelSpec("laplace", 1.0), [0.0, 1.0, 2.0]))
+        assert witness is None
+        assert lam == pytest.approx(oracles.ZERO_SUM_MIN_LAPLACE_012, abs=1e-12)
 
     def test_linear_fails_with_valid_witness(self):
-        pts = np.array([[-1.0], [0.0], [1.0]])
-        w = strict_pd_witness(KernelSpec("linear"), pts)
-        assert not w.strictly_pd
-        assert w.witness is not None
-        assert np.linalg.norm(w.witness) == pytest.approx(1.0, abs=1e-12)
-        entries = gram_entries(KernelSpec("linear"), pts)
-        energy = float(w.witness @ entries @ w.witness)
-        assert energy <= w.tolerance
-        assert energy == pytest.approx(w.min_eigenvalue, abs=1e-12)
-        assert w.tolerance == 1e-10 * 3 * np.abs(entries).max()
+        # K = x x' on x = (-1, 0, 1): the one unit zero-sum c orthogonal to
+        # x is +-(1, -2, 1) / sqrt(6).
+        entries = gram_entries(KernelSpec("linear"), [[-1.0], [0.0], [1.0]])
+        lam, witness = zero_sum_probe(entries)
+        assert witness is not None
+        _assert_zero_sum_witness(witness, entries, _tolerance(entries))
+        assert float(witness @ entries @ witness) == pytest.approx(lam, abs=1e-12)
+        assert np.abs(witness) == pytest.approx(np.array([1.0, 2.0, 1.0]) / np.sqrt(6.0), abs=1e-15)
 
     @given(point_clouds(min_points=3, max_points=8, max_dim=1))
-    def test_linear_on_the_line_never_strictly_pd(self, pts):
+    def test_linear_on_the_line_never_characteristic(self, pts):
         # The linear feature space on scalars is one dimensional, so any
-        # Gram matrix on 3+ points has a null direction.
-        w = strict_pd_witness(KernelSpec("linear"), pts)
-        assert not w.strictly_pd
-        assert w.witness is not None
+        # Gram matrix on 3+ points has a zero-sum null direction.
+        entries = gram_entries(KernelSpec("linear"), pts)
+        _, witness = zero_sum_probe(entries)
+        assert witness is not None
+        _assert_zero_sum_witness(witness, entries, _tolerance(entries))
 
     def test_median_sentinel_resolved_internally(self):
-        w = strict_pd_witness(KernelSpec("gaussian"), [0.0, 1.0, 5.0])
-        assert w.strictly_pd
+        # gram_entries resolves the median; the probe reads its Gram.
+        assert zero_sum_probe(gram_entries(KernelSpec("gaussian"), [0.0, 1.0, 5.0]))[1] is None
 
     def test_two_distance_passes_for_a_median_gaussian(self, monkeypatch):
         # The median bandwidth is selected in one distance pass over the
         # upper triangle, and the Gram is built in a second.  Both passes
         # compute their distances by _selection._difference, once per
-        # coordinate: once per pass for these 1-D points.
+        # coordinate: once per pass for these 1-D points.  The probe takes
+        # the Gram and computes no distance.
         calls = []
         difference = _selection._difference
         monkeypatch.setattr(
@@ -762,31 +781,36 @@ class TestStrictPdWitness:
             "_difference",
             lambda a, b, squared, out: calls.append(squared) or difference(a, b, squared, out),
         )
-        assert strict_pd_witness(KernelSpec("gaussian"), [0.0, 1.0, 5.0]).strictly_pd
+        entries = gram_entries(KernelSpec("gaussian"), [0.0, 1.0, 5.0])
+        assert zero_sum_probe(entries)[1] is None
         assert calls == [True, True]
 
     def test_singular_gram_need_not_mean_non_characteristic(self):
-        # The linear kernel on {0, 1} is not strictly pd, but its null
-        # direction (1, 0) has mass 1, so it is no pair of distributions.
-        # The only zero-sum direction, (1, -1)/sqrt(2), has c'Kc = 0.5 > 0:
-        # the kernel separates the distributions on {0, 1}.
-        linear = KernelSpec("linear")
-        w = strict_pd_witness(linear, [0.0, 1.0])
-        assert not w.strictly_pd
-        assert np.abs(w.witness) == pytest.approx([1.0, 0.0], abs=1e-15)
-        assert abs(w.witness.sum()) == pytest.approx(1.0, abs=1e-15)
-        c = np.array([1.0, -1.0]) / np.sqrt(2.0)
-        assert c @ gram_entries(linear, [0.0, 1.0]) @ c == pytest.approx(0.5, abs=1e-15)
+        # The linear Gram on {0, 1} is singular, but its null direction
+        # (1, 0) has mass 1, so it is no pair of distributions.  The only
+        # zero-sum direction, (1, -1)/sqrt(2), has c'Kc = 0.5 > 0: the
+        # kernel separates the distributions on {0, 1}.
+        entries = gram_entries(KernelSpec("linear"), [0.0, 1.0])
+        eigenvalues, eigenvectors = np.linalg.eigh(entries)
+        assert eigenvalues[0] == 0.0
+        assert np.abs(eigenvectors[:, 0]) == pytest.approx([1.0, 0.0], abs=1e-15)
+        lam, witness = zero_sum_probe(entries)
+        assert lam == pytest.approx(0.5, abs=1e-15)
+        assert witness is None
 
-    def test_duplicate_support_points_rejected(self):
-        with pytest.raises(ValueError, match="distinct"):
-            strict_pd_witness(KernelSpec("gaussian", 1.0), [1.0, 1.0, 2.0])
+    def test_repeated_support_point_is_a_witness(self):
+        # The probe needs distinct points: two copies of one point are one
+        # distribution, and their difference, +-(1, -1, 0)/sqrt(2), is a
+        # zero-sum null direction of the Gram.
+        entries = gram_entries(KernelSpec("gaussian", 1.0), [1.0, 1.0, 2.0])
+        lam, witness = zero_sum_probe(entries)
+        assert abs(lam) <= _tolerance(entries)
+        assert np.abs(witness) == pytest.approx(np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0), abs=1e-12)
 
     def test_single_point_with_concrete_bandwidth(self):
-        w = strict_pd_witness(KernelSpec("gaussian", 1.0), [3.0])
-        assert w.strictly_pd
-        assert w.min_eigenvalue == pytest.approx(1.0)
+        # One point has no zero-sum direction: nothing can fail.
+        assert zero_sum_probe(gram_entries(KernelSpec("gaussian", 1.0), [3.0])) == (math.inf, None)
 
     def test_single_point_with_sentinel_rejected(self):
         with pytest.raises(ValueError, match="at least 2 points"):
-            strict_pd_witness(KernelSpec("gaussian"), [3.0])
+            gram_entries(KernelSpec("gaussian"), [3.0])
