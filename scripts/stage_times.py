@@ -10,7 +10,8 @@ timers patched in, for that call only, around the test's own stage calls:
 * ``null``: ``testing._run_chunks``, the B null statistics, each chunk of
   the pool drawing its own permutations (the observed statistic, the
   null's value at the identity permutation, is computed with the sides);
-* ``p_value``: ``testing._results``, the p-value and the null quantile.
+* ``p_value``: ``testing._results``, the p-value and the null quantile;
+* ``read``: ``cli.load_csv_columns``, the CSV read.
 
 ``split_s`` splits ``sides`` per side, x first: ``median_x`` is the time in
 ``kernels.median_heuristic``, and ``factoring_x`` the time in
@@ -23,7 +24,7 @@ chunks and blocks the null drew it in, with no statistics.  The splits are
 left out of ``stage_sum_s``.
 
 ``total_s`` is the wall time of the same command, so it holds the stages and
-also the CSV parsing, the data copy and the report.  Of the ``--repeats``
+also the argument parsing, the data copy and the report.  Of the ``--repeats``
 runs (after one warm-up), the one whose ``total_s`` is the median (the lower
 middle one for an even count) is reported, so ``stage_sum_s <= total_s``.
 ``peak_rss_mb`` is the peak resident memory of one more ``test`` command,
@@ -155,6 +156,7 @@ def one_run(csv_path: str, args) -> dict:
         (testing, "_null_function", timer("sides", testing._null_function)),
         (testing, "_run_chunks", timer("null", testing._run_chunks)),
         (testing, "_results", timer("p_value", testing._results)),
+        (cli, "load_csv_columns", timer("read", cli.load_csv_columns)),
         (kernels, "median_heuristic", timer("median", kernels.median_heuristic)),
         (testing, "gram_free_side", timer("factoring", testing.gram_free_side, less="median")),
     ]
@@ -181,7 +183,7 @@ def one_run(csv_path: str, args) -> dict:
     draw = time.perf_counter() - start
     side = {name: dict(zip("xy", spans[name])) for name in ("median", "factoring")}
     return {
-        "stages": {name: sum(spans[name]) for name in ("sides", "null", "p_value")},
+        "stages": {name: sum(spans[name]) for name in ("sides", "null", "p_value", "read")},
         "split": {**{f"{n}_{s}": side[n].get(s, 0.0) for s in "xy" for n in side}, "draw": draw},
         "null_path": NULL_PATHS[nulls[0].statistics.func.__name__],
         "total": total,

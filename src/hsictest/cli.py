@@ -10,12 +10,18 @@ human-readable notes go to stderr.  Exit codes: 0 = ran, 2 = input error,
 CLI's own checks of files and flags and from the library's checks alike, and
 :func:`main` reports each as one ``error: ...`` line with exit 2;
 ``ArithmeticError`` and ``LinAlgError`` report a numerical failure, exit 3.
+
+A ``test`` CSV is read by :func:`load_csv_columns`: its data rows by one
+``np.loadtxt`` pass over the selected columns, and a file that pass cannot
+read by a strict cell-by-cell pass that keeps the values and names the first
+bad cell.  The argument parser is built once per process (:func:`build_parser`).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -52,7 +58,56 @@ def load_csv_columns(path: str, x_columns: list[str], y_columns: list[str]):
     Blank lines, rows with no cells, are skipped wherever they are: they
     hold no values, so no x/y pair can shift.  Messages give the file's own
     row numbers.
+
+    The header is read by the ``csv`` module and the data rows by one
+    ``np.loadtxt`` pass over the selected columns: numpy's C reader, which
+    converts each cell as ``float`` does and holds no Python object per
+    row.  Its array is kept when it parsed and every value is finite.  On
+    any other outcome, and for data rows holding a quote character, the
+    strict pass reads the file again with the ``csv`` module, cell by cell:
+    it returns the same values where it accepts the file and names the first
+    bad cell where it does not, so neither values nor messages depend on
+    which pass read the file.  The two sides are views of one array.
     """
+    try:
+        values = _loadtxt_columns(path, x_columns + y_columns)
+    except (OSError, ValueError):
+        values = _strict_columns(path, x_columns, y_columns)
+    return values[:, : len(x_columns)], values[:, len(x_columns) :]
+
+
+def _loadtxt_columns(path: str, columns: list[str]) -> np.ndarray:
+    """The selected columns from one ``np.loadtxt`` read; ``OSError`` or ``ValueError`` where it fails."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        header = next(filter(None, csv.reader(fh)), [])
+        values = np.loadtxt(
+            _data_lines(fh), delimiter=",", usecols=_positions(path, header, columns),
+            comments=None, ndmin=2,
+        )
+    if not np.isfinite(values).all():
+        raise ValueError("a non-finite value")
+    return values
+
+
+def _data_lines(lines):
+    """``lines`` as they come; raises ``ValueError`` where ``np.loadtxt`` would misread them.
+
+    A quoted cell may hold a comma or a line end, which loadtxt, reading
+    without quotes, would split.  Input that is all blank lines raises at
+    its end, before loadtxt warns that it holds no data.
+    """
+    blank = True
+    for line in lines:
+        if '"' in line:
+            raise ValueError("a quoted cell")
+        blank = blank and not line.strip("\r\n")
+        yield line
+    if blank:
+        raise ValueError("no data rows")
+
+
+def _strict_columns(path: str, x_columns: list[str], y_columns: list[str]) -> np.ndarray:
+    """The selected columns read cell by cell, x then y; raises naming the first bad cell."""
     try:
         # utf-8-sig: a leading byte order mark is not part of the first name.
         with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -64,37 +119,14 @@ def load_csv_columns(path: str, x_columns: list[str], y_columns: list[str]):
     (_, header), data_rows = rows[0], rows[1:]
     if not data_rows:
         raise ValueError(f"{path}: no data rows")
-    index = {name: i for i, name in enumerate(header)}
-    missing = [c for c in x_columns + y_columns if c not in index]
-    if missing:
-        raise ValueError(f"{path}: unknown column(s) {missing}; available: {header}")
-    for name in dict.fromkeys(x_columns + y_columns):
-        positions = [str(i + 1) for i, cell in enumerate(header) if cell == name]
-        if len(positions) > 1:
-            raise ValueError(
-                f"{path}: column {name!r} appears more than once in the header, "
-                f"at positions {', '.join(positions)}"
-            )
-
-    def pull(columns: list[str]) -> np.ndarray:
-        # Whole columns first: ``float`` ignores the surrounding whitespace
-        # that the cell-by-cell pass strips, so the two passes fail on the
-        # same cells.  On any failure that pass runs instead and raises,
-        # naming the first bad cell.
-        out = np.empty((len(data_rows), len(columns)))
-        try:
-            for c, name in enumerate(columns):
-                col = index[name]
-                out[:, c] = np.fromiter(
-                    (float(row[col]) for _, row in data_rows), float, len(data_rows)
-                )
-            if np.isfinite(out).all():
-                return out
-        except (ValueError, IndexError):
-            pass
-        for number, row in data_rows:
-            for name in columns:
-                col = index[name]
+    columns = x_columns + y_columns
+    positions = _positions(path, header, columns)
+    out = np.empty((len(data_rows), len(columns)))
+    # Every x cell is checked before any y cell, each side in row order.
+    for side in (range(len(x_columns)), range(len(x_columns), len(columns))):
+        for r, (number, row) in enumerate(data_rows):
+            for c in side:
+                name, col = columns[c], positions[c]
                 if col >= len(row):
                     raise ValueError(f"{path}: row {number} is too short")
                 cell = row[col].strip()
@@ -112,8 +144,24 @@ def load_csv_columns(path: str, x_columns: list[str], y_columns: list[str]):
                         f"{path}: non-finite value {cell!r} at row {number}, "
                         f"column {name!r}"
                     )
+                out[r, c] = value
+    return out
 
-    return pull(x_columns), pull(y_columns)
+
+def _positions(path: str, header: list[str], columns: list[str]) -> list[int]:
+    """Where each selected name sits in ``header``, which must hold it exactly once."""
+    index = {name: i for i, name in enumerate(header)}
+    missing = [c for c in columns if c not in index]
+    if missing:
+        raise ValueError(f"{path}: unknown column(s) {missing}; available: {header}")
+    for name in dict.fromkeys(columns):
+        positions = [str(i + 1) for i, cell in enumerate(header) if cell == name]
+        if len(positions) > 1:
+            raise ValueError(
+                f"{path}: column {name!r} appears more than once in the header, "
+                f"at positions {', '.join(positions)}"
+            )
+    return [index[c] for c in columns]
 
 
 def _columns_flag(text: str) -> list[str]:
@@ -194,14 +242,15 @@ def cmd_oracle_sweep(args) -> dict:
         args.mx, args.my, args.resolution, centered_supports=args.centered_supports
     )
     total = dependent = 0
-    min_dependent = max_independent = None
+    min_dependent = max_independent = min_theta = None
     counterexamples = []
     x_support, y_support = integer_supports(args.mx, args.my, args.centered_supports)
     kx_res = resolve_bandwidth(kx, x_support)
     ky_res = resolve_bandwidth(ky, y_support)
     kx_gram, ky_gram = gram_entries(kx_res, x_support), gram_entries(ky_res, y_support)
     # The verdict is the paper's: both marginal kernels characteristic on their supports.
-    both_characteristic = zero_sum_probe(kx_gram)[1] is None and zero_sum_probe(ky_gram)[1] is None
+    (lam_x, witness_x), (lam_y, witness_y) = zero_sum_probe(kx_gram), zero_sum_probe(ky_gram)
+    both_characteristic = witness_x is None and witness_y is None
     for dist in distributions:
         t = theta(dist)
         value = theta_product(t, kx_gram, ky_gram).value
@@ -209,7 +258,7 @@ def cmd_oracle_sweep(args) -> dict:
         if np.abs(t).max() >= DEPENDENCE_TOL:
             dependent += 1
             if min_dependent is None or value < min_dependent:
-                min_dependent = value
+                min_dependent, min_theta = value, t
             if not both_characteristic and value < SWEEP_INDEPENDENT_MAX:
                 counterexamples.append(
                     {"pmf": dist.pmf.tolist(), "population_hsic": value}
@@ -217,17 +266,27 @@ def cmd_oracle_sweep(args) -> dict:
         else:
             if max_independent is None or value > max_independent:
                 max_independent = value
+    verdict = None
     if both_characteristic:
-        verdict = (min_dependent is None or min_dependent > SWEEP_DEPENDENT_MIN) and (
-            max_independent is None or max_independent < SWEEP_INDEPENDENT_MAX
-        )
-    else:
-        verdict = None
+        independent_ok = max_independent is None or max_independent < SWEEP_INDEPENDENT_MAX
+        dependent_ok = min_dependent is None or min_dependent > SWEEP_DEPENDENT_MIN
+        verdict = independent_ok and dependent_ok
+        if independent_ok and not dependent_ok:
+            # The paper's bound for that pmf is HSIC >= lam_x lam_y ||theta||_F^2.  Where
+            # it too is under the threshold, floats cannot tell the HSIC from 0.
+            bound = lam_x * lam_y * float(np.sum(min_theta**2))
+            if bound <= SWEEP_DEPENDENT_MIN:
+                verdict = None
+                _say(
+                    f"no verdict: the smallest dependent HSIC, {min_dependent:.3g}, and its "
+                    f"lower bound lam_x lam_y ||theta||_F^2 = {bound:.3g} are both at most "
+                    f"{SWEEP_DEPENDENT_MIN}, so floats cannot decide it"
+                )
     _say(
         f"{total} distributions ({dependent} dependent); "
         + (
             f"PASS={verdict}"
-            if verdict is not None
+            if both_characteristic
             else f"{len(counterexamples)} counterexample(s) with HSIC < {SWEEP_INDEPENDENT_MAX}"
         )
     )
@@ -248,7 +307,15 @@ def cmd_oracle_sweep(args) -> dict:
     return report
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every :func:`main` call.
+
+    Each subcommand's ``handler`` default is bound when the parser is first
+    built, so a command handler patched after that is not the one
+    :func:`main` calls.  The handlers look up the library functions they
+    call, such as ``permutation_test``, when they run.
+    """
     parser = argparse.ArgumentParser(
         prog="hsictest",
         description="Kernel independence tests (HSIC) with permutation calibration",

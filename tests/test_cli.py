@@ -17,6 +17,7 @@ import hsictest
 from hsictest import (
     GeneratorKind, GeneratorSpec, _selection, discrete_ring, hsic, median_heuristic, sample, testing,
 )
+from hsictest import cli
 from hsictest.cli import load_csv_columns, main
 
 RING_CSV_SEED = 3
@@ -155,6 +156,80 @@ class TestCsvLoading:
         )
         assert code == 2
         assert "cannot read" in err
+
+    @pytest.mark.parametrize(
+        "content,expected",
+        [
+            # Values: the x block, then the y block, of every data row.
+            ("x,y\n1,2\n\n3,4\n", [[1, 3], [2, 4]]),
+            ("x,y\n1,2,\n3,4,\n", [[1, 3], [2, 4]]),
+            ("x,y\n1,2,5\n3,4\n", [[1, 3], [2, 4]]),
+            ("x,y\n 0.1 ,\t-2.5\t\n", [[0.1], [-2.5]]),
+            ("x,y\r\n1,2\r\n3,4\r\n", [[1, 3], [2, 4]]),
+            ("x,y\r1,2\r3,4\r", [[1, 3], [2, 4]]),
+            ("x,y,note\n1,2,\u00e9t\u00e9\n", [[1], [2]]),
+            ("x,y\n1_0,2\n", [[10], [2]]),
+            ('x,y\n"1",2\n', [[1], [2]]),
+            ('"x","y"\n1,2\n', [[1], [2]]),
+            # Quoted cells whose comma or line end a reader without quotes
+            # would split: x = 5 and an extra row (5, 6) if they were.
+            ('n,x,y\n"a,5,6,c",1,2\n', [[1], [2]]),
+            ('x,y,n\n1,2,"a\n5,6,b"\n', [[1], [2]]),
+            # Messages: the strict pass's, with the file's own row numbers.
+            ("x,y\n1,2\n   \n", "{path}: missing value at row 3, column 'x'"),
+            ("x,y\n1\n", "{path}: row 2 is too short"),
+            ("x,y\n1,\n", "{path}: missing value at row 2, column 'y'"),
+            ("x,y\n2#c,3\n", "{path}: non-numeric value '2#c' at row 2, column 'x'"),
+            ("x,y\n1,2\nnan,4\n", "{path}: non-finite value 'nan' at row 3, column 'x'"),
+            ("x,y\n1,1e999\n", "{path}: non-finite value '1e999' at row 2, column 'y'"),
+            ("x,y\n\n\r\n", "{path}: no data rows"),
+            ("x,z\n", "{path}: no data rows"),
+            ("x,z\n1,2\n", "{path}: unknown column(s) ['y']; available: ['x', 'z']"),
+            ('x,y\n1,2,"3\n', [[1], [2]]),  # a quote left open to the end
+        ],
+    )
+    def test_both_passes_agree(self, tmp_path, content, expected):
+        # The file is read by loadtxt where it can be; whatever read it, the
+        # values are the strict pass's, bit for bit, and so is any message.
+        path = tmp_path / "edge.csv"
+        path.write_text(content, encoding="utf-8", newline="")
+        if isinstance(expected, str):
+            for read in (load_csv_columns, cli._strict_columns):
+                with pytest.raises(ValueError) as exc:
+                    read(str(path), ["x"], ["y"])
+                assert str(exc.value) == expected.format(path=path)
+            return
+        x, y = load_csv_columns(str(path), ["x"], ["y"])
+        strict = cli._strict_columns(str(path), ["x"], ["y"])
+        assert np.hstack((x, y)).tobytes() == strict.tobytes()
+        assert x.tobytes() == np.array(expected[0], float)[:, None].tobytes()
+        assert y.tobytes() == np.array(expected[1], float)[:, None].tobytes()
+
+    def test_clean_csv_never_enters_the_strict_pass(self, ring_csv, capsys, monkeypatch):
+        def refused(*args):
+            raise AssertionError("the strict pass ran")
+
+        monkeypatch.setattr(cli, "_strict_columns", refused)
+        x, y = load_csv_columns(ring_csv, ["x"], ["y"])
+        assert x.shape == y.shape == (200, 1)
+        code, report, _ = run_cli(
+            ["test", ring_csv, "--x-columns", "x,y", "--y-columns", "y", "--permutations", "10"],
+            capsys,
+        )
+        assert code == 0 and report["n"] == 200
+
+    def test_reading_holds_no_python_row_per_line(self, tmp_path):
+        # 100 000 rows of two columns are 1.6 MB of floats; a list of rows
+        # of cell strings took 33 MB.
+        path = write_ring_csv(tmp_path / "ring.csv", n=100_000)
+        tracemalloc.start()
+        try:
+            x, y = load_csv_columns(path, ["x"], ["y"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert x.shape == y.shape == (100_000, 1)
+        assert peak <= 4 * 2**20
 
 
 class TestTestCommand:
@@ -562,6 +637,27 @@ class TestOracleSweepCommand:
         assert report["pass"] is True
         assert "counterexamples" not in report
 
+    @pytest.mark.parametrize("resolution", [3, 4])
+    def test_dependence_below_float_resolution_has_no_verdict(self, capsys, resolution):
+        # Both kernels are characteristic (zero-sum eigenvalue 3.0e-13 each),
+        # but the smallest dependent HSIC (3.7e-14 at resolution 3, 3.5e-18
+        # at 4) and the paper's lower bound for that pmf, lam_x lam_y
+        # ||theta||_F^2 (about 1.3e-26), are both under 1e-10: floats
+        # cannot decide that pmf, so there is no verdict rather than a fail.
+        code, report, err = run_cli(
+            [
+                "oracle-sweep", "--mx", "4", "--my", "4", "--resolution", str(resolution),
+                "--kernel-x", "gaussian:100", "--kernel-y", "gaussian:100",
+            ],
+            capsys,
+        )
+        assert code == 0
+        assert report["pass"] is None
+        assert report["min_hsic_dependent"] <= report["dependent_threshold"]
+        assert report["max_hsic_independent"] < report["independent_threshold"]
+        assert "counterexamples" not in report
+        assert "no verdict" in err and "PASS=None" in err
+
     @pytest.mark.parametrize(
         "extra",
         [
@@ -660,6 +756,20 @@ def test_envelope_leads_every_report(ring_csv, capsys, argv):
     keys = list(report)
     assert keys[:4] == ["command", "version", "parameters", "duration_seconds"]
     assert len(keys) > 4
+
+
+def test_parser_is_built_once_and_survives_a_refused_flag(ring_csv, capsys):
+    argv = ["test", ring_csv, "--x-columns", "x", "--y-columns", "y", "--permutations", "20"]
+    code, before, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert cli.build_parser() is cli.build_parser()
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--no-such-flag"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    code, after, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert report_minus_volatile(after) == report_minus_volatile(before)
 
 
 class TestExitCodes:

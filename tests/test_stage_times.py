@@ -27,7 +27,7 @@ def _small_report(*extra):
     done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     report = json.loads(done.stdout.splitlines()[-1])
-    assert set(report["stages_s"]) == {"sides", "null", "p_value"}
+    assert set(report["stages_s"]) == {"sides", "null", "p_value", "read"}
     stages = {"median", "factoring"}
     assert set(report["split_s"]) == {f"{s}_{side}" for s in stages for side in "xy"} | {"draw"}
     assert report["peak_rss_mb"] > 0.0
@@ -117,6 +117,6 @@ def test_matrix_records_the_host_and_each_cell_at_1_and_2_threads(tmp_path, monk
     assert [cell["threads"] for cell in matrix["cells"]] == [1, 2]
     for cell in matrix["cells"]:
         assert (cell["dim"], cell["n"], cell["kernel_y"]) == (3, 60, "gaussian:median")
-        assert set(cell["stages_s"]) == {"sides", "null", "p_value"}
+        assert set(cell["stages_s"]) == {"sides", "null", "p_value", "read"}
         assert cell["stage_sum_s"] <= cell["total_s"]
         assert cell["peak_rss_mb"] > 0.0
