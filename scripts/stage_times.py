@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Stage split of one ``hsictest test`` on a ring CSV, printed as one JSON line.
+"""Stage split of one ``hsictest test`` on a ring CSV, or of one power command, printed as one JSON line.
 
 Each repeat runs one ``test`` command through ``hsictest.cli.main``, with
 timers patched in, for that call only, around the test's own stage calls:
@@ -32,11 +32,19 @@ run alone in a child process of a small helper process.
 
     PYTHONPATH=src python3 scripts/stage_times.py --n 1000 --permutations 500 --threads 2
 
+With ``--trials T`` it times ``reproduce-ring --n N --trials T`` instead
+(:func:`one_power_run`): the trials' ``sample``, the ``sides``, each trial's
+``null`` and ``p_value``, with ``null`` split into ``draw`` and
+``null_statistics``:
+
+    PYTHONPATH=src python3 scripts/stage_times.py --n 8 --trials 40 --permutations 2500
+
 With ``--matrix PATH`` it writes the stage matrix to PATH instead, as one
 JSON document: ``host``, the facts of this host that the report digests
 depend on (``report_digests.host_facts``) with ``nproc`` and
 ``OPENBLAS_NUM_THREADS``, and ``cells``, one record as above per cell of
-``MATRIX`` at each of ``--threads`` 1 and 2, with the other flags as given.
+``MATRIX`` at each of ``--threads`` 1 and 2, with the other flags as given,
+its power cell's ``--permutations`` its own.
 Its d = 3 cells hold dependent normal points (:func:`write_normal_csv`) in
 place of the ring:
 
@@ -58,6 +66,7 @@ import tempfile
 import time
 from collections import defaultdict
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,9 +77,19 @@ from hsictest import GeneratorKind, GeneratorSpec, cli, kernels, sample, testing
 KERNEL_X = "gaussian:median"
 NULL_PATHS = {"_factored_statistics": "factored", "_dense_statistics": "dense"}
 
+class Power(NamedTuple):
+    """A power cell of the matrix: ``reproduce-ring`` with these flags, in place of a ``test``."""
+
+    n: int
+    trials: int
+    permutations: int
+
+
 # The cells of the stage matrix, as (dim, n, kernel y): the ring (dim 1),
 # factored under a Gaussian or linear y and dense under a Laplace y, and the
-# dependent normal points of write_normal_csv, dense under Gaussians.
+# dependent normal points of write_normal_csv, dense under Gaussians.  The
+# last is a power cell: a small-n ``reproduce-ring``, whose time is each
+# trial's fixed cost and a trivial dense null.
 MATRIX = (
     (1, 1000, "gaussian:median"),
     (1, 20_000, "gaussian:median"),
@@ -80,6 +99,7 @@ MATRIX = (
     (1, 2000, "laplace:median"),
     (3, 1000, "gaussian:median"),
     (3, 2000, "gaussian:median"),
+    Power(8, 40, 2500),
 )
 
 
@@ -137,8 +157,13 @@ def draw_alone(nulls, perms, workers: int) -> None:
         testing._map = run
 
 
-def one_run(csv_path: str, args) -> dict:
-    """One ``test`` command through ``cli.main``, split into its stages."""
+def run_patched(argv: list[str], stages) -> tuple[dict, dict, float]:
+    """``(spans, calls, total)`` of one command through ``cli.main``, timed at ``stages``.
+
+    ``stages`` holds ``(module, function, stage, less)``: each call of the
+    function adds its seconds to ``spans[stage]``, less those of stage
+    ``less`` inside it, and its arguments to ``calls[stage]``.
+    """
     spans, calls = defaultdict(list), defaultdict(list)  # per stage: seconds and arguments of each call
 
     def timer(name, fn, less=None):
@@ -153,14 +178,9 @@ def one_run(csv_path: str, args) -> dict:
         return timed
 
     patches = [
-        (testing, "_null_function", timer("sides", testing._null_function)),
-        (testing, "_run_chunks", timer("null", testing._run_chunks)),
-        (testing, "_results", timer("p_value", testing._results)),
-        (cli, "load_csv_columns", timer("read", cli.load_csv_columns)),
-        (kernels, "median_heuristic", timer("median", kernels.median_heuristic)),
-        (testing, "gram_free_side", timer("factoring", testing.gram_free_side, less="median")),
+        (module, name, timer(stage, getattr(module, name), less))
+        for module, name, stage, less in stages
     ]
-    argv = command_argv(csv_path, args)
     # Patched by hand: importing unittest.mock grew this process past a small
     # test's own peak, which then floored peak_rss_mb (see child_peak_rss_mb).
     with contextlib.ExitStack() as stack:
@@ -174,13 +194,36 @@ def one_run(csv_path: str, args) -> dict:
         total = time.perf_counter() - start
     if code != 0:
         raise SystemExit(f"exit {code}: {' '.join(argv)}")
-    [(a, kw)] = calls["null"]  # the null's one run
-    null = inspect.signature(testing._run_chunks).bind(*a, **kw)
-    null.apply_defaults()
-    nulls = null.arguments["nulls"]
-    start = time.perf_counter()
-    draw_alone(nulls, null.arguments["perms"], null.arguments["workers"])
-    draw = time.perf_counter() - start
+    return spans, calls, total
+
+
+def redraw(null_calls) -> tuple[float, list]:
+    """Seconds to draw again, alone (:func:`draw_alone`), the rows of each recorded ``_run_chunks`` call.
+
+    Also returns the nulls of each call.
+    """
+    seconds, nulls = 0.0, []
+    for a, kw in null_calls:
+        null = inspect.signature(testing._run_chunks).bind(*a, **kw)
+        null.apply_defaults()
+        nulls.append(null.arguments["nulls"])
+        start = time.perf_counter()
+        draw_alone(nulls[-1], null.arguments["perms"], null.arguments["workers"])
+        seconds += time.perf_counter() - start
+    return seconds, nulls
+
+
+def one_run(csv_path: str, args) -> dict:
+    """One ``test`` command through ``cli.main``, split into its stages."""
+    spans, calls, total = run_patched(command_argv(csv_path, args), [
+        (testing, "_null_function", "sides", None),
+        (testing, "_run_chunks", "null", None),
+        (testing, "_results", "p_value", None),
+        (cli, "load_csv_columns", "read", None),
+        (kernels, "median_heuristic", "median", None),
+        (testing, "gram_free_side", "factoring", "median"),
+    ])
+    draw, [nulls] = redraw(calls["null"])  # the null's one run
     side = {name: dict(zip("xy", spans[name])) for name in ("median", "factoring")}
     return {
         "stages": {name: sum(spans[name]) for name in ("sides", "null", "p_value", "read")},
@@ -188,6 +231,39 @@ def one_run(csv_path: str, args) -> dict:
         "null_path": NULL_PATHS[nulls[0].statistics.func.__name__],
         "total": total,
     }
+
+
+def one_power_run(args) -> dict:
+    """One ``reproduce-ring`` command through ``cli.main``, split into its stages.
+
+    ``sample`` is the trials' samples, ``sides`` the ``hsic.centered_side``
+    calls that build every side (per trial, or per stack of trials), ``null``
+    each trial's ``testing._run_chunks`` and ``p_value`` its
+    ``testing.p_value_from_null`` calls.  ``draw`` splits ``null`` as for
+    ``test``, summed over the trials, and ``null_statistics`` is the rest.
+    """
+    spans, calls, total = run_patched(power_argv(args), [
+        (testing, "sample", "sample", None),
+        (testing, "centered_side", "sides", None),
+        (testing, "_run_chunks", "null", None),
+        (testing, "p_value_from_null", "p_value", None),
+    ])
+    draw, nulls = redraw(calls["null"])
+    stages = {name: sum(spans[name]) for name in ("sample", "sides", "null", "p_value")}
+    return {
+        "stages": stages,
+        "split": {"draw": draw, "null_statistics": stages["null"] - draw},
+        "null_path": NULL_PATHS[nulls[0][0].statistics.func.__name__],  # the first trial's
+        "total": total,
+    }
+
+
+def power_argv(args) -> list[str]:
+    return [
+        "reproduce-ring", "--n", str(args.n), "--trials", str(args.trials),
+        "--permutations", str(args.permutations), "--seed", str(args.seed),
+        "--threads", str(args.threads),
+    ]
 
 
 # Runs argv[1:] and prints its peak RSS in KB, read by wait4 from the
@@ -204,8 +280,8 @@ sys.exit(os.waitstatus_to_exitcode(status))
 """
 
 
-def child_peak_rss_mb(csv_path: str, args) -> float:
-    """Peak RSS in MB (2^20 bytes) of one ``test`` command in a child process.
+def child_peak_rss_mb(csv_path: str | None, args) -> float:
+    """Peak RSS in MB (2^20 bytes) of one ``test`` command, or power command, in a child process.
 
     The child is spawned by a stdlib-only helper process, which reads the
     child's peak by ``os.wait4``, so the reading does not depend on this
@@ -213,7 +289,8 @@ def child_peak_rss_mb(csv_path: str, args) -> float:
     """
     paths = [str(Path(hsictest.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-    argv = [sys.executable, "-m", "hsictest", *command_argv(csv_path, args)]
+    command = power_argv(args) if csv_path is None else command_argv(csv_path, args)
+    argv = [sys.executable, "-m", "hsictest", *command]
     done = subprocess.run(
         [sys.executable, "-c", _PEAK_HELPER, *argv],
         check=True, env=env, stdout=subprocess.PIPE, text=True,
@@ -229,6 +306,8 @@ def parse_args(argv=None):
     ap.add_argument("--kernel-y", default="gaussian:median")
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--repeats", type=int, default=7)
+    ap.add_argument("--trials", type=int, default=None,
+                    help="time `reproduce-ring --n N --trials T` in place of `test`")
     ap.add_argument("--matrix", metavar="PATH", help="write the stage matrix to PATH")
     ap.set_defaults(dim=1)  # coordinates a side, set by the matrix's cells: 1 is the ring
     return ap.parse_args(argv)
@@ -236,6 +315,10 @@ def parse_args(argv=None):
 
 def measure(args) -> dict:
     """The record of one cell: the median repeat's stages, and the peak of one more command."""
+    if args.trials is not None:
+        peak_rss_mb = child_peak_rss_mb(None, args)
+        runs = [one_power_run(args) for _ in range(args.repeats + 1)][1:]  # drop the warm-up
+        return record(args, runs, peak_rss_mb, command="reproduce-ring", trials=args.trials)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "points.csv"
         if args.dim == 1:
@@ -244,10 +327,15 @@ def measure(args) -> dict:
             csv_path = write_normal_csv(path, args.n, args.seed, args.dim)
         peak_rss_mb = child_peak_rss_mb(csv_path, args)
         runs = [one_run(csv_path, args) for _ in range(args.repeats + 1)][1:]  # drop the warm-up
+    return record(args, runs, peak_rss_mb, dim=args.dim, kernel_x=KERNEL_X, kernel_y=args.kernel_y)
+
+
+def record(args, runs: list[dict], peak_rss_mb: float, **cell) -> dict:
+    """A cell's record: its flags, and the stages of the run whose total is the median."""
     run = sorted(runs, key=lambda r: r["total"])[(len(runs) - 1) // 2]
     return {
-        "n": args.n, "dim": args.dim, "permutations": args.permutations, "threads": args.threads,
-        "kernel_x": KERNEL_X, "kernel_y": args.kernel_y, "seed": args.seed,
+        "n": args.n, **cell, "permutations": args.permutations, "threads": args.threads,
+        "seed": args.seed,
         "repeats": args.repeats, "cpus": os.cpu_count(), "numpy": np.__version__,
         "null_path": run["null_path"],
         "stages_s": {key: round(s, 5) for key, s in run["stages"].items()},
@@ -273,8 +361,11 @@ def main(argv=None) -> None:
         print(json.dumps(measure(args)))
         return
     cells = [
-        measure(argparse.Namespace(**{**vars(args), "dim": dim, "n": n, "kernel_y": ky, "threads": t}))
-        for dim, n, ky in MATRIX
+        measure(argparse.Namespace(**{
+            **vars(args), "threads": t,
+            **(cell._asdict() if isinstance(cell, Power) else dict(zip(("dim", "n", "kernel_y"), cell))),
+        }))
+        for cell in MATRIX
         for t in (1, 2)
     ]
     text = json.dumps({"host": host_facts(), "cells": cells}, indent=1)

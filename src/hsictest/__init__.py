@@ -1,7 +1,7 @@
 """Kernel independence testing: HSIC statistics, an exact discrete population
 oracle, permutation calibration, and reproducible samplers."""
 
-__version__ = "0.27.0"
+__version__ = "0.28.0"
 
 from .datagen import (
     GeneratorKind,

@@ -21,9 +21,11 @@ prefix of each row, whose end is found without computing the row
 row: O(n log n) time and O(n) memory.  Both kinds of pass bracket their
 ranks from a fixed-seed sample of uniformly random pairs
 (:func:`_sampled_between`, :func:`_bracket`).  Small inputs draw no
-sample: the upper triangle of d > 1 points is partitioned directly while
-it is one block (n <= 256), and the pairs of 1-D points are built once and
-partitioned while they fit in one block (n <= 362).
+sample: while a sample's n x n distances are one block (n <= 256), of any
+dimension, its values above the diagonal are partitioned directly, for a
+whole stack of such samples at once (:func:`_stack_order_statistics`), and
+the pairs of larger 1-D points are built once and partitioned while they fit
+in one block (n <= 362).
 """
 
 from __future__ import annotations
@@ -91,6 +93,28 @@ def _difference(a: np.ndarray, b: np.ndarray, squared: bool, out: np.ndarray) ->
     return np.abs(out, out=out)
 
 
+def _stack_order_statistics(stack: np.ndarray, ranks: list[int]) -> np.ndarray:
+    """The squared distances of 0-based ascending ``ranks`` among the pairs of each sample of a stack.
+
+    ``stack`` is (T, n, d), T samples of n points each, and row t of the
+    (T, len(ranks)) result belongs to sample t.  While a sample's n x n
+    distances are one block (n <= 256) they are built for the whole stack
+    at once, and each sample's values above the diagonal are partitioned at
+    the ranks along the stack's last axis: no sample, no count and no loop
+    over the samples.  Beyond that each sample is selected alone, by
+    :func:`_order_statistics`.  Either way the values are exact order
+    statistics, so a sample's row does not depend on the stack it is in.
+    """
+    t, n, _ = stack.shape
+    if n * n > _BLOCK_FLOATS:
+        return np.array([_order_statistics(pts, ranks) for pts in stack]).reshape(t, len(ranks))
+    rows = np.arange(n)
+    block = _pairwise(stack[:, :, None], stack[:, None], True, np.empty((t, n, n)))
+    upper = block[:, rows > rows[:, None]]
+    upper.partition(ranks, axis=-1)
+    return upper[:, ranks]
+
+
 def _order_statistics(pts: np.ndarray, ranks: list[int]) -> list[float]:
     """The squared distances of 0-based ``ranks`` among the m = n(n-1)/2 pairs i < j of (n, d) ``pts``.
 
@@ -101,8 +125,8 @@ def _order_statistics(pts: np.ndarray, ranks: list[int]) -> list[float]:
     thresholds t1 <= t2, counts the distances up to t1 and below t2, and
     keeps those strictly between; a rank that falls between them is selected
     from the kept values.  While the upper triangle is one block (n <= 256)
-    there is no sample and no count: that block is built once, and its
-    values above the diagonal are partitioned at the ranks.  Beyond that,
+    there is no sample and no count: that block is partitioned at the ranks
+    by :func:`_stack_order_statistics`.  Beyond that,
     the thresholds are the ranks' estimated positions in a sorted sample of
     ``8 * isqrt(m)`` uniformly random pairs, widened by four standard
     deviations, so one pass does in practice.  The later passes also count
@@ -118,9 +142,7 @@ def _order_statistics(pts: np.ndarray, ranks: list[int]) -> list[float]:
     n = pts.shape[0]
     m = n * (n - 1) // 2
     if n * n <= _BLOCK_FLOATS:  # the one block a pass would build: partition its upper values
-        rows = np.arange(n)
-        block = _pairwise(pts[:, None], pts[None], True, np.empty((n, n)))
-        return _at_ranks(block[rows > rows[:, None]], ranks)
+        return _stack_order_statistics(pts[None], ranks)[0].tolist()
     size = _SAMPLE_PAIRS_PER_ROOT * math.isqrt(m)
     rng = np.random.default_rng(0)
     sample = _sampled_between(pts, np.arange(1, n + 1), np.full(n, n), m, size, rng)

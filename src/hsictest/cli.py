@@ -67,7 +67,10 @@ def load_csv_columns(path: str, x_columns: list[str], y_columns: list[str]):
     strict pass reads the file again with the ``csv`` module, cell by cell:
     it returns the same values where it accepts the file and names the first
     bad cell where it does not, so neither values nor messages depend on
-    which pass read the file.  The two sides are views of one array.
+    which pass read the file.  A record the ``csv`` module refuses, such as
+    one with a cell over its field size limit, is refused naming its row, in
+    the header and in the strict pass alike.  The two sides are views of one
+    array.
     """
     try:
         values = _loadtxt_columns(path, x_columns + y_columns)
@@ -79,7 +82,7 @@ def load_csv_columns(path: str, x_columns: list[str], y_columns: list[str]):
 def _loadtxt_columns(path: str, columns: list[str]) -> np.ndarray:
     """The selected columns from one ``np.loadtxt`` read; ``OSError`` or ``ValueError`` where it fails."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        header = next(filter(None, csv.reader(fh)), [])
+        header = next((row for _, row in _csv_rows(path, fh)), [])
         values = np.loadtxt(
             _data_lines(fh), delimiter=",", usecols=_positions(path, header, columns),
             comments=None, ndmin=2,
@@ -106,12 +109,27 @@ def _data_lines(lines):
         raise ValueError("no data rows")
 
 
+def _csv_rows(path: str, lines):
+    """``(number, row)`` for each record of ``lines`` that holds cells, numbered from 1 in the file.
+
+    A record the ``csv`` module refuses, such as one with a cell over its
+    field size limit, raises ``ValueError`` naming the file and its row.
+    """
+    number = 0
+    try:
+        for number, row in enumerate(csv.reader(lines), 1):
+            if row:
+                yield number, row
+    except csv.Error as exc:
+        raise ValueError(f"{path}: row {number + 1}: {exc}") from None
+
+
 def _strict_columns(path: str, x_columns: list[str], y_columns: list[str]) -> np.ndarray:
     """The selected columns read cell by cell, x then y; raises naming the first bad cell."""
     try:
         # utf-8-sig: a leading byte order mark is not part of the first name.
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            rows = [(number, row) for number, row in enumerate(csv.reader(fh), 1) if row]
+            rows = list(_csv_rows(path, fh))
     except (OSError, UnicodeError) as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
     if not rows:

@@ -16,7 +16,9 @@ the test's path and within its memory budget.  Each side of a sample enters
 it through one of two builders, each of which turns a kernel spec and a point
 set into a resolved spec, a centered side and that side's scale
 ``max|HKH|``, with a side that is constant to working precision centered
-to exact zero.  :func:`centered_side` builds the centered Gram HKH.
+to exact zero.  :func:`centered_side` builds the centered Gram HKH, of one
+sample or of each sample of a stack at once, as a power experiment builds
+its trials' sides.
 :func:`gram_free_side` builds a side without an n x n array, as a centered
 low-rank factor ``Fc`` with ``HKH ~= Fc' Fc``: K is factored, and the
 factor centered.  The statistic's roundoff scale is read off the scale
@@ -60,6 +62,7 @@ from ._selection import _block_rows
 from .kernels import (
     KernelFamily,
     KernelSpec,
+    _as_stack,
     _finite,
     _gram_diagonal,
     _gram_rows,
@@ -196,16 +199,17 @@ def population_hsic(
     return theta_product(theta(dist), kx_gram, ky_gram)
 
 
-def _constant(scale: float, k_diagonal: np.ndarray) -> bool:
+def _constant(scale, k_diagonal: np.ndarray):
     """Whether max|HKH| is within the roundoff of K: ``<= n * eps * max(diag K)``.
 
     The diagonal bounds a PSD Gram, so such a side is constant to working
-    precision.
+    precision.  Given a (T,) array of scales and a (T, n) array of
+    diagonals, one per sample of a stack, it answers for each.
     """
-    return scale <= len(k_diagonal) * _EPS * k_diagonal.max()
+    return scale <= k_diagonal.shape[-1] * _EPS * k_diagonal.max(axis=-1)
 
 
-def _identity(spec: KernelSpec, grand_mean: float, n: int) -> bool:
+def _identity(spec: KernelSpec, grand_mean, n: int):
     """Whether a Gram of ``spec`` on n points, of mean entry ``grand_mean``, is the identity.
 
     The identity to working precision, that is, and only a Gaussian or
@@ -215,54 +219,77 @@ def _identity(spec: KernelSpec, grand_mean: float, n: int) -> bool:
     eps``.  Against any centered Lc, E then moves ``sum(Kc * Lc) / n^2`` by
     at most ``eps * max|Lc|``, less than the ``n * eps * scale`` by which
     factoring a side may move it (see the module docstring); the rest,
-    ``tr(H Lc) / n^2``, is the same for every permutation of Lc.
+    ``tr(H Lc) / n^2``, is the same for every permutation of Lc.  Given an
+    array of mean entries, one per sample of a stack, it answers for each.
     """
-    return spec.family is not KernelFamily.LINEAR and n * grand_mean - 1.0 <= n * _EPS
+    return (n * grand_mean - 1.0 <= n * _EPS) & (spec.family is not KernelFamily.LINEAR)
 
 
-def centered_side(spec: KernelSpec, points) -> tuple[KernelSpec, np.ndarray, float, bool]:
+def centered_side(spec: KernelSpec, points) -> tuple:
     """One side of a test: ``spec`` resolved on ``points``, H K H for its Gram K, max|H K H|, a tie.
 
-    The one place a sample becomes a centered Gram.  It is built and centered
-    in one n x n buffer, one row block at a time while the block is in
-    cache; a median bandwidth is resolved first, by exact selection (see
-    :func:`kernels.median_heuristic`).  A side constant to working precision
-    (see :func:`_constant`) is set to exact zero and its scale to 0.0:
-    leaving the residue would make the statistic and every permuted one
-    roundoff noise.  The last value tells whether K is the identity to
-    working precision (see :func:`_identity`): every permuted statistic
-    against such a side is then the observed one, which the permutation
-    tests make an exact tie.  A non-finite Gram raises ``ArithmeticError``.
+    The one place a sample becomes a centered Gram.  ``points`` is one (n,
+    d) sample, or a (T, n, d) stack of T samples, each built as it would be
+    alone, bit for bit: the values then come back one per sample, as a list
+    of resolved specs, a (T, n, n) array and (T,) arrays of scales and ties.
+    Each sample's Gram is built and centered in its n x n slice, one block
+    of at most 2^16 floats at a time while the block is in cache: a block
+    holds whole samples while one sample's Gram fits in half a block (n <=
+    181), and otherwise rows of one sample.  A stack of samples that is one
+    block, as a power experiment builds below ``testing.TAKE_MIN_N``,
+    therefore takes one pass for all its samples.  Median bandwidths are
+    resolved first, by exact selection, for the whole stack at once while
+    each sample's pairs are one block (see :func:`kernels.resolve_bandwidth`).
+    A side constant to working precision (see :func:`_constant`) is set to
+    exact zero and its scale to 0.0: leaving the residue would make the
+    statistic and every permuted one roundoff noise.  The last value tells
+    whether K is the identity to working precision (see :func:`_identity`):
+    every permuted statistic against such a side is then the observed one,
+    which the permutation tests make an exact tie.  A non-finite Gram raises
+    ``ArithmeticError``, and a refused sample raises as
+    :func:`kernels.resolve_bandwidth` refuses it alone.
     """
-    pts = as_points(points)
-    n = pts.shape[0]
-    out = np.empty((n, n))
-    rows = _block_rows(n)
-    row_means, k_diagonal = np.empty(n), np.empty(n)
+    arr = np.asarray(points, dtype=float)
+    stack = _as_stack(arr)
+    t, n, _ = stack.shape
+    out = np.empty((t, n, n))
+    # Blocks of whole samples, or of rows of one sample, so each is contiguous.
+    per = _block_rows(n * n)
+    rows = n if per > 1 else _block_rows(n)
+    blocks = [
+        (slice(lo, lo + per), slice(row, row + rows))
+        for lo in range(0, t, per)
+        for row in range(0, n, rows)
+    ]
+    row_means, k_diagonal = np.empty((t, n)), np.empty((t, n))
     with np.errstate(over="ignore", invalid="ignore"):
-        spec = resolve_bandwidth(spec, pts)
+        specs = resolve_bandwidth(spec, stack)
         # Each block's row means r_i are taken as ``mean(axis=1)`` takes
         # them over the whole matrix, so they are the same bit for bit.
-        for lo in range(0, n, rows):
-            block = out[lo : lo + rows]
-            _gram_rows(spec, pts[lo : lo + rows], pts, block)
-            block.mean(axis=1, out=row_means[lo : lo + rows])
-            k_diagonal[lo : lo + rows] = np.diagonal(block, lo)
-            block -= row_means[lo : lo + rows, None]
-        grand_mean = row_means.mean()
+        for samples, part in blocks:
+            block = out[samples, part]
+            _gram_rows(specs[samples], stack[samples, part], stack[samples], block)
+            block.mean(axis=-1, out=row_means[samples, part])
+            k_diagonal[samples, part] = np.diagonal(block, part.start, axis1=1, axis2=2)
+            block -= row_means[samples, part, None]
+        grand_mean = row_means.mean(axis=-1)
         # Finish centering, to ((k_ij - r_i) - r_j) + g, and take each
         # block's max and min while it is in cache.
-        scale = 0.0
-        for lo in range(0, n, rows):
-            block = out[lo : lo + rows]
-            block -= row_means[None, :]
-            block += grand_mean
-            block_scale = _finite(float(np.maximum(block.max(), -block.min())))
-            scale = max(scale, block_scale)
-        if _constant(scale, k_diagonal):
-            out.fill(0.0)
-            scale = 0.0
-    return spec, out, scale, _identity(spec, grand_mean, n)
+        scale = np.zeros(t)
+        for samples, part in blocks:
+            block = out[samples, part]
+            block -= row_means[samples, None, :]
+            block += grand_mean[samples, None, None]
+            top = np.maximum(block.max(axis=(1, 2)), -block.min(axis=(1, 2)))
+            np.maximum(scale[samples], top, out=scale[samples])
+        _finite(scale)
+        constant = _constant(scale, k_diagonal)
+        out[constant] = 0.0
+        scale[constant] = 0.0
+    tied = _identity(specs[0], grand_mean, n)
+    if arr.ndim == 3:
+        return specs, out, scale, tied
+    return specs[0], out[0], float(scale[0]), bool(tied[0])
 
 
 # A Gaussian or Laplace side is factored only when its scale max|HKH| is at

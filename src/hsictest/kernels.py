@@ -40,7 +40,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._selection import _block_rows, _largest, _order_statistics, _pairwise
+from ._selection import _block_rows, _largest, _pairwise, _stack_order_statistics
 
 MEDIAN_BANDWIDTH = "median"
 
@@ -118,38 +118,54 @@ def as_points(points) -> np.ndarray:
         arr = arr.reshape(-1, 1)
     if arr.ndim != 2:
         raise ValueError("points must all share one dimension")
-    if arr.shape[0] == 0:
+    return _checked(arr)
+
+
+def _as_stack(points) -> np.ndarray:
+    """``points`` as a (T, n, d) stack of T samples: a 3-D array, or one :func:`as_points` sample."""
+    arr = np.asarray(points, dtype=float)
+    return _checked(arr) if arr.ndim == 3 else as_points(arr)[None]
+
+
+def _checked(arr: np.ndarray) -> np.ndarray:
+    """``arr``, rows of points on its last two axes, unless it has no points or a non-finite one."""
+    if arr.shape[-2] == 0:
         raise ValueError("need at least one point")
     if not np.isfinite(arr).all():
         raise ValueError("points must be finite (no NaN or inf)")
     return arr
 
 
-def median_heuristic(points) -> float:
+def median_heuristic(points):
     """The median of all n(n-1)/2 pairwise Euclidean distances, bitwise ``np.median`` of ``pdist``.
 
     That holds in every case: the median is 0.0 when more than half the pairs
     coincide, as when all points do, and inf when the squared distances
     overflow, as they do in ``pdist``; :func:`resolve_bandwidth` refuses
     both as a bandwidth.  The two middle squared distances (one for an odd
-    count) are selected exactly by :func:`_selection._order_statistics`,
+    count) are selected exactly by :func:`_selection._stack_order_statistics`,
     which holds at most one block of 2^16 distances, and selects those of
     1-D points in O(n log n) time and O(n) memory; only they are
     square-rooted, and they are averaged as ``np.median`` averages them.
     sqrt is correctly rounded and so monotone: the square roots of the
-    middle squared distances are the middle distances.
+    middle squared distances are the middle distances.  Given a (T, n, d)
+    stack of samples it returns an array of their T medians, each the one
+    of its sample alone, selected together while each sample's pairs are
+    one block.
     """
-    pts = as_points(points)
-    n = pts.shape[0]
+    arr = np.asarray(points, dtype=float)
+    stack = _as_stack(arr)
+    n = stack.shape[1]
     if n < 2:
         raise ValueError("median heuristic needs at least 2 points")
     m = n * (n - 1) // 2
     with np.errstate(over="ignore"):  # a squared distance that overflows is inf
-        middle = _order_statistics(pts, sorted({(m - 1) // 2, m // 2}))
-    return float(np.mean(np.sqrt(middle)))
+        middle = _stack_order_statistics(stack, sorted({(m - 1) // 2, m // 2}))
+    medians = np.sqrt(middle).mean(axis=-1)
+    return medians if arr.ndim == 3 else float(medians[0])
 
 
-def resolve_bandwidth(spec: KernelSpec, points) -> KernelSpec:
+def resolve_bandwidth(spec: KernelSpec, points):
     """``spec`` with a median-heuristic sentinel replaced, once floats can compute it on ``points``.
 
     The points are checked by :func:`as_points`, so empty or non-finite
@@ -166,29 +182,48 @@ def resolve_bandwidth(spec: KernelSpec, points) -> KernelSpec:
     can overflow where no distance does, so only then is the largest
     distance itself taken, in the blocks of :func:`_selection._largest`,
     and the side refused only if that overflows.
+
+    Given a (T, n, d) stack of samples it returns a list of T specs, each
+    the one of its sample alone: the medians are selected together, and the
+    samples are then checked in order, so the refusal raised is that of the
+    first sample refused.
     """
-    pts = as_points(points)
-    if not spec.is_resolved:
-        median = median_heuristic(pts)
-        if not 0.0 < median < math.inf:
-            raise ValueError(
-                f"the median pairwise distance is {median!r}, which is no bandwidth (a bandwidth "
-                f"must be positive and finite); pass an explicit one, such as {spec.family.value}:1.0"
-            )
-        spec = replace(spec, bandwidth=median)
-    if spec.family is KernelFamily.LINEAR:
-        return spec
+    arr = np.asarray(points, dtype=float)
+    stack = _as_stack(arr)
+    medians = None if spec.is_resolved else median_heuristic(stack).tolist()
     squared = spec.family is KernelFamily.GAUSSIAN
-    # Capped where 2 sigma^2 overflows already: ``**`` raises from sigma near 1.34e154 on.
-    divisor = 2.0 * min(spec.bandwidth, 1e154) ** 2 if squared else spec.bandwidth
-    largest = 0.0  # in Python floats, which overflow to inf without a warning
-    for hi, lo in zip(pts.max(axis=0).tolist(), pts.min(axis=0).tolist()):
-        largest += (hi - lo) * (hi - lo) if squared else hi - lo
-    if largest == math.inf and pts.shape[1] > 1:  # the bound over-counts: take the distance itself
+    if spec.family is not KernelFamily.LINEAR:
+        # Each sample's bound on its largest distance, in numpy floats,
+        # which overflow to inf as Python floats do.
         with np.errstate(over="ignore"):
-            largest = _largest(pts, squared)
-    _finite(largest if 0.0 < divisor < math.inf else math.nan)
-    return spec
+            ranges = stack.max(axis=1) - stack.min(axis=1)
+            bounds = np.zeros(len(stack))
+            for column in ranges.T:
+                bounds += column * column if squared else column
+        bounds = bounds.tolist()
+    specs = []
+    for t, pts in enumerate(stack):
+        resolved = spec
+        if medians is not None:
+            median = medians[t]
+            if not 0.0 < median < math.inf:
+                raise ValueError(
+                    f"the median pairwise distance is {median!r}, which is no bandwidth (a bandwidth "
+                    f"must be positive and finite); pass an explicit one, such as "
+                    f"{spec.family.value}:1.0"
+                )
+            resolved = replace(spec, bandwidth=median)
+        if spec.family is not KernelFamily.LINEAR:
+            # Capped where 2 sigma^2 overflows already: ``**`` raises from sigma near 1.34e154 on.
+            bandwidth = resolved.bandwidth
+            divisor = 2.0 * min(bandwidth, 1e154) ** 2 if squared else bandwidth
+            largest = bounds[t]
+            if largest == math.inf and pts.shape[1] > 1:  # the bound over-counts: take the distance itself
+                with np.errstate(over="ignore"):
+                    largest = _largest(pts, squared)
+            _finite(largest if 0.0 < divisor < math.inf else math.nan)
+        specs.append(resolved)
+    return specs if arr.ndim == 3 else specs[0]
 
 
 def _finite(values):
@@ -200,21 +235,27 @@ def _finite(values):
     return values
 
 
-def _gram_rows(spec: KernelSpec, rows: np.ndarray, pts: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _gram_rows(spec, rows: np.ndarray, pts: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Gram entries ``k(rows[i], pts[j])`` of a resolved ``spec``, in ``out`` (len(rows) x len(pts)).
 
     The one place distances become kernel values.  Each entry depends only
     on its pair, so rows built alone equal those rows of the whole Gram bit
-    for bit.  The Gaussian and Laplace kernels divide rather than multiply
-    by the reciprocal, which would move the Gram in the last bits; the
-    linear ``einsum`` sums the products of (i, j) and (j, i) in the same
+    for bit.  Entries of a stack are built at once: ``spec`` is then a list
+    of resolved specs of one family, one per sample, with rows (T, r, d),
+    pts (T, n, d) and out (T, r, n), and each sample's entries are those of
+    its spec alone.  The Gaussian and Laplace kernels divide rather than
+    multiply by the reciprocal, which would move the Gram in the last bits;
+    the linear ``einsum`` sums the products of (i, j) and (j, i) in the same
     order.
     """
-    if spec.family is KernelFamily.LINEAR:
-        return np.einsum("id,jd->ij", rows, pts, out=out)
-    squared = spec.family is KernelFamily.GAUSSIAN
-    _pairwise(rows[:, None], pts[None], squared, out)
-    np.divide(out, -(2.0 * spec.bandwidth**2) if squared else -spec.bandwidth, out=out)
+    stacked = isinstance(spec, list)
+    specs = spec if stacked else [spec]
+    if specs[0].family is KernelFamily.LINEAR:
+        return np.einsum("...id,...jd->...ij", rows, pts, out=out)
+    squared = specs[0].family is KernelFamily.GAUSSIAN
+    _pairwise(rows[..., None, :], pts[..., None, :, :], squared, out)
+    divisors = [-(2.0 * s.bandwidth**2) if squared else -s.bandwidth for s in specs]
+    np.divide(out, np.array(divisors)[:, None, None] if stacked else divisors[0], out=out)
     return np.exp(out, out=out)
 
 

@@ -11,7 +11,13 @@ body takes a list of y kernels: side x is built once, each block of
 permutation rows is drawn once and reduced under every y side, and each y
 side's result is the one a test of it alone gives, bit for bit.  A power
 experiment runs each trial that way for all its y kernels, so a trial
-samples, builds x and draws once, not once per y kernel.  A constant side is
+samples, builds x and draws once, not once per y kernel.  Below
+``TAKE_MIN_N`` points it samples its trials first, in stacks of up to
+``_block_rows(n * n)`` trials, builds side x and each y side for a whole
+stack by one ``hsic.centered_side`` call, and gives each trial its slices
+of the stacks; each trial then draws and reduces its own null, as a test
+does, in one gather workspace allocated once for the experiment, so trial
+t's p-value is the test's on trial t's sample.  A constant side is
 centered to exact zero, so its statistic and every replicate are 0 and p = 1
 on every path.  Against a side whose Gram is the identity to working
 precision every replicate equals the statistic up to roundoff, and is set to
@@ -55,7 +61,8 @@ it needs no workspace:
   ``take``s into one workspace per chunk, on one of two paths split where
   n^2 passes 8192, the elements numpy's einsum buffers.  Up to there (n <=
   90), a block of replicates is gathered whole (a column take, then a row
-  take of that) and reduced by one batched einsum, which sums each
+  take of that, by a row index built once per block for all the y sides)
+  and reduced by one batched einsum, which sums each
   replicate as ``einsum("ij,ij->")`` does.  Above it the batched einsum
   sums in another order, so each replicate is reduced alone, a row block
   at a time: rows ``p[lo:hi]`` of Lc, then their columns p, into a k x n
@@ -87,7 +94,8 @@ own rows, and :func:`_map`, the module's one way to run work on threads,
 runs one chunk per thread; a power experiment of that many points runs its
 trials through it too.  Below it a test or a trial is many small numpy
 calls, which threads would mostly spend handing the GIL to each other, so
-it runs on the calling thread.  The sides are built on the calling thread.
+it runs on the calling thread, as a power experiment's stacks of trials
+do.  The sides are built on the calling thread.
 Every replicate is computed the same way whatever the chunking, so no
 number depends on the thread count.  Every large array (each n x n Gram,
 and each chunk's block of rows and its one workspace) is allocated on the
@@ -257,10 +265,15 @@ def _argsort_rows(words: np.ndarray, out: np.ndarray) -> None:
 
 
 def _pool_size(threads: int, tasks: int) -> int:
-    """Workers for ``tasks`` independent jobs: ``threads``, capped by tasks and CPUs."""
+    """Workers for ``tasks`` independent jobs: ``threads``, capped by tasks and CPUs.
+
+    The CPUs are counted only where more than one worker is asked for: on
+    Linux each count reads a file.
+    """
     if threads < 1:
         raise ValueError("threads must be at least 1")
-    return min(threads, tasks, os.cpu_count() or 1)
+    workers = min(threads, tasks)
+    return workers if workers <= 1 else min(workers, os.cpu_count() or 1)
 
 
 def _map(fn: Callable, tasks, workers: int) -> list:
@@ -280,12 +293,16 @@ class _Rows(NamedTuple):
 
     ``blocks(lo, hi, block)`` yields ``(start, rows)`` for consecutive blocks
     of rows ``lo:hi``, each at most ``len(block)`` rows, held in ``block`` or
-    in a view of the permutations themselves.
+    in a view of the permutations themselves.  ``buffers``, where given, are
+    a block of rows and a workspace that a lone chunk of :func:`_run_chunks`
+    takes in place of its own, of the sizes it would allocate: a power
+    experiment allocates them once for all its trials.
     """
 
     num: int
     n: int
     blocks: Callable[[int, int, np.ndarray], Iterator[tuple[int, np.ndarray]]]
+    buffers: tuple[np.ndarray, np.ndarray] | None = None
 
 
 def _as_rows(perms) -> _Rows:
@@ -329,9 +346,10 @@ def _run_chunks(nulls: list[_Null], perms, workers: int = 1) -> np.ndarray:
     array is ever held.  Each chunk's block and its one workspace, sized for
     the largest of the nulls, are allocated here, on the calling thread:
     allocating on the pool threads made peak memory depend on how the
-    threads' allocations happened to interleave.
+    threads' allocations happened to interleave.  A lone chunk takes the
+    stream's ``buffers`` instead, sized for it by the caller.
     """
-    num, n, blocks = _as_rows(perms)
+    num, n, blocks, buffers = _as_rows(perms)
     null = np.empty((len(nulls), num))
     step = max(1, min(side.words for side in nulls) // n)
 
@@ -345,8 +363,12 @@ def _run_chunks(nulls: list[_Null], perms, workers: int = 1) -> np.ndarray:
     calls = []
     for lo, hi in zip(edges[:-1], edges[1:]):
         size = min(step, hi - lo)
-        work = np.empty(max(side.floats(size) for side in nulls))
-        calls.append((lo, hi, np.empty((size, n), dtype=np.intp), work))
+        if workers == 1 and buffers is not None:
+            block, work = buffers
+        else:
+            block = np.empty((size, n), dtype=np.intp)
+            work = np.empty(max(side.floats(size) for side in nulls))
+        calls.append((lo, hi, block[:size], work))
     _map(lambda call: chunk(*call), calls, workers)
     return null
 
@@ -382,8 +404,44 @@ def _dense_value(kc: np.ndarray, lc: np.ndarray, p=None, work=None) -> float:
     return float(total) / (n * n)
 
 
+def _gather_index(perms: np.ndarray, block: int) -> np.ndarray:
+    """Row index of the dense null's second ``take``, for blocks of ``block`` rows of ``perms``.
+
+    ``p * b + arange(b)[:, None]`` for each block p, b = len(p) rows: the
+    rows of a column take of shape (n, b, n), read as (n * b, n), that give
+    ``lc[p[:, :, None], p[:, None, :]]``.
+    """
+    index = np.empty_like(perms)
+    for lo in range(0, len(perms), block):
+        p, rows = perms[lo : lo + block], index[lo : lo + block]
+        np.multiply(p, len(p), out=rows)
+        rows += np.arange(len(p))[:, None]
+    return index
+
+
+class _SharedGather:
+    """:func:`_gather_index` of each block of rows, computed once for all the nulls handed it.
+
+    The dense nulls of one x side share one, so a block of rows that every
+    y side reduces is indexed once.  The last block and its index are kept
+    as one tuple, read and replaced whole, so a chunk on another thread
+    never takes an index of rows that are not its own.
+    """
+
+    def __init__(self):
+        self._last = (None, None)
+
+    def __call__(self, perms: np.ndarray, block: int) -> np.ndarray:
+        rows, index = self._last
+        if rows is not perms:
+            index = _gather_index(perms, block)
+            self._last = (perms, index)
+        return index
+
+
 def _dense_statistics(
-    kc: np.ndarray, lc: np.ndarray, perms: np.ndarray, out: np.ndarray, work: np.ndarray
+    kc: np.ndarray, lc: np.ndarray, perms: np.ndarray, out: np.ndarray, work: np.ndarray,
+    gather: Callable[[np.ndarray, int], np.ndarray] = _gather_index,
 ) -> None:
     """``out[b] = sum(kc * lc[p, p]) / n^2`` for each row p of ``perms``, on one of two paths.
 
@@ -392,9 +450,10 @@ def _dense_statistics(
     block of them sums each as ``einsum("ij,ij->")`` does, so blocks of b =
     ``_block_rows(n^2)`` rows are gathered by two contiguous ``take``s into
     ``work``: ``lc.take(p, axis=1)``, of shape (n, b, n), then its rows ``p
-    * b + arange(b)[:, None]``, built for each block, which give ``lc[p[:,
-    :, None], p[:, None, :]]`` bit for bit, and one batched einsum reduces
-    them.  Above it the batched einsum sums in another order, so each
+    * b + arange(b)[:, None]`` (:func:`_gather_index`, or the ``gather``
+    the nulls of one x side share), which give ``lc[p[:, :, None], p[:,
+    None, :]]`` bit for bit, and one batched einsum reduces them.  Above it
+    the batched einsum sums in another order, so each
     replicate is reduced alone, a row block at a time, by
     :func:`_dense_value`, and nothing n x n is written.  A replicate's value
     never depends on its block or its thread.
@@ -410,20 +469,23 @@ def _dense_statistics(
         out[:] = [_dense_value(kc, lc, p, work) for p in perms]
         return
     block = _block_rows(n * n)
+    index = gather(perms, block)
     for lo in range(0, num, block):
         p = perms[lo : lo + block]
         b = len(p)
         cols, both = work[: 2 * b * n * n].reshape(2, b, n, n)  # cols holds (n, b, n)
         lc.take(p, axis=1, out=cols.reshape(n, b, n), mode="clip")
-        cols.reshape(n * b, n).take(p * b + np.arange(b)[:, None], axis=0, out=both, mode="clip")
+        cols.reshape(n * b, n).take(index[lo : lo + b], axis=0, out=both, mode="clip")
         out[lo : lo + b] = np.einsum("ij,bij->b", kc, both) / (n * n)
 
 
-def _dense_null(kc: np.ndarray, lc: np.ndarray) -> _Null:
-    """The null of centered Grams, for any number of points."""
+def _dense_null(kc: np.ndarray, lc: np.ndarray, gather: _SharedGather | None = None) -> _Null:
+    """The null of centered Grams, for any number of points; ``gather`` is shared with other y sides."""
+    statistics = partial(_dense_statistics, kc, lc)
+    if gather is not None:
+        statistics = partial(_dense_statistics, kc, lc, gather=gather)
     return _Null(
-        partial(_dense_statistics, kc, lc), partial(_dense_floats, len(kc)),
-        _DENSE_DRAW_BLOCK_WORDS, _dense_value(kc, lc),
+        statistics, partial(_dense_floats, len(kc)), _DENSE_DRAW_BLOCK_WORDS, _dense_value(kc, lc),
     )
 
 
@@ -500,7 +562,7 @@ def _check_memory(n: int, grams: int, held: int) -> None:
 
 
 def _null_function(
-    data: Dataset, kx: KernelSpec, kys, workers: int = 1, held: int = 0
+    data: Dataset, kx: KernelSpec, kys, workers: int = 1, held: int = 0, sides=None
 ) -> tuple[KernelSpec, list[KernelSpec], list[float], list[_Null]]:
     """Both sides and the nulls their ranks choose: ``(kx, kys, scales, nulls)``.
 
@@ -515,7 +577,11 @@ def _null_function(
     chunks that will run it (none where only the observed statistic is
     wanted), with ``held`` bytes already in use, are checked against the
     memory budget.  Each side is
-    the one a test of that y side alone builds, so each null is too.
+    the one a test of that y side alone builds, so each null is too, and the
+    dense nulls share one gather index per block of rows
+    (:class:`_SharedGather`).  Below ``TAKE_MIN_N``, ``sides`` may hold the
+    :func:`hsic.centered_side` values of side x and of each y kernel, built
+    already: a power trial's slices of its experiment's stacks.
     """
     n, kys = data.n, list(kys)
     nulls, scales = [None] * len(kys), [0.0] * len(kys)
@@ -529,15 +595,18 @@ def _null_function(
     dense = [i for i, null in enumerate(nulls) if null is None]
     if dense:
         _check_memory(n, 1 + len(dense), held + 8 * workers * _dense_floats(n, _block_rows(n * n)))
-        kx, kc, kc_max, x_tied = centered_side(kx, data.x_points)
-        for i in dense:
-            kys[i], lc, lc_max, y_tied = centered_side(kys[i], data.y_points)
-            null = _tied_null(kc, lc) if x_tied or y_tied else _dense_null(kc, lc)
-            nulls[i], scales[i] = null, kc_max * lc_max
+        if sides is None:
+            sides = [centered_side(kx, data.x_points)]
+            sides += [centered_side(kys[i], data.y_points) for i in dense]
+        (kx, kc, kc_max, x_tied), *y_sides = sides
+        gather = _SharedGather()
+        for i, (ky, lc, lc_max, y_tied) in zip(dense, y_sides):
+            null = _tied_null(kc, lc) if x_tied or y_tied else _dense_null(kc, lc, gather)
+            kys[i], nulls[i], scales[i] = ky, null, kc_max * lc_max
     return kx, kys, scales, nulls
 
 
-def _observed(data: Dataset, kx: KernelSpec, kys, workers: int = 0, held: int = 0):
+def _observed(data: Dataset, kx: KernelSpec, kys, workers: int = 0, held: int = 0, sides=None):
     """``(kx, kys, observed, nulls)``: the statistics of ``data`` and the nulls that reduce them.
 
     The kernels come back resolved, with one observed ``HsicValue`` and one
@@ -545,13 +614,13 @@ def _observed(data: Dataset, kx: KernelSpec, kys, workers: int = 0, held: int = 
     chunks will run.  The observed value is the null's own value at the
     identity permutation, so an identity replicate reproduces it bitwise on
     every path.  Fewer than 2 points, or ``held`` bytes over the memory
-    budget, are refused before any side is built; a dense side over the
-    budget is refused before its Gram is.
+    budget, are refused before any side is built or used; a dense side over
+    the budget is refused before its Gram is.
     """
     if data.n < 2:
         raise ValueError("HSIC needs at least 2 paired samples")
     _check_memory(data.n, 0, held)
-    kx, kys, scales, nulls = _null_function(data, kx, kys, workers, held)
+    kx, kys, scales, nulls = _null_function(data, kx, kys, workers, held, sides)
     observed = [
         HsicValue.from_raw(null.observed, Estimator.BIASED_V, scale)
         for null, scale in zip(nulls, scales)
@@ -559,7 +628,7 @@ def _observed(data: Dataset, kx: KernelSpec, kys, workers: int = 0, held: int = 
     return kx, kys, observed, nulls
 
 
-def _replicates(data: Dataset, kx: KernelSpec, kys, perms: _Rows, threads: int = 1):
+def _replicates(data: Dataset, kx: KernelSpec, kys, perms: _Rows, threads: int = 1, sides=None):
     """``(kx, kys, observed, null)``: the statistics of ``data`` and their nulls over ``perms``.
 
     :func:`_observed`, with one row of ``null`` per y kernel of ``kys`` and
@@ -570,9 +639,10 @@ def _replicates(data: Dataset, kx: KernelSpec, kys, perms: _Rows, threads: int =
     side's values are the ones a test of it alone gives.  From
     ``TAKE_MIN_N`` points on, with ``threads`` above 1, the null's chunks,
     each drawing its own rows of ``perms``, run on the test's pool.
+    ``sides`` go to :func:`_null_function`.
     """
     workers = _pool_size(threads, perms.num if data.n >= TAKE_MIN_N else 1)
-    kx, kys, observed, nulls = _observed(data, kx, kys, workers, 8 * perms.num * len(kys))
+    kx, kys, observed, nulls = _observed(data, kx, kys, workers, 8 * perms.num * len(kys), sides)
     null = _run_chunks(nulls, perms, workers)
     # A NaN null statistic would count as no exceedance and pull p toward
     # 1/(B+1); the observed value is checked when its HsicValue is built.
@@ -602,10 +672,16 @@ def _results(
     return results
 
 
-def _monte_carlo(data: Dataset, kx: KernelSpec, kys, cfg: PermutationConfig, threads: int = 1):
-    """:func:`_replicates` of ``data`` under each y kernel of ``kys``, on one draw of ``cfg``."""
-    perms = _Rows(cfg.num_permutations, data.n, partial(_draw_rows, cfg.seed, data.n))
-    return _replicates(data, kx, kys, perms, threads)
+def _monte_carlo(
+    data: Dataset, kx: KernelSpec, kys, cfg: PermutationConfig, threads: int = 1, sides=None,
+    buffers=None,
+):
+    """:func:`_replicates` of ``data`` under each y kernel of ``kys``, on one draw of ``cfg``.
+
+    ``sides`` go to :func:`_null_function`, and ``buffers`` to the draw's :class:`_Rows`.
+    """
+    perms = _Rows(cfg.num_permutations, data.n, partial(_draw_rows, cfg.seed, data.n), buffers)
+    return _replicates(data, kx, kys, perms, threads, sides)
 
 
 def permutation_test(
@@ -674,11 +750,22 @@ def power_experiment(
 
     Trial t is fully determined by (cfg.seed, t): its dataset seed and its
     permutation seed are both derived from that pair, so results are
-    identical whatever the thread count.  Each trial samples once, builds
-    side x once and draws its permutations once for all of ``kys``, so the
-    result for each y kernel is the one a run of that kernel alone gives.
-    From ``TAKE_MIN_N`` points on the trials run on up to ``threads``
-    threads; below it, on the calling thread, as a test's null does.
+    identical whatever the thread count, and trial t's p-value is the one
+    ``permutation_test`` gives on that trial's own sample.  Each trial
+    samples once, builds side x once and draws its permutations once for all
+    of ``kys``, so the result for each y kernel is the one a run of that
+    kernel alone gives.  From ``TAKE_MIN_N`` points on the trials run on up
+    to ``threads`` threads, each building its own sides; below it, on the
+    calling thread, as a test's null does, in stacks of up to
+    ``_block_rows(n * n)`` trials (1024 at n = 8, 43 at n = 39): a stack's
+    trials are sampled first, and side x and each y side are built for the
+    whole stack by one :func:`hsic.centered_side` call, each stack one
+    block of at most 2^16 floats a side.  Each trial then draws and reduces
+    its own null, in one gather workspace allocated once for the
+    experiment.  Where a stack is refused, its trials are run again one by
+    one, each on its own sides, so the error raised is that of the first
+    trial refused, and within it of side x before each y side, as when
+    every trial builds its own.
     """
     kys = list(kys)
     if num_trials < 1:
@@ -687,14 +774,37 @@ def power_experiment(
         raise ValueError("power_experiment needs at least one y kernel")
     workers = _pool_size(threads, num_trials if n >= TAKE_MIN_N else 1)
 
-    def one_trial(t: int) -> list[float]:
+    def trial_sample(t: int) -> Dataset:
+        return sample(replace(sampler, seed=derive_seed(cfg.seed, STREAM_TRIAL_DATA, t)), n)
+
+    def one_trial(t: int, data: Dataset | None = None, sides=None, buffers=None) -> list[float]:
         # A trial keeps only the p-values: no null quantile or TestResult.
-        data_spec = replace(sampler, seed=derive_seed(cfg.seed, STREAM_TRIAL_DATA, t))
         trial_cfg = replace(cfg, seed=derive_seed(cfg.seed, STREAM_TRIAL_TEST, t))
-        *_, observed, null = _monte_carlo(sample(data_spec, n), kx, kys, trial_cfg)
+        data = trial_sample(t) if data is None else data
+        *_, observed, null = _monte_carlo(data, kx, kys, trial_cfg, 1, sides, buffers)
         return [p_value_from_null(s.raw, replicates) for s, replicates in zip(observed, null)]
 
-    trials = _map(one_trial, range(num_trials), workers)
+    def stack_of_trials(trials: range, buffers) -> list[list[float]]:
+        try:
+            datasets = [trial_sample(t) for t in trials]
+            stacks = [centered_side(kx, np.stack([d.x_points for d in datasets]))]
+            stacks += [centered_side(ky, np.stack([d.y_points for d in datasets])) for ky in kys]
+        except (ValueError, ArithmeticError):
+            return [one_trial(t) for t in trials]  # raises the first trial's refusal
+        return [
+            one_trial(t, data, [(s[i], g[i], float(m[i]), bool(e[i])) for s, g, m, e in stacks], buffers)
+            for i, (t, data) in enumerate(zip(trials, datasets))
+        ]
+
+    if 2 <= n < TAKE_MIN_N:
+        per = _block_rows(n * n)
+        rows = min(_DENSE_DRAW_BLOCK_WORDS // n, cfg.num_permutations)
+        buffers = (np.empty((rows, n), dtype=np.intp), np.empty(_dense_floats(n, rows)))
+        trials = []
+        for lo in range(0, num_trials, per):
+            trials += stack_of_trials(range(lo, min(lo + per, num_trials)), buffers)
+    else:
+        trials = _map(one_trial, range(num_trials), workers)
     return [
         PowerResult(
             rejection_rate=sum(p <= cfg.alpha for p in p_values) / num_trials,

@@ -106,6 +106,19 @@ class TestCsvLoading:
                 "x,y\n1,2\n3,4\n".encode("utf-16"), "cannot read {path}: 'utf-8' codec", id="utf-16"
             ),
             pytest.param(b"\xffx,y\n1,2\n3,4\n", "cannot read {path}: 'utf-8' codec", id="0xff"),
+            # A cell over the csv module's field size limit (131 072
+            # characters) names its row: in the header, and in a data line
+            # of a file with a quoted cell, which the strict pass reads.
+            pytest.param(
+                f"x,y{'1' * 200_000}\n1,2\n3,4\n",
+                "{path}: row 1: field larger than field limit",
+                id="oversized-header-cell",
+            ),
+            pytest.param(
+                f'x,y\n"1",2\n3,{"1" * 200_000}\n',
+                "{path}: row 3: field larger than field limit",
+                id="oversized-data-cell",
+            ),
         ],
     )
     def test_bad_inputs_exit_2(self, tmp_path, capsys, content, message):

@@ -445,3 +445,63 @@ class TestCenteredSide:
         _, kc, scale, _ = centered_side(LINEAR, np.full((6, 1), 3.7))
         assert scale == 0.0
         assert not kc.any()
+
+
+def _stack(n, d, seed):
+    """Seven samples of n points: normal, rounded (tied distances), spread, tight, and three more."""
+    rng = np.random.default_rng(seed)
+    stack = rng.normal(size=(7, n, d))
+    stack[1] = np.round(stack[1], 1)
+    stack[2] *= 1e3  # a Gaussian of small bandwidth sees the identity here
+    stack[3] *= 1e-3
+    return stack
+
+
+class TestStackedSides:
+    """A stack of samples builds each sample's side as it is built alone, bit for bit."""
+
+    SPECS = [
+        KernelSpec("gaussian"), KernelSpec("laplace"), LINEAR, KernelSpec("gaussian", 0.5),
+        KernelSpec("laplace", 2.0), KernelSpec("gaussian", 1e-3), KernelSpec("gaussian", 1e9),
+    ]
+
+    @pytest.mark.parametrize("spec", SPECS, ids=KernelSpec.describe)
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("n", [2, 3, 8, 39, 200])
+    def test_each_sample_is_its_own_side(self, n, d, spec):
+        # Up to n = 181 a block holds whole samples; at 200 it holds rows
+        # of one sample.
+        stack = _stack(n, d, seed=n * d)
+        specs, out, scales, ties = centered_side(spec, stack)
+        assert out.shape == (7, n, n) and scales.shape == ties.shape == (7,)
+        for t, pts in enumerate(stack):
+            alone, kc, scale, tied = centered_side(spec, pts)
+            assert specs[t] == alone
+            assert out[t].tobytes() == kc.tobytes()
+            assert scales[t] == scale and ties[t] == tied
+
+    def test_a_stack_holds_tied_and_constant_samples(self):
+        stack = _stack(8, 1, seed=1)
+        stack[4] = 3.7  # every point the same: a constant linear side
+        _, out, scales, _ = centered_side(LINEAR, stack)
+        assert scales[4] == 0.0 and not out[4].any() and (scales[:4] > 0.0).all()
+        *_, ties = centered_side(KernelSpec("gaussian", 1e-3), stack)
+        assert ties[2] and not ties[3]
+
+    def test_the_first_refused_sample_raises(self):
+        # Sample 2's median is 0 and sample 5's inf: sample 2 is refused,
+        # with the message its own side gives.
+        stack = _stack(8, 1, seed=2)
+        stack[2, :6] = 0.5
+        stack[5] *= 1e300
+        with pytest.raises(ValueError) as alone:
+            centered_side(KernelSpec("gaussian"), stack[2])
+        with pytest.raises(ValueError) as stacked:
+            centered_side(KernelSpec("gaussian"), stack)
+        assert str(stacked.value) == str(alone.value)
+        assert "median pairwise distance is 0.0" in str(alone.value)
+        with pytest.raises(ArithmeticError):  # the float limits, per sample
+            centered_side(KernelSpec("gaussian", 1.0), stack)
+        stack[6, 3] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            centered_side(LINEAR, stack)

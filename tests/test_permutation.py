@@ -7,6 +7,7 @@ import json
 import math
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from hsictest import (
     HsicValue,
     KernelSpec,
     PermutationConfig,
+    discrete_ring,
     exhaustive_permutation_test,
     hsic_biased,
     median_heuristic,
@@ -36,7 +38,13 @@ from hsictest import (
 from hsictest import _selection, cli, hsic, testing
 from hsictest.hsic import centered_gram_entries, centered_side, gram_free_side
 from hsictest.kernels import gram_entries
-from hsictest.rng import STREAM_PERMUTATION, rng_for
+from hsictest.rng import (
+    STREAM_PERMUTATION,
+    STREAM_TRIAL_DATA,
+    STREAM_TRIAL_TEST,
+    derive_seed,
+    rng_for,
+)
 from hsictest.testing import (
     EXHAUSTIVE_MAX_N,
     TAKE_MIN_N,
@@ -1163,10 +1171,12 @@ class TestSharedTrials:
         (8, [LINEAR, GAUSS_MEDIAN]),
         (45, [LINEAR, GAUSS_MEDIAN]),
         (60, [GAUSS_MEDIAN, LAPLACE_MEDIAN]),  # one factored y side, one dense
+        # Two dense y sides share each block's gather index, on every thread.
+        (60, [LAPLACE_MEDIAN, KernelSpec("laplace", 0.5)]),
     ]
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
-    @pytest.mark.parametrize("n,kys", CASES, ids=["n8", "n45", "n60-mixed"])
+    @pytest.mark.parametrize("n,kys", CASES, ids=["n8", "n45", "n60-mixed", "n60-dense"])
     def test_power_matches_one_y_runs_bitwise(self, n, kys, threads, monkeypatch):
         monkeypatch.setattr(testing.os, "cpu_count", lambda: 8)
         cfg = PermutationConfig(70, 0.05, 4)
@@ -1175,7 +1185,7 @@ class TestSharedTrials:
         assert shared == alone
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
-    @pytest.mark.parametrize("n,kys", CASES, ids=["n8", "n45", "n60-mixed"])
+    @pytest.mark.parametrize("n,kys", CASES, ids=["n8", "n45", "n60-mixed", "n60-dense"])
     def test_results_match_one_y_tests_bitwise(self, n, kys, threads, monkeypatch):
         # Statistic, null quantile and resolved kernels too, with the null
         # on the test's pool from TAKE_MIN_N points on.
@@ -1258,3 +1268,134 @@ class TestPowerExperiment:
         cfg = PermutationConfig(30, 0.05, 0)
         (res,) = power_experiment(spec, GAUSS_MEDIAN, [GAUSS_MEDIAN], cfg, num_trials=5, n=25)
         assert len(set(res.p_values)) > 1
+
+
+def _own_tests(sampler, kx, kys, cfg, num_trials, n):
+    """Each trial's p-values, from ``permutation_test`` on that trial's own sample, and the first refusal.
+
+    Trial t samples ``sampler`` at ``derive_seed(seed, STREAM_TRIAL_DATA,
+    t)`` and tests with seed ``derive_seed(seed, STREAM_TRIAL_TEST, t)``.
+    The trials run in order, each y kernel in order, until one is refused.
+    """
+    rows = []
+    for t in range(num_trials):
+        data_spec = replace(sampler, seed=derive_seed(cfg.seed, STREAM_TRIAL_DATA, t))
+        test_cfg = replace(cfg, seed=derive_seed(cfg.seed, STREAM_TRIAL_TEST, t))
+        try:
+            data = sample(data_spec, n)
+            rows.append([permutation_test(data, kx, ky, test_cfg).p_value for ky in kys])
+        except (ValueError, ArithmeticError) as exc:
+            return rows, exc
+    return rows, None
+
+
+class TestTrialIsItsOwnTest:
+    """Trial t of a power experiment is ``permutation_test`` on trial t's own sample, bit for bit."""
+
+    SAMPLERS = {
+        "ring": GeneratorSpec(GeneratorKind.RING_UNIFORM, noise=0.1),
+        "gaussian_dx3": GeneratorSpec(GeneratorKind.INDEPENDENT_GAUSSIAN, dim_x=3),
+        "rotated": GeneratorSpec(GeneratorKind.ROTATED, angle=0.7),
+        "discrete": GeneratorSpec(GeneratorKind.DISCRETE_GIVEN, distribution=discrete_ring()),
+    }
+    KX = {
+        "gaussian_median": GAUSS_MEDIAN,
+        "laplace_fixed": KernelSpec("laplace", 0.7),
+        "linear": LINEAR,
+    }
+    # Median and fixed bandwidths of every family, a side whose Gram is the
+    # identity (a tie) and a constant one.
+    KYS = [
+        LINEAR, LAPLACE_MEDIAN, KernelSpec("gaussian", 0.5), GAUSS_MEDIAN,
+        KernelSpec("gaussian", 1e-3), KernelSpec("gaussian", 1e9),
+    ]
+
+    def _check(self, sampler, kx, kys, n, num_trials=5, cfg=PermutationConfig(40, 0.05, 11)):
+        rows, refused = _own_tests(sampler, kx, kys, cfg, num_trials, n)
+        if refused is None:
+            results = power_experiment(sampler, kx, kys, cfg, num_trials, n)
+            assert [r.p_values for r in results] == [tuple(col) for col in zip(*rows)]
+        else:
+            with pytest.raises(type(refused)) as raised:
+                power_experiment(sampler, kx, kys, cfg, num_trials, n)
+            assert type(raised.value) is type(refused) and str(raised.value) == str(refused)
+        return refused
+
+    @pytest.mark.parametrize("kx", KX, ids=list(KX))
+    @pytest.mark.parametrize("kind", SAMPLERS, ids=list(SAMPLERS))
+    @pytest.mark.parametrize("n", [2, 3, 8, TAKE_MIN_N - 1])
+    def test_p_values_are_the_trials_own_tests(self, n, kind, kx):
+        self._check(self.SAMPLERS[kind], self.KX[kx], self.KYS, n)
+
+    def test_tied_and_constant_sides_give_p_1(self):
+        cfg = PermutationConfig(40, 0.05, 11)
+        ring = self.SAMPLERS["ring"]
+        tied, constant = KernelSpec("gaussian", 1e-3), KernelSpec("gaussian", 1e9)
+        for result in power_experiment(ring, GAUSS_MEDIAN, [tied, constant], cfg, 5, 8):
+            assert result.p_values == (1.0,) * 5
+
+    @pytest.mark.parametrize(
+        "kx,kys,first",
+        [
+            (GAUSS_MEDIAN, [LINEAR, LAPLACE_MEDIAN], "gaussian"),  # side x before any y side
+            (LINEAR, [KernelSpec("gaussian", 1.0), LAPLACE_MEDIAN], "laplace"),
+            (LINEAR, [LAPLACE_MEDIAN, GAUSS_MEDIAN], "laplace"),  # y sides in order
+        ],
+        ids=["x", "second-y", "first-y"],
+    )
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    def test_a_refused_trial_raises_as_its_own_test(self, n, kx, kys, first):
+        # Discrete ring points coincide often: a later trial's median
+        # distance is 0, and the trial is refused as its own test refuses
+        # it, after the earlier trials ran.
+        sampler = self.SAMPLERS["discrete"]
+        refused = self._check(sampler, kx, kys, n, num_trials=40)
+        assert isinstance(refused, ValueError)
+        assert str(refused).startswith("the median pairwise distance is 0.0")
+        assert str(refused).endswith(f"such as {first}:1.0")
+
+    def test_an_earlier_y_side_is_refused_before_a_later_x_side(self):
+        # With seed 0 at n = 3, trial 4's y points and trial 6's x points
+        # all coincide.  The stack's x side is refused at trial 6, yet the
+        # experiment raises trial 4's y refusal, as the trials' own tests do.
+        cfg = PermutationConfig(40, 0.05, 0)
+        sampler = self.SAMPLERS["discrete"]
+        refused = self._check(sampler, GAUSS_MEDIAN, [LAPLACE_MEDIAN], 3, num_trials=40, cfg=cfg)
+        assert str(refused).endswith("such as laplace:1.0")
+
+    def test_a_side_beyond_the_float_limits_raises_as_its_own_test(self):
+        # 2 sigma^2 rounds to 0: every trial is refused, the first as its own test.
+        refused = self._check(self.SAMPLERS["ring"], KernelSpec("gaussian", 1e-200), [LINEAR], 8)
+        assert isinstance(refused, ArithmeticError)
+
+    def test_stacks_are_one_block_and_share_one_workspace(self, monkeypatch):
+        # 50 trials of 39 points make stacks of 43 and 7 trials (43 * 39^2
+        # floats is one block of 2^16); each stack is built by one call a
+        # side, and every trial's null draws into the experiment's one
+        # block of rows and workspace.
+        built, buffers = [], []
+        side, run = testing.centered_side, testing._run_chunks
+        monkeypatch.setattr(
+            testing, "centered_side", lambda spec, pts: built.append(np.shape(pts)) or side(spec, pts)
+        )
+        monkeypatch.setattr(
+            testing, "_run_chunks",
+            lambda nulls, perms, workers=1: buffers.append(perms.buffers) or run(nulls, perms, workers),
+        )
+        ring = self.SAMPLERS["ring"]
+        power_experiment(ring, GAUSS_MEDIAN, [LINEAR, GAUSS_MEDIAN], PermutationConfig(30, 0.05, 1), 50, 39)
+        assert built == [(43, 39, 1)] * 3 + [(7, 39, 1)] * 3
+        assert len(buffers) == 50 and buffers[0] is not None
+        assert all(b is buffers[0] for b in buffers)
+
+    def test_gather_index_is_computed_once_for_every_y_side(self, monkeypatch):
+        # Two dense y sides reduce each block of rows; its gather index is
+        # built once, not once per side.
+        calls = []
+        gather = testing._gather_index
+        monkeypatch.setattr(
+            testing, "_gather_index", lambda perms, block: calls.append(len(perms)) or gather(perms, block)
+        )
+        cfg = PermutationConfig(2500, 0.05, 1)
+        power_experiment(self.SAMPLERS["ring"], GAUSS_MEDIAN, [LINEAR, GAUSS_MEDIAN], cfg, 1, 8)
+        assert calls == [1024, 1024, 452]  # the drawn blocks of 2^13 words

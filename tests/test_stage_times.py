@@ -120,3 +120,22 @@ def test_matrix_records_the_host_and_each_cell_at_1_and_2_threads(tmp_path, monk
         assert set(cell["stages_s"]) == {"sides", "null", "p_value", "read"}
         assert cell["stage_sum_s"] <= cell["total_s"]
         assert cell["peak_rss_mb"] > 0.0
+
+
+def test_power_cell_splits_sides_draw_null_statistics_and_p_values(tmp_path, monkeypatch):
+    # One tiny power cell: 3 trials of 8 points, at 1 and 2 threads.
+    script = _script(monkeypatch)
+    monkeypatch.setattr(script, "MATRIX", (script.Power(8, 3, 20),))
+    path = tmp_path / "matrix.json"
+    script.main(["--matrix", str(path), "--repeats", "1"])
+    cells = json.loads(path.read_text())["cells"]
+    assert [cell["threads"] for cell in cells] == [1, 2]
+    for cell in cells:
+        assert (cell["command"], cell["n"], cell["trials"], cell["permutations"]) == (
+            "reproduce-ring", 8, 3, 20,
+        )
+        assert set(cell["stages_s"]) == {"sample", "sides", "null", "p_value"}
+        assert set(cell["split_s"]) == {"draw", "null_statistics"}
+        assert cell["split_s"]["draw"] > 0.0 and cell["stages_s"]["sides"] > 0.0
+        assert cell["stage_sum_s"] <= cell["total_s"]
+        assert cell["peak_rss_mb"] > 0.0
